@@ -1,11 +1,13 @@
 //! Weighting cost: Gaussian sqrt-scale likelihood evaluation and the full
-//! `score_window` path (bias thinning + likelihood) for both bias modes.
+//! `score_window` path (bias thinning + likelihood) for both bias modes,
+//! called as the grid calls it: the window's observed side prepared once,
+//! the scratch buffers warm.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use episim::output::{DailySeries, SharedTrajectory};
 use epismc_core::likelihood::{GaussianSqrtLikelihood, Likelihood};
 use epismc_core::observation::BiasMode;
-use epismc_core::sis::{score_window, ObservedData};
+use epismc_core::sis::{score_window, ObservedData, PreparedObserved, ScoreScratch};
 use epismc_core::window::TimeWindow;
 use std::hint::black_box;
 
@@ -33,14 +35,35 @@ fn bench_score_window(c: &mut Criterion) {
     for (label, mode) in [("sampled", BiasMode::Sampled), ("mean", BiasMode::Mean)] {
         let obs =
             ObservedData::cases_only_with((0..33).map(|d| 150.0 + d as f64).collect(), mode, 1.0);
+        let prepared = PreparedObserved::build(&obs, window).unwrap();
+        let mut scratch = ScoreScratch::new();
         group.bench_function(format!("cases_{label}"), |b| {
-            b.iter(|| black_box(score_window(black_box(&traj), 0.75, 99, &obs, window).unwrap()));
+            b.iter(|| {
+                black_box(
+                    score_window(black_box(&traj), 0.75, 99, &obs, &prepared, &mut scratch)
+                        .unwrap(),
+                )
+            });
         });
     }
     let obs_both =
         ObservedData::cases_and_deaths((0..33).map(|d| 150.0 + d as f64).collect(), vec![1.0; 33]);
+    let prepared = PreparedObserved::build(&obs_both, window).unwrap();
+    let mut scratch = ScoreScratch::new();
     group.bench_function("cases_and_deaths_sampled", |b| {
-        b.iter(|| black_box(score_window(black_box(&traj), 0.75, 99, &obs_both, window).unwrap()));
+        b.iter(|| {
+            black_box(
+                score_window(
+                    black_box(&traj),
+                    0.75,
+                    99,
+                    &obs_both,
+                    &prepared,
+                    &mut scratch,
+                )
+                .unwrap(),
+            )
+        });
     });
     group.finish();
 }

@@ -40,7 +40,6 @@ pub mod runner;
 pub mod seir;
 pub mod spec;
 pub mod state;
-pub mod store;
 pub mod workspace;
 
 pub use builder::ModelSpecBuilder;
@@ -54,5 +53,4 @@ pub use runner::Simulation;
 pub use seir::{SeirModel, SeirParams};
 pub use spec::ModelSpec;
 pub use state::SimState;
-pub use store::{CheckpointKey, CheckpointStore};
 pub use workspace::SimWorkspace;

@@ -309,21 +309,29 @@ pub struct CheckpointPolicy {
     pub mode: PersistMode,
 }
 
-/// How snapshot writes relate to the window loop.
+/// How snapshot writes relate to the batch window loop
+/// ([`crate::sis::SequentialCalibrator::run_persisted`] and
+/// [`crate::sis::SequentialCalibrator::resume_from`]).
 ///
-/// Both modes write the same bytes in the same order and produce
-/// bit-identical calibration results; they differ only in *when* the
-/// loop blocks. Pipelined mode keeps resume semantics intact — the
+/// Both modes write through the same routine
+/// ([`crate::persist::persist`]: encode, put, then retention), the same
+/// bytes in the same order, and produce bit-identical calibration
+/// results; they differ only in *where* that routine runs and so *when*
+/// the loop blocks. Pipelined mode keeps resume semantics intact — the
 /// newest *durable* snapshot wins — because writes still land in window
 /// order and the writer fail-stops on the first error.
+///
+/// A [`crate::stream::StreamingCalibrator`] writes inline under either
+/// mode: an append returns only once its window is durable, so there is
+/// no next window for a background writer to overlap the write with.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PersistMode {
     /// Encode and write inside the window loop; the loop does not start
     /// window `w+1` until window `w` is durable.
     Sync,
-    /// Hand each snapshot to a bounded background writer thread
-    /// (double-buffered: at most one queued behind one in flight) and
-    /// start window `w+1` immediately. Write errors surface as typed
+    /// Hand each snapshot to a bounded background writer thread (at most
+    /// two queued behind the one in flight) and start window `w+1`
+    /// immediately. Write errors surface as typed
     /// [`crate::error::SmcError`] at the next handoff or the final join.
     #[default]
     Pipelined,

@@ -25,7 +25,7 @@
 //!   (`y_t ~ Binomial(eta_t, rho)`, Section IV-A) and the identity map
 //!   used for death counts.
 //! * [`likelihood`] — Gaussian likelihood on square-root transformed
-//!   counts (`sigma = 1` in the paper) and composition across sources.
+//!   counts (`sigma = 1` in the paper) and its alternatives.
 //! * [`resample`] — multinomial, systematic, stratified, and residual
 //!   resamplers.
 //! * [`runner`] — the rayon-parallel ensemble executor with deterministic
@@ -70,7 +70,7 @@ pub use config::{
 pub use diagnostics::{coverage, joint_density, JointDensity, PosteriorSummary, Ribbon};
 pub use error::SmcError;
 pub use forecast::{Forecast, Forecaster};
-pub use likelihood::{CompositeLikelihood, GaussianSqrtLikelihood, Likelihood};
+pub use likelihood::{GaussianSqrtLikelihood, Likelihood};
 pub use observation::{BiasMode, BinomialBias, IdentityBias};
 pub use particle::{Particle, ParticleEnsemble};
 pub use persist::{

@@ -4,8 +4,8 @@
 //! The paper uses a Gaussian likelihood on **square-root transformed
 //! counts** with a diagonal covariance and `sigma_t = 1` (Section V-B) —
 //! the square root acts as a variance-stabilizing transform for count
-//! data. [`CompositeLikelihood`] multiplies independent per-source
-//! likelihoods (cases x deaths, Equation 4).
+//! data. Independent per-source likelihoods multiply (cases x deaths,
+//! Equation 4): [`crate::sis::score_window`] adds their log terms.
 
 /// A log-likelihood of an observed window given a simulated window on the
 /// observed scale.
@@ -219,35 +219,6 @@ impl Likelihood for NegBinomialLikelihood {
     }
 }
 
-/// Product of independent likelihood terms (sum of log terms), used to
-/// combine multiple data sources.
-#[derive(Default)]
-pub struct CompositeLikelihood {
-    terms: Vec<f64>,
-}
-
-impl CompositeLikelihood {
-    /// Start an empty composition.
-    pub fn new() -> Self {
-        Self { terms: Vec::new() }
-    }
-
-    /// Add one source's log-likelihood.
-    pub fn add(&mut self, log_lik: f64) {
-        self.terms.push(log_lik);
-    }
-
-    /// The combined log-likelihood (sum; negative infinity dominates).
-    pub fn total(&self) -> f64 {
-        self.terms.iter().sum()
-    }
-
-    /// Individual terms, in insertion order.
-    pub fn terms(&self) -> &[f64] {
-        &self.terms
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -301,21 +272,9 @@ mod tests {
     }
 
     #[test]
-    fn composite_sums_terms() {
-        let mut c = CompositeLikelihood::new();
-        c.add(-10.0);
-        c.add(-5.5);
-        assert!((c.total() + 15.5).abs() < 1e-12);
-        c.add(f64::NEG_INFINITY);
-        assert_eq!(c.total(), f64::NEG_INFINITY);
-        assert_eq!(c.terms().len(), 3);
-    }
-
-    #[test]
     fn empty_window_is_neutral() {
         let l = GaussianSqrtLikelihood::paper();
         assert_eq!(l.log_likelihood(&[], &[]), 0.0);
-        assert_eq!(CompositeLikelihood::new().total(), 0.0);
     }
 
     #[test]

@@ -23,7 +23,6 @@
 //! has the same structural-sharing telemetry as the original.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use episim::output::{DailySeries, SharedTrajectory};
 
@@ -781,11 +780,6 @@ pub fn decode_record(data: &[u8]) -> Result<RunSnapshot, SmcError> {
         telemetry,
         posterior,
     })
-}
-
-/// Reconstruct the persisted wall time as a [`Duration`].
-pub fn wall_time(snap: &RunSnapshot) -> Duration {
-    Duration::from_nanos(snap.wall_nanos)
 }
 
 #[cfg(test)]

@@ -23,10 +23,14 @@
 //! * [`MemStore`] — in-memory `BTreeMap`, for tests and ephemeral runs.
 //! * [`FaultStore`] — deterministic fault injection wrapping any store.
 //!
-//! Under [`crate::config::PersistMode::Pipelined`] writes go through the
+//! Every durable write is one [`persist`] call: encode, put, then
+//! retention relative to the record just written. The batch loop under
+//! [`crate::config::PersistMode::Pipelined`] makes that call on the
 //! background [`SnapshotWriter`] ([`writer`]), which preserves write
 //! order and the durable-prefix guarantee while taking encode + fsync
-//! off the window loop's critical path.
+//! off the window loop's critical path; the batch loop under
+//! [`crate::config::PersistMode::Sync`] and a stream's appends make it
+//! inline.
 
 pub mod dir;
 pub mod fault;
@@ -125,12 +129,29 @@ pub struct ResumeReport {
     pub recoveries: usize,
 }
 
-/// Encode and write one snapshot, keyed by its window index.
+/// The one durable write: encode `snap`, put it under its window index,
+/// then — when `retain` is set — prune with [`apply_retention_after`]
+/// relative to the record just written. The order is what keeps the
+/// newest durable record safe: retention only ever runs after the put
+/// succeeded, and never deletes the record it follows. Returns the
+/// encode (serialize + CRC) time in nanoseconds.
 ///
 /// # Errors
 /// [`SmcError::Persist`] on storage failure.
-pub fn save(store: &dyn RunStore, snap: &RunSnapshot) -> Result<(), SmcError> {
-    store.put(snap.window_index, &format::encode_record(snap))
+pub fn persist(
+    store: &dyn RunStore,
+    snap: &RunSnapshot,
+    retain: Option<usize>,
+) -> Result<u64, SmcError> {
+    // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
+    let encode_started = std::time::Instant::now();
+    let record = format::encode_record(snap);
+    let encode_nanos = encode_started.elapsed().as_nanos() as u64;
+    store.put(snap.window_index, &record)?;
+    if let Some(keep) = retain {
+        apply_retention_after(store, keep, snap.window_index)?;
+    }
+    Ok(encode_nanos)
 }
 
 /// Read and decode the snapshot for one window (`None` when absent).
@@ -176,25 +197,6 @@ pub fn recover_latest(store: &dyn RunStore) -> Result<(Option<RunSnapshot>, usiz
     Ok((None, skipped))
 }
 
-/// Delete all but the newest `retain` records.
-///
-/// Retention is purely index-based: it cannot tell a just-written
-/// record from a stale corpse of an abandoned longer run. Writers that
-/// know which window they just put should use [`apply_retention_after`]
-/// instead, which guarantees the fresh record survives.
-///
-/// # Errors
-/// [`SmcError::Persist`] on storage failure.
-pub fn apply_retention(store: &dyn RunStore, retain: usize) -> Result<(), SmcError> {
-    let mut windows = store.list()?;
-    windows.sort_unstable();
-    let excess = windows.len().saturating_sub(retain);
-    for &w in windows.iter().take(excess) {
-        store.delete(w)?;
-    }
-    Ok(())
-}
-
 /// Retention relative to the record just written at index `written`:
 /// first delete every record *above* `written` (the run only moves
 /// forward, so anything there is a superseded leftover of an earlier,
@@ -202,10 +204,11 @@ pub fn apply_retention(store: &dyn RunStore, retain: usize) -> Result<(), SmcErr
 /// of the rest. The `written` record is always among the survivors, so
 /// retention can never delete the newest durable state mid-append.
 ///
-/// Plain [`apply_retention`] lacks that guarantee: a stream resuming
-/// *before* a stale higher-indexed record would count the corpse toward
-/// `retain` and could delete the record it just wrote, leaving only the
-/// corpse — total data loss on the next recovery.
+/// Index-blind retention (keep the newest `retain` of everything) lacks
+/// that guarantee: a stream resuming *before* a stale higher-indexed
+/// record would count the corpse toward `retain` and could delete the
+/// record it just wrote, leaving only the corpse — total data loss on
+/// the next recovery.
 ///
 /// # Errors
 /// [`SmcError::Persist`] on storage failure.
@@ -377,19 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn retention_keeps_newest_records() {
-        let store = MemStore::new();
-        for w in 0..5u32 {
-            store.put(w, &[w as u8]).unwrap();
-        }
-        apply_retention(&store, 2).unwrap();
-        assert_eq!(store.list().unwrap(), vec![3, 4]);
-        // Retaining more than exists is a no-op.
-        apply_retention(&store, 10).unwrap();
-        assert_eq!(store.list().unwrap(), vec![3, 4]);
-    }
-
-    #[test]
     fn retention_after_write_preserves_the_written_record() {
         // The mid-append data-loss scenario: a stale (possibly torn)
         // record from an abandoned longer run sits *above* the window
@@ -403,13 +393,23 @@ mod tests {
         apply_retention_after(&store, 1, 2).unwrap();
         assert_eq!(store.list().unwrap(), vec![2]);
 
-        // Without stale futures it prunes exactly like apply_retention.
+        // Without stale futures it prunes to the newest `retain`.
         let plain = MemStore::new();
         for w in 0..5u32 {
             plain.put(w, &[w as u8]).unwrap();
             apply_retention_after(&plain, 2, w).unwrap();
         }
         assert_eq!(plain.list().unwrap(), vec![3, 4]);
+        // Pruning a store that already holds the newest N at once, and
+        // retaining more than exists (a no-op).
+        let full = MemStore::new();
+        for w in 0..5u32 {
+            full.put(w, &[w as u8]).unwrap();
+        }
+        apply_retention_after(&full, 2, 4).unwrap();
+        assert_eq!(full.list().unwrap(), vec![3, 4]);
+        apply_retention_after(&full, 10, 4).unwrap();
+        assert_eq!(full.list().unwrap(), vec![3, 4]);
 
         // retain = 0 is clamped: the written record always survives.
         let clamped = MemStore::new();

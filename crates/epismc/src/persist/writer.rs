@@ -30,19 +30,19 @@
 //!   the final join, and the store holds exactly the windows written
 //!   before the fault — the same durable prefix a synchronous loop
 //!   killed at that write would leave.
-//! * **Retention on the writer** — [`super::apply_retention_after`]
-//!   runs on the writer thread after each successful put, keeping
-//!   deletes off the critical path too. It prunes relative to the
-//!   record just written, so the newest durable record is never a
-//!   retention casualty even when the store still holds stale
-//!   higher-indexed corpses of an abandoned longer run.
+//! * **Retention on the writer** — each write is one [`persist`] call
+//!   (encode, put, then [`super::apply_retention_after`]), so deletes
+//!   run on the writer thread, off the critical path too. Retention
+//!   prunes relative to the record just written, so the newest durable
+//!   record is never a retention casualty even when the store still
+//!   holds stale higher-indexed corpses of an abandoned longer run.
 
 use std::sync::mpsc;
 use std::thread;
 
 use crate::error::SmcError;
 
-use super::{apply_retention_after, format, RunSnapshot, RunStore};
+use super::{persist, RunSnapshot, RunStore};
 
 /// Bounded handoff queue depth (snapshots queued behind the in-flight
 /// write). See the module docs for why 2 and not 1.
@@ -103,17 +103,8 @@ impl<'scope> SnapshotWriter<'scope> {
                     // dead pipeline) but write nothing further.
                     continue;
                 }
-                // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-                let encode_started = std::time::Instant::now();
-                let record = format::encode_record(&snap);
-                let encode_nanos = encode_started.elapsed().as_nanos() as u64;
-                let result = store.put(snap.window_index, &record).and_then(|()| {
-                    retain.map_or(Ok(()), |keep| {
-                        apply_retention_after(store, keep, snap.window_index)
-                    })
-                });
-                let event = match result {
-                    Ok(()) => Event::Done(WriteReceipt {
+                let event = match persist(store, &snap, retain) {
+                    Ok(encode_nanos) => Event::Done(WriteReceipt {
                         window_index: snap.window_index,
                         encode_nanos,
                     }),

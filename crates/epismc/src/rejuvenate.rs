@@ -11,25 +11,30 @@
 //! calibration, so the move explores the parameter directions of the
 //! posterior while preserving each particle's stochastic identity).
 //!
-//! The proposal is the symmetric-by-construction reflected Gaussian
-//! random walk, so the acceptance ratio reduces to the likelihood ratio
-//! under the locally-flat-prior approximation the windowed scheme
-//! already makes.
+//! Every kernel runs the same move pass, a reflected Gaussian random walk
+//! whose proposal covariance arrives as a Cholesky factor: the diagonal
+//! of squared step sizes for the uniform-step [`rejuvenate`] (which the
+//! annealed sampler in [`crate::tempered`] also uses per rung), or the
+//! shrunk, scaled empirical posterior covariance for the
+//! [`crate::config::RejuvenationKernel::Pmmh`] kernel. The proposal is
+//! symmetric, so the acceptance ratio reduces to the (tempered)
+//! likelihood ratio under the locally-flat-prior approximation the
+//! windowed scheme already makes.
 
 use std::sync::Arc;
 
-use epistats::dist::Normal;
+use episim::output::SharedTrajectory;
 use epistats::linalg::{sample_mvn, shrink_covariance, Cholesky};
 use epistats::rng::StreamKey;
 use epistats::summary::covariance_matrix;
 
 use crate::config::PmmhConfig;
 use crate::error::SmcError;
-use crate::particle::ParticleEnsemble;
+use crate::particle::{Particle, ParticleEnsemble};
 use crate::prior::JitterKernel;
 use crate::runner::ParallelRunner;
 use crate::simulator::{PooledWorkspace, TrajectorySimulator, WorkspaceStats};
-use crate::sis::{score_window_prepared, ObservedData, PreparedObserved};
+use crate::sis::{score_window, ObservedData, PreparedObserved};
 use crate::window::TimeWindow;
 
 /// Configuration of the move step.
@@ -57,26 +62,27 @@ impl RejuvenationConfig {
     /// Validate the configuration.
     ///
     /// # Errors
-    /// Returns the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    /// [`SmcError::Config`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), SmcError> {
+        let invalid = |msg: String| Err(SmcError::Config(msg));
         if self.moves == 0 {
-            return Err("moves must be >= 1".into());
+            return invalid("moves must be >= 1".into());
         }
         if self.step_theta.len() != self.support_theta.len() {
-            return Err("step/support dimension mismatch".into());
+            return invalid("step/support dimension mismatch".into());
         }
         if self.step_theta.iter().any(|&s| !(s.is_finite() && s > 0.0)) {
-            return Err("invalid theta step".into());
+            return invalid("invalid theta step".into());
         }
         if !(self.step_rho.is_finite() && self.step_rho > 0.0) {
-            return Err("invalid rho step".into());
+            return invalid("invalid rho step".into());
         }
         if !(self.temper > 0.0 && self.temper <= 1.0) {
-            return Err(format!("temper = {} outside (0, 1]", self.temper));
+            return invalid(format!("temper = {} outside (0, 1]", self.temper));
         }
         for &(lo, hi) in self.support_theta.iter().chain([&self.support_rho]) {
             if lo >= hi {
-                return Err(format!("invalid support [{lo}, {hi}]"));
+                return invalid(format!("invalid support [{lo}, {hi}]"));
             }
         }
         Ok(())
@@ -125,16 +131,40 @@ fn reflect(mut x: f64, lo: f64, hi: f64) -> f64 {
     x
 }
 
-/// Apply a move step to every particle of `ensemble` in place, scoring
-/// proposals against `observed` on `window`.
+/// What one move pass does to each particle: the proposal, the support
+/// it reflects into, how many steps, at which temperature, and the
+/// counter-mode stream keys its draws derive from.
+struct MoveKernel {
+    /// Cholesky factor of the proposal covariance over `(θ, ρ)`.
+    proposal: Cholesky,
+    /// Reflection bounds per θ coordinate, then ρ's.
+    bounds: Vec<(f64, f64)>,
+    /// Metropolis steps per particle.
+    moves: usize,
+    /// Likelihood tempering exponent (1 = the plain posterior).
+    temper: f64,
+    /// Key of each particle's proposal and accept/reject stream.
+    move_key: StreamKey,
+    /// Key of each particle's bias-draw seed.
+    bias_key: StreamKey,
+}
+
+/// Apply a uniform-step move to every particle of `ensemble` in place,
+/// scoring proposals against `observed` on `window`: `config.moves`
+/// Metropolis–Hastings steps of independent reflected Gaussian steps
+/// (`step_theta`, `step_rho`) targeting `likelihood^temper`.
 ///
 /// Particles simulated fresh from day 0 (`origin == None`) are re-run
-/// with `run_fresh`; continued particles re-run from their stored origin
+/// from day 0; continued particles re-run from their stored origin
 /// checkpoint. Trajectories, end checkpoints, and parameters update on
-/// acceptance; seeds never change.
+/// acceptance; seeds never change. The pass runs on the caller's
+/// `runner`, so callers that rejuvenate repeatedly (e.g. the annealed
+/// sampler) pay for one pool, not one per pass; results are
+/// bit-identical for any thread count.
 ///
 /// # Errors
-/// Propagates simulator and scoring failures, and invalid configs.
+/// [`SmcError::Config`] for an invalid config, plus simulator and
+/// scoring failures.
 pub fn rejuvenate<S: TrajectorySimulator>(
     simulator: &S,
     ensemble: &mut ParticleEnsemble,
@@ -142,149 +172,44 @@ pub fn rejuvenate<S: TrajectorySimulator>(
     window: TimeWindow,
     config: &RejuvenationConfig,
     master_seed: u64,
-    threads: Option<usize>,
-) -> Result<RejuvenationStats, String> {
-    let runner = ParallelRunner::from_option(threads);
-    rejuvenate_with(
-        simulator,
-        ensemble,
-        observed,
-        window,
-        config,
-        master_seed,
-        &runner,
-    )
-}
-
-/// Like [`rejuvenate`], but reusing a caller-owned [`ParallelRunner`] —
-/// callers that rejuvenate repeatedly (e.g. the annealed sampler) should
-/// build one runner and pass it to every pass instead of paying a pool
-/// build per call.
-///
-/// # Errors
-/// Propagates simulator and scoring failures, and invalid configs.
-#[allow(clippy::too_many_arguments)]
-pub fn rejuvenate_with<S: TrajectorySimulator>(
-    simulator: &S,
-    ensemble: &mut ParticleEnsemble,
-    observed: &ObservedData,
-    window: TimeWindow,
-    config: &RejuvenationConfig,
-    master_seed: u64,
     runner: &ParallelRunner,
-) -> Result<RejuvenationStats, String> {
+) -> Result<RejuvenationStats, SmcError> {
     config.validate()?;
     if ensemble.is_empty() {
         return Ok(RejuvenationStats::default());
     }
-
-    // Work on owned copies in parallel, then write back. Each worker
-    // derives its particle's streams in O(1) from counter-mode keys
-    // hoisted out of the closure (bit-identical to the old chained
-    // derivation). Like the calibration grid, the pass runs on pooled
-    // per-worker workspaces (`run_fresh_in` / `run_from_in` reuse one
-    // `SimState` and one score scratch per worker) with the observed-side
-    // likelihood preparation hoisted out and built once — results are
-    // bit-identical to the allocating path for any thread count.
-    let move_key = StreamKey::new(master_seed).absorb(0x4E10_u64);
-    let bias_key = StreamKey::new(master_seed).absorb(0x4E11_u64);
-    let prepared = PreparedObserved::build(observed, window).map_err(|e| e.to_string())?;
-    let ws_stats = Arc::new(WorkspaceStats::default());
-    let particles: Vec<_> = ensemble.particles().to_vec();
-    let moved: Vec<Result<(crate::particle::Particle, usize), String>> = runner.run_grid_pooled(
-        particles.len(),
-        1,
-        || PooledWorkspace::new(Arc::clone(&ws_stats)),
-        |ws, i, _| {
-            let mut p = particles[i].clone();
-            let mut rng = move_key.rng(i as u64);
-            let bias_seed = bias_key.derive(i as u64);
-            let (sim, scratch) = ws.parts();
-            // Current likelihood under a fixed bias draw (shared between
-            // current and proposed states so the comparison is exact in
-            // the parameters).
-            let mut current_ll = score_window_prepared(
-                &p.trajectory,
-                p.rho,
-                bias_seed,
-                observed,
-                &prepared,
-                scratch,
-            )?;
-            let mut accepted_here = 0usize;
-
-            for _ in 0..config.moves {
-                // Propose reflected-Gaussian perturbations.
-                let theta_new: Vec<f64> = p
-                    .theta
-                    .iter()
-                    .zip(&config.step_theta)
-                    .zip(&config.support_theta)
-                    .map(|((&t, &s), &(lo, hi))| {
-                        reflect(t + s * Normal::sample_standard(&mut rng), lo, hi)
-                    })
-                    .collect();
-                let (rlo, rhi) = config.support_rho;
-                let rho_new = reflect(
-                    p.rho + config.step_rho * Normal::sample_standard(&mut rng),
-                    rlo.max(1e-9),
-                    rhi.min(1.0),
-                );
-
-                // Re-simulate the window with the SAME seed.
-                let (trajectory_new, checkpoint_new) = match &p.origin {
-                    None => {
-                        let (t, ck) =
-                            simulator.run_fresh_in(sim, &theta_new, p.seed, window.end)?;
-                        (episim::output::SharedTrajectory::root(t), ck)
-                    }
-                    Some(origin) => {
-                        let (tail, ck) =
-                            simulator.run_from_in(sim, origin, &theta_new, p.seed, window.end)?;
-                        // Share the (unchanged) pre-window history: only the
-                        // re-simulated window segment is fresh storage.
-                        (p.trajectory.truncated(origin.day).append(tail), ck)
-                    }
-                };
-                let proposed_ll = score_window_prepared(
-                    &trajectory_new,
-                    rho_new,
-                    bias_seed,
-                    observed,
-                    &prepared,
-                    scratch,
-                )?;
-                let accept = proposed_ll >= current_ll
-                    || rng.next_f64() < (config.temper * (proposed_ll - current_ll)).exp();
-                if accept {
-                    p.theta = theta_new.into();
-                    p.rho = rho_new;
-                    p.trajectory = trajectory_new;
-                    p.checkpoint = crate::ckpool::share(checkpoint_new);
-                    current_ll = proposed_ll;
-                    accepted_here += 1;
-                }
-            }
-            Ok((p, accepted_here))
-        },
-    );
-
-    let mut stats = RejuvenationStats {
-        proposed: config.moves * particles.len(),
-        accepted: 0,
-    };
-    for (slot, item) in ensemble.particles_mut().iter_mut().zip(moved) {
-        let (p, acc) = item?;
-        *slot = p;
-        stats.accepted += acc;
+    // Squared steps on the diagonal: the correlated draw `L z` reduces
+    // to one independent step per coordinate.
+    let d = config.step_theta.len() + 1;
+    let mut covariance = vec![0.0; d * d];
+    for (k, s) in config
+        .step_theta
+        .iter()
+        .chain([&config.step_rho])
+        .enumerate()
+    {
+        covariance[k * d + k] = s * s;
     }
-    Ok(stats)
+    let kernel = MoveKernel {
+        proposal: Cholesky::new(&covariance, d).map_err(SmcError::Config)?,
+        bounds: config
+            .support_theta
+            .iter()
+            .chain([&config.support_rho])
+            .copied()
+            .collect(),
+        moves: config.moves,
+        temper: config.temper,
+        move_key: StreamKey::new(master_seed).absorb(0x4E10_u64),
+        bias_key: StreamKey::new(master_seed).absorb(0x4E11_u64),
+    };
+    move_pass(simulator, ensemble, observed, window, &kernel, runner)
 }
 
-/// Counter-stream tags for the PMMH pass, distinct from the generic
-/// rejuvenation tags (`0x4E10` / `0x4E11`) and additionally keyed by the
-/// window index, so every window's move pass draws from its own stream
-/// and streaming-vs-batch identity holds window by window.
+/// Counter-stream tags for the PMMH pass, distinct from the uniform-step
+/// tags (`0x4E10` / `0x4E11`) and additionally keyed by the window
+/// index, so every window's move pass draws from its own stream and
+/// streaming-vs-batch identity holds window by window.
 const TAG_PMMH_MOVE: u64 = 0x4E12;
 const TAG_PMMH_BIAS: u64 = 0x4E13;
 
@@ -301,7 +226,7 @@ const TAG_PMMH_BIAS: u64 = 0x4E13;
 /// seed is held fixed, so the re-simulated window likelihood plays the
 /// role of the (here one-replicate) marginal-likelihood estimate and the
 /// acceptance ratio reduces to the likelihood ratio, exactly as in the
-/// uniform-step [`rejuvenate_with`]. Proposals are reflected into the
+/// uniform-step [`rejuvenate`]. Proposals are reflected into the
 /// jitter kernels' support bounds, keeping the pass inside the same
 /// parameter box as the between-window jitter.
 ///
@@ -312,8 +237,7 @@ const TAG_PMMH_BIAS: u64 = 0x4E13;
 /// # Errors
 /// [`SmcError::Degenerate`] if the proposal covariance cannot be
 /// factored (not reachable for valid configs — pinned by proptest in
-/// epistats) and [`SmcError::Simulation`] for simulator/scoring
-/// failures.
+/// epistats), plus simulator and scoring failures.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
     simulator: &S,
@@ -350,29 +274,65 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
     let shrunk = shrink_covariance(&cov, d, config.shrinkage, config.floor);
     let c = config.scale_for(d);
     let scaled: Vec<f64> = shrunk.iter().map(|&v| c * v).collect();
-    let chol = Cholesky::new(&scaled, d)
-        .map_err(|e| SmcError::Degenerate(format!("pmmh proposal covariance: {e}")))?;
+    let kernel = MoveKernel {
+        proposal: Cholesky::new(&scaled, d)
+            .map_err(|e| SmcError::Degenerate(format!("pmmh proposal covariance: {e}")))?,
+        bounds: jitter_theta
+            .iter()
+            .chain([jitter_rho])
+            .map(|k| (k.lo, k.hi))
+            .collect(),
+        moves: config.moves,
+        temper: 1.0,
+        move_key: StreamKey::new(master_seed)
+            .absorb(TAG_PMMH_MOVE)
+            .absorb(window_index as u64),
+        bias_key: StreamKey::new(master_seed)
+            .absorb(TAG_PMMH_BIAS)
+            .absorb(window_index as u64),
+    };
+    move_pass(simulator, ensemble, observed, window, &kernel, runner)
+}
 
-    let move_key = StreamKey::new(master_seed)
-        .absorb(TAG_PMMH_MOVE)
-        .absorb(window_index as u64);
-    let bias_key = StreamKey::new(master_seed)
-        .absorb(TAG_PMMH_BIAS)
-        .absorb(window_index as u64);
+/// The move pass every kernel runs: each particle takes `kernel.moves`
+/// Metropolis–Hastings steps, re-simulating its window with its own seed
+/// and accepting on the tempered likelihood ratio.
+///
+/// Particles move in parallel on owned copies, written back in index
+/// order. Like the calibration grid, the pass runs on pooled per-worker
+/// workspaces (one `SimState` and one score scratch per worker) with the
+/// observed-side likelihood preparation built once, and each particle's
+/// streams derive in O(1) from the kernel's counter-mode keys — so
+/// results are bit-identical for any thread count.
+fn move_pass<S: TrajectorySimulator>(
+    simulator: &S,
+    ensemble: &mut ParticleEnsemble,
+    observed: &ObservedData,
+    window: TimeWindow,
+    kernel: &MoveKernel,
+    runner: &ParallelRunner,
+) -> Result<RejuvenationStats, SmcError> {
     let prepared = PreparedObserved::build(observed, window)?;
+    let d = kernel.bounds.len();
+    let (theta_bounds, rho_bounds) = kernel.bounds.split_at(d - 1);
+    // ρ also stays inside (0, 1], whatever its support says.
+    let (rho_lo, rho_hi) = (rho_bounds[0].0.max(1e-9), rho_bounds[0].1.min(1.0));
     let zeros = vec![0.0f64; d];
     let ws_stats = Arc::new(WorkspaceStats::default());
     let particles: Vec<_> = ensemble.particles().to_vec();
-    let moved: Vec<Result<(crate::particle::Particle, usize), String>> = runner.run_grid_pooled(
+    let moved: Vec<Result<(Particle, usize), SmcError>> = runner.run_grid_pooled(
         particles.len(),
         1,
         || PooledWorkspace::new(Arc::clone(&ws_stats)),
         |ws, i, _| {
             let mut p = particles[i].clone();
-            let mut rng = move_key.rng(i as u64);
-            let bias_seed = bias_key.derive(i as u64);
+            let mut rng = kernel.move_key.rng(i as u64);
+            let bias_seed = kernel.bias_key.derive(i as u64);
             let (sim, scratch) = ws.parts();
-            let mut current_ll = score_window_prepared(
+            // Current likelihood under a fixed bias draw (shared between
+            // current and proposed states so the comparison is exact in
+            // the parameters).
+            let mut current_ll = score_window(
                 &p.trajectory,
                 p.rho,
                 bias_seed,
@@ -382,38 +342,36 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
             )?;
             let mut accepted_here = 0usize;
 
-            for _ in 0..config.moves {
+            for _ in 0..kernel.moves {
                 // One correlated Gaussian step for all of (θ, ρ): exactly
                 // d standard-normal draws regardless of covariance, so
                 // the stream layout is shape-independent.
-                let delta = sample_mvn(&chol, &zeros, &mut rng);
+                let delta = sample_mvn(&kernel.proposal, &zeros, &mut rng);
                 let theta_new: Vec<f64> = p
                     .theta
                     .iter()
                     .zip(&delta)
-                    .zip(jitter_theta)
-                    .map(|((&t, &dx), k)| reflect(t + dx, k.lo, k.hi))
+                    .zip(theta_bounds)
+                    .map(|((&t, &dx), &(lo, hi))| reflect(t + dx, lo, hi))
                     .collect();
-                let rho_new = reflect(
-                    p.rho + delta[theta_dim],
-                    jitter_rho.lo.max(1e-9),
-                    jitter_rho.hi.min(1.0),
-                );
+                let rho_new = reflect(p.rho + delta[d - 1], rho_lo, rho_hi);
 
                 // Re-simulate the window with the SAME seed.
                 let (trajectory_new, checkpoint_new) = match &p.origin {
                     None => {
                         let (t, ck) =
                             simulator.run_fresh_in(sim, &theta_new, p.seed, window.end)?;
-                        (episim::output::SharedTrajectory::root(t), ck)
+                        (SharedTrajectory::root(t), ck)
                     }
                     Some(origin) => {
                         let (tail, ck) =
                             simulator.run_from_in(sim, origin, &theta_new, p.seed, window.end)?;
+                        // Share the (unchanged) pre-window history: only the
+                        // re-simulated window segment is fresh storage.
                         (p.trajectory.truncated(origin.day).append(tail), ck)
                     }
                 };
-                let proposed_ll = score_window_prepared(
+                let proposed_ll = score_window(
                     &trajectory_new,
                     rho_new,
                     bias_seed,
@@ -421,8 +379,8 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
                     &prepared,
                     scratch,
                 )?;
-                let accept =
-                    proposed_ll >= current_ll || rng.next_f64() < (proposed_ll - current_ll).exp();
+                let accept = proposed_ll >= current_ll
+                    || rng.next_f64() < (kernel.temper * (proposed_ll - current_ll)).exp();
                 if accept {
                     p.theta = theta_new.into();
                     p.rho = rho_new;
@@ -437,11 +395,11 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
     );
 
     let mut stats = RejuvenationStats {
-        proposed: config.moves * particles.len(),
+        proposed: kernel.moves * particles.len(),
         accepted: 0,
     };
     for (slot, item) in ensemble.particles_mut().iter_mut().zip(moved) {
-        let (p, acc) = item.map_err(SmcError::Simulation)?;
+        let (p, acc) = item?;
         *slot = p;
         stats.accepted += acc;
     }
@@ -492,7 +450,7 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = default_config();
         c.support_theta = vec![(1.0, 0.5)];
-        assert!(c.validate().is_err());
+        assert!(matches!(c.validate(), Err(SmcError::Config(_))));
     }
 
     fn calibrated() -> (SeirSimulator, ParticleEnsemble, ObservedData, TimeWindow) {
@@ -538,7 +496,7 @@ mod tests {
             window,
             &default_config(),
             42,
-            None,
+            &ParallelRunner::new(),
         )
         .unwrap();
         assert!(stats.proposed > 0);
@@ -572,7 +530,7 @@ mod tests {
             window,
             &default_config(),
             7,
-            Some(1),
+            &ParallelRunner::with_threads(1),
         )
         .unwrap();
         rejuvenate(
@@ -582,7 +540,7 @@ mod tests {
             window,
             &default_config(),
             7,
-            Some(2),
+            &ParallelRunner::with_threads(2),
         )
         .unwrap();
         let fp = |e: &ParticleEnsemble| -> Vec<u64> {
@@ -602,42 +560,10 @@ mod tests {
             window,
             &default_config(),
             1,
-            None,
+            &ParallelRunner::new(),
         )
         .unwrap();
         assert_eq!(stats.proposed, 0);
         assert_eq!(stats.acceptance_rate(), 0.0);
-    }
-
-    #[test]
-    fn rejuvenation_with_shared_runner_matches_per_call_runners() {
-        let (sim, posterior, observed, window) = calibrated();
-        let mut a = posterior.clone();
-        let mut b = posterior.clone();
-        let runner = ParallelRunner::with_threads(2);
-        rejuvenate_with(
-            &sim,
-            &mut a,
-            &observed,
-            window,
-            &default_config(),
-            7,
-            &runner,
-        )
-        .unwrap();
-        rejuvenate(
-            &sim,
-            &mut b,
-            &observed,
-            window,
-            &default_config(),
-            7,
-            Some(1),
-        )
-        .unwrap();
-        let fp = |e: &ParticleEnsemble| -> Vec<u64> {
-            e.particles().iter().map(|p| p.theta[0].to_bits()).collect()
-        };
-        assert_eq!(fp(&a), fp(&b));
     }
 }

@@ -76,7 +76,7 @@ impl WorkspaceStats {
     }
 
     /// Per-source scoring passes that took the fused day-loop path (see
-    /// [`crate::sis::score_window_prepared`]). Exact for a given grid
+    /// [`crate::sis::score_window`]). Exact for a given grid
     /// regardless of thread count.
     pub fn fused_scores(&self) -> u64 {
         self.fused_scores.load(Ordering::Relaxed)

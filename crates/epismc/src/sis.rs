@@ -24,7 +24,7 @@ use epistats::summary::ess;
 use crate::ckpool;
 use crate::config::{CalibrationConfig, CheckpointPolicy, PersistMode};
 use crate::error::SmcError;
-use crate::likelihood::{CompositeLikelihood, GaussianSqrtLikelihood, Likelihood};
+use crate::likelihood::{GaussianSqrtLikelihood, Likelihood};
 use crate::observation::{BiasMode, BiasModel, BinomialBias, IdentityBias};
 use crate::particle::{Particle, ParticleEnsemble};
 use crate::persist::{self, ResumeReport, RunSnapshot, RunStore, SnapshotWriter};
@@ -248,9 +248,11 @@ pub struct TrajectoryTelemetry {
     /// [`crate::config::PersistMode::Pipelined`] it is only the
     /// backpressure wait at the handoff, and the run's final window
     /// additionally absorbs the writer join (whether or not that window
-    /// was itself persisted). Otherwise 0 for unpersisted windows;
-    /// inherently nondeterministic — diagnostics only, zeroed inside
-    /// the persisted record itself so snapshots stay byte-reproducible.
+    /// was itself persisted). A streaming append writes inline and
+    /// reports the full span in either mode. Otherwise 0 for
+    /// unpersisted windows; inherently nondeterministic — diagnostics
+    /// only, zeroed inside the persisted record itself so snapshots stay
+    /// byte-reproducible.
     pub persist_nanos: u64,
     /// Durability records written for this window (0 or 1 under the
     /// current policies). Deterministic for a given
@@ -445,9 +447,8 @@ pub struct WindowResult {
 }
 
 /// Reusable buffers for window scoring: the simulated window (integer
-/// counts), its float conversion, and the bias-transformed observation —
-/// the three per-source allocations [`score_window`] used to make on
-/// every call. One scratch lives in each worker's
+/// counts), its float conversion, and the bias-transformed observation.
+/// One scratch lives in each worker's
 /// [`crate::simulator::PooledWorkspace`], so scoring fused into the grid
 /// pass allocates nothing per cell after warm-up.
 #[derive(Debug, Default)]
@@ -529,68 +530,27 @@ impl PreparedObserved {
 }
 
 /// Compute a particle's log weight for a window: the joint log likelihood
-/// of all data sources over the window days.
+/// of all data sources over the window days (independent sources, so
+/// their log terms add, in source order).
 ///
-/// # Errors
-/// Returns [`SmcError::Observation`] if the trajectory or the observed
-/// data do not cover the window, or the trajectory lacks a referenced
-/// series.
-pub fn score_window(
-    trajectory: &SharedTrajectory,
-    rho: f64,
-    bias_seed: u64,
-    observed: &ObservedData,
-    window: TimeWindow,
-) -> Result<f64, SmcError> {
-    score_window_with(
-        trajectory,
-        rho,
-        bias_seed,
-        observed,
-        window,
-        &mut ScoreScratch::new(),
-    )
-}
-
-/// [`score_window`] with caller-provided scratch buffers — the
-/// allocation-free variant the grid pass uses. Results are bit-identical
-/// to [`score_window`] for any scratch state.
+/// `prepared` is the window's observed-side preparation, built once per
+/// window from the same `observed`; `scratch` holds the caller's reusable
+/// buffers (one per worker), so a warm call allocates nothing.
 ///
-/// Builds the observed-side preparation on every call; the grid passes
-/// build one [`PreparedObserved`] per window instead and go through
-/// [`score_window_prepared`] directly.
-///
-/// # Errors
-/// Same coverage errors as [`score_window`].
-pub fn score_window_with(
-    trajectory: &SharedTrajectory,
-    rho: f64,
-    bias_seed: u64,
-    observed: &ObservedData,
-    window: TimeWindow,
-    scratch: &mut ScoreScratch,
-) -> Result<f64, SmcError> {
-    let prepared = PreparedObserved::build(observed, window)?;
-    score_window_prepared(trajectory, rho, bias_seed, observed, &prepared, scratch)
-}
-
-/// The scoring core: per source, try the **fused day loop** — walk the
-/// simulated window once, mapping each day through
-/// [`BiasModel::observe_one`] and [`Likelihood::prepared_day_term`] and
-/// accumulating the log-likelihood directly, with no materialized
-/// float/observation buffers. Sources whose bias has cross-day state
-/// (reporting delays) or whose likelihood lacks a per-day form fall back
-/// to the materialize-then-score path on a **fresh** bias stream (the
-/// probe's partial draws are discarded with the generator), so results
-/// are bit-identical either way: same per-day float operations in the
-/// same ascending-day order, sources summed in source order.
-///
-/// `prepared` must have been built from the same `observed` and window.
+/// Per source, scoring tries the **fused day loop** — walk the simulated
+/// window once, mapping each day through [`BiasModel::observe_one`] and
+/// [`Likelihood::prepared_day_term`] and accumulating the log-likelihood
+/// directly, with no materialized float/observation buffers. Sources
+/// whose bias has cross-day state (reporting delays) or whose likelihood
+/// lacks a per-day form fall back to the materialize-then-score path on
+/// a **fresh** bias stream (the probe's partial draws are discarded with
+/// the generator), so results are bit-identical either way: same per-day
+/// float operations in the same ascending-day order.
 ///
 /// # Errors
 /// Returns [`SmcError::Observation`] if the trajectory does not cover
 /// the window on a referenced series.
-pub fn score_window_prepared(
+pub fn score_window(
     trajectory: &SharedTrajectory,
     rho: f64,
     bias_seed: u64,
@@ -604,7 +564,8 @@ pub fn score_window_prepared(
         observed.sources.len(),
         "PreparedObserved was built from a different ObservedData"
     );
-    let mut comp = CompositeLikelihood::new();
+    // `-0.0` is the additive identity `Iterator::sum` starts from.
+    let mut total = -0.0;
     for (si, src) in observed.sources.iter().enumerate() {
         if !trajectory.window_into(&src.series, window.start, window.end, &mut scratch.sim_u) {
             return Err(SmcError::Observation(format!(
@@ -632,7 +593,7 @@ pub fn score_window_prepared(
         }
         if fused {
             scratch.fused_scores += 1;
-            comp.add(acc);
+            total += acc;
             continue;
         }
         // Materialized fallback. A fresh bias stream replaces whatever
@@ -655,9 +616,9 @@ pub fn score_window_prepared(
             Xoshiro256PlusPlus::from_stream(bias_seed, &[TAG_BIAS, window.start as u64, si as u64]);
         src.bias
             .observe_into(&scratch.sim_f, rho, &mut bias_rng, &mut scratch.sim_obs);
-        comp.add(src.likelihood.log_likelihood(obs_w, &scratch.sim_obs));
+        total += src.likelihood.log_likelihood(obs_w, &scratch.sim_obs);
     }
-    Ok(comp.total())
+    Ok(total)
 }
 
 /// Weight, resample, and package a candidate ensemble into a
@@ -868,14 +829,8 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
                 let bias_seed = bias_key.derive2(i as u64, r as u64);
                 // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
                 let score_started = std::time::Instant::now();
-                let log_weight = score_window_prepared(
-                    &trajectory,
-                    *rho,
-                    bias_seed,
-                    observed,
-                    &prepared,
-                    scratch,
-                )?;
+                let log_weight =
+                    score_window(&trajectory, *rho, bias_seed, observed, &prepared, scratch)?;
                 ws.add_score_nanos(score_started.elapsed().as_nanos() as u64);
                 Ok(Particle {
                     theta: Arc::clone(theta),
@@ -1113,9 +1068,40 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                 "no usable snapshot in the run store; nothing to resume".into(),
             ));
         };
+        let widx = snap.window_index as usize;
+        let restored = self.restore(snap, observed)?;
+        if plan.windows().get(widx) != Some(&restored.window) {
+            return Err(SmcError::Persist(format!(
+                "snapshot window {widx} (days [{}, {}]) is not window {widx} of this plan",
+                restored.window.start, restored.window.end
+            )));
+        }
+        self.run_windows(
+            priors,
+            observed,
+            plan,
+            Some((store, policy)),
+            Some((widx, restored)),
+            recoveries,
+        )
+    }
+
+    /// Check a recovered snapshot against this calibrator — its seed, its
+    /// configuration fingerprint and, for v5 records, the observed data
+    /// it was scored against — and rebuild its window result. Shared by
+    /// [`Self::resume_from`] and [`crate::stream::StreamingCalibrator::open`].
+    ///
+    /// # Errors
+    /// [`SmcError::Persist`] when the snapshot belongs to a differently
+    /// configured run or was scored against different observed data.
+    pub(crate) fn restore(
+        &self,
+        snap: RunSnapshot,
+        observed: &ObservedData,
+    ) -> Result<WindowResult, SmcError> {
         if snap.seed != self.config.seed {
             return Err(SmcError::Persist(format!(
-                "snapshot was written with seed {}, this run uses seed {}",
+                "snapshot was written with seed {}, this calibration uses seed {}",
                 snap.seed, self.config.seed
             )));
         }
@@ -1126,29 +1112,20 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                 snap.fingerprint
             )));
         }
-        let widx = snap.window_index as usize;
-        let matches_plan = plan.windows().get(widx).is_some_and(|&w| w == snap.window);
-        if !matches_plan {
-            return Err(SmcError::Persist(format!(
-                "snapshot window {} (days [{}, {}]) is not window {} of this plan",
-                snap.window_index, snap.window.start, snap.window.end, snap.window_index
-            )));
-        }
-        // v5 records carry a fingerprint of the observed slice they were
-        // scored against; refuse to resume against different data. The
-        // 0 sentinel (pre-v5 records) skips the check.
+        // The 0 sentinel (pre-v5 records) skips the observed-data check,
+        // as does an observed set that does not (yet) cover the window.
         if snap.observed_fingerprint != 0 {
             if let Some(fp) = persist::observed_fingerprint(observed, snap.window) {
                 if fp != snap.observed_fingerprint {
                     return Err(SmcError::Persist(format!(
                         "snapshot for window {} was scored against different observed \
-                         data (fingerprint {:#018x}, this run's data gives {fp:#018x})",
+                         data (fingerprint {:#018x}, this calibration's data gives {fp:#018x})",
                         snap.window_index, snap.observed_fingerprint
                     )));
                 }
             }
         }
-        let restored = WindowResult {
+        Ok(WindowResult {
             window: snap.window,
             posterior: snap.posterior,
             prior_ensemble: None,
@@ -1159,15 +1136,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             wall_time: Duration::from_nanos(snap.wall_nanos),
             telemetry: snap.telemetry,
             rejuvenation: None,
-        };
-        self.run_windows(
-            priors,
-            observed,
-            plan,
-            Some((store, policy)),
-            Some((widx, restored)),
-            recoveries,
-        )
+        })
     }
 
     /// The configuration fingerprint stamped into every snapshot this
@@ -1413,15 +1382,8 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                             // total so the two modes report comparable
                             // telemetry.
                             None => {
-                                // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-                                let encode_started = std::time::Instant::now();
-                                let record = persist::format::encode_record(&snap);
                                 result.telemetry.encode_nanos =
-                                    encode_started.elapsed().as_nanos() as u64;
-                                store.put(widx as u32, &record)?;
-                                if let Some(retain) = policy.retain {
-                                    persist::apply_retention_after(store, retain, widx as u32)?;
-                                }
+                                    persist::persist(store, &snap, policy.retain)?;
                                 result.telemetry.persist_nanos =
                                     persist_started.elapsed().as_nanos() as u64;
                             }
@@ -1623,7 +1585,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                 // Incremental likelihood: only this window's data.
                 // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
                 let score_started = std::time::Instant::now();
-                let log_weight = score_window_prepared(
+                let log_weight = score_window(
                     &trajectory,
                     prop.rho,
                     bias_seed,
@@ -1650,6 +1612,25 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Score with a fresh per-window preparation and scratch.
+    fn score(
+        trajectory: &SharedTrajectory,
+        rho: f64,
+        bias_seed: u64,
+        observed: &ObservedData,
+        window: TimeWindow,
+    ) -> Result<f64, SmcError> {
+        let prepared = PreparedObserved::build(observed, window)?;
+        score_window(
+            trajectory,
+            rho,
+            bias_seed,
+            observed,
+            &prepared,
+            &mut ScoreScratch::new(),
+        )
+    }
 
     #[test]
     fn observed_series_windowing() {
@@ -1689,7 +1670,7 @@ mod tests {
     fn score_window_reports_missing_coverage() {
         let traj = SharedTrajectory::empty(vec!["infections".into()], 1);
         let obs = ObservedData::cases_only(vec![1.0; 5]);
-        let err = score_window(&traj, 0.5, 1, &obs, TimeWindow::new(1, 3)).unwrap_err();
+        let err = score(&traj, 0.5, 1, &obs, TimeWindow::new(1, 3)).unwrap_err();
         assert!(
             err.to_string().contains("trajectory does not cover"),
             "{err}"
@@ -1711,8 +1692,8 @@ mod tests {
         let w = TimeWindow::new(1, 5);
         let good = SharedTrajectory::root(good);
         let bad = SharedTrajectory::root(bad);
-        let lg = score_window(&good, 0.8, 7, &obs, w).unwrap();
-        let lb = score_window(&bad, 0.8, 7, &obs, w).unwrap();
+        let lg = score(&good, 0.8, 7, &obs, w).unwrap();
+        let lb = score(&bad, 0.8, 7, &obs, w).unwrap();
         assert!(lg > lb, "good {lg} should beat bad {lb}");
     }
 
@@ -1726,9 +1707,9 @@ mod tests {
         let traj = SharedTrajectory::root(traj);
         let obs = ObservedData::cases_only(vec![200.0; 5]);
         let w = TimeWindow::new(1, 5);
-        let a = score_window(&traj, 0.8, 42, &obs, w).unwrap();
-        let b = score_window(&traj, 0.8, 42, &obs, w).unwrap();
-        let c = score_window(&traj, 0.8, 43, &obs, w).unwrap();
+        let a = score(&traj, 0.8, 42, &obs, w).unwrap();
+        let b = score(&traj, 0.8, 42, &obs, w).unwrap();
+        let c = score(&traj, 0.8, 43, &obs, w).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c); // different bias seed, different thinning draw
     }
@@ -1755,8 +1736,8 @@ mod tests {
         assert_eq!(one, three);
         let obs = ObservedData::cases_only(vec![90.0; 9]);
         let w = TimeWindow::new(2, 8);
-        let a = score_window(&one, 0.8, 42, &obs, w).unwrap();
-        let b = score_window(&three, 0.8, 42, &obs, w).unwrap();
+        let a = score(&one, 0.8, 42, &obs, w).unwrap();
+        let b = score(&three, 0.8, 42, &obs, w).unwrap();
         assert_eq!(a.to_bits(), b.to_bits());
     }
 }

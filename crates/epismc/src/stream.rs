@@ -7,8 +7,8 @@
 //! accepts observation windows one at a time as the data come in —
 //! [`StreamingCalibrator::append_window`] ingests the new days, advances
 //! the SIS pass for exactly that window on the calibrator's persistent
-//! worker pool, and re-persists through the same snapshot pipeline as
-//! the batch path.
+//! worker pool, and re-persists through the same durable-write routine
+//! ([`persist::persist`]) as the batch path.
 //!
 //! ## The equivalence invariant
 //!
@@ -34,6 +34,11 @@
 //! streaming analogue of the batch final-window write) so a stream can
 //! always be parked durably.
 //!
+//! A stream writes inline under either [`crate::config::PersistMode`]:
+//! an append returns only once its window is durable, so there is no
+//! next window for a background writer to overlap the write with. The
+//! mode selects only the batch loop's behaviour.
+//!
 //! ## Fail-stop
 //!
 //! Like the pipelined writer, the stream is fail-stop: the first error
@@ -42,10 +47,10 @@
 //! durable prefix written before the fault. Reopen with
 //! [`StreamingCalibrator::open`] to continue from the newest snapshot.
 
-use crate::config::{CheckpointPolicy, PersistMode};
+use crate::config::CheckpointPolicy;
 use crate::error::SmcError;
 use crate::particle::ParticleEnsemble;
-use crate::persist::{self, ResumeReport, RunStore, SnapshotWriter};
+use crate::persist::{self, ResumeReport, RunStore};
 use crate::runner::ParallelRunner;
 use crate::simulator::TrajectorySimulator;
 use crate::sis::{ObservedData, ObservedSeries, Priors, SequentialCalibrator, WindowResult};
@@ -139,52 +144,14 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
         let Some(snap) = snap else {
             return Ok(stream);
         };
-        if snap.seed != stream.calibrator.config().seed {
-            return Err(SmcError::Persist(format!(
-                "snapshot was written with seed {}, this stream uses seed {}",
-                snap.seed,
-                stream.calibrator.config().seed
-            )));
-        }
-        if snap.fingerprint != fingerprint {
-            return Err(SmcError::Persist(format!(
-                "snapshot fingerprint {:#018x} does not match this calibration's {fingerprint:#018x}",
-                snap.fingerprint
-            )));
-        }
-        // v5 records carry a fingerprint of the observed slice they were
-        // scored against; refuse to continue a stream against different
-        // data. The 0 sentinel (pre-v5 records) skips the check, as does
-        // an observed set that does not (yet) cover the snapshot window.
-        if snap.observed_fingerprint != 0 {
-            if let Some(fp) = persist::observed_fingerprint(&stream.observed, snap.window) {
-                if fp != snap.observed_fingerprint {
-                    return Err(SmcError::Persist(format!(
-                        "snapshot for window {} was scored against different observed \
-                         data (fingerprint {:#018x}, this stream's data gives {fp:#018x})",
-                        snap.window_index, snap.observed_fingerprint
-                    )));
-                }
-            }
-        }
         let widx = snap.window_index as usize;
-        stream.history.push(WindowResult {
-            window: snap.window,
-            posterior: snap.posterior,
-            prior_ensemble: None,
-            ess: snap.ess,
-            log_marginal: snap.log_marginal,
-            unique_ancestors: snap.unique_ancestors as usize,
-            iterations: snap.iterations as usize,
-            wall_time: std::time::Duration::from_nanos(snap.wall_nanos),
-            telemetry: snap.telemetry,
-            rejuvenation: None,
-        });
+        let restored = stream.calibrator.restore(snap, &stream.observed)?;
+        stream.history.push(restored);
         stream.base = widx;
         stream.next_window = widx + 1;
         stream.last_persisted = Some(widx);
         stream.resume = Some(ResumeReport {
-            resumed_window: snap.window_index,
+            resumed_window: widx as u32,
             recoveries,
         });
         Ok(stream)
@@ -396,11 +363,9 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
     }
 }
 
-/// Persist one window's snapshot under the policy's mode: through a
-/// scoped [`SnapshotWriter`] (same encode + CRC + atomic rename + post-
-/// write retention path, same fail-stop semantics as the batch
-/// pipeline) under [`PersistMode::Pipelined`], inline under
-/// [`PersistMode::Sync`].
+/// Persist one window's snapshot inline through [`persist::persist`]
+/// (encode, put, then retention relative to the new record), whatever
+/// the policy's [`crate::config::PersistMode`] — see the module docs.
 fn persist_one<S: TrajectorySimulator>(
     calibrator: &SequentialCalibrator<'_, S>,
     fingerprint: u64,
@@ -413,30 +378,7 @@ fn persist_one<S: TrajectorySimulator>(
     // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
     let persist_started = std::time::Instant::now();
     let snap = calibrator.snapshot_for(fingerprint, observed, widx, result);
-    match policy.mode {
-        PersistMode::Pipelined => std::thread::scope(|scope| {
-            let mut writer = SnapshotWriter::spawn(scope, store, policy.retain);
-            let submitted = writer.submit(snap)?;
-            let finished = writer.finish()?;
-            for receipt in submitted.receipts.into_iter().chain(finished.receipts) {
-                if receipt.window_index as usize == widx {
-                    result.telemetry.encode_nanos = receipt.encode_nanos;
-                }
-            }
-            result.telemetry.persist_nanos = persist_started.elapsed().as_nanos() as u64;
-            Ok(())
-        }),
-        PersistMode::Sync => {
-            // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-            let encode_started = std::time::Instant::now();
-            let record = persist::format::encode_record(&snap);
-            result.telemetry.encode_nanos = encode_started.elapsed().as_nanos() as u64;
-            store.put(widx as u32, &record)?;
-            if let Some(retain) = policy.retain {
-                persist::apply_retention_after(store, retain, widx as u32)?;
-            }
-            result.telemetry.persist_nanos = persist_started.elapsed().as_nanos() as u64;
-            Ok(())
-        }
-    }
+    result.telemetry.encode_nanos = persist::persist(store, &snap, policy.retain)?;
+    result.telemetry.persist_nanos = persist_started.elapsed().as_nanos() as u64;
+    Ok(())
 }

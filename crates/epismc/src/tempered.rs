@@ -20,11 +20,13 @@ use epistats::summary::ess;
 use crate::config::CalibrationConfig;
 use crate::error::SmcError;
 use crate::particle::ParticleEnsemble;
-use crate::rejuvenate::{rejuvenate_with, RejuvenationConfig, RejuvenationStats};
+use crate::rejuvenate::{rejuvenate, RejuvenationConfig, RejuvenationStats};
 use crate::resample::{Multinomial, Resampler};
 use crate::runner::ParallelRunner;
 use crate::simulator::TrajectorySimulator;
-use crate::sis::{score_window, ObservedData, Priors, SingleWindowIs};
+use crate::sis::{
+    score_window, ObservedData, PreparedObserved, Priors, ScoreScratch, SingleWindowIs,
+};
 use crate::window::TimeWindow;
 
 /// Configuration of the annealed single-window sampler.
@@ -41,20 +43,21 @@ impl TemperedConfig {
     /// Validate the ladder and move settings.
     ///
     /// # Errors
-    /// Returns the first inconsistency.
-    pub fn validate(&self) -> Result<(), String> {
+    /// [`SmcError::Config`] naming the first inconsistency.
+    pub fn validate(&self) -> Result<(), SmcError> {
+        let invalid = |msg: String| Err(SmcError::Config(format!("tempered: {msg}")));
         if self.ladder.is_empty() {
-            return Err("tempered: empty ladder".into());
+            return invalid("empty ladder".into());
         }
         let mut prev = 0.0;
         for &phi in &self.ladder {
             if !(phi > prev && phi <= 1.0) {
-                return Err(format!("tempered: ladder not strictly increasing at {phi}"));
+                return invalid(format!("ladder not strictly increasing at {phi}"));
             }
             prev = phi;
         }
         if (prev - 1.0).abs() > 1e-12 {
-            return Err("tempered: ladder must end at 1.0".into());
+            return invalid("ladder must end at 1.0".into());
         }
         self.rejuvenation.validate()
     }
@@ -96,7 +99,7 @@ pub fn tempered_single_window<S: TrajectorySimulator>(
     observed: &ObservedData,
     window: TimeWindow,
 ) -> Result<TemperedResult, SmcError> {
-    tempered.validate().map_err(SmcError::Config)?;
+    tempered.validate()?;
 
     // Rung 0: prior ensemble, simulated once; log_weight holds the FULL
     // log likelihood of each candidate.
@@ -117,6 +120,7 @@ pub fn tempered_single_window<S: TrajectorySimulator>(
     // (bit-identical to the chained derivation they replace).
     let move_key = StreamKey::new(config.seed).absorb(0x7E4E);
     let refresh_key = StreamKey::new(config.seed).absorb(0x7E4F);
+    let prepared = PreparedObserved::build(observed, window)?;
 
     let mut phi_prev = 0.0;
     for (k, &phi) in tempered.ladder.iter().enumerate() {
@@ -143,7 +147,7 @@ pub fn tempered_single_window<S: TrajectorySimulator>(
         // Tempered move step to restore diversity at this rung.
         let mut move_cfg = tempered.rejuvenation.clone();
         move_cfg.temper = phi;
-        let stats = rejuvenate_with(
+        let stats = rejuvenate(
             simulator,
             &mut ensemble,
             observed,
@@ -151,8 +155,7 @@ pub fn tempered_single_window<S: TrajectorySimulator>(
             &move_cfg,
             move_key.derive(k as u64),
             &runner,
-        )
-        .map_err(SmcError::Simulation)?;
+        )?;
         rung_moves.push(stats);
 
         // Refresh each particle's stored full log likelihood (moves may
@@ -169,7 +172,8 @@ pub fn tempered_single_window<S: TrajectorySimulator>(
                     p.rho,
                     rung_key.derive(i as u64),
                     observed,
-                    window,
+                    &prepared,
+                    &mut ScoreScratch::new(),
                 )
             })
         };

@@ -63,14 +63,17 @@ fn main() {
     // Step 3: spend the real simulation budget on the survivors and
     // compare their realized weights with an unscreened random subset of
     // the same size.
-    let evaluate = |indices: &[usize], tag: u64| -> f64 {
+    let prepared = PreparedObserved::build(&observed, window).expect("observed covers the window");
+    let mut scratch = ScoreScratch::new();
+    let mut evaluate = |indices: &[usize], tag: u64| -> f64 {
         let mut total = 0.0;
         for (j, &i) in indices.iter().enumerate() {
             let (theta, rho) = &pool[i];
             let seed = derive_stream(500, &[tag, j as u64]);
             let (traj, _) = simulator.run_fresh(theta, seed, window.end).expect("sim");
             let traj = episim::output::SharedTrajectory::root(traj);
-            let lw = score_window(&traj, *rho, seed, &observed, window).expect("score");
+            let lw =
+                score_window(&traj, *rho, seed, &observed, &prepared, &mut scratch).expect("score");
             total += lw.exp();
         }
         total / indices.len() as f64

@@ -38,6 +38,14 @@ RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection -
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run --quiet
 
+# The benchmark (perfbench/) is a workspace of its own that implements
+# the public simulator and store traits and reads window results, so an
+# API change can break it without touching the workspace above.
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+echo "==> cargo test --offline --manifest-path perfbench/Cargo.toml"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # Strong-scaling gate: only meaningful against a summary produced on
 # this machine. If one is present, assert the efficiency floor (the
 # gate itself skips on hosts with < 4 cores); regenerate + gate in one

@@ -85,9 +85,7 @@ pub mod prelude {
         diagnostics::{coverage, joint_density, PosteriorSummary, Ribbon},
         error::SmcError,
         forecast::{Forecast, Forecaster},
-        likelihood::{
-            CompositeLikelihood, GaussianSqrtLikelihood, Likelihood, NegBinomialLikelihood,
-        },
+        likelihood::{GaussianSqrtLikelihood, Likelihood, NegBinomialLikelihood},
         observation::{BiasMode, BinomialBias, DelayedBinomialBias, IdentityBias},
         particle::{Particle, ParticleEnsemble},
         persist::{
@@ -95,15 +93,16 @@ pub mod prelude {
             RunSnapshot, RunStore, SnapshotWriter,
         },
         prior::{BetaPrior, JitterKernel, Prior, UniformPrior},
-        rejuvenate::{rejuvenate, rejuvenate_with, RejuvenationConfig, RejuvenationStats},
+        rejuvenate::{rejuvenate, RejuvenationConfig, RejuvenationStats},
         resample::{Multinomial, Resampler, Residual, Stratified, Systematic},
         runner::{pool_build_count, ParallelRunner},
         simulator::{
             CovidSimulator, PooledWorkspace, SeirSimulator, TrajectorySimulator, WorkspaceStats,
         },
         sis::{
-            score_window, CalibrationResult, ObservedData, ObservedSeries, Priors,
-            SequentialCalibrator, SingleWindowIs, TrajectoryTelemetry, WindowResult,
+            score_window, CalibrationResult, ObservedData, ObservedSeries, PreparedObserved,
+            Priors, ScoreScratch, SequentialCalibrator, SingleWindowIs, TrajectoryTelemetry,
+            WindowResult,
         },
         stream::StreamingCalibrator,
         surrogate::SurrogateScreen,

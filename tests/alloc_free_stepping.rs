@@ -1,12 +1,14 @@
 //! Counting-allocator proof of the hot-path overhaul's core claim: after
 //! a warmup day has sized the [`StepScratch`] buffers and hazard tables,
 //! `advance_day` performs **zero heap allocations per simulated day** for
-//! every stepper. This is what makes per-worker workspace pooling pay
-//! off — the steady-state cost of a replicate is arithmetic, not malloc.
+//! every stepper, and once a [`ScoreScratch`] is warm, scoring a window
+//! against two data sources allocates nothing per call. This is what
+//! makes per-worker workspace pooling pay off — the steady-state cost of
+//! a grid cell is arithmetic, not malloc.
 //!
 //! The test installs a global counting allocator, so it lives alone in
 //! its own integration-test binary. The counter is additionally gated on
-//! a thread-local "measuring" flag set only around the stepping loop:
+//! a thread-local "measuring" flag set only around the measured loops:
 //! even with a single `#[test]`, the libtest harness itself owns threads
 //! (output capture, progress printing) whose incidental allocations would
 //! otherwise land in the counted window and flake the zero assertion.
@@ -102,6 +104,25 @@ fn allocs_over_days<S: Stepper + ?Sized>(
     allocs() - before
 }
 
+/// Score `calls` warm two-source windows and return the number of
+/// allocating calls the scoring made.
+fn allocs_over_scores(
+    trajectory: &SharedTrajectory,
+    observed: &ObservedData,
+    prepared: &PreparedObserved,
+    scratch: &mut ScoreScratch,
+    calls: u64,
+) -> u64 {
+    let before = allocs();
+    MEASURING.with(|m| m.set(true));
+    for seed in 0..calls {
+        let score = score_window(trajectory, 0.7, seed, observed, prepared, scratch);
+        std::hint::black_box(score.is_ok());
+    }
+    MEASURING.with(|m| m.set(false));
+    allocs() - before
+}
+
 #[test]
 fn advance_day_is_allocation_free_after_warmup() {
     let m = CovidModel::new(CovidParams {
@@ -155,4 +176,27 @@ fn advance_day_is_allocation_free_after_warmup() {
         );
         assert!(state.day >= 55, "{name}: clock did not advance");
     }
+
+    // Warm window scoring, cases (sampled binomial bias) plus deaths: the
+    // second source is where a per-call term buffer would show up. The
+    // counter is process-global, so this runs inside the same #[test].
+    let mut series = DailySeries::new(vec!["infections".into(), "deaths".into()], 1);
+    for day in 0..40u64 {
+        series.push_day(&[200 + 9 * day, day / 4]);
+    }
+    let trajectory = SharedTrajectory::root(series);
+    let observed = ObservedData::cases_and_deaths(
+        (0..40).map(|d| 150.0 + 5.0 * d as f64).collect(),
+        (0..40).map(|d| (d / 5) as f64).collect(),
+    );
+    let window = TimeWindow::new(10, 33);
+    let prepared = PreparedObserved::build(&observed, window).unwrap();
+    let mut scratch = ScoreScratch::new();
+    allocs_over_scores(&trajectory, &observed, &prepared, &mut scratch, 2);
+    let during = allocs_over_scores(&trajectory, &observed, &prepared, &mut scratch, 100);
+    assert_eq!(scratch.fused_scores(), 2 * 102, "both sources must fuse");
+    assert_eq!(
+        during, 0,
+        "score_window: {during} allocating calls over 100 warm two-source calls"
+    );
 }

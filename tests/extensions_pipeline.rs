@@ -1,13 +1,12 @@
 //! Integration tests of the extension layers working against the real
 //! COVID simulator: posterior-predictive forecasting, resample-move
-//! rejuvenation, surrogate screening, the checkpoint store, and the
-//! declarative SBC validator — each exercised through the public facade.
+//! rejuvenation, surrogate screening, and the declarative SBC validator —
+//! each exercised through the public facade. Restarting from stored
+//! states is covered by `tests/streaming_equivalence.rs`.
 
 use epismc::prelude::*;
-use epismc::sim::store::CheckpointStore;
 use epismc::smc::forecast::Forecaster;
 use epismc::smc::rejuvenate::{rejuvenate, RejuvenationConfig};
-use epismc::smc::simulator::TrajectorySimulator;
 use epismc::smc::surrogate::SurrogateScreen;
 
 fn setup() -> (Scenario, GroundTruth, CovidSimulator) {
@@ -90,7 +89,7 @@ fn rejuvenation_diversifies_a_covid_posterior() {
             temper: 1.0,
         },
         11,
-        None,
+        &ParallelRunner::new(),
     )
     .unwrap();
     assert!(stats.proposed == posterior.len());
@@ -134,46 +133,6 @@ fn surrogate_screen_learns_from_a_real_pilot() {
         (best_theta - post_mean).abs() < 0.1,
         "surrogate best {best_theta:.3} vs posterior mean {post_mean:.3}"
     );
-}
-
-#[test]
-fn store_supports_recalibration_when_new_data_arrive() {
-    // Operational loop: keep time-stamped checkpoints of posterior
-    // particles; when a new week of data lands, restart from the stored
-    // states closest to the new window instead of re-running history.
-    let (_, truth, simulator) = setup();
-    let observed = ObservedData::cases_only(truth.observed_cases.clone());
-    let result = SingleWindowIs::new(&simulator, config(4))
-        .run(&Priors::paper(), &observed, TimeWindow::new(20, 33))
-        .unwrap();
-
-    let mut store = CheckpointStore::new();
-    for (i, p) in result.posterior.particles().iter().take(50).enumerate() {
-        store.insert(&format!("p{i}"), p.checkpoint.day, &p.checkpoint);
-    }
-    assert_eq!(store.len(), 50);
-
-    // "New data through day 47 arrived": restart each stored state.
-    let mut continued = 0;
-    for i in 0..50 {
-        let (day, ck) = store
-            .latest_at_or_before(&format!("p{i}"), 47)
-            .unwrap()
-            .expect("stored");
-        assert_eq!(day, 33);
-        let p = &result.posterior.particles()[i];
-        let (tail, _) = simulator
-            .run_from(&ck, &p.theta, 1000 + i as u64, 47)
-            .unwrap();
-        assert_eq!(tail.start_day(), 34);
-        assert_eq!(tail.len(), 14);
-        continued += 1;
-    }
-    assert_eq!(continued, 50);
-
-    // Pruning after the window advances keeps memory bounded.
-    let removed = store.prune_before(34);
-    assert_eq!(removed, 50);
 }
 
 #[test]

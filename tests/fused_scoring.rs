@@ -1,7 +1,7 @@
 //! Bit-identity of the fused scoring path.
 //!
 //! The vectorized inner loop fuses per-day bias transformation and
-//! likelihood terms into the window walk ([`score_window_prepared`]'s
+//! likelihood terms into the window walk ([`score_window`]'s
 //! fused day loop) instead of materializing float/observation buffers
 //! first. The fusion must be *invisible* in the results: for every
 //! stepper, model, bias, and likelihood combination, the fused score has
@@ -19,10 +19,21 @@ use epismc::sim::engine::{CompiledSpec, StepScratch};
 use epismc::sim::{ModelSpec, SimState};
 use epismc::smc::likelihood::GaussianRawLikelihood;
 use epismc::smc::observation::BiasModel;
-use epismc::smc::sis::{
-    score_window_prepared, score_window_with, DataSource, ObservedSeries, PreparedObserved,
-    ScoreScratch,
-};
+use epismc::smc::sis::{score_window, DataSource, ObservedSeries, PreparedObserved, ScoreScratch};
+
+/// Score through a freshly built per-window preparation and the given
+/// scratch.
+fn score_fresh(
+    trajectory: &SharedTrajectory,
+    rho: f64,
+    bias_seed: u64,
+    observed: &ObservedData,
+    window: TimeWindow,
+    scratch: &mut ScoreScratch,
+) -> Result<f64, SmcError> {
+    let prepared = PreparedObserved::build(observed, window)?;
+    score_window(trajectory, rho, bias_seed, observed, &prepared, scratch)
+}
 
 /// Delegates `observe`/`observe_into` to the wrapped bias but keeps the
 /// default `observe_one` (`None`), forcing the scorer's materialized
@@ -181,18 +192,15 @@ fn fused_matches_materialized_across_steppers_and_models() {
     for (label, traj) in trajectories() {
         for (rho, bias_seed) in [(0.4, 77u64), (0.9, 1234), (0.0, 9), (1.0, 5000)] {
             let mut sc = ScoreScratch::new();
-            let fused =
-                score_window_with(&traj, rho, bias_seed, &fused_obs, window, &mut sc).unwrap();
+            let fused = score_fresh(&traj, rho, bias_seed, &fused_obs, window, &mut sc).unwrap();
             assert_eq!(sc.fused_scores(), 2, "{label}: both sources must fuse");
 
             let mut sc = ScoreScratch::new();
-            let via_bias =
-                score_window_with(&traj, rho, bias_seed, &bias_fb, window, &mut sc).unwrap();
+            let via_bias = score_fresh(&traj, rho, bias_seed, &bias_fb, window, &mut sc).unwrap();
             assert_eq!(sc.fused_scores(), 0, "{label}: wrapper must force fallback");
 
             let mut sc = ScoreScratch::new();
-            let via_lik =
-                score_window_with(&traj, rho, bias_seed, &lik_fb, window, &mut sc).unwrap();
+            let via_lik = score_fresh(&traj, rho, bias_seed, &lik_fb, window, &mut sc).unwrap();
             assert_eq!(sc.fused_scores(), 0, "{label}: wrapper must force fallback");
 
             assert!(
@@ -232,12 +240,10 @@ fn fused_matches_materialized_for_raw_gaussian_and_negbinomial() {
                 }],
             };
             let mut sc = ScoreScratch::new();
-            let fused =
-                score_window_with(&traj, 0.55, 42, &make(fused_lik), window, &mut sc).unwrap();
+            let fused = score_fresh(&traj, 0.55, 42, &make(fused_lik), window, &mut sc).unwrap();
             assert_eq!(sc.fused_scores(), 1, "{label}");
             let mut sc = ScoreScratch::new();
-            let mat =
-                score_window_with(&traj, 0.55, 42, &make(fallback_lik), window, &mut sc).unwrap();
+            let mat = score_fresh(&traj, 0.55, 42, &make(fallback_lik), window, &mut sc).unwrap();
             assert_eq!(sc.fused_scores(), 0, "{label}");
             assert!(
                 fused.total_cmp(&mat).is_eq(),
@@ -272,10 +278,10 @@ fn delayed_bias_takes_the_fallback_and_zero_lag_matches_plain_binomial() {
     let plain = source(Arc::new(BinomialBias::sampled()));
     for (label, traj) in trajectories() {
         let mut sc = ScoreScratch::new();
-        let got_delayed = score_window_with(&traj, 0.7, 99, &delayed, window, &mut sc).unwrap();
+        let got_delayed = score_fresh(&traj, 0.7, 99, &delayed, window, &mut sc).unwrap();
         assert_eq!(sc.fused_scores(), 0, "{label}: delay must not fuse");
         let mut sc = ScoreScratch::new();
-        let got_plain = score_window_with(&traj, 0.7, 99, &plain, window, &mut sc).unwrap();
+        let got_plain = score_fresh(&traj, 0.7, 99, &plain, window, &mut sc).unwrap();
         assert_eq!(sc.fused_scores(), 1, "{label}: plain binomial must fuse");
         assert!(
             got_delayed.total_cmp(&got_plain).is_eq(),
@@ -296,7 +302,7 @@ fn scratch_state_and_prepared_reuse_never_change_scores() {
     let trajs = trajectories();
     let mut warm = ScoreScratch::new();
     // Warm the scratch on a different window and trajectory first.
-    let _ = score_window_with(
+    let _ = score_fresh(
         &trajs[0].1,
         0.3,
         1,
@@ -306,10 +312,9 @@ fn scratch_state_and_prepared_reuse_never_change_scores() {
     )
     .unwrap();
     for (label, traj) in &trajs {
-        let fresh = score_window_with(traj, 0.6, 2718, &observed, window, &mut ScoreScratch::new())
-            .unwrap();
-        let reused =
-            score_window_prepared(traj, 0.6, 2718, &observed, &prepared, &mut warm).unwrap();
+        let fresh =
+            score_fresh(traj, 0.6, 2718, &observed, window, &mut ScoreScratch::new()).unwrap();
+        let reused = score_window(traj, 0.6, 2718, &observed, &prepared, &mut warm).unwrap();
         assert!(
             fresh.total_cmp(&reused).is_eq(),
             "{label}: fresh {fresh:?} != warm/prepared {reused:?}"
