@@ -1,9 +1,7 @@
 //! Statistical-substrate cost: KDE evaluation (the Fig 4b/5b contour
-//! grids), GP emulator fit/predict (the surrogate screen), weighted
-//! quantiles (ribbon construction), and CRPS scoring.
+//! grids), weighted quantiles (ribbon construction), and CRPS scoring.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use epistats::gp::GpEmulator;
 use epistats::kde::{Kde1d, Kde2d};
 use epistats::rng::Xoshiro256PlusPlus;
 use epistats::score::crps;
@@ -34,26 +32,6 @@ fn bench_kde(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gp(c: &mut Criterion) {
-    let mut group = c.benchmark_group("gp");
-    group.sample_size(10);
-    for n in [50usize, 150] {
-        let mut rng = Xoshiro256PlusPlus::new(2);
-        let x: Vec<Vec<f64>> = (0..n)
-            .map(|_| vec![rng.next_f64(), rng.next_f64()])
-            .collect();
-        let y: Vec<f64> = x.iter().map(|xi| (5.0 * xi[0]).sin() + xi[1]).collect();
-        group.bench_function(BenchmarkId::new("fit_auto", n), |b| {
-            b.iter(|| black_box(GpEmulator::fit_auto(x.clone(), &y).unwrap()));
-        });
-        let gp = GpEmulator::fit_auto(x.clone(), &y).unwrap();
-        group.bench_function(BenchmarkId::new("predict", n), |b| {
-            b.iter(|| black_box(gp.predict(black_box(&[0.4, 0.6]))));
-        });
-    }
-    group.finish();
-}
-
 fn bench_summaries(c: &mut Criterion) {
     let mut group = c.benchmark_group("summaries");
     let (xs, _, ws) = samples(10_000, 3);
@@ -67,5 +45,5 @@ fn bench_summaries(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_kde, bench_gp, bench_summaries);
+criterion_group!(benches, bench_kde, bench_summaries);
 criterion_main!(benches);

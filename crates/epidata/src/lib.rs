@@ -22,7 +22,6 @@
 pub mod error;
 pub mod ground_truth;
 pub mod io;
-pub mod metrics;
 pub mod scenario;
 pub mod schedule;
 

@@ -29,7 +29,6 @@
 //! graph with detected/undetected strata) and [`seir`] (a minimal SEIR
 //! used for tests, examples, and stepper-fidelity comparisons).
 
-pub mod builder;
 pub mod checkpoint;
 pub mod covid;
 pub mod covid_age;
@@ -42,7 +41,6 @@ pub mod spec;
 pub mod state;
 pub mod workspace;
 
-pub use builder::ModelSpecBuilder;
 pub use checkpoint::SimCheckpoint;
 pub use covid::{CovidModel, CovidParams};
 pub use covid_age::{AgeGroup, CovidAgeModel, CovidAgeParams};

@@ -17,15 +17,16 @@ pub enum SmcError {
     Observation(String),
     /// The underlying trajectory simulator failed.
     Simulation(String),
-    /// A numerical invariant broke (degenerate weights, empty ladder, …).
+    /// A numerical invariant broke (degenerate weights, an unfactorable
+    /// proposal covariance, …).
     Degenerate(String),
     /// The run store failed (IO error, missing snapshot, config mismatch).
     Persist(String),
     /// A run-store record failed its checksum or structural validation —
     /// never decoded into a wrong ensemble.
     Corrupt(String),
-    /// A run-store record was written by an unknown (usually newer)
-    /// format version and is rejected rather than misread.
+    /// A run-store record was written by another (older or newer) format
+    /// version and is rejected rather than misread.
     UnsupportedFormat(String),
 }
 

@@ -56,8 +56,6 @@ pub mod runner;
 pub mod simulator;
 pub mod sis;
 pub mod stream;
-pub mod surrogate;
-pub mod tempered;
 pub mod validate;
 pub mod window;
 
@@ -78,7 +76,7 @@ pub use persist::{
     SnapshotWriter,
 };
 pub use prior::{BetaPrior, JitterKernel, Prior, UniformPrior};
-pub use rejuvenate::{rejuvenate, RejuvenationConfig, RejuvenationStats};
+pub use rejuvenate::RejuvenationStats;
 pub use resample::{Multinomial, Resampler, Residual, Stratified, Systematic};
 pub use runner::ParallelRunner;
 pub use simulator::{
@@ -89,6 +87,4 @@ pub use sis::{
     SingleWindowIs, WindowResult,
 };
 pub use stream::StreamingCalibrator;
-pub use surrogate::SurrogateScreen;
-pub use tempered::{tempered_single_window, TemperedConfig, TemperedResult};
 pub use window::{TimeWindow, WindowPlan};

@@ -11,7 +11,7 @@
 //!
 //! The CRC covers every byte before it (header included). Decoding
 //! validates in a fixed order — length, magic, **version before CRC**
-//! (so a record written by a newer format is reported as
+//! (so a record written by any other format version is reported as
 //! [`SmcError::UnsupportedFormat`], not as corruption), then CRC, then
 //! payload structure — and any failure yields a typed error, never a
 //! wrong ensemble.
@@ -37,27 +37,10 @@ use super::RunSnapshot;
 /// Record magic: the bytes `EPSN` read as a little-endian u32.
 pub const MAGIC: u32 = 0x4E53_5045;
 
-/// Current record format version. Bump on any layout change; decoders
-/// reject every version they do not know.
-///
-/// Version history:
-/// - 1: initial layout, 16 telemetry words.
-/// - 2: appended `stream_setup_nanos` and `serial_nanos` telemetry words
-///   (decoders migrate v1 records by defaulting both to 0).
-/// - 3: appended `fused_scores` and `batched_draws` telemetry words
-///   (older records migrate with both defaulted to 0).
-/// - 4: appended the `encode_nanos` telemetry word (the encode half of
-///   what `persist_nanos` used to aggregate; older records migrate
-///   with it defaulted to 0).
-/// - 5: appended the `observed_fingerprint` word after the ensemble
-///   (the stream-metadata hash of the observed data slice the window
-///   was scored against; older records migrate with the 0 = "not
-///   recorded" sentinel, which skips validation on reopen).
+/// The record format version: the one version this build writes and
+/// reads. Bump on any layout change; decoders reject every other
+/// version as [`SmcError::UnsupportedFormat`].
 pub const FORMAT_VERSION: u16 = 5;
-
-/// Oldest record version this build can still decode (typed migration:
-/// missing v2 telemetry words default to 0).
-pub const MIN_SUPPORTED_VERSION: u16 = 1;
 
 /// Fixed header length: magic + version + window index + payload length.
 pub const HEADER_LEN: usize = 4 + 2 + 4 + 8;
@@ -246,7 +229,7 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
 }
 
 /// The telemetry counters in record order. Adding a field to
-/// [`TrajectoryTelemetry`] means appending here *and* in
+/// [`TrajectoryTelemetry`] means adding it here *and* in
 /// [`read_telemetry`] and bumping [`FORMAT_VERSION`].
 fn telemetry_words(t: &TrajectoryTelemetry) -> [u64; 21] {
     [
@@ -266,14 +249,10 @@ fn telemetry_words(t: &TrajectoryTelemetry) -> [u64; 21] {
         t.grid_chunks,
         t.persist_nanos,
         t.records_written,
-        // v2 additions — must stay at the tail so v1 readers' prefix is
-        // untouched and v1 records migrate by defaulting them to 0.
         t.stream_setup_nanos,
         t.serial_nanos,
-        // v3 additions — same append-only rule.
         t.fused_scores,
         t.batched_draws,
-        // v4 addition — same append-only rule.
         t.encode_nanos,
     ]
 }
@@ -413,8 +392,6 @@ pub fn encode_record(snap: &RunSnapshot) -> Vec<u8> {
     put_u64(&mut payload, snap.wall_nanos);
     write_telemetry(&mut payload, &snap.telemetry);
     write_ensemble(&mut payload, &snap.posterior);
-    // v5: appended after the ensemble so every older field keeps its
-    // offset and the version-gated read stays a pure suffix check.
     put_u64(&mut payload, snap.observed_fingerprint);
 
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
@@ -507,8 +484,8 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn read_telemetry(r: &mut Reader<'_>, version: u16) -> Result<TrajectoryTelemetry, SmcError> {
-    let mut t = TrajectoryTelemetry {
+fn read_telemetry(r: &mut Reader<'_>) -> Result<TrajectoryTelemetry, SmcError> {
+    Ok(TrajectoryTelemetry {
         shared_bytes: r.u64("telemetry")? as usize,
         flat_bytes: r.u64("telemetry")? as usize,
         unique_segments: r.u64("telemetry")? as usize,
@@ -525,26 +502,12 @@ fn read_telemetry(r: &mut Reader<'_>, version: u16) -> Result<TrajectoryTelemetr
         grid_chunks: r.u64("telemetry")?,
         persist_nanos: r.u64("telemetry")?,
         records_written: r.u64("telemetry")?,
-        stream_setup_nanos: 0,
-        serial_nanos: 0,
-        fused_scores: 0,
-        batched_draws: 0,
-        encode_nanos: 0,
-    };
-    // Later versions appended words; older records migrate with the
-    // missing counters defaulted to 0 (a faithful "not recorded" value).
-    if version >= 2 {
-        t.stream_setup_nanos = r.u64("telemetry")?;
-        t.serial_nanos = r.u64("telemetry")?;
-    }
-    if version >= 3 {
-        t.fused_scores = r.u64("telemetry")?;
-        t.batched_draws = r.u64("telemetry")?;
-    }
-    if version >= 4 {
-        t.encode_nanos = r.u64("telemetry")?;
-    }
-    Ok(t)
+        stream_setup_nanos: r.u64("telemetry")?,
+        serial_nanos: r.u64("telemetry")?,
+        fused_scores: r.u64("telemetry")?,
+        batched_draws: r.u64("telemetry")?,
+        encode_nanos: r.u64("telemetry")?,
+    })
 }
 
 fn read_ensemble(r: &mut Reader<'_>) -> Result<ParticleEnsemble, SmcError> {
@@ -679,8 +642,9 @@ fn read_ensemble(r: &mut Reader<'_>) -> Result<ParticleEnsemble, SmcError> {
 /// Decode one framed record back into a [`RunSnapshot`].
 ///
 /// # Errors
-/// [`SmcError::UnsupportedFormat`] for an unknown format version (checked
-/// before the checksum, so version bumps are reported as such);
+/// [`SmcError::UnsupportedFormat`] for any version other than
+/// [`FORMAT_VERSION`] (checked before the checksum, so older and newer
+/// records are reported as such);
 /// [`SmcError::Corrupt`] for any length, magic, checksum, or structural
 /// failure. Never returns a silently wrong snapshot.
 pub fn decode_record(data: &[u8]) -> Result<RunSnapshot, SmcError> {
@@ -699,10 +663,9 @@ pub fn decode_record(data: &[u8]) -> Result<RunSnapshot, SmcError> {
         )));
     }
     let version = header.u16("version")?;
-    if !(MIN_SUPPORTED_VERSION..=FORMAT_VERSION).contains(&version) {
+    if version != FORMAT_VERSION {
         return Err(SmcError::UnsupportedFormat(format!(
-            "record format version {version} (this build reads versions \
-             {MIN_SUPPORTED_VERSION}..={FORMAT_VERSION})"
+            "record format version {version} (this build reads version {FORMAT_VERSION})"
         )));
     }
     let header_window = header.u32("window index")?;
@@ -753,13 +716,9 @@ pub fn decode_record(data: &[u8]) -> Result<RunSnapshot, SmcError> {
     let unique_ancestors = r.u64("unique ancestors")?;
     let iterations = r.u64("iterations")?;
     let wall_nanos = r.u64("wall nanos")?;
-    let telemetry = read_telemetry(&mut r, version)?;
+    let telemetry = read_telemetry(&mut r)?;
     let posterior = read_ensemble(&mut r)?;
-    let observed_fingerprint = if version >= 5 {
-        r.u64("observed fingerprint")?
-    } else {
-        0 // pre-v5 records never recorded it; 0 skips validation
-    };
+    let observed_fingerprint = r.u64("observed fingerprint")?;
     if r.remaining() != 0 {
         return Err(corrupt(format!(
             "{} trailing bytes after the ensemble",

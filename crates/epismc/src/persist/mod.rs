@@ -106,7 +106,8 @@ pub struct RunSnapshot {
     pub wall_nanos: u64,
     /// Fingerprint of the observed data slice this window was scored
     /// against ([`observed_fingerprint`]); `0` means "not recorded"
-    /// (records written before format v5). Streaming opens and resumes
+    /// (the observed data did not cover the window when the snapshot
+    /// was built) and skips the check. Streaming opens and resumes
     /// validate it, so a snapshot cannot silently continue a run
     /// against different surveillance data.
     pub observed_fingerprint: u64,
@@ -235,8 +236,7 @@ pub fn apply_retention_after(
 /// bounds, and the bit pattern of every observed value inside the
 /// window. Returns `None` when any source does not cover the window
 /// (no score can have been computed there). Never returns `Some(0)`:
-/// zero is reserved as the "not recorded" sentinel carried by records
-/// written before format v5.
+/// zero is reserved as the snapshot's "not recorded" sentinel.
 pub fn observed_fingerprint(observed: &ObservedData, window: TimeWindow) -> Option<u64> {
     let mut h = FNV_OFFSET;
     h = fnv1a(h, 0x4F42_5346); // "OBSF" domain separator

@@ -1087,7 +1087,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
     }
 
     /// Check a recovered snapshot against this calibrator — its seed, its
-    /// configuration fingerprint and, for v5 records, the observed data
+    /// configuration fingerprint and, when recorded, the observed data
     /// it was scored against — and rebuild its window result. Shared by
     /// [`Self::resume_from`] and [`crate::stream::StreamingCalibrator::open`].
     ///
@@ -1112,8 +1112,8 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                 snap.fingerprint
             )));
         }
-        // The 0 sentinel (pre-v5 records) skips the observed-data check,
-        // as does an observed set that does not (yet) cover the window.
+        // The 0 "not recorded" sentinel skips the observed-data check, as
+        // does an observed set that does not (yet) cover the window.
         if snap.observed_fingerprint != 0 {
             if let Some(fp) = persist::observed_fingerprint(observed, snap.window) {
                 if fp != snap.observed_fingerprint {

@@ -99,7 +99,7 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
     /// (corrupt or unsupported records are skipped and counted, exactly
     /// like [`SequentialCalibrator::resume_from`]) and validate it
     /// against this calibrator's seed, configuration fingerprint, and —
-    /// for v5 records — the observed data. An empty store opens a fresh
+    /// when recorded — the observed data. An empty store opens a fresh
     /// stream starting at window 0.
     ///
     /// `observed` must already hold any days *before* the first window

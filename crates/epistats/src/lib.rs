@@ -27,7 +27,6 @@
 //! no dependency on any external statistics library (see DESIGN.md §5).
 
 pub mod dist;
-pub mod gp;
 pub mod kde;
 pub mod linalg;
 pub mod logweight;

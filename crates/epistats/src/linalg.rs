@@ -1,9 +1,11 @@
-//! Minimal dense linear algebra: symmetric positive-definite solves via
-//! Cholesky decomposition.
+//! Minimal dense linear algebra for correlated Gaussian proposals:
+//! Cholesky factorization, multivariate-normal draws, and shrinkage
+//! regularization of empirical covariances.
 //!
-//! Exactly the kernel the Gaussian-process emulator ([`crate::gp`])
-//! needs: factor a covariance matrix once, then solve and evaluate log
-//! determinants cheaply. Matrices are row-major flat `Vec<f64>`.
+//! Exactly what the PMMH move pass needs: shrink the posterior's
+//! empirical covariance to SPD, factor it once per pass, then draw each
+//! correlated `(θ, ρ)` step as `L z`. Matrices are row-major flat
+//! `Vec<f64>`.
 
 /// Cholesky factorization `A = L L^T` of a symmetric positive-definite
 /// matrix.
@@ -47,52 +49,6 @@ impl Cholesky {
     /// Matrix side length.
     pub fn dim(&self) -> usize {
         self.n
-    }
-
-    /// Solve `A x = b`.
-    ///
-    /// # Panics
-    /// Panics if `b` has the wrong length.
-    #[allow(clippy::needless_range_loop)] // triangular index arithmetic reads clearer than iterators
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n, "cholesky solve: wrong rhs length");
-        let mut y = self.solve_lower(b);
-        // Back substitution with L^T.
-        for i in (0..self.n).rev() {
-            let mut sum = y[i];
-            for k in i + 1..self.n {
-                sum -= self.l[k * self.n + i] * y[k];
-            }
-            y[i] = sum / self.l[i * self.n + i];
-        }
-        y
-    }
-
-    /// Solve `L y = b` (forward substitution); the half-solve used for
-    /// GP predictive variances.
-    ///
-    /// # Panics
-    /// Panics if `b` has the wrong length.
-    #[allow(clippy::needless_range_loop)] // triangular index arithmetic reads clearer than iterators
-    pub fn solve_lower(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n, "cholesky solve_lower: wrong rhs length");
-        let mut y = vec![0.0f64; self.n];
-        for i in 0..self.n {
-            let mut sum = b[i];
-            for k in 0..i {
-                sum -= self.l[i * self.n + k] * y[k];
-            }
-            y[i] = sum / self.l[i * self.n + i];
-        }
-        y
-    }
-
-    /// `ln det(A) = 2 sum_i ln L_ii`.
-    pub fn ln_det(&self) -> f64 {
-        (0..self.n)
-            .map(|i| self.l[i * self.n + i].ln())
-            .sum::<f64>()
-            * 2.0
     }
 
     /// The lower factor (row-major).
@@ -191,33 +147,6 @@ pub fn shrink_covariance(cov: &[f64], d: usize, lambda: f64, floor: f64) -> Vec<
     out
 }
 
-/// Dense matrix-vector product of a row-major `n x n` matrix.
-///
-/// # Panics
-/// Panics on inconsistent dimensions.
-pub fn matvec(a: &[f64], x: &[f64]) -> Vec<f64> {
-    let n = x.len();
-    assert_eq!(a.len(), n * n, "matvec: dimension mismatch");
-    (0..n)
-        .map(|i| {
-            a[i * n..(i + 1) * n]
-                .iter()
-                .zip(x)
-                .map(|(&aij, &xj)| aij * xj)
-                .sum()
-        })
-        .collect()
-}
-
-/// Dot product.
-///
-/// # Panics
-/// Panics on length mismatch.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,44 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_inverts_matvec() {
-        let (a, n) = spd3();
-        let ch = Cholesky::new(&a, n).unwrap();
-        let x_true = vec![1.0, -2.0, 0.5];
-        let b = matvec(&a, &x_true);
-        let x = ch.solve(&b);
-        for (got, want) in x.iter().zip(&x_true) {
-            assert!((got - want).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn ln_det_matches_known_value() {
-        // det of spd3 computed by cofactor expansion:
-        // 6(63-16) - 3(27-8) + 2(12-14) = 282 - 57 - 4 = 221.
-        let (a, n) = spd3();
-        let ch = Cholesky::new(&a, n).unwrap();
-        assert!((ch.ln_det() - 221f64.ln()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn solve_lower_is_forward_substitution() {
-        let (a, n) = spd3();
-        let ch = Cholesky::new(&a, n).unwrap();
-        let b = vec![1.0, 2.0, 3.0];
-        let y = ch.solve_lower(&b);
-        // L y = b
-        let l = ch.factor();
-        for i in 0..n {
-            let mut v = 0.0;
-            for k in 0..=i {
-                v += l[i * n + k] * y[k];
-            }
-            assert!((v - b[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn rejects_indefinite_matrix() {
         let a = vec![1.0, 2.0, 2.0, 1.0]; // eigenvalues 3, -1
         assert!(Cholesky::new(&a, 2).is_err());
@@ -297,18 +188,5 @@ mod tests {
     #[test]
     fn rejects_bad_dimensions() {
         assert!(Cholesky::new(&[1.0, 2.0, 3.0], 2).is_err());
-    }
-
-    #[test]
-    fn identity_round_trip() {
-        let n = 5;
-        let mut a = vec![0.0; n * n];
-        for i in 0..n {
-            a[i * n + i] = 1.0;
-        }
-        let ch = Cholesky::new(&a, n).unwrap();
-        assert!(ch.ln_det().abs() < 1e-14);
-        let b = vec![3.0; n];
-        assert_eq!(ch.solve(&b), b);
     }
 }

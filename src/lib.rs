@@ -93,7 +93,7 @@ pub mod prelude {
             RunSnapshot, RunStore, SnapshotWriter,
         },
         prior::{BetaPrior, JitterKernel, Prior, UniformPrior},
-        rejuvenate::{rejuvenate, RejuvenationConfig, RejuvenationStats},
+        rejuvenate::RejuvenationStats,
         resample::{Multinomial, Resampler, Residual, Stratified, Systematic},
         runner::{pool_build_count, ParallelRunner},
         simulator::{
@@ -105,8 +105,6 @@ pub mod prelude {
             WindowResult,
         },
         stream::StreamingCalibrator,
-        surrogate::SurrogateScreen,
-        tempered::{tempered_single_window, TemperedConfig},
         window::{TimeWindow, WindowPlan},
     };
     pub use crate::stats::{

@@ -1,13 +1,12 @@
 //! Integration tests of the extension layers working against the real
-//! COVID simulator: posterior-predictive forecasting, resample-move
-//! rejuvenation, surrogate screening, and the declarative SBC validator —
-//! each exercised through the public facade. Restarting from stored
-//! states is covered by `tests/streaming_equivalence.rs`.
+//! COVID simulator: posterior-predictive forecasting, PMMH resample-move
+//! rejuvenation, and the declarative SBC validator — each exercised
+//! through the public facade. Restarting from stored states is covered
+//! by `tests/streaming_equivalence.rs`; the PMMH kernel's mixing and
+//! determinism by `tests/rejuvenation_kernels.rs`.
 
 use epismc::prelude::*;
 use epismc::smc::forecast::Forecaster;
-use epismc::smc::rejuvenate::{rejuvenate, RejuvenationConfig};
-use epismc::smc::surrogate::SurrogateScreen;
 
 fn setup() -> (Scenario, GroundTruth, CovidSimulator) {
     let scenario = Scenario::paper_tiny();
@@ -66,33 +65,38 @@ fn forecast_from_calibrated_posterior_is_sane() {
 
 #[test]
 fn rejuvenation_diversifies_a_covid_posterior() {
+    // Same seed and single-window plan with and without the PMMH move
+    // pass: the uniform-jitter run's posterior is exactly the ensemble
+    // the pass moves, so the pass must add distinct inputs to it.
     let (_, truth, simulator) = setup();
     let observed = ObservedData::cases_only(truth.observed_cases.clone());
     let window = TimeWindow::new(20, 33);
-    let result = SingleWindowIs::new(&simulator, config(2))
-        .run(&Priors::paper(), &observed, window)
-        .unwrap();
-    let mut posterior = result.posterior;
-    let before = posterior.unique_inputs();
+    let plan = WindowPlan::new(vec![window]);
+    let run = |kernel: RejuvenationKernel| {
+        let mut cfg = config(2);
+        cfg.rejuvenation = kernel;
+        SequentialCalibrator::new(
+            &simulator,
+            cfg,
+            vec![JitterKernel::symmetric(0.02, 0.05, 0.8)],
+            JitterKernel::symmetric(0.05, 0.05, 1.0),
+        )
+        .run(&Priors::paper(), &observed, &plan)
+        .unwrap()
+    };
+    let before = run(RejuvenationKernel::UniformJitter).windows[0]
+        .posterior
+        .unique_inputs();
+    let pmmh = PmmhConfig {
+        moves: 1,
+        ..PmmhConfig::default()
+    };
+    let result = run(RejuvenationKernel::Pmmh(pmmh));
+    let win = &result.windows[0];
+    let posterior = &win.posterior;
 
-    let stats = rejuvenate(
-        &simulator,
-        &mut posterior,
-        &observed,
-        window,
-        &RejuvenationConfig {
-            moves: 1,
-            step_theta: vec![0.02],
-            step_rho: 0.05,
-            support_theta: vec![(0.05, 0.8)],
-            support_rho: (0.05, 1.0),
-            temper: 1.0,
-        },
-        11,
-        &ParallelRunner::new(),
-    )
-    .unwrap();
-    assert!(stats.proposed == posterior.len());
+    let stats = win.rejuvenation.expect("PMMH pass must report stats");
+    assert_eq!(stats.proposed, posterior.len());
     assert!(posterior.unique_inputs() > before);
     // Post-move trajectories still span the window.
     for p in posterior.particles().iter().take(5) {
@@ -103,36 +107,8 @@ fn rejuvenation_diversifies_a_covid_posterior() {
         assert_eq!(p.checkpoint.day, window.end);
     }
     // Posterior still near the data-supported region.
-    let th = PosteriorSummary::of_theta(&posterior, 0);
+    let th = PosteriorSummary::of_theta(posterior, 0);
     assert!(th.covers(truth.theta_truth[19]) || (th.mean - truth.theta_truth[19]).abs() < 0.08);
-}
-
-#[test]
-fn surrogate_screen_learns_from_a_real_pilot() {
-    let (_, truth, simulator) = setup();
-    let observed = ObservedData::cases_only(truth.observed_cases.clone());
-    let mut cfg = config(3);
-    cfg.n_params = 60;
-    cfg.n_replicates = 3;
-    cfg.keep_prior_ensemble = true;
-    let result = SingleWindowIs::new(&simulator, cfg)
-        .run(&Priors::paper(), &observed, TimeWindow::new(20, 33))
-        .unwrap();
-    let pilot = result.prior_ensemble.unwrap();
-    let screen = SurrogateScreen::fit_from_ensemble(&pilot).unwrap();
-
-    // The emulator's predicted-best theta should be near the actual
-    // posterior mean.
-    let post_mean = result.posterior.mean_theta(0);
-    let grid: Vec<(Vec<f64>, f64)> = (0..80)
-        .map(|i| (vec![0.1 + 0.4 * i as f64 / 79.0], 0.8))
-        .collect();
-    let best = screen.screen(&grid, 0.05, 0.0);
-    let best_theta = grid[best[0]].0[0];
-    assert!(
-        (best_theta - post_mean).abs() < 0.1,
-        "surrogate best {best_theta:.3} vs posterior mean {post_mean:.3}"
-    );
 }
 
 #[test]

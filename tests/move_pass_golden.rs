@@ -4,14 +4,12 @@
 //! refactor of the move loop (proposal, stream layout, accept rule,
 //! write-back) must reproduce every particle bit for bit.
 //!
-//! Four fixtures on `Scenario::paper_tiny`: the uniform-step kernel at
-//! `temper = 1` and at `temper < 1`, the annealed sampler's per-rung
-//! moves, and a three-window PMMH sequential run. Each fingerprint is an
-//! FNV-1a hash over every particle's θ bits, ρ bits, seed and log-weight
-//! bits, in ensemble order.
+//! The fixture is a three-window PMMH sequential run on
+//! `Scenario::paper_tiny`. Each fingerprint is an FNV-1a hash over every
+//! particle's θ bits, ρ bits, seed and log-weight bits, in ensemble
+//! order.
 
 use epismc::prelude::*;
-use epismc::smc::tempered::{tempered_single_window, TemperedConfig};
 
 const FNV_INIT: u64 = 0xCBF2_9CE4_8422_2325;
 
@@ -50,77 +48,6 @@ fn calibration(seed: u64) -> CalibrationConfig {
         .resample_size(96)
         .seed(seed)
         .build()
-}
-
-fn move_config(temper: f64) -> RejuvenationConfig {
-    RejuvenationConfig {
-        moves: 2,
-        step_theta: vec![0.02],
-        step_rho: 0.05,
-        support_theta: vec![(0.05, 0.8)],
-        support_rho: (0.05, 1.0),
-        temper,
-    }
-}
-
-/// Fingerprint and accepted-move count of a uniform-step pass over the
-/// posterior of window `[20, 33]`.
-fn uniform_step(temper: f64) -> (u64, usize) {
-    let (truth, simulator) = setup();
-    let observed = ObservedData::cases_only(truth.observed_cases.clone());
-    let window = TimeWindow::new(20, 33);
-    let mut posterior = SingleWindowIs::new(&simulator, calibration(2))
-        .run(&Priors::paper(), &observed, window)
-        .unwrap()
-        .posterior;
-    let runner = ParallelRunner::with_threads(2);
-    let stats = rejuvenate(
-        &simulator,
-        &mut posterior,
-        &observed,
-        window,
-        &move_config(temper),
-        11,
-        &runner,
-    )
-    .unwrap();
-    assert_eq!(stats.proposed, 2 * posterior.len());
-    (fingerprint(&posterior), stats.accepted)
-}
-
-#[test]
-fn uniform_step_pass_at_full_temper_is_pinned() {
-    let (fp, accepted) = uniform_step(1.0);
-    assert_eq!((fp, accepted), (0x4A6F_454C_3CBC_F64E, 59));
-}
-
-#[test]
-fn uniform_step_pass_below_full_temper_is_pinned() {
-    let (fp, accepted) = uniform_step(0.35);
-    assert_eq!((fp, accepted), (0xDF14_A66A_0B51_8D79, 103));
-}
-
-#[test]
-fn tempered_rung_moves_are_pinned() {
-    let (truth, simulator) = setup();
-    let observed = ObservedData::cases_only(truth.observed_cases.clone());
-    let mut move_cfg = move_config(1.0);
-    move_cfg.moves = 1;
-    let result = tempered_single_window(
-        &simulator,
-        &calibration(13),
-        &TemperedConfig::geometric(move_cfg),
-        &Priors::paper(),
-        &observed,
-        TimeWindow::new(20, 33),
-    )
-    .unwrap();
-    let accepted: Vec<usize> = result.rung_moves.iter().map(|s| s.accepted).collect();
-    let fp = fingerprint(&result.posterior);
-    assert_eq!(
-        (fp, accepted),
-        (0xA67B_605E_77EA_8E02, vec![108, 97, 89, 38])
-    );
 }
 
 #[test]

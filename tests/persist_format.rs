@@ -1,12 +1,11 @@
 //! Byte-format pinning for the durable run store: a golden fixture locks
-//! the current (v5) record encoding (any accidental change to the wire
-//! format fails here before it eats someone's checkpoints), retained
-//! v1/v2/v3/v4 fixtures prove the typed migration path (older records decode
-//! with the appended telemetry words defaulted), a version-bump test proves
-//! records from a future format are rejected as [`SmcError::UnsupportedFormat`],
-//! and property tests drive arbitrary ensembles through
-//! encode → decode → encode bit-exactly while arbitrary single-byte
-//! corruption always yields a typed error — never a wrong ensemble.
+//! the record encoding (any accidental change to the wire format fails
+//! here before it eats someone's checkpoints), a version test proves
+//! records from any other format version — older or newer — are rejected
+//! as [`SmcError::UnsupportedFormat`], and property tests drive arbitrary
+//! ensembles through encode → decode → encode bit-exactly while arbitrary
+//! single-byte corruption always yields a typed error — never a wrong
+//! ensemble.
 
 use epismc::prelude::*;
 use epismc::sim::spec::{Compartment, FlowSpec, Infection, ModelSpec, Progression};
@@ -132,22 +131,6 @@ fn golden_path() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_record_v5.bin")
 }
 
-fn golden_v1_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_record_v1.bin")
-}
-
-fn golden_v2_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_record_v2.bin")
-}
-
-fn golden_v3_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_record_v3.bin")
-}
-
-fn golden_v4_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_record_v4.bin")
-}
-
 #[test]
 fn golden_record_bytes_are_pinned() {
     let bytes = format::encode_record(&golden_snapshot());
@@ -208,125 +191,6 @@ fn golden_record_decodes_with_sharing_intact() {
 }
 
 #[test]
-fn v1_record_migrates_with_new_telemetry_defaulted() {
-    // The retained v1 fixture (written before `stream_setup_nanos` /
-    // `serial_nanos` existed) must still decode: everything it carried
-    // comes back bit-exactly, and all later appended words default to 0.
-    let raw = std::fs::read(golden_v1_path()).unwrap();
-    assert_eq!(u16::from_le_bytes([raw[4], raw[5]]), 1, "fixture is v1");
-    let snap = format::decode_record(&raw).unwrap();
-    assert_eq!(snap.seed, 42);
-    assert_eq!(snap.fingerprint, 0x1234_5678_9abc_def0);
-    assert_eq!(snap.window, TimeWindow::new(34, 47));
-    let mut want = golden_snapshot().telemetry;
-    want.stream_setup_nanos = 0;
-    want.serial_nanos = 0;
-    want.fused_scores = 0;
-    want.batched_draws = 0;
-    assert_eq!(snap.telemetry, want);
-
-    // Sharing survives the migration too.
-    let p = snap.posterior.particles();
-    assert_eq!(p.len(), 3);
-    assert!(Arc::ptr_eq(&p[0].theta, &p[1].theta));
-    assert!(Arc::ptr_eq(&p[0].checkpoint, &p[1].checkpoint));
-
-    // Re-encoding a migrated snapshot upgrades it to the current version
-    // (extra zero words, current version stamp) — a decode → encode →
-    // decode trip is lossless.
-    let upgraded = format::encode_record(&snap);
-    assert_ne!(upgraded, raw);
-    let again = format::decode_record(&upgraded).unwrap();
-    assert_eq!(again.telemetry, snap.telemetry);
-    assert_eq!(again.posterior.len(), snap.posterior.len());
-}
-
-#[test]
-fn v2_record_migrates_with_new_telemetry_defaulted() {
-    // The retained v2 fixture (written before `fused_scores` /
-    // `batched_draws` existed) decodes with exactly those two words
-    // defaulted to 0 and everything else bit-exact.
-    let raw = std::fs::read(golden_v2_path()).unwrap();
-    assert_eq!(u16::from_le_bytes([raw[4], raw[5]]), 2, "fixture is v2");
-    let snap = format::decode_record(&raw).unwrap();
-    assert_eq!(snap.seed, 42);
-    assert_eq!(snap.fingerprint, 0x1234_5678_9abc_def0);
-    assert_eq!(snap.window, TimeWindow::new(34, 47));
-    let mut want = golden_snapshot().telemetry;
-    want.fused_scores = 0;
-    want.batched_draws = 0;
-    assert_eq!(snap.telemetry, want);
-
-    let p = snap.posterior.particles();
-    assert_eq!(p.len(), 3);
-    assert!(Arc::ptr_eq(&p[0].theta, &p[1].theta));
-    assert!(Arc::ptr_eq(&p[0].checkpoint, &p[1].checkpoint));
-
-    let upgraded = format::encode_record(&snap);
-    assert_ne!(upgraded, raw);
-    let again = format::decode_record(&upgraded).unwrap();
-    assert_eq!(again.telemetry, snap.telemetry);
-}
-
-#[test]
-fn v3_record_migrates_with_new_telemetry_defaulted() {
-    // The retained v3 fixture (written before the pipelined-persistence
-    // split of `persist_nanos` into encode + blocking wait) decodes with
-    // exactly `encode_nanos` defaulted to 0 and everything else bit-exact.
-    let raw = std::fs::read(golden_v3_path()).unwrap();
-    assert_eq!(u16::from_le_bytes([raw[4], raw[5]]), 3, "fixture is v3");
-    let snap = format::decode_record(&raw).unwrap();
-    assert_eq!(snap.seed, 42);
-    assert_eq!(snap.fingerprint, 0x1234_5678_9abc_def0);
-    assert_eq!(snap.window, TimeWindow::new(34, 47));
-    let mut want = golden_snapshot().telemetry;
-    want.encode_nanos = 0;
-    assert_eq!(snap.telemetry, want);
-
-    let p = snap.posterior.particles();
-    assert_eq!(p.len(), 3);
-    assert!(Arc::ptr_eq(&p[0].theta, &p[1].theta));
-    assert!(Arc::ptr_eq(&p[0].checkpoint, &p[1].checkpoint));
-
-    let upgraded = format::encode_record(&snap);
-    assert_ne!(upgraded, raw);
-    let again = format::decode_record(&upgraded).unwrap();
-    assert_eq!(again.telemetry, snap.telemetry);
-}
-
-#[test]
-fn v4_record_migrates_with_observed_fingerprint_defaulted() {
-    // The retained v4 fixture (written before the observed-series
-    // fingerprint existed) decodes with `observed_fingerprint` landing
-    // on 0 — the "not recorded" sentinel that skips the resume-time
-    // observed-data check — and everything else bit-exact.
-    let raw = std::fs::read(golden_v4_path()).unwrap();
-    assert_eq!(u16::from_le_bytes([raw[4], raw[5]]), 4, "fixture is v4");
-    let snap = format::decode_record(&raw).unwrap();
-    assert_eq!(snap.seed, 42);
-    assert_eq!(snap.fingerprint, 0x1234_5678_9abc_def0);
-    assert_eq!(snap.window, TimeWindow::new(34, 47));
-    assert_eq!(
-        snap.observed_fingerprint, 0,
-        "pre-v5 records carry no fingerprint"
-    );
-    assert_eq!(snap.telemetry, golden_snapshot().telemetry);
-
-    let p = snap.posterior.particles();
-    assert_eq!(p.len(), 3);
-    assert!(Arc::ptr_eq(&p[0].theta, &p[1].theta));
-    assert!(Arc::ptr_eq(&p[0].checkpoint, &p[1].checkpoint));
-
-    // Re-encoding upgrades to v5 (appended fingerprint word, current
-    // version stamp) and the trip stays lossless.
-    let upgraded = format::encode_record(&snap);
-    assert_ne!(upgraded, raw);
-    let again = format::decode_record(&upgraded).unwrap();
-    assert_eq!(again.observed_fingerprint, 0);
-    assert_eq!(again.telemetry, snap.telemetry);
-}
-
-#[test]
 fn future_format_version_is_rejected_as_unsupported() {
     let mut raw = std::fs::read(golden_path()).unwrap();
     // Bytes [4..6] are the little-endian format version, after the magic.
@@ -341,9 +205,16 @@ fn future_format_version_is_rejected_as_unsupported() {
         "{err}"
     );
 
-    raw[4..6].copy_from_slice(&0u16.to_le_bytes());
-    let err = format::decode_record(&raw).unwrap_err();
-    assert!(matches!(err, SmcError::UnsupportedFormat(_)), "{err}");
+    // Older versions are rejected the same way: this build reads only
+    // the current one.
+    for version in 0..format::FORMAT_VERSION {
+        raw[4..6].copy_from_slice(&version.to_le_bytes());
+        let err = format::decode_record(&raw).unwrap_err();
+        assert!(
+            matches!(err, SmcError::UnsupportedFormat(_)),
+            "version {version}: {err}"
+        );
+    }
 }
 
 #[test]

@@ -2,8 +2,10 @@
 //! covariance-scaled proposal must mix healthily (acceptance in a sane
 //! band, not frozen, not random-walking), recover the ground truth no
 //! worse than the paper's uniform-jitter-only scheme, stay bit-identical
-//! across thread shapes, and leave defaults (results *and* config
-//! fingerprint) untouched when not selected.
+//! across thread shapes, diversify the ensemble they move while keeping
+//! each moved particle's trajectory and checkpoint consistent, and leave
+//! defaults (results *and* config fingerprint) untouched when not
+//! selected.
 
 use epismc::prelude::*;
 
@@ -233,5 +235,31 @@ fn default_kernel_is_untouched_and_fingerprint_tracks_pmmh() {
             win.rejuvenation.is_some(),
             "window {w}: PMMH pass must report stats"
         );
+        // A moved particle's re-simulated trajectory still spans the
+        // window and its checkpoint sits at the window's end.
+        for (i, p) in win.posterior.particles().iter().enumerate() {
+            assert!(
+                p.trajectory
+                    .window("infections", win.window.start, win.window.end)
+                    .is_some(),
+                "window {w} particle {i}: trajectory does not cover {:?}",
+                win.window
+            );
+            assert_eq!(
+                p.checkpoint.day, win.window.end,
+                "window {w} particle {i}: checkpoint day"
+            );
+        }
     }
+    // Same seed and plan: the default run's window-0 posterior is exactly
+    // the ensemble the first PMMH pass moved, so the pass must have added
+    // distinct inputs to it.
+    let (before, after) = (
+        result.windows[0].posterior.unique_inputs(),
+        moved.windows[0].posterior.unique_inputs(),
+    );
+    assert!(
+        after > before,
+        "PMMH pass did not diversify window 0: {before} -> {after} distinct inputs"
+    );
 }
