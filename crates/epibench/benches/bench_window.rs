@@ -135,10 +135,10 @@ fn bench_ensemble_sharing(c: &mut Criterion) {
         let mut unique = std::collections::HashSet::new();
         let mut shared_bytes = 0usize;
         for t in &ensemble {
-            for (id, bytes) in t.segment_footprint() {
-                if unique.insert(id) {
-                    shared_bytes += bytes;
-                }
+            let (fresh, _) = t.unknown_segments(|id| unique.contains(&id));
+            for (id, series) in fresh {
+                unique.insert(id);
+                shared_bytes += series.len() * series.names().len() * std::mem::size_of::<u64>();
             }
         }
         let flat_bytes: usize = ensemble.iter().map(SharedTrajectory::flat_bytes).sum();

@@ -167,6 +167,8 @@ struct TrajectorySegment {
     chain_start: u32,
     /// Total recorded days across the whole chain, this segment included.
     chain_len: usize,
+    /// Segments in the whole chain, this one included.
+    depth: usize,
 }
 
 /// A persistent, structurally shared daily-output trajectory.
@@ -199,6 +201,7 @@ impl SharedTrajectory {
                 parent: None,
                 chain_start,
                 chain_len,
+                depth: 1,
             }),
         }
     }
@@ -240,6 +243,7 @@ impl SharedTrajectory {
                 parent: Some(Arc::clone(&self.head)),
                 chain_start: self.head.chain_start,
                 chain_len,
+                depth: self.head.depth + 1,
             }),
         }
     }
@@ -364,6 +368,10 @@ impl SharedTrajectory {
                     out[lo - base..=hi - base]
                         .copy_from_slice(&seg.series.columns[col][lo - s_lo..=hi - s_lo]);
                     filled += hi - lo + 1;
+                    if filled == n {
+                        // The rest of the chain lies before `day_lo`.
+                        break;
+                    }
                 }
             }
             cur = seg.parent.as_ref();
@@ -460,50 +468,48 @@ impl SharedTrajectory {
         prefix.append(partial)
     }
 
-    /// Number of segments in the chain.
+    /// Number of segments in the chain (`O(1)`: each segment records its
+    /// chain depth).
     pub fn segment_count(&self) -> usize {
-        self.chain().len()
+        self.head.depth
     }
 
-    /// The chain's segments root-first as `(id, series)` pairs. The id is
-    /// the segment's allocation address — identical to the ids reported by
-    /// [`Self::segment_footprint`] — so two particles that share a segment
-    /// report the same id, and cross-ensemble sharing can be reconstructed
-    /// by id equality (each id's parent is the preceding id in its chain).
-    pub fn segments(&self) -> Vec<(usize, &DailySeries)> {
-        self.chain()
-            .into_iter()
-            .map(|seg| (std::ptr::from_ref(seg) as usize, &seg.series))
-            .collect()
-    }
-
-    /// The head segment's id — identical to the id [`Self::segments`]
-    /// reports for the chain's last element, without walking (or
-    /// allocating) the chain. Two trajectories with equal head ids share
-    /// their entire chain, which makes this the O(1) interning key for
-    /// ensemble serialization: a head id already seen means every
-    /// segment of this chain has been recorded.
+    /// The head segment's id: its allocation address, the same id
+    /// [`Self::unknown_segments`] reports for the head. Two trajectories
+    /// with equal head ids share their entire chain.
     pub fn head_id(&self) -> usize {
         Arc::as_ptr(&self.head) as usize
     }
 
-    /// `(segment id, heap bytes of recorded values)` per segment, root
-    /// first. The id is the segment's allocation address: two particles
-    /// that share a segment report the same id, so deduplicating by id
-    /// across an ensemble measures the bytes actually held.
-    pub fn segment_footprint(&self) -> Vec<(usize, usize)> {
-        self.chain()
-            .into_iter()
-            .map(|seg| {
-                let bytes: usize = seg
-                    .series
-                    .columns
-                    .iter()
-                    .map(|c| c.len() * std::mem::size_of::<u64>())
-                    .sum();
-                (std::ptr::from_ref(seg) as usize, bytes)
-            })
-            .collect()
+    /// Walk the chain head-ward, stopping at the first segment whose id
+    /// `known` accepts, and return the segments passed over root-first
+    /// as `(id, series)` pairs plus the id the walk stopped at (`None`
+    /// when no segment was known). Ids are the ones [`Self::head_id`]
+    /// reports, so each id's parent is the preceding id in its chain.
+    ///
+    /// A caller that records every segment it is handed knows a
+    /// root-side prefix of every chain it has walked, because a chain's
+    /// ancestors are walked before or with it. Deduplicating a whole
+    /// ensemble this way visits each distinct segment once plus one
+    /// known segment per trajectory, however long the chains grow.
+    pub fn unknown_segments(
+        &self,
+        mut known: impl FnMut(usize) -> bool,
+    ) -> (Vec<(usize, &DailySeries)>, Option<usize>) {
+        let mut fresh = Vec::new();
+        let mut stop = None;
+        let mut cur = Some(&self.head);
+        while let Some(seg) = cur {
+            let id = Arc::as_ptr(seg) as usize;
+            if known(id) {
+                stop = Some(id);
+                break;
+            }
+            fresh.push((id, &seg.series));
+            cur = seg.parent.as_ref();
+        }
+        fresh.reverse();
+        (fresh, stop)
     }
 
     /// Heap bytes of recorded values a standalone owned copy of the full
@@ -686,6 +692,37 @@ mod tests {
         assert!(t.window_into("b", 0, 6, &mut buf));
         assert!(t.window_into("b", 3, 4, &mut buf));
         assert_eq!(buf, vec![40, 50]);
+        // A 300-segment chain of two-day segments (days 2k and 2k + 1):
+        // reads at the head, in the middle and at the root stop once the
+        // window is filled and still match the full walk.
+        let mut long = SharedTrajectory::root(segment(0, &[(0, 0), (1, 10)]));
+        for d in (2..600u64).step_by(2) {
+            long = long.append(segment(d as u32, &[(d, 10 * d), (d + 1, 10 * d + 10)]));
+        }
+        assert_eq!(long.segment_count(), 300);
+        for (lo, hi) in [
+            (599, 599),
+            (595, 598),
+            (301, 304),
+            (300, 301),
+            (0, 0),
+            (0, 3),
+            (0, 599),
+        ] {
+            assert!(long.window_into("b", lo, hi, &mut buf), "range {lo}..={hi}");
+            assert_eq!(buf, long.window("b", lo, hi).unwrap(), "range {lo}..={hi}");
+            let expect: Vec<u64> = (lo..=hi).map(|d| 10 * u64::from(d)).collect();
+            assert_eq!(buf, expect, "range {lo}..={hi}");
+        }
+    }
+
+    /// Every segment id of a chain, root-first.
+    fn segment_ids(t: &SharedTrajectory) -> Vec<usize> {
+        t.unknown_segments(|_| false)
+            .0
+            .iter()
+            .map(|&(id, _)| id)
+            .collect()
     }
 
     #[test]
@@ -694,17 +731,20 @@ mod tests {
         let child1 = base.append(segment(2, &[(3, 30)]));
         let child2 = base.append(segment(2, &[(9, 90)]));
         // Both children report the same id for the shared root segment.
-        let f1 = child1.segment_footprint();
-        let f2 = child2.segment_footprint();
-        assert_eq!(f1.len(), 2);
-        assert_eq!(f1[0], f2[0], "root segment must be shared, not copied");
-        assert_ne!(f1[1].0, f2[1].0);
+        let (s1, _) = child1.unknown_segments(|_| false);
+        let (s2, _) = child2.unknown_segments(|_| false);
+        assert_eq!(s1.len(), 2);
+        assert_eq!(s1[0].0, s2[0].0, "root segment must be shared, not copied");
+        assert_eq!(s1[0].0, base.head_id());
+        assert!(std::ptr::eq(s1[0].1, s2[0].1));
+        assert_ne!(s1[1].0, s2[1].0);
         // The parent is untouched by either continuation.
         assert_eq!(base.len(), 2);
         assert_eq!(child1.series("a").unwrap(), vec![1, 2, 3]);
         assert_eq!(child2.series("a").unwrap(), vec![1, 2, 9]);
-        // Bytes: each segment row holds 2 columns * 8 bytes.
-        assert_eq!(f1[0].1, 2 * 2 * 8);
+        // Bytes: the shared root holds 2 days; a flat copy of child1
+        // holds 3 days of 2 columns * 8 bytes.
+        assert_eq!(s1[0].1.len(), 2);
         assert_eq!(child1.flat_bytes(), 3 * 2 * 8);
     }
 
@@ -734,10 +774,7 @@ mod tests {
         assert_eq!(prefix.len(), 5);
         assert_eq!(prefix.segment_count(), 2);
         // Zero copying: the prefix heads are the very same segments.
-        assert_eq!(
-            prefix.segment_footprint(),
-            t.segment_footprint()[..2].to_vec()
-        );
+        assert_eq!(segment_ids(&prefix), segment_ids(&t)[..2].to_vec());
         // Past-the-end and before-the-start cuts.
         assert_eq!(t.truncated(99).len(), 7);
         assert_eq!(t.truncated(0).len(), 1); // day 0 keeps the first row
@@ -752,8 +789,10 @@ mod tests {
         let prefix = t.truncated(3); // cuts inside the middle segment
         assert_eq!(prefix.len(), 4);
         assert_eq!(prefix.series("a").unwrap(), vec![1, 2, 3, 4]);
-        // The root segment is still shared.
-        assert_eq!(prefix.segment_footprint()[0], t.segment_footprint()[0]);
+        // The root segment is still shared; the cut segment is a copy.
+        assert_eq!(prefix.segment_count(), 2);
+        assert_eq!(segment_ids(&prefix)[0], segment_ids(&t)[0]);
+        assert_ne!(segment_ids(&prefix)[1], segment_ids(&t)[1]);
     }
 
     #[test]
@@ -792,23 +831,53 @@ mod tests {
     }
 
     #[test]
-    fn segments_expose_the_chain_with_footprint_ids() {
+    fn unknown_segments_stop_at_the_first_known_segment() {
         let t = chained();
-        let segs = t.segments();
-        assert_eq!(segs.len(), 3);
-        // Root-first order with the same ids as segment_footprint.
-        let ids: Vec<usize> = segs.iter().map(|&(id, _)| id).collect();
-        let fp_ids: Vec<usize> = t.segment_footprint().iter().map(|&(id, _)| id).collect();
-        assert_eq!(ids, fp_ids);
-        assert_eq!(segs[0].1.series("a").unwrap(), &[1, 2, 3]);
-        assert_eq!(segs[1].1.start_day(), 3);
-        assert_eq!(segs[2].1.series("b").unwrap(), &[60, 70]);
-        // Shared prefixes report shared ids across particles.
+        // Nothing known: the whole chain root-first, ending at the head,
+        // with one call per segment.
+        let mut calls = 0;
+        let (all, stop) = t.unknown_segments(|_| {
+            calls += 1;
+            false
+        });
+        assert_eq!((calls, stop, all.len()), (3, None, 3));
+        assert_eq!(all[0].1.series("a").unwrap(), &[1, 2, 3]);
+        assert_eq!(all[1].1.start_day(), 3);
+        assert_eq!(all[2].1.series("b").unwrap(), &[60, 70]);
+        assert_eq!(all[2].0, t.head_id());
+        // The middle segment known: the walk asks about the head, then
+        // the middle segment, and never reaches the root.
+        let (head, mid) = (all[2].0, all[1].0);
+        let mut asked = Vec::new();
+        let (fresh, stop) = t.unknown_segments(|id| {
+            asked.push(id);
+            id == mid
+        });
+        assert_eq!(asked, vec![head, mid]);
+        assert_eq!(stop, Some(mid));
+        assert_eq!(fresh.len(), 1);
+        assert_eq!(fresh[0].0, head);
+        // The head known: one call and nothing unknown.
+        let mut calls = 0;
+        let (fresh, stop) = t.unknown_segments(|id| {
+            calls += 1;
+            id == head
+        });
+        assert_eq!((calls, stop), (1, Some(head)));
+        assert!(fresh.is_empty());
+        // Deduplicating siblings: the second walk stops at the shared
+        // root the first one recorded.
         let base = SharedTrajectory::root(segment(0, &[(1, 10)]));
         let c1 = base.append(segment(1, &[(2, 20)]));
         let c2 = base.append(segment(1, &[(9, 90)]));
-        assert_eq!(c1.segments()[0].0, c2.segments()[0].0);
-        assert_ne!(c1.segments()[1].0, c2.segments()[1].0);
+        let mut seen = std::collections::BTreeSet::new();
+        let (fresh, _) = c1.unknown_segments(|id| seen.contains(&id));
+        seen.extend(fresh.iter().map(|&(id, _)| id));
+        assert_eq!(seen.len(), 2);
+        let (fresh, stop) = c2.unknown_segments(|id| seen.contains(&id));
+        assert_eq!(stop, Some(base.head_id()));
+        assert_eq!(fresh.len(), 1);
+        assert_eq!(fresh[0].0, c2.head_id());
     }
 
     #[test]

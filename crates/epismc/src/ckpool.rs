@@ -78,47 +78,11 @@ pub fn sharing<'a, I>(refs: I) -> CheckpointSharing
 where
     I: IntoIterator<Item = &'a SharedCheckpoint>,
 {
-    sharing_union(std::iter::once(sharing_shard(refs)))
-}
-
-/// One shard's raw sharing observation over a *subset* of the references:
-/// the distinct allocation ids it saw plus its reference count. Shards
-/// merge order-independently through [`sharing_union`] (set union and
-/// count addition are commutative), so a sharded measurement is
-/// bit-identical to a single [`sharing`] pass at any shard split.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SharingShard {
-    /// Distinct checkpoint allocation ids observed by this shard.
-    pub ids: BTreeSet<usize>,
-    /// Total references observed by this shard.
-    pub refs: usize,
-}
-
-/// Collect one shard's sharing observation.
-pub fn sharing_shard<'a, I>(refs: I) -> SharingShard
-where
-    I: IntoIterator<Item = &'a SharedCheckpoint>,
-{
-    let mut shard = SharingShard::default();
-    for ck in refs {
-        shard.ids.insert(Arc::as_ptr(ck) as usize);
-        shard.refs += 1;
-    }
-    shard
-}
-
-/// Merge per-shard observations into the ensemble-wide
-/// [`CheckpointSharing`]. The result is independent of shard order and
-/// shard boundaries: allocation ids deduplicate across shards.
-pub fn sharing_union<I>(shards: I) -> CheckpointSharing
-where
-    I: IntoIterator<Item = SharingShard>,
-{
-    let mut ids: BTreeSet<usize> = BTreeSet::new();
+    let mut ids = BTreeSet::new();
     let mut total = 0usize;
-    for shard in shards {
-        total += shard.refs;
-        ids.extend(shard.ids);
+    for ck in refs {
+        ids.insert(Arc::as_ptr(ck) as usize);
+        total += 1;
     }
     CheckpointSharing {
         unique: ids.len(),
@@ -161,36 +125,6 @@ mod tests {
         assert_eq!(s.unique, 2);
         assert_eq!(s.refs, 4);
         assert_eq!(sharing(std::iter::empty()), CheckpointSharing::default());
-    }
-
-    #[test]
-    fn sharded_sharing_matches_single_pass_for_any_split() {
-        let a = share(checkpoint(11));
-        let b = share(checkpoint(12));
-        let c = share(checkpoint(13));
-        let dup_a = Arc::clone(&a);
-        let dup_b = Arc::clone(&b);
-        let refs = [&a, &b, &dup_a, &c, &dup_b, &a];
-        let whole = sharing(refs);
-        assert_eq!(whole, CheckpointSharing { unique: 3, refs: 6 });
-        for split in 1..refs.len() {
-            let (lo, hi) = refs.split_at(split);
-            let merged = sharing_union([
-                sharing_shard(lo.iter().copied()),
-                sharing_shard(hi.iter().copied()),
-            ]);
-            assert_eq!(merged, whole, "split at {split}");
-            // Shard order must not matter either.
-            let swapped = sharing_union([
-                sharing_shard(hi.iter().copied()),
-                sharing_shard(lo.iter().copied()),
-            ]);
-            assert_eq!(swapped, whole, "swapped split at {split}");
-        }
-        assert_eq!(
-            sharing_union(std::iter::empty()),
-            CheckpointSharing::default()
-        );
     }
 
     #[test]

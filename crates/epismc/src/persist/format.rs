@@ -279,22 +279,19 @@ fn write_ensemble(out: &mut Vec<u8>, ensemble: &ParticleEnsemble) {
     // Segment pool: every distinct trajectory segment once, in first-
     // encounter order walking each particle's chain root-first — a
     // topological order, so a segment's parent always precedes it.
+    // Interned segments always form a root-side prefix of a chain (a
+    // chain is interned together with its ancestors), so the walk stops
+    // at the first interned one: resampled duplicates — the bulk of a
+    // posterior — cost one lookup of their head.
     let mut seg_index = PtrIndex::with_capacity(particles.len() / 4);
     let mut seg_records: Vec<u8> = Vec::new();
     let mut n_segs = 0u32;
     for p in particles {
-        // A seen head id means the entire chain is already interned
-        // (heads are inserted last, after their whole chain): resampled
-        // duplicates — the bulk of a posterior — skip the chain walk.
-        if seg_index.get(p.trajectory.head_id()).is_some() {
-            continue;
-        }
-        let mut parent_idx = NONE_IDX;
-        for (id, series) in p.trajectory.segments() {
-            if let Some(idx) = seg_index.get(id) {
-                parent_idx = idx;
-                continue;
-            }
+        let (fresh, stop) = p
+            .trajectory
+            .unknown_segments(|id| seg_index.get(id).is_some());
+        let mut parent_idx = stop.and_then(|id| seg_index.get(id)).unwrap_or(NONE_IDX);
+        for (id, series) in fresh {
             let idx = n_segs;
             seg_index.insert(id, idx);
             n_segs += 1;

@@ -266,10 +266,10 @@ pub struct TrajectoryTelemetry {
     /// Wall-clock nanoseconds of the window spent outside *any* parallel
     /// phase — neither the simulation grid nor the parallelized
     /// between-window finalize passes (weight exponentiation, posterior
-    /// assembly, telemetry footprint measurement). What remains is the
-    /// genuinely serial fraction (setup, log-sum-exp reduction,
-    /// resampling-index generation) that Amdahl's law bounds strong
-    /// scaling by; inherently nondeterministic — diagnostics only.
+    /// assembly). What remains is the genuinely serial fraction (setup,
+    /// log-sum-exp reduction, resampling-index generation, telemetry
+    /// footprint measurement) that Amdahl's law bounds strong scaling
+    /// by; inherently nondeterministic — diagnostics only.
     pub serial_nanos: u64,
     /// Per-source scoring passes that took the fused day-loop path
     /// (per-day bias + likelihood term, no materialized observation
@@ -341,47 +341,16 @@ struct WindowAccounting {
 /// by deduplicating on allocation identity, folding in the window's
 /// workspace-pool counters and phase timings.
 ///
-/// The ensemble is split into contiguous index shards; each shard walks
-/// its particles' chains in parallel and reports `(flat bytes, segment
-/// id → bytes, checkpoint sharing shard)`. The serial merge is a pure
-/// set/map union plus counter addition — order-independent, so the
-/// result is bit-identical for any thread count or shard split. The
-/// parallel span is accumulated into `parallel_nanos` (it is overlap,
-/// not serial fraction).
+/// One serial pass: each particle's chain is walked only until the first
+/// segment already seen, so the pass costs the ensemble size plus its
+/// distinct segments, not the summed chain lengths; `segment_refs` comes
+/// from the chain depth each segment records.
 fn measure_telemetry(
     posterior: &ParticleEnsemble,
-    runner: &ParallelRunner,
     acct: WindowAccounting,
     resample_nanos: u64,
     ws_stats: &WorkspaceStats,
-    parallel_nanos: &mut u64,
 ) -> TrajectoryTelemetry {
-    let n = posterior.len();
-    let shard = runner.chunk_size(n).max(1);
-    let n_shards = n.div_ceil(shard);
-    // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-    let par_started = std::time::Instant::now();
-    let parts = runner.run_indexed(n_shards, |s| {
-        let lo = s * shard;
-        let hi = (lo + shard).min(n);
-        let mut flat_bytes = 0usize;
-        let mut segment_refs = 0usize;
-        let mut segments = std::collections::BTreeMap::new();
-        for p in &posterior.particles()[lo..hi] {
-            flat_bytes += p.trajectory.flat_bytes();
-            for (id, bytes) in p.trajectory.segment_footprint() {
-                segment_refs += 1;
-                segments.entry(id).or_insert(bytes);
-            }
-        }
-        let checkpoints = ckpool::sharing_shard(
-            posterior.particles()[lo..hi]
-                .iter()
-                .flat_map(|p| std::iter::once(&p.checkpoint).chain(p.origin.as_ref())),
-        );
-        (flat_bytes, segment_refs, segments, checkpoints)
-    });
-    *parallel_nanos += par_started.elapsed().as_nanos() as u64;
     let mut t = TrajectoryTelemetry {
         pool_builds: acct.pool_builds,
         grid_chunks: acct.grid_chunks,
@@ -396,19 +365,23 @@ fn measure_telemetry(
         batched_draws: ws_stats.batched_draws(),
         ..Default::default()
     };
-    let mut seen = std::collections::BTreeMap::new();
-    let mut ck_shards = Vec::with_capacity(parts.len());
-    for (flat_bytes, segment_refs, segments, checkpoints) in parts {
-        t.flat_bytes += flat_bytes;
-        t.segment_refs += segment_refs;
-        for (id, bytes) in segments {
-            seen.entry(id).or_insert(bytes);
+    let mut seen = std::collections::BTreeSet::new();
+    for p in posterior.particles() {
+        t.flat_bytes += p.trajectory.flat_bytes();
+        t.segment_refs += p.trajectory.segment_count();
+        let (fresh, _) = p.trajectory.unknown_segments(|id| seen.contains(&id));
+        for (id, series) in fresh {
+            seen.insert(id);
+            t.shared_bytes += series.len() * series.names().len() * std::mem::size_of::<u64>();
         }
-        ck_shards.push(checkpoints);
     }
     t.unique_segments = seen.len();
-    t.shared_bytes = seen.values().sum();
-    let sharing = ckpool::sharing_union(ck_shards);
+    let sharing = ckpool::sharing(
+        posterior
+            .particles()
+            .iter()
+            .flat_map(|p| std::iter::once(&p.checkpoint).chain(p.origin.as_ref())),
+    );
     t.unique_checkpoints = sharing.unique;
     t.checkpoint_refs = sharing.refs;
     t
@@ -626,15 +599,16 @@ pub fn score_window(
 ///
 /// The between-window phases run parallel wherever the deterministic
 /// contract allows: weight exponentiation fans out elementwise
-/// ([`ParticleEnsemble::normalized_weights_par`]), posterior duplicate
+/// ([`ParticleEnsemble::normalized_weights_par`]) and posterior duplicate
 /// materialization (pure `Arc` bumps under shared trajectories /
-/// checkpoints / thetas) runs on the grid runner, and the telemetry
-/// footprint measurement shards across it too. Only the float
-/// *reductions* (log-sum-exp, whose summation order is part of the
-/// contract) and resampling-index generation (a single sequential RNG
-/// stream at O(1) alias work per draw) stay serial — `resample_nanos`
-/// keeps that cost visible, and the parallel spans are subtracted from
-/// `serial_nanos` so the telemetry reports the true Amdahl fraction.
+/// checkpoints / thetas) runs on the grid runner. The float *reductions*
+/// (log-sum-exp, whose summation order is part of the contract),
+/// resampling-index generation (a single sequential RNG stream at O(1)
+/// alias work per draw) and the telemetry footprint measurement (one
+/// early-stop walk costing the ensemble size plus its distinct segments)
+/// stay serial — `resample_nanos` keeps the resampling cost visible, and
+/// the parallel spans are subtracted from `serial_nanos` so the
+/// telemetry reports the true Amdahl fraction.
 #[allow(clippy::too_many_arguments)]
 fn finalize_window(
     window: TimeWindow,
@@ -675,14 +649,7 @@ fn finalize_window(
     parallel_nanos += build_started.elapsed().as_nanos() as u64;
     posterior.set_uniform_weights();
     let resample_nanos = resample_started.elapsed().as_nanos() as u64;
-    let mut telemetry = measure_telemetry(
-        &posterior,
-        runner,
-        acct,
-        resample_nanos,
-        ws_stats,
-        &mut parallel_nanos,
-    );
+    let mut telemetry = measure_telemetry(&posterior, acct, resample_nanos, ws_stats);
     // Everything the window spent outside its parallel phases — grid
     // passes and the parallelized finalize spans above — is the serial
     // fraction strong scaling is bounded by.

@@ -69,11 +69,16 @@ pub struct StreamingCalibrator<'a, S: TrajectorySimulator> {
     policy: CheckpointPolicy,
     runner: ParallelRunner,
     fingerprint: u64,
-    /// Window results this handle has seen: `history[k]` is plan window
-    /// `base + k`. A reopened stream starts from the restored snapshot,
-    /// so `base` is that snapshot's window index.
-    history: Vec<WindowResult>,
-    base: usize,
+    /// The newest window result (plan window `next_window - 1`): the
+    /// last one computed, or the snapshot a reopened stream restored.
+    /// Older results are dropped, so the handle's memory does not grow
+    /// with the stream.
+    latest: Option<WindowResult>,
+    /// Log evidence summed over every window this handle has seen,
+    /// restored window included, in window order from `-0.0` — the
+    /// identity `Iterator::sum` starts from, so the running sum matches
+    /// summing the windows' log marginals bit for bit.
+    total_log_marginal: f64,
     next_window: usize,
     /// Newest window index durably persisted by this handle (restored
     /// snapshots count: they are on disk by definition).
@@ -86,7 +91,6 @@ impl<S: TrajectorySimulator> std::fmt::Debug for StreamingCalibrator<'_, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamingCalibrator")
             .field("fingerprint", &self.fingerprint)
-            .field("base", &self.base)
             .field("next_window", &self.next_window)
             .field("last_persisted", &self.last_persisted)
             .field("failed", &self.failed)
@@ -134,8 +138,8 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
             policy,
             runner,
             fingerprint,
-            history: Vec::new(),
-            base: 0,
+            latest: None,
+            total_log_marginal: -0.0,
             next_window: 0,
             last_persisted: None,
             resume: None,
@@ -146,8 +150,8 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
         };
         let widx = snap.window_index as usize;
         let restored = stream.calibrator.restore(snap, &stream.observed)?;
-        stream.history.push(restored);
-        stream.base = widx;
+        stream.total_log_marginal += restored.log_marginal;
+        stream.latest = Some(restored);
         stream.next_window = widx + 1;
         stream.last_persisted = Some(widx);
         stream.resume = Some(ResumeReport {
@@ -169,24 +173,24 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
         self.next_window
     }
 
-    /// Every window result this handle has seen, oldest first. For a
-    /// reopened stream the first entry is the restored snapshot's window
-    /// (its index is `next_window_index() - len()` windows before the
-    /// next one).
+    /// The newest window result as a slice of at most one entry (plan
+    /// window `next_window_index() - 1`): empty until a window has been
+    /// computed or restored. The handle keeps no older results; this
+    /// slice form survives for callers that read `windows().last()`.
     pub fn windows(&self) -> &[WindowResult] {
-        &self.history
+        self.latest.as_slice()
     }
 
     /// The newest posterior ensemble, if any window has been computed or
     /// restored.
     pub fn latest_posterior(&self) -> Option<&ParticleEnsemble> {
-        self.history.last().map(|r| &r.posterior)
+        self.latest.as_ref().map(|r| &r.posterior)
     }
 
     /// Accumulated log evidence over the windows this handle has seen
     /// (restored window included).
     pub fn total_log_marginal(&self) -> f64 {
-        self.history.iter().map(|r| r.log_marginal).sum()
+        self.total_log_marginal
     }
 
     /// Whether an earlier error fail-stopped this handle.
@@ -249,8 +253,8 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
         self.guard()?;
         match self.try_advance(window) {
             Ok(()) => {
-                // epilint: allow(panic-unwrap) — try_advance just pushed this entry
-                Ok(self.history.last().expect("window just advanced"))
+                // epilint: allow(panic-unwrap) — try_advance just stored this entry
+                Ok(self.latest.as_ref().expect("window just advanced"))
             }
             Err(e) => {
                 self.failed = true;
@@ -295,13 +299,13 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
     /// [`SmcError::Persist`] on write failure (fail-stops the handle).
     pub fn flush(&mut self) -> Result<(), SmcError> {
         self.guard()?;
-        let Some(widx) = self.next_window.checked_sub(1) else {
+        let (Some(widx), Some(result)) = (self.next_window.checked_sub(1), self.latest.as_mut())
+        else {
             return Ok(());
         };
         if self.last_persisted == Some(widx) {
             return Ok(());
         }
-        let result = &mut self.history[widx - self.base];
         let outcome = persist_one(
             &self.calibrator,
             self.fingerprint,
@@ -336,7 +340,7 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
 
     fn try_advance(&mut self, window: TimeWindow) -> Result<(), SmcError> {
         let widx = self.next_window;
-        let prev = self.history.last().map(|r| &r.posterior);
+        let prev = self.latest.as_ref().map(|r| &r.posterior);
         let mut result = self.calibrator.compute_window(
             &self.runner,
             &self.priors,
@@ -357,7 +361,8 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
             )?;
             self.last_persisted = Some(widx);
         }
-        self.history.push(result);
+        self.total_log_marginal += result.log_marginal;
+        self.latest = Some(result);
         self.next_window = widx + 1;
         Ok(())
     }

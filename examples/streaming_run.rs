@@ -43,7 +43,7 @@ fn main() {
             .expect("open stream");
 
     // First half of the campaign: windows arrive, each append advances
-    // the SIS pass and persists through the background writer.
+    // the SIS pass and persists the window inline before returning.
     let half = plan.len() / 2;
     for &window in &plan.windows()[..half] {
         let arriving = ObservedSeries {

@@ -29,11 +29,12 @@ cargo test --test pool_lifecycle -q
 # The durability harnesses run as part of the workspace suite above;
 # this explicit pass re-runs them under a constrained thread pool so the
 # kill/resume bit-identity matrices (sync, background-writer, and
-# streaming alike) and the cross-commit move-pass pin also cover the
-# multi-worker path locally (CI's fault-injection job sweeps 1/2/4
-# threads and there is a dedicated streaming job at RAYON_NUM_THREADS=2).
-echo "==> RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden -q"
-RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden -q
+# streaming alike), the cross-commit move-pass pin and the streaming
+# constant-cost pin also cover the multi-worker path locally (CI's
+# fault-injection job sweeps 1/2/4 threads and there is a dedicated
+# streaming job at RAYON_NUM_THREADS=2).
+echo "==> RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden --test stream_constant_cost -q"
+RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden --test stream_constant_cost -q
 
 echo "==> cargo bench --workspace --no-run"
 cargo bench --workspace --no-run --quiet
