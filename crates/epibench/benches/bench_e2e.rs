@@ -1,32 +1,36 @@
 //! End-to-end throughput gate: a ten-window persisted calibration of
 //! the paper's scenario (every-window checkpoint policy, durable
-//! fsync-per-snapshot store), run synchronously vs. pipelined, swept
+//! fsync-per-snapshot store), written synchronously vs. pipelined, swept
 //! over worker counts 1 → host cores.
 //!
-//! This is the bench the pipelining tentpole answers to. The two modes
-//! compute bit-identical posteriors (asserted here before any timing),
-//! so the only difference the sweep can show is *when* durability costs
-//! are paid: `Sync` stalls the window loop for every encode + fsync +
-//! rename, `Pipelined` overlaps them with the next window's simulation.
-//! The emitted `BENCH_e2e.json` is consumed by `scripts/check_bench.sh`,
-//! which fails when the pipelined run stops being at least
-//! `E2E_SPEEDUP_PCT` (default 20) percent faster than the sync run on
-//! the same thread count — a self-relative gate, so it holds on any
-//! host whose storage has nonzero sync latency. The two modes are
-//! timed with `bench_pair` (alternating rounds) so drifting background
-//! load on a shared host cannot land one mode in a slow phase and the
-//! other in a fast one.
+//! This is the bench the pipelined writer answers to. The synchronous
+//! arm advances a `StreamingCalibrator` over the plan, which writes each
+//! window inline before computing the next; the pipelined arm is
+//! `run_persisted`, which hands each snapshot to the background writer.
+//! The two compute bit-identical posteriors (asserted here before any
+//! timing), so the only difference the sweep can show is *when*
+//! durability costs are paid: the sync arm stalls for every encode +
+//! fsync + rename, the pipelined arm overlaps them with the next
+//! window's simulation. The emitted `BENCH_e2e.json` is consumed by
+//! `scripts/check_bench.sh`, which fails when the pipelined run stops
+//! being at least `E2E_SPEEDUP_PCT` (default 20) percent faster than
+//! the sync run on the same thread count — a self-relative gate, so it
+//! holds on any host whose storage has nonzero sync latency. The two
+//! arms are timed with `bench_pair` (alternating rounds) so drifting
+//! background load on a shared host cannot land one arm in a slow phase
+//! and the other in a fast one.
 //!
-//! Bench names: `e2e/<mode>/<threads>`.
+//! Bench names: `e2e/<sync|pipelined>/<threads>`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use epidata::{generate_ground_truth, Scenario};
-use epismc_core::config::{CalibrationConfig, CheckpointPolicy, PersistMode};
+use epismc_core::config::{CalibrationConfig, CheckpointPolicy};
 use epismc_core::error::SmcError;
 use epismc_core::persist::{DirStore, RunStore};
 use epismc_core::prior::JitterKernel;
 use epismc_core::simulator::CovidSimulator;
-use epismc_core::sis::{CalibrationResult, ObservedData, Priors, SequentialCalibrator};
+use epismc_core::sis::{ObservedData, Priors, SequentialCalibrator, WindowResult};
+use epismc_core::stream::StreamingCalibrator;
 use epismc_core::window::{TimeWindow, WindowPlan};
 use std::hint::black_box;
 use std::path::PathBuf;
@@ -51,8 +55,8 @@ const RESAMPLE: usize = 4096;
 /// adding a fixed, deterministic latency per committed record restores
 /// the deployment regime this gate is supposed to protect and makes
 /// the capture reproducible. The wait sits on whichever thread calls
-/// `RunStore::put` — the window loop under `Sync`, the background
-/// writer under `Pipelined` — which is exactly the asymmetry the gate
+/// `RunStore::put` — the window loop in the sync arm, the background
+/// writer in the pipelined arm — which is exactly the asymmetry the gate
 /// measures.
 const STORE_LAG: std::time::Duration = std::time::Duration::from_millis(3);
 
@@ -124,32 +128,58 @@ fn calibrator(
     )
 }
 
-fn store_root(mode: PersistMode, threads: usize) -> PathBuf {
-    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("bench_e2e_{mode:?}_{threads}"))
+/// The two ways of persisting the same run that the gate compares.
+#[derive(Clone, Copy, Debug)]
+enum Arm {
+    /// A stream advanced over the plan: each window is written inline
+    /// before the next one starts.
+    Sync,
+    /// `run_persisted`: each window is handed to the background writer.
+    Pipelined,
+}
+
+fn store_root(arm: Arm, threads: usize) -> PathBuf {
+    PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("bench_e2e_{arm:?}_{threads}"))
 }
 
 fn run_once(
     simulator: &CovidSimulator,
-    observed: &ObservedData,
-    mode: PersistMode,
+    cases: &[f64],
+    arm: Arm,
     threads: usize,
-) -> CalibrationResult {
-    let root = store_root(mode, threads);
+) -> Vec<WindowResult> {
+    let root = store_root(arm, threads);
+    // Opening a stream on a non-empty store resumes it, so every run of
+    // either arm starts from an empty directory.
+    if root.exists() {
+        std::fs::remove_dir_all(&root).unwrap();
+    }
     let store = LagStore::open(&root);
-    calibrator(simulator, threads)
-        .run_persisted(
-            &Priors::paper(),
-            observed,
-            &plan(),
-            &store,
-            &CheckpointPolicy::every_window().with_mode(mode),
-        )
-        .unwrap()
+    let calibrator = calibrator(simulator, threads);
+    let observed = ObservedData::cases_only(cases.to_vec());
+    let policy = CheckpointPolicy::every_window();
+    match arm {
+        Arm::Sync => {
+            let mut stream =
+                StreamingCalibrator::open(calibrator, Priors::paper(), observed, &store, policy)
+                    .unwrap();
+            plan()
+                .windows()
+                .iter()
+                .map(|&w| stream.advance_window(w).unwrap().clone())
+                .collect()
+        }
+        Arm::Pipelined => {
+            calibrator
+                .run_persisted(&Priors::paper(), &observed, &plan(), &store, &policy)
+                .unwrap()
+                .windows
+        }
+    }
 }
 
-fn posterior_bits(result: &CalibrationResult) -> Vec<Vec<(u64, u64, u64)>> {
-    result
-        .windows
+fn posterior_bits(windows: &[WindowResult]) -> Vec<Vec<(u64, u64, u64)>> {
+    windows
         .iter()
         .map(|w| {
             w.posterior
@@ -165,30 +195,30 @@ fn bench_e2e(c: &mut Criterion) {
     let scenario = Scenario::paper_tiny();
     let truth = generate_ground_truth(&scenario, scenario.truth_seed);
     let simulator = CovidSimulator::new(scenario.base_params).unwrap();
-    let observed = ObservedData::cases_only(truth.observed_cases.clone());
+    let cases = &truth.observed_cases;
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut threads = vec![1usize];
     threads.extend([2usize, 4, 8].into_iter().filter(|&t| t <= cores));
 
     // Pipelining must never change what is computed — only when the
-    // durability cost is paid. Pin bit-identity across every mode and
-    // thread shape before any timing happens.
-    let reference = run_once(&simulator, &observed, PersistMode::Sync, 1);
+    // durability cost is paid. Pin bit-identity across both arms and
+    // every thread shape before any timing happens.
+    let reference = run_once(&simulator, cases, Arm::Sync, 1);
     let want = posterior_bits(&reference);
     for &t in &threads {
-        for mode in [PersistMode::Sync, PersistMode::Pipelined] {
-            let got = run_once(&simulator, &observed, mode, t);
+        for arm in [Arm::Sync, Arm::Pipelined] {
+            let got = run_once(&simulator, cases, arm, t);
             assert_eq!(
                 posterior_bits(&got),
                 want,
-                "{mode:?} at {t} threads diverged from the sync single-thread reference"
+                "{arm:?} at {t} threads diverged from the sync single-thread reference"
             );
-            for (g, w) in got.windows.iter().zip(&reference.windows) {
+            for (g, w) in got.iter().zip(&reference) {
                 assert_eq!(
                     g.log_marginal.to_bits(),
                     w.log_marginal.to_bits(),
-                    "{mode:?} at {t} threads: log-marginal diverged"
+                    "{arm:?} at {t} threads: log-marginal diverged"
                 );
             }
         }
@@ -200,9 +230,9 @@ fn bench_e2e(c: &mut Criterion) {
         // two entries, so they must sample the same host-load regime.
         group.bench_pair(
             BenchmarkId::new("sync", t),
-            || black_box(run_once(&simulator, &observed, PersistMode::Sync, t)),
+            || black_box(run_once(&simulator, cases, Arm::Sync, t)),
             BenchmarkId::new("pipelined", t),
-            || black_box(run_once(&simulator, &observed, PersistMode::Pipelined, t)),
+            || black_box(run_once(&simulator, cases, Arm::Pipelined, t)),
         );
     }
     group.finish();

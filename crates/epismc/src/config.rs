@@ -285,9 +285,9 @@ impl CalibrationConfig {
     }
 }
 
-/// Opt-in durability policy for a calibration run: when and how the
-/// sequential calibrator snapshots its complete state to a
-/// [`crate::persist::RunStore`].
+/// Opt-in durability policy for a calibration run: when the sequential
+/// calibrator snapshots its complete state to a
+/// [`crate::persist::RunStore`], and how many snapshots it keeps.
 ///
 /// A snapshot is written after every `every_windows`-th completed window
 /// (and always after the final window, so a finished durable run can be
@@ -295,6 +295,12 @@ impl CalibrationConfig {
 /// (tmp-file + rename), and `retain` bounds how many records are kept.
 /// Persistence never changes calibration results: a persisted run, a
 /// plain run, and a killed-then-resumed run are bit-identical.
+///
+/// A batch run ([`crate::sis::SequentialCalibrator::run_persisted`])
+/// hands each snapshot to a background writer thread and overlaps the
+/// write with the next window; a [`crate::stream::StreamingCalibrator`]
+/// writes inline, so each append returns only once its window is
+/// durable. Both write the same records in window order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CheckpointPolicy {
     /// Snapshot cadence: persist after windows `every_windows - 1`,
@@ -303,38 +309,6 @@ pub struct CheckpointPolicy {
     /// Keep only the newest `retain` records, deleting older ones after
     /// each write (`None` = unbounded retention).
     pub retain: Option<usize>,
-    /// Whether snapshot writes block the window loop or run on a
-    /// background writer thread (see [`PersistMode`]).
-    #[serde(default)]
-    pub mode: PersistMode,
-}
-
-/// How snapshot writes relate to the batch window loop
-/// ([`crate::sis::SequentialCalibrator::run_persisted`] and
-/// [`crate::sis::SequentialCalibrator::resume_from`]).
-///
-/// Both modes write through the same routine
-/// ([`crate::persist::persist`]: encode, put, then retention), the same
-/// bytes in the same order, and produce bit-identical calibration
-/// results; they differ only in *where* that routine runs and so *when*
-/// the loop blocks. Pipelined mode keeps resume semantics intact — the
-/// newest *durable* snapshot wins — because writes still land in window
-/// order and the writer fail-stops on the first error.
-///
-/// A [`crate::stream::StreamingCalibrator`] writes inline under either
-/// mode: an append returns only once its window is durable, so there is
-/// no next window for a background writer to overlap the write with.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PersistMode {
-    /// Encode and write inside the window loop; the loop does not start
-    /// window `w+1` until window `w` is durable.
-    Sync,
-    /// Hand each snapshot to a bounded background writer thread (at most
-    /// two queued behind the one in flight) and start window `w+1`
-    /// immediately. Write errors surface as typed
-    /// [`crate::error::SmcError`] at the next handoff or the final join.
-    #[default]
-    Pipelined,
 }
 
 impl Default for CheckpointPolicy {
@@ -342,7 +316,6 @@ impl Default for CheckpointPolicy {
         Self {
             every_windows: 1,
             retain: None,
-            mode: PersistMode::Pipelined,
         }
     }
 }
@@ -351,13 +324,6 @@ impl CheckpointPolicy {
     /// Persist after every window, keeping every record.
     pub fn every_window() -> Self {
         Self::default()
-    }
-
-    /// The same policy with a different persistence mode.
-    #[must_use]
-    pub fn with_mode(mut self, mode: PersistMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// Validate the policy.
@@ -524,15 +490,18 @@ mod tests {
     }
 
     #[test]
-    fn persist_mode_and_resample_default_under_serde() {
-        // Configs/policies serialized before these fields existed must
-        // still deserialize, landing on the defaults.
-        let old_policy = r#"{"every_windows":2,"retain":null}"#;
+    fn policy_and_resample_default_under_serde() {
+        // Policies serialized while they still carried a persistence
+        // mode must still deserialize: unknown fields are ignored.
+        let old_policy = r#"{"every_windows":2,"retain":null,"mode":"Sync"}"#;
         let policy: CheckpointPolicy = serde_json::from_str(old_policy).unwrap();
-        assert_eq!(policy.mode, PersistMode::Pipelined);
-        let sync = policy.with_mode(PersistMode::Sync);
-        assert_eq!(sync.mode, PersistMode::Sync);
-        assert_eq!(sync.every_windows, 2);
+        assert_eq!(
+            policy,
+            CheckpointPolicy {
+                every_windows: 2,
+                retain: None,
+            }
+        );
 
         let json = serde_json::to_string(&CalibrationConfig::default()).unwrap();
         let cfg: CalibrationConfig = serde_json::from_str(&json).unwrap();

@@ -62,8 +62,7 @@ pub mod window;
 pub use adaptive::AdaptiveConfig;
 pub use ckpool::SharedCheckpoint;
 pub use config::{
-    CalibrationConfig, CheckpointPolicy, PersistMode, PmmhConfig, RejuvenationKernel,
-    ResampleScheme,
+    CalibrationConfig, CheckpointPolicy, PmmhConfig, RejuvenationKernel, ResampleScheme,
 };
 pub use diagnostics::{coverage, joint_density, JointDensity, PosteriorSummary, Ribbon};
 pub use error::SmcError;

@@ -10,8 +10,10 @@
 /// A log-likelihood of an observed window given a simulated window on the
 /// observed scale.
 pub trait Likelihood: Send + Sync {
-    /// `log l(observed | simulated_observed)`; slices are aligned by day
-    /// and must have equal length.
+    /// `log l(observed | simulated_observed)` over a whole window; slices
+    /// are aligned by day and must have equal length. The scorer sums
+    /// [`Self::prepared_day_term`] instead; this is the reference those
+    /// day terms must reproduce.
     fn log_likelihood(&self, observed: &[f64], simulated: &[f64]) -> f64;
 
     /// Precompute the observed-side transform of a window, one value per
@@ -27,20 +29,13 @@ pub trait Likelihood: Send + Sync {
     }
 
     /// One day's log-likelihood contribution given the prepared observed
-    /// value and the bias-transformed simulated value, or `None` when
-    /// this likelihood has no per-day decomposition (the scorer then
-    /// falls back to the whole-window [`Self::log_likelihood`]).
+    /// value and the bias-transformed simulated value.
     ///
-    /// Contract: when `Some`, summing the day terms of a window in
-    /// ascending day order must be **bit-identical** to
-    /// `log_likelihood(observed, simulated)` on the same window —
-    /// implementations must perform the same float operations in the
-    /// same order, and whether `Some` is returned must not depend on the
-    /// arguments.
-    fn prepared_day_term(&self, prepared_y: f64, eta_obs: f64) -> Option<f64> {
-        let _ = (prepared_y, eta_obs);
-        None
-    }
+    /// Contract: summing the day terms of a window in ascending day order
+    /// must be **bit-identical** to `log_likelihood(observed, simulated)`
+    /// on the same window — implementations must perform the same float
+    /// operations in the same order.
+    fn prepared_day_term(&self, prepared_y: f64, eta_obs: f64) -> f64;
 
     /// Short identifier for logs.
     fn name(&self) -> &'static str;
@@ -100,9 +95,9 @@ impl Likelihood for GaussianSqrtLikelihood {
         out.extend(observed.iter().map(|&y| y.max(0.0).sqrt()));
     }
 
-    fn prepared_day_term(&self, prepared_y: f64, eta_obs: f64) -> Option<f64> {
+    fn prepared_day_term(&self, prepared_y: f64, eta_obs: f64) -> f64 {
         let z = (prepared_y - eta_obs.max(0.0).sqrt()) / self.sigma;
-        Some(-0.5 * z * z - self.sigma.ln() - LN_SQRT_2PI)
+        -0.5 * z * z - self.sigma.ln() - LN_SQRT_2PI
     }
 
     fn name(&self) -> &'static str {
@@ -144,9 +139,9 @@ impl Likelihood for GaussianRawLikelihood {
             .sum()
     }
 
-    fn prepared_day_term(&self, prepared_y: f64, eta_obs: f64) -> Option<f64> {
+    fn prepared_day_term(&self, prepared_y: f64, eta_obs: f64) -> f64 {
         let z = (prepared_y - eta_obs) / self.sigma;
-        Some(-0.5 * z * z - self.sigma.ln() - LN_SQRT_2PI)
+        -0.5 * z * z - self.sigma.ln() - LN_SQRT_2PI
     }
 
     fn name(&self) -> &'static str {
@@ -209,9 +204,9 @@ impl Likelihood for NegBinomialLikelihood {
             .sum()
     }
 
-    fn prepared_day_term(&self, prepared_y: f64, eta_obs: f64) -> Option<f64> {
+    fn prepared_day_term(&self, prepared_y: f64, eta_obs: f64) -> f64 {
         // epilint: allow(lossy-cast) — rounded and clamped non-negative; exact at count scale
-        Some(self.ln_pmf(prepared_y.round().max(0.0) as u64, eta_obs))
+        self.ln_pmf(prepared_y.round().max(0.0) as u64, eta_obs)
     }
 
     fn name(&self) -> &'static str {

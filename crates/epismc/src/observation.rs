@@ -7,6 +7,8 @@
 //! parameters. Death counts are assumed reported without bias (identity
 //! map, Section V-C).
 
+use std::collections::VecDeque;
+
 use epistats::dist::sample_binomial;
 use epistats::rng::Xoshiro256PlusPlus;
 
@@ -23,42 +25,33 @@ pub enum BiasMode {
 
 /// A map from a true simulated series to the observed scale.
 pub trait BiasModel: Send + Sync {
-    /// Transform true counts into observed-scale counts. The generator is
-    /// dedicated to this transformation (derived deterministically from
-    /// the particle seed), so sampled thinning is reproducible.
-    fn observe(&self, truth: &[f64], rho: f64, rng: &mut Xoshiro256PlusPlus) -> Vec<f64>;
-
-    /// Transform into a caller-provided buffer, reusing its allocation.
-    /// Clears `out` first; produces exactly the series [`observe`] would.
-    /// The default delegates to [`observe`]; hot-path models override it
-    /// to avoid the intermediate allocation.
+    /// Transform one day's true count into its observed-scale count.
+    /// The generator is dedicated to this transformation (derived
+    /// deterministically from the particle seed), so sampled thinning is
+    /// reproducible.
     ///
-    /// [`observe`]: BiasModel::observe
-    fn observe_into(
+    /// A window's days are fed in ascending order through one generator
+    /// and one `pending` queue, which starts each window empty: slot `d`
+    /// holds the reports due `d` days after the current day, so a model
+    /// with cross-day state (reporting delays) files today's reports
+    /// there and returns what falls due today. Models without such state
+    /// leave it untouched.
+    fn observe_one(
         &self,
-        truth: &[f64],
+        eta: f64,
         rho: f64,
         rng: &mut Xoshiro256PlusPlus,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.extend(self.observe(truth, rho, rng));
-    }
+        pending: &mut VecDeque<f64>,
+    ) -> f64;
 
-    /// Transform one day's true count, or `None` when this model has no
-    /// per-day form (cross-day state, e.g. reporting delays) — the
-    /// scorer then falls back to the whole-window [`observe_into`].
-    ///
-    /// Contract: whether `Some` is returned must depend only on the
-    /// model, never on the arguments; a `None` return must not consume
-    /// the generator; and calling this over a window's days in ascending
-    /// order must consume the identical RNG stream and produce the
-    /// identical values as one [`observe_into`] call on the window.
-    ///
-    /// [`observe_into`]: BiasModel::observe_into
-    fn observe_one(&self, eta: f64, rho: f64, rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
-        let _ = (eta, rho, rng);
-        None
+    /// Transform a whole window of true counts: [`Self::observe_one`]
+    /// over its days in order, from an empty `pending` queue.
+    fn observe(&self, truth: &[f64], rho: f64, rng: &mut Xoshiro256PlusPlus) -> Vec<f64> {
+        let mut pending = VecDeque::new();
+        truth
+            .iter()
+            .map(|&eta| self.observe_one(eta, rho, rng, &mut pending))
+            .collect()
     }
 
     /// Whether the model actually uses the `rho` parameter (drives what
@@ -67,6 +60,27 @@ pub trait BiasModel: Send + Sync {
 
     /// Short identifier for logs.
     fn name(&self) -> &'static str;
+}
+
+/// One day's binomial thinning: a `Binomial(eta, rho)` draw when
+/// sampled, the conditional mean `rho * eta` otherwise.
+///
+/// # Panics
+/// Panics unless `rho` lies in `[0, 1]`.
+fn thin(mode: BiasMode, eta: f64, rho: f64, rng: &mut Xoshiro256PlusPlus) -> f64 {
+    assert!(
+        (0.0..=1.0).contains(&rho),
+        "binomial thinning: rho = {rho} outside [0, 1]"
+    );
+    match mode {
+        BiasMode::Sampled => {
+            // epilint: allow(float-eq) — integrality assertion: fract() == 0.0 is the check itself
+            debug_assert!(eta >= 0.0 && eta.fract() == 0.0);
+            // epilint: allow(lossy-cast) — eta asserted integer-valued; exact at count scale
+            sample_binomial(rng, eta as u64, rho) as f64
+        }
+        BiasMode::Mean => rho * eta,
+    }
 }
 
 /// The paper's binomial under-reporting model.
@@ -93,50 +107,14 @@ impl BinomialBias {
 }
 
 impl BiasModel for BinomialBias {
-    fn observe(&self, truth: &[f64], rho: f64, rng: &mut Xoshiro256PlusPlus) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.observe_into(truth, rho, rng, &mut out);
-        out
-    }
-
-    fn observe_into(
+    fn observe_one(
         &self,
-        truth: &[f64],
+        eta: f64,
         rho: f64,
         rng: &mut Xoshiro256PlusPlus,
-        out: &mut Vec<f64>,
-    ) {
-        assert!(
-            (0.0..=1.0).contains(&rho),
-            "BinomialBias: rho = {rho} outside [0, 1]"
-        );
-        out.clear();
-        out.reserve(truth.len());
-        match self.mode {
-            BiasMode::Sampled => out.extend(truth.iter().map(|&eta| {
-                // epilint: allow(float-eq) — integrality assertion: fract() == 0.0 is the check itself
-                debug_assert!(eta >= 0.0 && eta.fract() == 0.0);
-                // epilint: allow(lossy-cast) — eta asserted integer-valued; exact at count scale
-                sample_binomial(rng, eta as u64, rho) as f64
-            })),
-            BiasMode::Mean => out.extend(truth.iter().map(|&eta| rho * eta)),
-        }
-    }
-
-    fn observe_one(&self, eta: f64, rho: f64, rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
-        assert!(
-            (0.0..=1.0).contains(&rho),
-            "BinomialBias: rho = {rho} outside [0, 1]"
-        );
-        Some(match self.mode {
-            BiasMode::Sampled => {
-                // epilint: allow(float-eq) — integrality assertion: fract() == 0.0 is the check itself
-                debug_assert!(eta >= 0.0 && eta.fract() == 0.0);
-                // epilint: allow(lossy-cast) — eta asserted integer-valued; exact at count scale
-                sample_binomial(rng, eta as u64, rho) as f64
-            }
-            BiasMode::Mean => rho * eta,
-        })
+        _pending: &mut VecDeque<f64>,
+    ) -> f64 {
+        thin(self.mode, eta, rho, rng)
     }
 
     fn uses_rho(&self) -> bool {
@@ -220,61 +198,52 @@ impl DelayedBinomialBias {
 }
 
 impl BiasModel for DelayedBinomialBias {
-    fn observe(&self, truth: &[f64], rho: f64, rng: &mut Xoshiro256PlusPlus) -> Vec<f64> {
-        assert!(
-            (0.0..=1.0).contains(&rho),
-            "DelayedBinomialBias: rho = {rho} outside [0, 1]"
-        );
-        let mut out = vec![0.0f64; truth.len()];
-        for (t, &eta) in truth.iter().enumerate() {
-            // Thin first...
-            let reported = match self.mode {
-                BiasMode::Sampled => {
-                    // epilint: allow(float-eq) — integrality assertion: fract() == 0.0 is the check itself
-                    debug_assert!(eta >= 0.0 && eta.fract() == 0.0);
-                    // epilint: allow(lossy-cast) — eta asserted integer-valued; exact at count scale
-                    sample_binomial(rng, eta as u64, rho) as f64
-                }
-                BiasMode::Mean => rho * eta,
-            };
-            // epilint: allow(float-eq) — exact-zero skip: both modes produce literal 0.0 for no reports
-            if reported == 0.0 {
-                continue;
-            }
-            // ...then spread across delays. Sampled mode distributes the
-            // integer count multinomially; mean mode convolves.
+    /// Thin today's count, spread the reports over `pending[0..D]` (`D`
+    /// the pmf length; multinomially when sampled, by convolution in
+    /// mean mode), then pop today's total off the front. Reports still
+    /// queued when the window ends land past its horizon and are simply
+    /// not (yet) observed.
+    fn observe_one(
+        &self,
+        eta: f64,
+        rho: f64,
+        rng: &mut Xoshiro256PlusPlus,
+        pending: &mut VecDeque<f64>,
+    ) -> f64 {
+        let reported = thin(self.mode, eta, rho, rng);
+        let n_delays = self.delay_pmf.len();
+        if pending.len() < n_delays {
+            pending.resize(n_delays, 0.0);
+        }
+        // epilint: allow(float-eq) — exact-zero skip: both modes produce literal 0.0 for no reports
+        if reported != 0.0 {
+            let slots = pending.iter_mut().zip(&self.delay_pmf);
             match self.mode {
                 BiasMode::Sampled => {
                     let mut remaining = reported as u64;
                     let mut prob_left = 1.0f64;
-                    for (d, &pd) in self.delay_pmf.iter().enumerate() {
+                    for (d, (slot, &pd)) in slots.enumerate() {
                         if remaining == 0 {
                             break;
                         }
-                        let take = if d == self.delay_pmf.len() - 1 || prob_left <= 0.0 {
+                        let take = if d == n_delays - 1 || prob_left <= 0.0 {
                             remaining
                         } else {
                             sample_binomial(rng, remaining, (pd / prob_left).clamp(0.0, 1.0))
                         };
-                        // Reports landing past the observation horizon are
-                        // simply not (yet) observed.
-                        if t + d < out.len() {
-                            out[t + d] += take as f64;
-                        }
+                        *slot += take as f64;
                         remaining -= take;
                         prob_left -= pd;
                     }
                 }
                 BiasMode::Mean => {
-                    for (d, &pd) in self.delay_pmf.iter().enumerate() {
-                        if t + d < out.len() {
-                            out[t + d] += reported * pd;
-                        }
+                    for (slot, &pd) in slots {
+                        *slot += reported * pd;
                     }
                 }
             }
         }
-        out
+        pending.pop_front().unwrap_or(0.0)
     }
 
     fn uses_rho(&self) -> bool {
@@ -291,23 +260,14 @@ impl BiasModel for DelayedBinomialBias {
 pub struct IdentityBias;
 
 impl BiasModel for IdentityBias {
-    fn observe(&self, truth: &[f64], _rho: f64, _rng: &mut Xoshiro256PlusPlus) -> Vec<f64> {
-        truth.to_vec()
-    }
-
-    fn observe_into(
+    fn observe_one(
         &self,
-        truth: &[f64],
+        eta: f64,
         _rho: f64,
         _rng: &mut Xoshiro256PlusPlus,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.extend_from_slice(truth);
-    }
-
-    fn observe_one(&self, eta: f64, _rho: f64, _rng: &mut Xoshiro256PlusPlus) -> Option<f64> {
-        Some(eta)
+        _pending: &mut VecDeque<f64>,
+    ) -> f64 {
+        eta
     }
 
     fn uses_rho(&self) -> bool {
@@ -454,20 +414,105 @@ mod tests {
         DelayedBinomialBias::new(BiasMode::Mean, vec![0.5, 0.2]);
     }
 
+    /// The delay model's former whole-window loop: thin each day, then
+    /// spread its reports over the following days of the window.
+    fn whole_window_delay(
+        bias: &DelayedBinomialBias,
+        truth: &[f64],
+        rho: f64,
+        rng: &mut Xoshiro256PlusPlus,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0f64; truth.len()];
+        for (t, &eta) in truth.iter().enumerate() {
+            let reported = match bias.mode {
+                BiasMode::Sampled => sample_binomial(rng, eta as u64, rho) as f64,
+                BiasMode::Mean => rho * eta,
+            };
+            if reported == 0.0 {
+                continue;
+            }
+            match bias.mode {
+                BiasMode::Sampled => {
+                    let mut remaining = reported as u64;
+                    let mut prob_left = 1.0f64;
+                    for (d, &pd) in bias.delay_pmf.iter().enumerate() {
+                        if remaining == 0 {
+                            break;
+                        }
+                        let take = if d == bias.delay_pmf.len() - 1 || prob_left <= 0.0 {
+                            remaining
+                        } else {
+                            sample_binomial(rng, remaining, (pd / prob_left).clamp(0.0, 1.0))
+                        };
+                        if t + d < out.len() {
+                            out[t + d] += take as f64;
+                        }
+                        remaining -= take;
+                        prob_left -= pd;
+                    }
+                }
+                BiasMode::Mean => {
+                    for (d, &pd) in bias.delay_pmf.iter().enumerate() {
+                        if t + d < out.len() {
+                            out[t + d] += reported * pd;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
     #[test]
-    fn observe_into_matches_observe_and_reuses_buffer() {
-        let truth = vec![57.0, 123.0, 9.0, 0.0];
-        let models: Vec<Box<dyn BiasModel>> = vec![
-            Box::new(BinomialBias::sampled()),
-            Box::new(BinomialBias::mean()),
-            Box::new(DelayedBinomialBias::new(BiasMode::Sampled, vec![0.6, 0.4])),
-            Box::new(IdentityBias),
-        ];
-        let mut out = vec![999.0; 17]; // stale contents must be cleared
-        for bias in &models {
-            let a = bias.observe(&truth, 0.7, &mut Xoshiro256PlusPlus::new(11));
-            bias.observe_into(&truth, 0.7, &mut Xoshiro256PlusPlus::new(11), &mut out);
-            assert_eq!(a, out, "mismatch for {}", bias.name());
+    fn per_day_delay_matches_the_whole_window_loop() {
+        // Random pmfs (lengths 1-12, every third with no mass at lag 0,
+        // a quarter of the other entries zero) and windows of 1-40 days
+        // with zero-count days; reports run past the horizon whenever a
+        // late day's delay does. Output bits and the generator state
+        // afterwards must both match.
+        let mut gen = Xoshiro256PlusPlus::new(2024);
+        for case in 0..400u64 {
+            let len = 1 + gen.next_bounded(12) as usize;
+            let mut pmf: Vec<f64> = (0..len)
+                .map(|d| {
+                    let dead = (d == 0 && len > 1 && case % 3 == 0) || gen.next_bounded(4) == 0;
+                    if dead {
+                        0.0
+                    } else {
+                        gen.next_f64()
+                    }
+                })
+                .collect();
+            if pmf.iter().all(|&p| p == 0.0) {
+                pmf[len - 1] = 1.0;
+            }
+            let total: f64 = pmf.iter().sum();
+            pmf.iter_mut().for_each(|p| *p /= total);
+            let mode = if case % 2 == 0 {
+                BiasMode::Sampled
+            } else {
+                BiasMode::Mean
+            };
+            let bias = DelayedBinomialBias::new(mode, pmf);
+            let rho = [0.0, 1.0, 0.37, 0.81][(case / 2 % 4) as usize];
+            let days = 1 + gen.next_bounded(40) as usize;
+            let truth: Vec<f64> = (0..days)
+                .map(|_| {
+                    if gen.next_bounded(3) == 0 {
+                        0.0
+                    } else {
+                        gen.next_bounded(400) as f64
+                    }
+                })
+                .collect();
+
+            let mut want_rng = Xoshiro256PlusPlus::new(case);
+            let want = whole_window_delay(&bias, &truth, rho, &mut want_rng);
+            let mut got_rng = Xoshiro256PlusPlus::new(case);
+            let got = bias.observe(&truth, rho, &mut got_rng);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "case {case}: {bias:?} rho {rho}");
+            assert_eq!(got_rng.state(), want_rng.state(), "case {case}: rng state");
         }
     }
 }

@@ -24,13 +24,11 @@
 //! * [`FaultStore`] — deterministic fault injection wrapping any store.
 //!
 //! Every durable write is one [`persist`] call: encode, put, then
-//! retention relative to the record just written. The batch loop under
-//! [`crate::config::PersistMode::Pipelined`] makes that call on the
-//! background [`SnapshotWriter`] ([`writer`]), which preserves write
-//! order and the durable-prefix guarantee while taking encode + fsync
-//! off the window loop's critical path; the batch loop under
-//! [`crate::config::PersistMode::Sync`] and a stream's appends make it
-//! inline.
+//! retention relative to the record just written. The batch loop makes
+//! that call on the background [`SnapshotWriter`] ([`writer`]), which
+//! preserves write order and the durable-prefix guarantee while taking
+//! encode + fsync off the window loop's critical path; a stream's
+//! appends ([`crate::stream`]) make it inline.
 
 pub mod dir;
 pub mod fault;

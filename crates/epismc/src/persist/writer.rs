@@ -1,11 +1,10 @@
 //! Background snapshot persistence: a bounded, double-buffered writer
 //! thread behind any [`RunStore`].
 //!
-//! The sequential calibrator's critical path is the window loop; under
-//! [`crate::config::PersistMode::Pipelined`] the loop hands each
-//! completed window's [`RunSnapshot`] to a [`SnapshotWriter`] and starts
-//! the next window immediately, while encode + CRC + atomic rename run
-//! off-thread. The handoff itself is O(1): the posterior is Arc
+//! The sequential calibrator's critical path is the window loop; a
+//! persisted batch run hands each completed window's [`RunSnapshot`] to
+//! a [`SnapshotWriter`] and starts the next window immediately, while
+//! encode + CRC + atomic rename run off-thread. The handoff itself is O(1): the posterior is Arc
 //! structural sharing all the way down, so cloning it into the snapshot
 //! copies pointers, not trajectories.
 //!
@@ -28,8 +27,9 @@
 //!   discards every later snapshot without touching the store. The
 //!   error surfaces as a typed [`SmcError`] at the next handoff or at
 //!   the final join, and the store holds exactly the windows written
-//!   before the fault — the same durable prefix a synchronous loop
-//!   killed at that write would leave.
+//!   before the fault — the same durable prefix an inline writer (a
+//!   [`crate::stream::StreamingCalibrator`]) killed at that write would
+//!   leave.
 //! * **Retention on the writer** — each write is one [`persist`] call
 //!   (encode, put, then [`super::apply_retention_after`]), so deletes
 //!   run on the writer thread, off the critical path too. Retention

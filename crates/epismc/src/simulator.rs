@@ -14,7 +14,6 @@ use episim::checkpoint::SimCheckpoint;
 use episim::covid::{CovidModel, CovidParams};
 use episim::engine::{BinomialChainStepper, CompiledSpec};
 use episim::output::DailySeries;
-use episim::runner::Simulation;
 use episim::seir::{SeirModel, SeirParams};
 use episim::workspace::SimWorkspace;
 
@@ -75,9 +74,9 @@ impl WorkspaceStats {
         self.score_nanos.load(Ordering::Relaxed)
     }
 
-    /// Per-source scoring passes that took the fused day-loop path (see
-    /// [`crate::sis::score_window`]). Exact for a given grid
-    /// regardless of thread count.
+    /// Per-source scoring passes of [`crate::sis::score_window`] (one
+    /// per source per scored cell). Exact for a given grid regardless of
+    /// thread count.
     pub fn fused_scores(&self) -> u64 {
         self.fused_scores.load(Ordering::Relaxed)
     }
@@ -190,8 +189,9 @@ pub trait TrajectorySimulator: Send + Sync {
     /// [`Self::run_fresh`] through a reusable [`SimWorkspace`], for
     /// pooled per-worker execution. The default ignores the workspace
     /// (so third-party simulators keep working unchanged); the built-in
-    /// adapters override it to run allocation-free per simulated day.
-    /// Results must be bit-identical to `run_fresh`.
+    /// adapters override it to run allocation-free per simulated day,
+    /// and their `run_fresh` is this on a fresh workspace. Results must
+    /// be bit-identical to `run_fresh`.
     ///
     /// # Errors
     /// Same contract as [`Self::run_fresh`].
@@ -356,15 +356,7 @@ impl TrajectorySimulator for CovidSimulator {
         seed: u64,
         end_day: u32,
     ) -> Result<(DailySeries, SimCheckpoint), SmcError> {
-        let model = self.model_with(theta)?;
-        let mut sim = Simulation::new(
-            model.spec(),
-            BinomialChainStepper::with_substeps(self.substeps),
-            model.initial_state(seed),
-        )?;
-        sim.run_until(end_day);
-        let ck = sim.checkpoint();
-        Ok((sim.into_series(), ck))
+        self.run_fresh_in(&mut SimWorkspace::new(), theta, seed, end_day)
     }
 
     fn run_from(
@@ -374,16 +366,7 @@ impl TrajectorySimulator for CovidSimulator {
         seed: u64,
         end_day: u32,
     ) -> Result<(DailySeries, SimCheckpoint), SmcError> {
-        let model = self.model_with(theta)?;
-        let mut sim = Simulation::resume_with_seed(
-            model.spec(),
-            BinomialChainStepper::with_substeps(self.substeps),
-            checkpoint,
-            seed,
-        )?;
-        sim.run_until(end_day);
-        let ck = sim.checkpoint();
-        Ok((sim.into_series(), ck))
+        self.run_from_in(&mut SimWorkspace::new(), checkpoint, theta, seed, end_day)
     }
 
     fn run_fresh_in(
@@ -482,15 +465,7 @@ impl TrajectorySimulator for SeirSimulator {
         seed: u64,
         end_day: u32,
     ) -> Result<(DailySeries, SimCheckpoint), SmcError> {
-        let model = self.model_with(theta)?;
-        let mut sim = Simulation::new(
-            model.spec(),
-            BinomialChainStepper::daily(),
-            model.initial_state(seed),
-        )?;
-        sim.run_until(end_day);
-        let ck = sim.checkpoint();
-        Ok((sim.into_series(), ck))
+        self.run_fresh_in(&mut SimWorkspace::new(), theta, seed, end_day)
     }
 
     fn run_from(
@@ -500,16 +475,7 @@ impl TrajectorySimulator for SeirSimulator {
         seed: u64,
         end_day: u32,
     ) -> Result<(DailySeries, SimCheckpoint), SmcError> {
-        let model = self.model_with(theta)?;
-        let mut sim = Simulation::resume_with_seed(
-            model.spec(),
-            BinomialChainStepper::daily(),
-            checkpoint,
-            seed,
-        )?;
-        sim.run_until(end_day);
-        let ck = sim.checkpoint();
-        Ok((sim.into_series(), ck))
+        self.run_from_in(&mut SimWorkspace::new(), checkpoint, theta, seed, end_day)
     }
 
     fn run_fresh_in(
@@ -548,6 +514,34 @@ impl TrajectorySimulator for SeirSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use episim::engine::Stepper;
+    use episim::runner::Simulation;
+    use episim::spec::ModelSpec;
+    use episim::state::SimState;
+
+    /// Reference runs through the stepping API, independent of the
+    /// workspace path the adapters take.
+    fn stepped<St: Stepper>(spec: ModelSpec, stepper: St, init: SimState, end: u32) -> Run {
+        let mut sim = Simulation::new(spec, stepper, init).unwrap();
+        sim.run_until(end);
+        let ck = sim.checkpoint();
+        (sim.into_series(), ck)
+    }
+
+    fn stepped_from<St: Stepper>(
+        spec: ModelSpec,
+        stepper: St,
+        ck: &SimCheckpoint,
+        seed: u64,
+        end: u32,
+    ) -> Run {
+        let mut sim = Simulation::resume_with_seed(spec, stepper, ck, seed).unwrap();
+        sim.run_until(end);
+        let ck = sim.checkpoint();
+        (sim.into_series(), ck)
+    }
+
+    type Run = (DailySeries, SimCheckpoint);
 
     fn covid() -> CovidSimulator {
         CovidSimulator::new(CovidParams {
@@ -682,8 +676,19 @@ mod tests {
     #[test]
     fn workspace_runs_match_plain_runs_bit_exactly() {
         let sim = covid().with_substeps(2);
-        let (series, ck) = sim.run_fresh(&[0.32], 77, 35).unwrap();
-        let (tail, ck2) = sim.run_from(&ck, &[0.5], 78, 55).unwrap();
+        let chain = || BinomialChainStepper::with_substeps(2);
+        let m = sim.model_with(&[0.32]).unwrap();
+        let (series, ck) = stepped(m.spec(), chain(), m.initial_state(77), 35);
+        assert_eq!(
+            sim.run_fresh(&[0.32], 77, 35).unwrap(),
+            (series.clone(), ck.clone())
+        );
+        let m = sim.model_with(&[0.5]).unwrap();
+        let (tail, ck2) = stepped_from(m.spec(), chain(), &ck, 78, 55);
+        assert_eq!(
+            sim.run_from(&ck, &[0.5], 78, 55).unwrap(),
+            (tail.clone(), ck2.clone())
+        );
 
         let stats = Arc::new(WorkspaceStats::default());
         {
@@ -712,12 +717,22 @@ mod tests {
             ..SeirParams::default()
         })
         .unwrap();
-        let (series, ck) = sim.run_fresh(&[0.45], 3, 25).unwrap();
+        let m = sim.model_with(&[0.45]).unwrap();
+        let daily = BinomialChainStepper::daily;
+        let (series, ck) = stepped(m.spec(), daily(), m.initial_state(3), 25);
+        assert_eq!(
+            sim.run_fresh(&[0.45], 3, 25).unwrap(),
+            (series.clone(), ck.clone())
+        );
         let mut ws = SimWorkspace::new();
         let (a, ck_a) = sim.run_fresh_in(&mut ws, &[0.45], 3, 25).unwrap();
         assert_eq!(a, series);
         assert_eq!(ck_a, ck);
-        let (tail, _) = sim.run_from(&ck, &[0.45], 4, 40).unwrap();
+        let (tail, ck_tail) = stepped_from(m.spec(), daily(), &ck, 4, 40);
+        assert_eq!(
+            sim.run_from(&ck, &[0.45], 4, 40).unwrap(),
+            (tail.clone(), ck_tail)
+        );
         let (b, _) = sim.run_from_in(&mut ws, &ck, &[0.45], 4, 40).unwrap();
         assert_eq!(b, tail);
     }

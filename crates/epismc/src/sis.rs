@@ -14,6 +14,7 @@
 //! checkpointing machinery buys: window `m` costs only window-`m`
 //! simulation days, never a replay from day zero.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -22,7 +23,7 @@ use epistats::rng::{StreamKey, Xoshiro256PlusPlus};
 use epistats::summary::ess;
 
 use crate::ckpool;
-use crate::config::{CalibrationConfig, CheckpointPolicy, PersistMode};
+use crate::config::{CalibrationConfig, CheckpointPolicy};
 use crate::error::SmcError;
 use crate::likelihood::{GaussianSqrtLikelihood, Likelihood};
 use crate::observation::{BiasMode, BiasModel, BinomialBias, IdentityBias};
@@ -242,17 +243,14 @@ pub struct TrajectoryTelemetry {
     /// fingerprints.
     pub grid_chunks: u64,
     /// Wall-clock nanoseconds the window loop was *blocked* on
-    /// durability for this window. Under
-    /// [`crate::config::PersistMode::Sync`] that is the full encode +
-    /// write + retention span; under
-    /// [`crate::config::PersistMode::Pipelined`] it is only the
-    /// backpressure wait at the handoff, and the run's final window
-    /// additionally absorbs the writer join (whether or not that window
-    /// was itself persisted). A streaming append writes inline and
-    /// reports the full span in either mode. Otherwise 0 for
-    /// unpersisted windows; inherently nondeterministic — diagnostics
-    /// only, zeroed inside the persisted record itself so snapshots stay
-    /// byte-reproducible.
+    /// durability for this window. In a batch run that is only the
+    /// backpressure wait at the background writer's handoff, and the
+    /// run's final window additionally absorbs the writer join (whether
+    /// or not that window was itself persisted). A streaming append
+    /// writes inline and reports the full encode + write + retention
+    /// span. Otherwise 0 for unpersisted windows; inherently
+    /// nondeterministic — diagnostics only, zeroed inside the persisted
+    /// record itself so snapshots stay byte-reproducible.
     pub persist_nanos: u64,
     /// Durability records written for this window (0 or 1 under the
     /// current policies). Deterministic for a given
@@ -271,11 +269,11 @@ pub struct TrajectoryTelemetry {
     /// footprint measurement) that Amdahl's law bounds strong scaling
     /// by; inherently nondeterministic — diagnostics only.
     pub serial_nanos: u64,
-    /// Per-source scoring passes that took the fused day-loop path
-    /// (per-day bias + likelihood term, no materialized observation
-    /// buffers) instead of the materialize-then-score fallback.
-    /// Deterministic for a given configuration: fusion eligibility
-    /// depends only on the bias/likelihood types, never on scheduling.
+    /// Per-source scoring passes through the fused day loop (per-day
+    /// bias + likelihood term, no materialized observation buffer): one
+    /// per source per scored cell, adaptive iterations included.
+    /// Deterministic for a given configuration, never dependent on
+    /// scheduling.
     pub fused_scores: u64,
     /// Binomial/Poisson draws issued through the steppers' batched
     /// sampling entry points (`HazardSampler::draw_many`,
@@ -283,12 +281,12 @@ pub struct TrajectoryTelemetry {
     /// for a given configuration and model.
     pub batched_draws: u64,
     /// Wall-clock nanoseconds spent encoding (serialization + CRC) this
-    /// window's snapshot record — on the window loop under
-    /// [`crate::config::PersistMode::Sync`], on the background writer
-    /// thread under [`crate::config::PersistMode::Pipelined`] (where it
-    /// overlaps the next window's grid instead of blocking the loop).
-    /// 0 when the window was not persisted; inherently nondeterministic
-    /// — diagnostics only, zeroed inside the persisted record.
+    /// window's snapshot record — on the background writer thread in a
+    /// batch run (where it overlaps the next window's grid instead of
+    /// blocking the loop), inline in a streaming append (where it is
+    /// part of `persist_nanos`). 0 when the window was not persisted;
+    /// inherently nondeterministic — diagnostics only, zeroed inside the
+    /// persisted record.
     pub encode_nanos: u64,
 }
 
@@ -420,20 +418,18 @@ pub struct WindowResult {
 }
 
 /// Reusable buffers for window scoring: the simulated window (integer
-/// counts), its float conversion, and the bias-transformed observation.
-/// One scratch lives in each worker's
-/// [`crate::simulator::PooledWorkspace`], so scoring fused into the grid
-/// pass allocates nothing per cell after warm-up.
+/// counts) and the bias model's queue of reports not yet due. One
+/// scratch lives in each worker's [`crate::simulator::PooledWorkspace`],
+/// so scoring fused into the grid pass allocates nothing per cell after
+/// warm-up.
 #[derive(Debug, Default)]
 pub struct ScoreScratch {
     /// Simulated window counts (`SharedTrajectory::window_into` target).
     sim_u: Vec<u64>,
-    /// Simulated window counts as `f64` (materialized fallback only).
-    sim_f: Vec<f64>,
-    /// Bias-transformed simulated observations (materialized fallback
-    /// only).
-    sim_obs: Vec<f64>,
-    /// Per-source scoring passes that took the fused day-loop path;
+    /// The `pending` queue of [`BiasModel::observe_one`], emptied at the
+    /// start of every source pass.
+    pending: VecDeque<f64>,
+    /// Per-source scoring passes (one per source per scored cell);
     /// flushed into [`crate::simulator::WorkspaceStats`] when the owning
     /// pooled workspace drops.
     pub(crate) fused_scores: u64,
@@ -445,7 +441,7 @@ impl ScoreScratch {
         Self::default()
     }
 
-    /// Scoring passes through this scratch that took the fused path.
+    /// Per-source scoring passes made through this scratch.
     pub fn fused_scores(&self) -> u64 {
         self.fused_scores
     }
@@ -471,7 +467,8 @@ impl PreparedObserved {
     ///
     /// # Errors
     /// Returns [`SmcError::Observation`] if any source's observed series
-    /// does not cover the window.
+    /// does not cover the window, or its likelihood does not prepare
+    /// exactly one value per observed day.
     pub fn build(observed: &ObservedData, window: TimeWindow) -> Result<Self, SmcError> {
         let mut per_source = Vec::with_capacity(observed.sources.len());
         for src in &observed.sources {
@@ -486,11 +483,16 @@ impl PreparedObserved {
                 })?;
             let mut prep = Vec::new();
             src.likelihood.prepare_observed(obs_w, &mut prep);
-            assert_eq!(
-                prep.len(),
-                obs_w.len(),
-                "prepare_observed must emit one value per observed day"
-            );
+            if prep.len() != obs_w.len() {
+                return Err(SmcError::Observation(format!(
+                    "likelihood '{}' prepared {} value(s) for the {} observed day(s) of \
+                     series '{}'",
+                    src.likelihood.name(),
+                    prep.len(),
+                    obs_w.len(),
+                    src.series
+                )));
+            }
             per_source.push(prep);
         }
         Ok(Self { window, per_source })
@@ -510,18 +512,17 @@ impl PreparedObserved {
 /// window from the same `observed`; `scratch` holds the caller's reusable
 /// buffers (one per worker), so a warm call allocates nothing.
 ///
-/// Per source, scoring tries the **fused day loop** — walk the simulated
-/// window once, mapping each day through [`BiasModel::observe_one`] and
-/// [`Likelihood::prepared_day_term`] and accumulating the log-likelihood
-/// directly, with no materialized float/observation buffers. Sources
-/// whose bias has cross-day state (reporting delays) or whose likelihood
-/// lacks a per-day form fall back to the materialize-then-score path on
-/// a **fresh** bias stream (the probe's partial draws are discarded with
-/// the generator), so results are bit-identical either way: same per-day
-/// float operations in the same ascending-day order.
+/// Each source is scored in one day loop: walk the simulated window once,
+/// map each day through [`BiasModel::observe_one`] and
+/// [`Likelihood::prepared_day_term`], and accumulate the log-likelihood
+/// directly, with no materialized observation buffer. The result is
+/// bit-identical to [`Likelihood::log_likelihood`] of the observed window
+/// against [`BiasModel::observe`] of the simulated one on the same bias
+/// stream.
 ///
 /// # Errors
-/// Returns [`SmcError::Observation`] if the trajectory does not cover
+/// Returns [`SmcError::Observation`] if `prepared` was built from data
+/// with a different number of sources, or the trajectory does not cover
 /// the window on a referenced series.
 pub fn score_window(
     trajectory: &SharedTrajectory,
@@ -532,11 +533,13 @@ pub fn score_window(
     scratch: &mut ScoreScratch,
 ) -> Result<f64, SmcError> {
     let window = prepared.window;
-    assert_eq!(
-        prepared.per_source.len(),
-        observed.sources.len(),
-        "PreparedObserved was built from a different ObservedData"
-    );
+    if prepared.per_source.len() != observed.sources.len() {
+        return Err(SmcError::Observation(format!(
+            "prepared observations cover {} source(s), the observed data has {}",
+            prepared.per_source.len(),
+            observed.sources.len()
+        )));
+    }
     // `-0.0` is the additive identity `Iterator::sum` starts from.
     let mut total = -0.0;
     for (si, src) in observed.sources.iter().enumerate() {
@@ -549,47 +552,16 @@ pub fn score_window(
         let prep = &prepared.per_source[si];
         let mut bias_rng =
             Xoshiro256PlusPlus::from_stream(bias_seed, &[TAG_BIAS, window.start as u64, si as u64]);
+        scratch.pending.clear();
         let mut acc = 0.0;
-        let mut fused = true;
-        for (t, &u) in scratch.sim_u.iter().enumerate() {
-            let term = src
+        for (&u, &y) in scratch.sim_u.iter().zip(prep) {
+            let eta_obs = src
                 .bias
-                .observe_one(u as f64, rho, &mut bias_rng)
-                .and_then(|eta_obs| src.likelihood.prepared_day_term(prep[t], eta_obs));
-            match term {
-                Some(v) => acc += v,
-                None => {
-                    fused = false;
-                    break;
-                }
-            }
+                .observe_one(u as f64, rho, &mut bias_rng, &mut scratch.pending);
+            acc += src.likelihood.prepared_day_term(y, eta_obs);
         }
-        if fused {
-            scratch.fused_scores += 1;
-            total += acc;
-            continue;
-        }
-        // Materialized fallback. A fresh bias stream replaces whatever
-        // the fused probe consumed before bailing out, so partial
-        // consumption above is harmless.
-        let obs_w = src
-            .observed
-            .window(window.start, window.end)
-            .ok_or_else(|| {
-                SmcError::Observation(format!(
-                    "observed series '{}' does not cover days [{}, {}]",
-                    src.series, window.start, window.end
-                ))
-            })?;
-        scratch.sim_f.clear();
-        scratch
-            .sim_f
-            .extend(scratch.sim_u.iter().map(|&v| v as f64));
-        let mut bias_rng =
-            Xoshiro256PlusPlus::from_stream(bias_seed, &[TAG_BIAS, window.start as u64, si as u64]);
-        src.bias
-            .observe_into(&scratch.sim_f, rho, &mut bias_rng, &mut scratch.sim_obs);
-        total += src.likelihood.log_likelihood(obs_w, &scratch.sim_obs);
+        scratch.fused_scores += 1;
+        total += acc;
     }
     Ok(total)
 }
@@ -755,63 +727,37 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
 
         // Draw parameter tuples from the prior. Each theta is shared
         // across the tuple's replicates — particles take Arc bumps.
-        let tuples: Vec<(Arc<[f64]>, f64)> = (0..cfg.n_params)
-            .map(|_| {
-                let theta: Arc<[f64]> = priors.theta.iter().map(|p| p.sample(&mut rng)).collect();
-                let rho = priors.rho.sample(&mut rng);
-                (theta, rho)
+        let proposals: Vec<Proposal> = (0..cfg.n_params)
+            .map(|_| Proposal {
+                ancestor: 0,
+                theta: priors.theta.iter().map(|p| p.sample(&mut rng)).collect(),
+                rho: priors.rho.sample(&mut rng),
             })
             .collect();
-
-        // Counter-mode stream keys: each worker derives its cell's seeds
-        // in O(1) from a shared absorbed prefix — nothing per-cell is
-        // precomputed serially. Common random numbers hold by layout:
-        // the simulation counter is the replicate index alone, so
-        // replicate r shares its seed across all parameter tuples
-        // (Section V-B).
+        // Counter-mode stream keys with no window prefix: common random
+        // numbers hold by layout, since the simulation counter is the
+        // replicate index alone (Section V-B).
         let sim_key = StreamKey::new(cfg.seed).absorb(TAG_SIM_SEED);
         let bias_key = StreamKey::new(cfg.seed).absorb(TAG_BIAS);
-        // Observed-side likelihood preparation (e.g. sqrt of the data),
-        // hoisted out of the per-particle scoring loop: built once here,
-        // shared read-only by every grid worker.
-        let prepared = PreparedObserved::build(observed, window)?;
         let stream_setup_nanos = started.elapsed().as_nanos() as u64;
 
         let runner = &self.runner;
         let ws_stats = Arc::new(WorkspaceStats::default());
         // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
         let grid_started = std::time::Instant::now();
-        let results: Vec<Result<Particle, SmcError>> = runner.run_grid_pooled(
-            cfg.n_params,
+        let candidates = simulate_grid(
+            self.simulator,
+            runner,
             cfg.n_replicates,
-            || PooledWorkspace::new(Arc::clone(&ws_stats)),
-            |ws, i, r| {
-                let (theta, rho) = &tuples[i];
-                let (sim, scratch) = ws.parts();
-                let sim_seed = sim_key.derive(r as u64);
-                let (trajectory, checkpoint) = self
-                    .simulator
-                    .run_fresh_in(sim, theta, sim_seed, window.end)?;
-                let trajectory = SharedTrajectory::root(trajectory);
-                let bias_seed = bias_key.derive2(i as u64, r as u64);
-                // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-                let score_started = std::time::Instant::now();
-                let log_weight =
-                    score_window(&trajectory, *rho, bias_seed, observed, &prepared, scratch)?;
-                ws.add_score_nanos(score_started.elapsed().as_nanos() as u64);
-                Ok(Particle {
-                    theta: Arc::clone(theta),
-                    rho: *rho,
-                    seed: sim_seed,
-                    log_weight,
-                    trajectory,
-                    checkpoint: ckpool::share(checkpoint),
-                    origin: None,
-                })
-            },
-        );
+            &proposals,
+            None,
+            observed,
+            window,
+            sim_key,
+            bias_key,
+            &ws_stats,
+        )?;
         let grid_nanos = grid_started.elapsed().as_nanos() as u64;
-        let candidates: Vec<Particle> = results.into_iter().collect::<Result<_, _>>()?;
         // The driver's pre-built pool is charged to the first window that
         // uses it — later runs on the same driver report 0.
         let acct = WindowAccounting {
@@ -980,18 +926,18 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
     /// results — the returned [`CalibrationResult`] is bit-identical to
     /// a plain [`Self::run`] on every deterministic field.
     ///
-    /// Under [`PersistMode::Sync`] each snapshot is written on the window
-    /// loop before the next window starts; under the default
-    /// [`PersistMode::Pipelined`] it is handed to a background
-    /// [`SnapshotWriter`] and the next window overlaps the encode +
-    /// fsync. Both modes write records in window order and leave the
-    /// same durable prefix behind on failure.
+    /// Each snapshot is handed to a background [`SnapshotWriter`], and
+    /// the next window overlaps its encode + fsync. Records land in
+    /// window order, so a failure leaves a durable prefix behind. To
+    /// have every window durable before the next one starts, advance a
+    /// [`crate::stream::StreamingCalibrator`] over the plan instead: it
+    /// writes inline and is bit-identical to this loop.
     ///
     /// # Errors
     /// Everything [`Self::run`] returns, plus [`SmcError::Persist`] when
-    /// a snapshot write fails — immediately under `Sync`, at the next
-    /// handoff or the final writer join under `Pipelined`; completed
-    /// snapshots stay behind for [`Self::resume_from`].
+    /// a snapshot write fails, surfacing at the next handoff or the
+    /// final writer join; completed snapshots stay behind for
+    /// [`Self::resume_from`].
     pub fn run_persisted(
         &self,
         priors: &Priors,
@@ -1243,7 +1189,8 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
     /// record in the result's telemetry. The snapshot carries the
     /// telemetry with `persist_nanos` and `encode_nanos` still 0: both
     /// are measured around (or after) the write itself, and zeroing
-    /// them keeps records byte-reproducible across runs and modes.
+    /// them keeps records byte-reproducible across runs, and between a
+    /// batch run and a stream.
     pub(crate) fn snapshot_for(
         &self,
         fingerprint: u64,
@@ -1308,52 +1255,33 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             None => 0,
         };
 
-        // The writer thread (pipelined persistence only) borrows the
-        // caller's store for the duration of this scope; every exit path
-        // — including early `?` returns, which drop the writer handle
-        // and thereby close its queue — joins it before returning.
+        // The writer thread borrows the caller's store for the duration
+        // of this scope; every exit path — including early `?` returns,
+        // which drop the writer handle and thereby close its queue —
+        // joins it before returning.
         std::thread::scope(|scope| {
-            let mut writer = match persist_to {
-                Some((store, policy)) if policy.mode == PersistMode::Pipelined => {
-                    Some(SnapshotWriter::spawn(scope, store, policy.retain))
-                }
-                _ => None,
-            };
+            let mut writer = persist_to.map(|(store, policy)| {
+                (SnapshotWriter::spawn(scope, store, policy.retain), policy)
+            });
 
             for widx in first..plan.len() {
                 let window = plan.windows()[widx];
                 let prev = windows.last().map(|r| &r.posterior);
                 let mut result =
                     self.compute_window(&runner, priors, observed, window, widx, prev)?;
-                if let Some((store, policy)) = persist_to {
+                if let Some((w, policy)) = writer.as_mut() {
                     if policy.persists(widx, plan.len()) {
-                        // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-                        let persist_started = std::time::Instant::now();
+                        // O(1) handoff (the posterior clone in the
+                        // snapshot is Arc structural sharing), then the
+                        // next window starts while encode + fsync run on
+                        // the writer thread. Only backpressure blocks the
+                        // loop.
                         let snap = self.snapshot_for(fingerprint, observed, widx, &mut result);
-                        match writer.as_mut() {
-                            // Pipelined: O(1) handoff (the posterior clone
-                            // above is Arc structural sharing), then the
-                            // next window starts while encode + fsync run
-                            // on the writer thread. Only backpressure
-                            // blocks the loop.
-                            Some(w) => {
-                                let handoff = w.submit(snap)?;
-                                result.telemetry.persist_nanos = handoff.blocked_nanos;
-                                for receipt in handoff.receipts {
-                                    let k = receipt.window_index as usize - windows_base;
-                                    windows[k].telemetry.encode_nanos = receipt.encode_nanos;
-                                }
-                            }
-                            // Sync: encode + write + retention on the loop,
-                            // with the encode split out of the blocking
-                            // total so the two modes report comparable
-                            // telemetry.
-                            None => {
-                                result.telemetry.encode_nanos =
-                                    persist::persist(store, &snap, policy.retain)?;
-                                result.telemetry.persist_nanos =
-                                    persist_started.elapsed().as_nanos() as u64;
-                            }
+                        let handoff = w.submit(snap)?;
+                        result.telemetry.persist_nanos = handoff.blocked_nanos;
+                        for receipt in handoff.receipts {
+                            let k = receipt.window_index as usize - windows_base;
+                            windows[k].telemetry.encode_nanos = receipt.encode_nanos;
                         }
                     }
                 }
@@ -1363,7 +1291,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             // Drain the pipeline: wait for every outstanding background
             // write, surface its first error, and attribute the join wait
             // (plus late encode receipts) to the windows involved.
-            if let Some(w) = writer.take() {
+            if let Some((w, _)) = writer.take() {
                 let handoff = w.finish()?;
                 for receipt in handoff.receipts {
                     let k = receipt.window_index as usize - windows_base;
@@ -1407,14 +1335,27 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             grid_chunks += runner.chunk_count(proposals.len() * cfg.n_replicates) as u64;
             // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
             let grid_started = std::time::Instant::now();
-            let candidates = self.simulate_batch(
+            // Counter-mode keys with the `(window, iteration)` prefix
+            // absorbed once; every worker derives its cell's seeds in
+            // O(1).
+            let sim_key = StreamKey::new(cfg.seed)
+                .absorb(TAG_SIM_SEED)
+                .absorb(window_index as u64)
+                .absorb(iteration as u64);
+            let bias_key = StreamKey::new(cfg.seed)
+                .absorb(TAG_BIAS)
+                .absorb(window_index as u64)
+                .absorb(iteration as u64);
+            let candidates = simulate_grid(
+                self.simulator,
                 runner,
+                cfg.n_replicates,
                 &proposals,
                 ancestors,
                 observed,
                 window,
-                window_index,
-                iteration,
+                sim_key,
+                bias_key,
                 &ws_stats,
             )?;
             grid_nanos += grid_started.elapsed().as_nanos() as u64;
@@ -1484,96 +1425,85 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             stream_setup_nanos += repropose_started.elapsed().as_nanos() as u64;
         }
     }
+}
 
-    /// Run the `(proposal, replicate)` grid: fresh day-0 runs when
-    /// `ancestors` is `None`, checkpoint continuations otherwise.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_batch(
-        &self,
-        runner: &ParallelRunner,
-        proposals: &[Proposal],
-        ancestors: Option<&ParticleEnsemble>,
-        observed: &ObservedData,
-        window: TimeWindow,
-        window_index: usize,
-        iteration: usize,
-        ws_stats: &Arc<WorkspaceStats>,
-    ) -> Result<Vec<Particle>, SmcError> {
-        let cfg = &self.config;
-        // Counter-mode keys with the `(window, iteration)` prefix absorbed
-        // once; every worker derives its cell's seeds in O(1). The
-        // simulation counter is the replicate index alone, so common
-        // random numbers across proposals hold by construction.
-        let sim_key = StreamKey::new(cfg.seed)
-            .absorb(TAG_SIM_SEED)
-            .absorb(window_index as u64)
-            .absorb(iteration as u64);
-        let bias_key = StreamKey::new(cfg.seed)
-            .absorb(TAG_BIAS)
-            .absorb(window_index as u64)
-            .absorb(iteration as u64);
-        // One observed-side preparation per batch, shared by all workers.
-        let prepared = PreparedObserved::build(observed, window)?;
-        let results: Vec<Result<Particle, SmcError>> = runner.run_grid_pooled(
-            proposals.len(),
-            cfg.n_replicates,
-            || PooledWorkspace::new(Arc::clone(ws_stats)),
-            |ws, i, r| {
-                let prop = &proposals[i];
-                let (sim, scratch) = ws.parts();
-                let sim_seed = sim_key.derive(r as u64);
-                let (trajectory, checkpoint, origin) = match ancestors {
-                    None => {
-                        let (t, ck) =
-                            self.simulator
-                                .run_fresh_in(sim, &prop.theta, sim_seed, window.end)?;
-                        (SharedTrajectory::root(t), ckpool::share(ck), None)
-                    }
-                    Some(anc_set) => {
-                        let anc = &anc_set.particles()[prop.ancestor];
-                        let (tail, ck) = self.simulator.run_from_in(
-                            sim,
-                            &anc.checkpoint,
-                            &prop.theta,
-                            sim_seed,
-                            window.end,
-                        )?;
-                        // O(window), not O(history): the ancestor's past
-                        // — trajectory *and* origin checkpoint — is
-                        // shared structurally, never copied.
-                        (
-                            anc.trajectory.append(tail),
-                            ckpool::share(ck),
-                            Some(Arc::clone(&anc.checkpoint)),
-                        )
-                    }
-                };
-                let bias_seed = bias_key.derive2(i as u64, r as u64);
-                // Incremental likelihood: only this window's data.
-                // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-                let score_started = std::time::Instant::now();
-                let log_weight = score_window(
-                    &trajectory,
-                    prop.rho,
-                    bias_seed,
-                    observed,
-                    &prepared,
-                    scratch,
-                )?;
-                ws.add_score_nanos(score_started.elapsed().as_nanos() as u64);
-                Ok(Particle {
-                    theta: Arc::clone(&prop.theta),
-                    rho: prop.rho,
-                    seed: sim_seed,
-                    log_weight,
-                    trajectory,
-                    checkpoint,
-                    origin,
-                })
-            },
-        );
-        results.into_iter().collect()
-    }
+/// Run and score the `(proposal, replicate)` grid of one window: fresh
+/// day-0 runs when `ancestors` is `None`, checkpoint continuations
+/// otherwise. Cell `(i, r)` simulates on seed `sim_key.derive(r)` — the
+/// replicate index alone, so common random numbers across proposals hold
+/// by construction — and thins on `bias_key.derive2(i, r)`.
+#[allow(clippy::too_many_arguments)]
+fn simulate_grid<S: TrajectorySimulator>(
+    simulator: &S,
+    runner: &ParallelRunner,
+    n_replicates: usize,
+    proposals: &[Proposal],
+    ancestors: Option<&ParticleEnsemble>,
+    observed: &ObservedData,
+    window: TimeWindow,
+    sim_key: StreamKey,
+    bias_key: StreamKey,
+    ws_stats: &Arc<WorkspaceStats>,
+) -> Result<Vec<Particle>, SmcError> {
+    // One observed-side preparation per grid, shared by all workers.
+    let prepared = PreparedObserved::build(observed, window)?;
+    let results: Vec<Result<Particle, SmcError>> = runner.run_grid_pooled(
+        proposals.len(),
+        n_replicates,
+        || PooledWorkspace::new(Arc::clone(ws_stats)),
+        |ws, i, r| {
+            let prop = &proposals[i];
+            let (sim, scratch) = ws.parts();
+            let sim_seed = sim_key.derive(r as u64);
+            let (trajectory, checkpoint, origin) = match ancestors {
+                None => {
+                    let (t, ck) = simulator.run_fresh_in(sim, &prop.theta, sim_seed, window.end)?;
+                    (SharedTrajectory::root(t), ckpool::share(ck), None)
+                }
+                Some(anc_set) => {
+                    let anc = &anc_set.particles()[prop.ancestor];
+                    let (tail, ck) = simulator.run_from_in(
+                        sim,
+                        &anc.checkpoint,
+                        &prop.theta,
+                        sim_seed,
+                        window.end,
+                    )?;
+                    // O(window), not O(history): the ancestor's past —
+                    // trajectory *and* origin checkpoint — is shared
+                    // structurally, never copied.
+                    (
+                        anc.trajectory.append(tail),
+                        ckpool::share(ck),
+                        Some(Arc::clone(&anc.checkpoint)),
+                    )
+                }
+            };
+            let bias_seed = bias_key.derive2(i as u64, r as u64);
+            // Incremental likelihood: only this window's data.
+            // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
+            let score_started = std::time::Instant::now();
+            let log_weight = score_window(
+                &trajectory,
+                prop.rho,
+                bias_seed,
+                observed,
+                &prepared,
+                scratch,
+            )?;
+            ws.add_score_nanos(score_started.elapsed().as_nanos() as u64);
+            Ok(Particle {
+                theta: Arc::clone(&prop.theta),
+                rho: prop.rho,
+                seed: sim_seed,
+                log_weight,
+                trajectory,
+                checkpoint,
+                origin,
+            })
+        },
+    );
+    results.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -1640,6 +1570,53 @@ mod tests {
         let err = score(&traj, 0.5, 1, &obs, TimeWindow::new(1, 3)).unwrap_err();
         assert!(
             err.to_string().contains("trajectory does not cover"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn score_window_rejects_preparation_from_other_data() {
+        let traj = SharedTrajectory::root({
+            let mut s = episim::output::DailySeries::new(vec!["infections".into()], 1);
+            for d in 0..5u64 {
+                s.push_day(&[10 + d]);
+            }
+            s
+        });
+        let one = ObservedData::cases_only(vec![8.0; 5]);
+        let two = ObservedData::cases_and_deaths(vec![8.0; 5], vec![1.0; 5]);
+        let prepared = PreparedObserved::build(&two, TimeWindow::new(1, 5)).unwrap();
+        let err =
+            score_window(&traj, 0.8, 3, &one, &prepared, &mut ScoreScratch::new()).unwrap_err();
+        assert!(matches!(err, SmcError::Observation(_)), "{err}");
+        assert!(err.to_string().contains("2 source(s)"), "{err}");
+    }
+
+    #[test]
+    fn prepared_build_rejects_a_likelihood_that_drops_days() {
+        /// Prepares one value too few.
+        struct ShortPrep;
+        impl Likelihood for ShortPrep {
+            fn log_likelihood(&self, _: &[f64], _: &[f64]) -> f64 {
+                0.0
+            }
+            fn prepare_observed(&self, observed: &[f64], out: &mut Vec<f64>) {
+                out.clear();
+                out.extend_from_slice(&observed[1..]);
+            }
+            fn prepared_day_term(&self, _: f64, _: f64) -> f64 {
+                0.0
+            }
+            fn name(&self) -> &'static str {
+                "short-prep"
+            }
+        }
+        let mut observed = ObservedData::cases_only(vec![8.0; 5]);
+        observed.sources[0].likelihood = Arc::new(ShortPrep);
+        let err = PreparedObserved::build(&observed, TimeWindow::new(2, 4)).unwrap_err();
+        assert!(matches!(err, SmcError::Observation(_)), "{err}");
+        assert!(
+            err.to_string().contains("'short-prep' prepared 2 value(s)"),
             "{err}"
         );
     }

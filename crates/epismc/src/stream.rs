@@ -34,10 +34,12 @@
 //! streaming analogue of the batch final-window write) so a stream can
 //! always be parked durably.
 //!
-//! A stream writes inline under either [`crate::config::PersistMode`]:
-//! an append returns only once its window is durable, so there is no
-//! next window for a background writer to overlap the write with. The
-//! mode selects only the batch loop's behaviour.
+//! A stream writes inline, where the batch loop hands snapshots to a
+//! background writer: an append returns only once its window is
+//! durable, so there is no next window to overlap the write with. A
+//! stream advanced over a whole plan is therefore also the synchronous
+//! form of a persisted batch run — every window durable before the next
+//! one starts — with bit-identical results and records.
 //!
 //! ## Fail-stop
 //!
@@ -369,8 +371,8 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
 }
 
 /// Persist one window's snapshot inline through [`persist::persist`]
-/// (encode, put, then retention relative to the new record), whatever
-/// the policy's [`crate::config::PersistMode`] — see the module docs.
+/// (encode, put, then retention relative to the new record) — see the
+/// module docs.
 fn persist_one<S: TrajectorySimulator>(
     calibrator: &SequentialCalibrator<'_, S>,
     fingerprint: u64,

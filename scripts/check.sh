@@ -28,8 +28,8 @@ cargo test --test pool_lifecycle -q
 
 # The durability harnesses run as part of the workspace suite above;
 # this explicit pass re-runs them under a constrained thread pool so the
-# kill/resume bit-identity matrices (sync, background-writer, and
-# streaming alike), the cross-commit move-pass pin and the streaming
+# kill/resume bit-identity matrices (background writer and inline
+# stream alike), the cross-commit move-pass pin and the streaming
 # constant-cost pin also cover the multi-worker path locally (CI's
 # fault-injection job sweeps 1/2/4 threads and there is a dedicated
 # streaming job at RAYON_NUM_THREADS=2).

@@ -20,12 +20,13 @@
 # to clip spikes, and the 25% margin is sized for the residual.
 #
 # Also runs the end-to-end pipelining gate: bench_e2e times a full
-# multi-window persisted calibration sync vs. pipelined (paired,
-# alternating rounds) and the pipelined run must be at least
-# E2E_SPEEDUP_PCT (default 20) percent faster than the sync run at the
-# same thread count. This is self-relative within one fresh capture —
-# no cross-machine baseline involved — so it holds anywhere the store's
-# commit latency is nonzero.
+# multi-window persisted calibration written synchronously (a stream
+# advanced over the plan, writing each window inline) vs. pipelined
+# (run_persisted's background writer), in paired, alternating rounds,
+# and the pipelined run must be at least E2E_SPEEDUP_PCT (default 20)
+# percent faster than the sync run at the same thread count. This is
+# self-relative within one fresh capture — no cross-machine baseline
+# involved — so it holds anywhere the store's commit latency is nonzero.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

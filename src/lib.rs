@@ -79,8 +79,7 @@ pub mod prelude {
     pub use crate::smc::{
         adaptive::AdaptiveConfig,
         config::{
-            CalibrationConfig, CheckpointPolicy, PersistMode, PmmhConfig, RejuvenationKernel,
-            ResampleScheme,
+            CalibrationConfig, CheckpointPolicy, PmmhConfig, RejuvenationKernel, ResampleScheme,
         },
         diagnostics::{coverage, joint_density, PosteriorSummary, Ribbon},
         error::SmcError,

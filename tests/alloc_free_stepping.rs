@@ -2,9 +2,9 @@
 //! a warmup day has sized the [`StepScratch`] buffers and hazard tables,
 //! `advance_day` performs **zero heap allocations per simulated day** for
 //! every stepper, and once a [`ScoreScratch`] is warm, scoring a window
-//! against two data sources allocates nothing per call. This is what
-//! makes per-worker workspace pooling pay off — the steady-state cost of
-//! a grid cell is arithmetic, not malloc.
+//! against two data sources allocates nothing per call, reporting-delayed
+//! cases included. This is what makes per-worker workspace pooling pay
+//! off — the steady-state cost of a grid cell is arithmetic, not malloc.
 //!
 //! The test installs a global counting allocator, so it lives alone in
 //! its own integration-test binary. The counter is additionally gated on
@@ -198,5 +198,21 @@ fn advance_day_is_allocation_free_after_warmup() {
     assert_eq!(
         during, 0,
         "score_window: {during} allocating calls over 100 warm two-source calls"
+    );
+
+    // The same with reporting-delayed cases: the delay queue lives in the
+    // scratch, so once it has grown to the pmf length a warm call still
+    // allocates nothing.
+    let mut observed = observed;
+    observed.sources[0].bias =
+        std::sync::Arc::new(DelayedBinomialBias::geometric(BiasMode::Sampled, 2.0, 6));
+    let prepared = PreparedObserved::build(&observed, window).unwrap();
+    let mut scratch = ScoreScratch::new();
+    allocs_over_scores(&trajectory, &observed, &prepared, &mut scratch, 2);
+    let during = allocs_over_scores(&trajectory, &observed, &prepared, &mut scratch, 100);
+    assert_eq!(scratch.fused_scores(), 2 * 102, "delayed source must fuse");
+    assert_eq!(
+        during, 0,
+        "score_window: {during} allocating calls over 100 warm delayed-source calls"
     );
 }

@@ -1,13 +1,15 @@
-//! Async-persistence durability: the pipelined background writer must
-//! leave exactly the same durable prefix and resume bit-identically as
-//! the synchronous path, for every kill point of the window loop crossed
-//! with the three ways a background write can die — still in flight
-//! (torn bytes), flushed-but-unacknowledged (record durable, process
-//! dead), and dropped before reaching the medium — across 1/2/4/auto
-//! thread shapes. Under `PersistMode::Pipelined`, the injected error
+//! Async-persistence durability: the batch loop's background writer
+//! must leave exactly the same durable prefix and resume bit-identically
+//! as synchronous persistence, for every kill point of the window loop
+//! crossed with the three ways a background write can die — still in
+//! flight (torn bytes), flushed-but-unacknowledged (record durable,
+//! process dead), and dropped before reaching the medium — across
+//! 1/2/4/auto thread shapes. The synchronous reference is a
+//! [`StreamingCalibrator`] advanced over the same plan: it writes each
+//! window inline before computing the next. A background write's error
 //! surfaces at the *next* snapshot handoff (or at the final join), one
-//! window later than under `Sync`; everything the store ends up holding
-//! must be indistinguishable.
+//! window later than inline; everything the store ends up holding must
+//! be indistinguishable.
 
 use epismc::prelude::*;
 use epismc::smc::persist::format;
@@ -45,6 +47,30 @@ fn calibrator(
         vec![JitterKernel::symmetric(0.08, 0.05, 0.8)],
         JitterKernel::asymmetric(0.05, 0.08, 0.05, 1.0),
     )
+}
+
+/// Advance a stream over `plan` into `store`, writing every window
+/// inline before the next one starts; returns each window's result.
+fn inline_stream(
+    simulator: &CovidSimulator,
+    threads: Option<usize>,
+    observed: &[f64],
+    plan: &WindowPlan,
+    store: &dyn RunStore,
+    policy: CheckpointPolicy,
+) -> Vec<WindowResult> {
+    let mut stream = StreamingCalibrator::open(
+        calibrator(simulator, threads),
+        Priors::paper(),
+        ObservedData::cases_only(observed.to_vec()),
+        store,
+        policy,
+    )
+    .unwrap();
+    plan.windows()
+        .iter()
+        .map(|&w| stream.advance_window(w).unwrap().clone())
+        .collect()
 }
 
 /// Bit-level equality of everything a window result determines (scalars,
@@ -120,34 +146,41 @@ fn pipelined_matches_sync_bit_for_bit_across_thread_shapes() {
     let (truth, simulator) = setup();
     let observed = ObservedData::cases_only(truth.observed_cases.clone());
     let plan = plan();
+    let policy = CheckpointPolicy::every_window();
 
-    // One reference run: single-threaded, synchronous persistence.
+    // One reference: single-threaded, every window written inline.
     let ref_store = MemStore::new();
-    let reference = calibrator(&simulator, Some(1))
-        .run_persisted(
-            &Priors::paper(),
-            &observed,
-            &plan,
-            &ref_store,
-            &CheckpointPolicy::every_window().with_mode(PersistMode::Sync),
-        )
-        .unwrap();
+    let reference = inline_stream(
+        &simulator,
+        Some(1),
+        &truth.observed_cases,
+        &plan,
+        &ref_store,
+        policy,
+    );
 
     for threads in [Some(1), Some(2), Some(4), None] {
-        for mode in [PersistMode::Sync, PersistMode::Pipelined] {
-            let ctx = format!("threads={threads:?} mode={mode:?}");
-            let store = MemStore::new();
-            let result = calibrator(&simulator, threads)
-                .run_persisted(
-                    &Priors::paper(),
-                    &observed,
-                    &plan,
-                    &store,
-                    &CheckpointPolicy::every_window().with_mode(mode),
-                )
-                .unwrap();
-            assert_eq!(result.windows.len(), reference.windows.len(), "{ctx}");
-            for (got, want) in result.windows.iter().zip(&reference.windows) {
+        let inline_store = MemStore::new();
+        let inline = inline_stream(
+            &simulator,
+            threads,
+            &truth.observed_cases,
+            &plan,
+            &inline_store,
+            policy,
+        );
+        let piped_store = MemStore::new();
+        let piped = calibrator(&simulator, threads)
+            .run_persisted(&Priors::paper(), &observed, &plan, &piped_store, &policy)
+            .unwrap()
+            .windows;
+        for (path, windows, store) in [
+            ("inline", &inline, &inline_store),
+            ("pipelined", &piped, &piped_store),
+        ] {
+            let ctx = format!("threads={threads:?} {path}");
+            assert_eq!(windows.len(), reference.len(), "{ctx}");
+            for (got, want) in windows.iter().zip(&reference) {
                 assert_windows_equal(got, want, &ctx);
             }
             // The stores hold the same windows with the same durable
@@ -184,7 +217,7 @@ fn background_write_kill_matrix_resumes_bit_identical() {
     let (truth, simulator) = setup();
     let observed = ObservedData::cases_only(truth.observed_cases.clone());
     let plan = plan();
-    let policy = CheckpointPolicy::every_window().with_mode(PersistMode::Pipelined);
+    let policy = CheckpointPolicy::every_window();
 
     let baseline = calibrator(&simulator, Some(1))
         .run_persisted(
@@ -274,7 +307,7 @@ fn fault_on_final_window_surfaces_at_the_join() {
     let (truth, simulator) = setup();
     let observed = ObservedData::cases_only(truth.observed_cases.clone());
     let plan = plan();
-    let policy = CheckpointPolicy::every_window().with_mode(PersistMode::Pipelined);
+    let policy = CheckpointPolicy::every_window();
 
     let store = MemStore::new();
     let last = plan.len() - 1;
@@ -294,58 +327,74 @@ fn pipelined_retention_prunes_like_sync() {
     let (truth, simulator) = setup();
     let observed = ObservedData::cases_only(truth.observed_cases.clone());
     let plan = plan();
+    let policy = CheckpointPolicy {
+        every_windows: 1,
+        retain: Some(1),
+    };
 
-    for mode in [PersistMode::Sync, PersistMode::Pipelined] {
-        let policy = CheckpointPolicy {
-            every_windows: 1,
-            retain: Some(1),
-            mode,
-        };
-        let store = MemStore::new();
-        calibrator(&simulator, None)
-            .run_persisted(&Priors::paper(), &observed, &plan, &store, &policy)
-            .unwrap();
-        assert_eq!(
-            store.list().unwrap(),
-            vec![plan.len() as u32 - 1],
-            "mode={mode:?}"
-        );
-    }
+    let inline = MemStore::new();
+    inline_stream(
+        &simulator,
+        None,
+        &truth.observed_cases,
+        &plan,
+        &inline,
+        policy,
+    );
+    let piped = MemStore::new();
+    calibrator(&simulator, None)
+        .run_persisted(&Priors::paper(), &observed, &plan, &piped, &policy)
+        .unwrap();
+    let newest = vec![plan.len() as u32 - 1];
+    assert_eq!(inline.list().unwrap(), newest, "inline");
+    assert_eq!(piped.list().unwrap(), newest, "pipelined");
 }
 
 #[test]
 fn pipelined_telemetry_splits_encode_from_blocking_wait() {
-    // Under Sync every persisted window reports the encode span inside
-    // the full blocking span; under Pipelined the loop only ever waits
-    // for handoff backpressure, and the encode cost is reported from the
-    // writer's receipt — both fields must be populated either way.
+    // Written inline, every persisted window reports the encode span
+    // inside the full blocking span; through the background writer the
+    // loop only ever waits for handoff backpressure, and the encode cost
+    // is reported from the writer's receipt — both fields must be
+    // populated either way.
     let (truth, simulator) = setup();
     let observed = ObservedData::cases_only(truth.observed_cases.clone());
     let plan = plan();
+    let policy = CheckpointPolicy::every_window();
 
-    for mode in [PersistMode::Sync, PersistMode::Pipelined] {
-        let store = MemStore::new();
-        let result = calibrator(&simulator, None)
-            .run_persisted(
-                &Priors::paper(),
-                &observed,
-                &plan,
-                &store,
-                &CheckpointPolicy::every_window().with_mode(mode),
-            )
-            .unwrap();
-        for (w, win) in result.windows.iter().enumerate() {
-            assert_eq!(win.telemetry.records_written, 1, "mode={mode:?} window {w}");
-            assert!(
-                win.telemetry.encode_nanos > 0,
-                "mode={mode:?} window {w}: encode span missing"
-            );
-            if mode == PersistMode::Sync {
-                assert!(
-                    win.telemetry.persist_nanos >= win.telemetry.encode_nanos,
-                    "mode={mode:?} window {w}: sync blocking span contains the encode"
-                );
-            }
-        }
+    let piped = calibrator(&simulator, None)
+        .run_persisted(
+            &Priors::paper(),
+            &observed,
+            &plan,
+            &MemStore::new(),
+            &policy,
+        )
+        .unwrap();
+    for (w, win) in piped.windows.iter().enumerate() {
+        assert_eq!(win.telemetry.records_written, 1, "pipelined window {w}");
+        assert!(
+            win.telemetry.encode_nanos > 0,
+            "pipelined window {w}: encode span missing"
+        );
+    }
+    let inline = inline_stream(
+        &simulator,
+        None,
+        &truth.observed_cases,
+        &plan,
+        &MemStore::new(),
+        policy,
+    );
+    for (w, win) in inline.iter().enumerate() {
+        assert_eq!(win.telemetry.records_written, 1, "inline window {w}");
+        assert!(
+            win.telemetry.encode_nanos > 0,
+            "inline window {w}: encode span missing"
+        );
+        assert!(
+            win.telemetry.persist_nanos >= win.telemetry.encode_nanos,
+            "inline window {w}: blocking span contains the encode"
+        );
     }
 }

@@ -238,7 +238,6 @@ fn retention_bounds_the_store_and_still_resumes() {
     let policy = CheckpointPolicy {
         every_windows: 1,
         retain: Some(1),
-        ..CheckpointPolicy::default()
     };
 
     let baseline_store = MemStore::new();
@@ -280,7 +279,6 @@ fn sparse_policy_persists_selected_and_final_windows() {
     let policy = CheckpointPolicy {
         every_windows: 2,
         retain: None,
-        ..CheckpointPolicy::default()
     };
 
     let store = MemStore::new();

@@ -1,15 +1,15 @@
-//! Bit-identity of the fused scoring path.
+//! Bit-identity of the fused scoring loop.
 //!
-//! The vectorized inner loop fuses per-day bias transformation and
-//! likelihood terms into the window walk ([`score_window`]'s
-//! fused day loop) instead of materializing float/observation buffers
-//! first. The fusion must be *invisible* in the results: for every
-//! stepper, model, bias, and likelihood combination, the fused score has
-//! to be bit-identical (`total_cmp`) to the materialize-then-score
-//! fallback on the same bias stream. These tests force the fallback
-//! through delegating wrappers that keep the trait defaults (`None` from
-//! `observe_one` / `prepared_day_term`) and compare both paths through
-//! the public scoring API.
+//! [`score_window`] walks each source's simulated window once, mapping
+//! every day through the bias model's per-day transform
+//! (`BiasModel::observe_one`) and the likelihood's per-day term
+//! (`Likelihood::prepared_day_term`), with no materialized observation
+//! buffer. That fusion must be *invisible* in the results: for every
+//! stepper, model, bias (reporting delays included) and likelihood, the
+//! fused score has to be bit-identical (`total_cmp`) to the whole-window
+//! reference — each source's `log_likelihood` of the observed window
+//! against `observe` of the simulated one, on the scorer's bias stream —
+//! summed over sources in order.
 
 use std::sync::Arc;
 
@@ -20,6 +20,11 @@ use epismc::sim::{ModelSpec, SimState};
 use epismc::smc::likelihood::GaussianRawLikelihood;
 use epismc::smc::observation::BiasModel;
 use epismc::smc::sis::{score_window, DataSource, ObservedSeries, PreparedObserved, ScoreScratch};
+
+/// The scorer's bias-stream tag: source `si` of a window starting on day
+/// `start` thins on stream `[TAG_BIAS, start, si]` of the cell's bias
+/// seed.
+const TAG_BIAS: u64 = 0xB1A5_0002;
 
 /// Score through a freshly built per-window preparation and the given
 /// scratch.
@@ -35,47 +40,32 @@ fn score_fresh(
     score_window(trajectory, rho, bias_seed, observed, &prepared, scratch)
 }
 
-/// Delegates `observe`/`observe_into` to the wrapped bias but keeps the
-/// default `observe_one` (`None`), forcing the scorer's materialized
-/// fallback while consuming the identical bias stream.
-struct MaterializedBias<B: BiasModel>(B);
-
-impl<B: BiasModel> BiasModel for MaterializedBias<B> {
-    fn observe(&self, truth: &[f64], rho: f64, rng: &mut Xoshiro256PlusPlus) -> Vec<f64> {
-        self.0.observe(truth, rho, rng)
+/// The whole-window reference: per source, materialize the simulated
+/// window, transform it with `observe` on the scorer's bias stream and
+/// score it with `log_likelihood`; sum the sources in order from `-0.0`.
+fn whole_window(
+    trajectory: &SharedTrajectory,
+    rho: f64,
+    bias_seed: u64,
+    observed: &ObservedData,
+    window: TimeWindow,
+) -> f64 {
+    let mut total = -0.0;
+    for (si, src) in observed.sources.iter().enumerate() {
+        let sim: Vec<f64> = trajectory
+            .window(&src.series, window.start, window.end)
+            .unwrap()
+            .iter()
+            .map(|&v| v as f64)
+            .collect();
+        let obs = src.observed.window(window.start, window.end).unwrap();
+        let mut rng =
+            Xoshiro256PlusPlus::from_stream(bias_seed, &[TAG_BIAS, window.start as u64, si as u64]);
+        total += src
+            .likelihood
+            .log_likelihood(obs, &src.bias.observe(&sim, rho, &mut rng));
     }
-
-    fn observe_into(
-        &self,
-        truth: &[f64],
-        rho: f64,
-        rng: &mut Xoshiro256PlusPlus,
-        out: &mut Vec<f64>,
-    ) {
-        self.0.observe_into(truth, rho, rng, out);
-    }
-
-    fn uses_rho(&self) -> bool {
-        self.0.uses_rho()
-    }
-
-    fn name(&self) -> &'static str {
-        "materialized-wrapper"
-    }
-}
-
-/// Delegates `log_likelihood` but keeps both per-day defaults, forcing
-/// the fallback from the likelihood side.
-struct MaterializedLik<L: Likelihood>(L);
-
-impl<L: Likelihood> Likelihood for MaterializedLik<L> {
-    fn log_likelihood(&self, observed: &[f64], simulated: &[f64]) -> f64 {
-        self.0.log_likelihood(observed, simulated)
-    }
-
-    fn name(&self) -> &'static str {
-        "materialized-wrapper"
-    }
+    total
 }
 
 /// Run `stepper` over `spec` for `days` days and wrap the output series
@@ -140,44 +130,31 @@ fn paper_sources() -> ObservedData {
     ObservedData::cases_and_deaths(cases, deaths)
 }
 
-/// The same two sources with the bias forced down the materialized path.
-fn fallback_by_bias() -> ObservedData {
-    let (cases, deaths) = observed_curves();
-    ObservedData {
-        sources: vec![
-            DataSource {
-                series: "infections".into(),
-                observed: ObservedSeries::from_day_one(cases),
-                bias: Arc::new(MaterializedBias(BinomialBias::sampled())),
-                likelihood: Arc::new(GaussianSqrtLikelihood::paper()),
-            },
-            DataSource {
-                series: "deaths".into(),
-                observed: ObservedSeries::from_day_one(deaths),
-                bias: Arc::new(MaterializedBias(IdentityBias)),
-                likelihood: Arc::new(GaussianSqrtLikelihood::paper()),
-            },
-        ],
-    }
+/// Reporting delays for the cases source: a geometric tail, and a pmf
+/// with no mass at lag zero.
+fn delays(mode: BiasMode) -> [DelayedBinomialBias; 2] {
+    [
+        DelayedBinomialBias::geometric(mode, 2.0, 6),
+        DelayedBinomialBias::new(mode, vec![0.0, 0.6, 0.4]),
+    ]
 }
 
-/// The same two sources with the likelihood forced down the materialized
-/// path (per-day bias still available — fusion requires both halves).
-fn fallback_by_likelihood() -> ObservedData {
+/// Delayed cases plus unbiased deaths, both on the paper's likelihood.
+fn delayed_sources(delay: DelayedBinomialBias) -> ObservedData {
     let (cases, deaths) = observed_curves();
     ObservedData {
         sources: vec![
             DataSource {
                 series: "infections".into(),
                 observed: ObservedSeries::from_day_one(cases),
-                bias: Arc::new(BinomialBias::sampled()),
-                likelihood: Arc::new(MaterializedLik(GaussianSqrtLikelihood::paper())),
+                bias: Arc::new(delay),
+                likelihood: Arc::new(GaussianSqrtLikelihood::paper()),
             },
             DataSource {
                 series: "deaths".into(),
                 observed: ObservedSeries::from_day_one(deaths),
                 bias: Arc::new(IdentityBias),
-                likelihood: Arc::new(MaterializedLik(GaussianSqrtLikelihood::paper())),
+                likelihood: Arc::new(GaussianSqrtLikelihood::paper()),
             },
         ],
     }
@@ -186,31 +163,25 @@ fn fallback_by_likelihood() -> ObservedData {
 #[test]
 fn fused_matches_materialized_across_steppers_and_models() {
     let window = TimeWindow::new(10, 30);
-    let fused_obs = paper_sources();
-    let bias_fb = fallback_by_bias();
-    let lik_fb = fallback_by_likelihood();
+    let mut sets = vec![("paper".to_string(), paper_sources())];
+    for mode in [BiasMode::Sampled, BiasMode::Mean] {
+        for delay in delays(mode) {
+            let set = format!("{mode:?} {}-day delay", delay.delay_pmf.len());
+            sets.push((set, delayed_sources(delay)));
+        }
+    }
     for (label, traj) in trajectories() {
-        for (rho, bias_seed) in [(0.4, 77u64), (0.9, 1234), (0.0, 9), (1.0, 5000)] {
-            let mut sc = ScoreScratch::new();
-            let fused = score_fresh(&traj, rho, bias_seed, &fused_obs, window, &mut sc).unwrap();
-            assert_eq!(sc.fused_scores(), 2, "{label}: both sources must fuse");
-
-            let mut sc = ScoreScratch::new();
-            let via_bias = score_fresh(&traj, rho, bias_seed, &bias_fb, window, &mut sc).unwrap();
-            assert_eq!(sc.fused_scores(), 0, "{label}: wrapper must force fallback");
-
-            let mut sc = ScoreScratch::new();
-            let via_lik = score_fresh(&traj, rho, bias_seed, &lik_fb, window, &mut sc).unwrap();
-            assert_eq!(sc.fused_scores(), 0, "{label}: wrapper must force fallback");
-
-            assert!(
-                fused.total_cmp(&via_bias).is_eq(),
-                "{label} rho {rho}: fused {fused:?} != bias-fallback {via_bias:?}"
-            );
-            assert!(
-                fused.total_cmp(&via_lik).is_eq(),
-                "{label} rho {rho}: fused {fused:?} != likelihood-fallback {via_lik:?}"
-            );
+        for (set, observed) in &sets {
+            for (rho, bias_seed) in [(0.4, 77u64), (0.9, 1234), (0.0, 9), (1.0, 5000)] {
+                let mut sc = ScoreScratch::new();
+                let fused = score_fresh(&traj, rho, bias_seed, observed, window, &mut sc).unwrap();
+                assert_eq!(sc.fused_scores(), 2, "{label} {set}: one pass per source");
+                let want = whole_window(&traj, rho, bias_seed, observed, window);
+                assert!(
+                    fused.total_cmp(&want).is_eq(),
+                    "{label} {set} rho {rho}: fused {fused:?} != whole-window {want:?}"
+                );
+            }
         }
     }
 }
@@ -219,48 +190,44 @@ fn fused_matches_materialized_across_steppers_and_models() {
 fn fused_matches_materialized_for_raw_gaussian_and_negbinomial() {
     let window = TimeWindow::new(10, 30);
     let (cases, _) = observed_curves();
-    let liks: Vec<(Arc<dyn Likelihood>, Arc<dyn Likelihood>)> = vec![
-        (
-            Arc::new(GaussianRawLikelihood::new(2.0)),
-            Arc::new(MaterializedLik(GaussianRawLikelihood::new(2.0))),
-        ),
-        (
-            Arc::new(NegBinomialLikelihood::new(8.0)),
-            Arc::new(MaterializedLik(NegBinomialLikelihood::new(8.0))),
-        ),
+    let liks: Vec<Arc<dyn Likelihood>> = vec![
+        Arc::new(GaussianRawLikelihood::new(2.0)),
+        Arc::new(NegBinomialLikelihood::new(8.0)),
     ];
+    let mut biases: Vec<Arc<dyn BiasModel>> = vec![Arc::new(BinomialBias::sampled())];
+    for mode in [BiasMode::Sampled, BiasMode::Mean] {
+        biases.extend(delays(mode).map(|d| Arc::new(d) as Arc<dyn BiasModel>));
+    }
     for (label, traj) in trajectories() {
-        for (fused_lik, fallback_lik) in &liks {
-            let make = |lik: &Arc<dyn Likelihood>| ObservedData {
-                sources: vec![DataSource {
-                    series: "infections".into(),
-                    observed: ObservedSeries::from_day_one(cases.clone()),
-                    bias: Arc::new(BinomialBias::sampled()),
-                    likelihood: Arc::clone(lik),
-                }],
-            };
-            let mut sc = ScoreScratch::new();
-            let fused = score_fresh(&traj, 0.55, 42, &make(fused_lik), window, &mut sc).unwrap();
-            assert_eq!(sc.fused_scores(), 1, "{label}");
-            let mut sc = ScoreScratch::new();
-            let mat = score_fresh(&traj, 0.55, 42, &make(fallback_lik), window, &mut sc).unwrap();
-            assert_eq!(sc.fused_scores(), 0, "{label}");
-            assert!(
-                fused.total_cmp(&mat).is_eq(),
-                "{label} ({}): fused {fused:?} != materialized {mat:?}",
-                fused_lik.name()
-            );
+        for lik in &liks {
+            for bias in &biases {
+                let observed = ObservedData {
+                    sources: vec![DataSource {
+                        series: "infections".into(),
+                        observed: ObservedSeries::from_day_one(cases.clone()),
+                        bias: Arc::clone(bias),
+                        likelihood: Arc::clone(lik),
+                    }],
+                };
+                let ctx = format!("{label} ({} / {})", lik.name(), bias.name());
+                let mut sc = ScoreScratch::new();
+                let fused = score_fresh(&traj, 0.55, 42, &observed, window, &mut sc).unwrap();
+                assert_eq!(sc.fused_scores(), 1, "{ctx}");
+                let want = whole_window(&traj, 0.55, 42, &observed, window);
+                assert!(
+                    fused.total_cmp(&want).is_eq(),
+                    "{ctx}: fused {fused:?} != whole-window {want:?}"
+                );
+            }
         }
     }
 }
 
 #[test]
-fn delayed_bias_takes_the_fallback_and_zero_lag_matches_plain_binomial() {
-    // DelayedBinomialBias deliberately has no per-day form (cross-day
-    // state), so it must take the materialized fallback. With all delay
-    // mass at lag zero it is stream-equivalent to plain BinomialBias
-    // (zero-count days consume no draws in either), so the fallback
-    // score must be bit-identical to the plain model's fused score.
+fn delayed_bias_fuses_and_zero_lag_matches_plain_binomial() {
+    // With all delay mass at lag zero, DelayedBinomialBias is
+    // stream-equivalent to plain BinomialBias (zero-count days consume
+    // no draws in either), so both models fuse and score bit-identically.
     let window = TimeWindow::new(10, 30);
     let (cases, _) = observed_curves();
     let source = |bias: Arc<dyn BiasModel>| ObservedData {
@@ -279,7 +246,7 @@ fn delayed_bias_takes_the_fallback_and_zero_lag_matches_plain_binomial() {
     for (label, traj) in trajectories() {
         let mut sc = ScoreScratch::new();
         let got_delayed = score_fresh(&traj, 0.7, 99, &delayed, window, &mut sc).unwrap();
-        assert_eq!(sc.fused_scores(), 0, "{label}: delay must not fuse");
+        assert_eq!(sc.fused_scores(), 1, "{label}: delay must fuse");
         let mut sc = ScoreScratch::new();
         let got_plain = score_fresh(&traj, 0.7, 99, &plain, window, &mut sc).unwrap();
         assert_eq!(sc.fused_scores(), 1, "{label}: plain binomial must fuse");
@@ -292,33 +259,35 @@ fn delayed_bias_takes_the_fallback_and_zero_lag_matches_plain_binomial() {
 
 #[test]
 fn scratch_state_and_prepared_reuse_never_change_scores() {
-    // A warm scratch (carrying another window's buffers) and a shared
-    // PreparedObserved must give the same bits as fresh ones — the
-    // grid-pass reuse pattern.
+    // A warm scratch (carrying another window's buffers and delay queue)
+    // and a shared PreparedObserved must give the same bits as fresh
+    // ones — the grid-pass reuse pattern.
     let window = TimeWindow::new(12, 28);
-    let observed = paper_sources();
-    let prepared = PreparedObserved::build(&observed, window).unwrap();
-    assert_eq!(prepared.window(), window);
     let trajs = trajectories();
-    let mut warm = ScoreScratch::new();
-    // Warm the scratch on a different window and trajectory first.
-    let _ = score_fresh(
-        &trajs[0].1,
-        0.3,
-        1,
-        &observed,
-        TimeWindow::new(5, 20),
-        &mut warm,
-    )
-    .unwrap();
-    for (label, traj) in &trajs {
-        let fresh =
-            score_fresh(traj, 0.6, 2718, &observed, window, &mut ScoreScratch::new()).unwrap();
-        let reused = score_window(traj, 0.6, 2718, &observed, &prepared, &mut warm).unwrap();
-        assert!(
-            fresh.total_cmp(&reused).is_eq(),
-            "{label}: fresh {fresh:?} != warm/prepared {reused:?}"
-        );
+    let [delayed, _] = delays(BiasMode::Sampled);
+    for observed in [paper_sources(), delayed_sources(delayed)] {
+        let prepared = PreparedObserved::build(&observed, window).unwrap();
+        assert_eq!(prepared.window(), window);
+        let mut warm = ScoreScratch::new();
+        // Warm the scratch on a different window and trajectory first.
+        let _ = score_fresh(
+            &trajs[0].1,
+            0.3,
+            1,
+            &observed,
+            TimeWindow::new(5, 20),
+            &mut warm,
+        )
+        .unwrap();
+        for (label, traj) in &trajs {
+            let fresh =
+                score_fresh(traj, 0.6, 2718, &observed, window, &mut ScoreScratch::new()).unwrap();
+            let reused = score_window(traj, 0.6, 2718, &observed, &prepared, &mut warm).unwrap();
+            assert!(
+                fresh.total_cmp(&reused).is_eq(),
+                "{label}: fresh {fresh:?} != warm/prepared {reused:?}"
+            );
+        }
     }
 }
 

@@ -139,7 +139,7 @@ fn assert_stores_equal(got: &dyn RunStore, want: &dyn RunStore, ctx: &str) {
 fn streaming_matches_batch_across_schemes_and_thread_shapes() {
     let (truth, simulator) = setup();
     let plan = plan();
-    let policy = CheckpointPolicy::every_window().with_mode(PersistMode::Pipelined);
+    let policy = CheckpointPolicy::every_window();
 
     for scheme in [
         ResampleScheme::Multinomial,
@@ -245,7 +245,7 @@ fn kill_between_appends_then_reopen_continues_bit_identical() {
     let (truth, simulator) = setup();
     let plan = plan();
     let scheme = ResampleScheme::Stratified;
-    let policy = CheckpointPolicy::every_window().with_mode(PersistMode::Pipelined);
+    let policy = CheckpointPolicy::every_window();
 
     let baseline = calibrator(&simulator, Some(1), scheme)
         .run_persisted(
@@ -445,41 +445,32 @@ fn retention_never_drops_the_newest_durable_record_mid_append() {
         .put(3, b"stale corpse of an abandoned longer run")
         .unwrap();
 
-    for mode in [PersistMode::Sync, PersistMode::Pipelined] {
-        // Append window 2 under retain=1, but its write dies: the newest
-        // durable record (window 1) must survive untouched — retention
-        // must not have run ahead of the failed write.
-        let ctx = format!("mode={mode:?}");
-        let policy = CheckpointPolicy {
-            every_windows: 1,
-            retain: Some(1),
-            mode,
-        };
-        let faulty = FaultStore::new(&store, FaultPlan::fail_write_at(0, Fault::FailWrite));
-        let mut stream = StreamingCalibrator::open(
-            calibrator(&simulator, None, scheme),
-            Priors::paper(),
-            observed(),
-            &faulty,
-            policy,
-        )
-        .unwrap();
-        assert_eq!(stream.resume().unwrap().resumed_window, 1, "{ctx}");
-        let err = stream.advance_window(plan.windows()[2]).unwrap_err();
-        assert!(err.to_string().contains("injected fault"), "{ctx}: {err}");
-        let mut left = store.list().unwrap();
-        left.sort_unstable();
-        assert_eq!(left, vec![1, 3], "{ctx}: good snapshot survives the fault");
-    }
+    // Append window 2 under retain=1, but its write dies: the newest
+    // durable record (window 1) must survive untouched — retention must
+    // not have run ahead of the failed write.
+    let policy = CheckpointPolicy {
+        every_windows: 1,
+        retain: Some(1),
+    };
+    let faulty = FaultStore::new(&store, FaultPlan::fail_write_at(0, Fault::FailWrite));
+    let mut stream = StreamingCalibrator::open(
+        calibrator(&simulator, None, scheme),
+        Priors::paper(),
+        observed(),
+        &faulty,
+        policy,
+    )
+    .unwrap();
+    assert_eq!(stream.resume().unwrap().resumed_window, 1);
+    let err = stream.advance_window(plan.windows()[2]).unwrap_err();
+    assert!(err.to_string().contains("injected fault"), "{err}");
+    let mut left = store.list().unwrap();
+    left.sort_unstable();
+    assert_eq!(left, vec![1, 3], "good snapshot survives the fault");
 
     // With a healthy store the append lands, and retention keeps exactly
     // the record just written — pruning both the predecessor and the
     // stale corpse (which a later resume would otherwise trip over).
-    let policy = CheckpointPolicy {
-        every_windows: 1,
-        retain: Some(1),
-        mode: PersistMode::Pipelined,
-    };
     let mut stream = StreamingCalibrator::open(
         calibrator(&simulator, None, scheme),
         Priors::paper(),
@@ -513,7 +504,6 @@ fn flush_parks_the_newest_window_on_sparse_cadence() {
     let policy = CheckpointPolicy {
         every_windows: 2,
         retain: None,
-        mode: PersistMode::Pipelined,
     };
 
     let store = MemStore::new();
