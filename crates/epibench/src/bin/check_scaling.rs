@@ -11,11 +11,13 @@
 //! - `SCALING_FLOOR`: efficiency floor at the gated thread count
 //!   (default `0.70`).
 //!
-//! The gate is hardware-aware: on hosts with fewer than 4 cores a
-//! 4-thread efficiency number measures oversubscription, not scaling,
-//! so the gate reports and exits 0. Thread points beyond 4 (the
-//! 8-thread sweep on larger runners) are recorded for trend data but
-//! never gated.
+//! Exit status: 0 when the gate passes, 1 when it fails, and
+//! [`EXIT_CANNOT_MEASURE`] (77) when this host cannot measure it: on
+//! fewer than 4 cores a 4-thread efficiency number measures
+//! oversubscription, not scaling, so the gate neither passes nor fails.
+//! `scripts/check.sh` and `scripts/check_scaling.sh` report that status
+//! as SKIPPED. Thread points beyond 4 (the 8-thread sweep on larger
+//! runners) are recorded for trend data but never gated.
 //!
 //! Independent of the gate, the checker shouts about two capture
 //! artifacts that would otherwise be recorded silently: superlinear
@@ -29,6 +31,11 @@ use std::process::ExitCode;
 
 /// Gated thread count: paper-scale CI runners all expose >= 4 cores.
 const GATE_THREADS: usize = 4;
+
+/// Exit status for "this host cannot measure the gate" (the status
+/// automake-style harnesses read as a skip): distinct from a pass, so a
+/// host without the cores never reports the gate as passed.
+const EXIT_CANNOT_MEASURE: u8 = 77;
 
 /// Efficiency above this is flagged as superlinear: fixed-work sweeps
 /// with bit-identical results can't genuinely beat perfect scaling, so
@@ -161,10 +168,10 @@ fn main() -> ExitCode {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores < GATE_THREADS {
         println!(
-            "gate skipped: host has {cores} core(s) < {GATE_THREADS}; a {GATE_THREADS}-thread \
-             point here measures oversubscription, not scaling"
+            "gate cannot measure here: host has {cores} core(s) < {GATE_THREADS}; a \
+             {GATE_THREADS}-thread point here measures oversubscription, not scaling"
         );
-        return ExitCode::SUCCESS;
+        return ExitCode::from(EXIT_CANNOT_MEASURE);
     }
     let Some(eff) = gate_eff else {
         return fail(&format!(

@@ -15,6 +15,8 @@
 //! is what lets the parallel runner pool workspaces per worker without
 //! perturbing the deterministic replay guarantees.
 
+use std::convert::Infallible;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -43,7 +45,7 @@ pub struct SimWorkspace {
     compiled_builds: u64,
     /// Cache-hit count for [`Self::compiled_for`].
     compiled_reuses: u64,
-    /// Completed runs through this workspace.
+    /// Runs through this workspace, stopped ones included.
     runs: u64,
     /// Total days simulated through this workspace.
     days_simulated: u64,
@@ -131,13 +133,35 @@ impl SimWorkspace {
         init: &SimState,
         end_day: u32,
     ) -> Result<(DailySeries, SimCheckpoint), SimError> {
+        let ControlFlow::Continue(run) =
+            self.run_with(model, stepper, init, end_day, never_stop)?;
+        Ok(run)
+    }
+
+    /// [`Self::run`], calling `on_day(day, row)` after each simulated
+    /// day with the day's output row in
+    /// [`ModelSpec::output_names`](crate::spec::ModelSpec::output_names)
+    /// order. A `Break` from `on_day` stops the run after that day and
+    /// is returned in place of the series and checkpoint; the stopped
+    /// run's days still count in [`Self::days_simulated`].
+    ///
+    /// # Errors
+    /// Same contract as [`Self::run`].
+    pub fn run_with<S: Stepper, B>(
+        &mut self,
+        model: &CompiledSpec,
+        stepper: &S,
+        init: &SimState,
+        end_day: u32,
+        on_day: impl FnMut(u32, &[u64]) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B, (DailySeries, SimCheckpoint)>, SimError> {
         if init.stage_counts.len() != model.spec.total_stages() {
             return Err(SimError::Spec(
                 "initial state does not match model layout".into(),
             ));
         }
         self.state.assign_from(init);
-        Ok(self.run_loop(model, stepper, end_day))
+        Ok(self.run_loop(model, stepper, end_day, on_day))
     }
 
     /// Resume a trajectory from a checkpoint with a fresh RNG seed (the
@@ -161,17 +185,37 @@ impl SimWorkspace {
         seed: u64,
         end_day: u32,
     ) -> Result<(DailySeries, SimCheckpoint), SimError> {
-        ck.restore_into_with_seed(&model.spec, &mut self.state, seed)?;
-        Ok(self.run_loop(model, stepper, end_day))
+        let ControlFlow::Continue(run) =
+            self.run_from_checkpoint_with(model, stepper, ck, seed, end_day, never_stop)?;
+        Ok(run)
     }
 
-    /// Shared day-advance loop over the workspace buffers.
-    fn run_loop<S: Stepper>(
+    /// [`Self::run_from_checkpoint`] with a per-day callback, as in
+    /// [`Self::run_with`].
+    ///
+    /// # Errors
+    /// Same contract as [`Self::run_from_checkpoint`].
+    pub fn run_from_checkpoint_with<S: Stepper, B>(
+        &mut self,
+        model: &CompiledSpec,
+        stepper: &S,
+        ck: &SimCheckpoint,
+        seed: u64,
+        end_day: u32,
+        on_day: impl FnMut(u32, &[u64]) -> ControlFlow<B>,
+    ) -> Result<ControlFlow<B, (DailySeries, SimCheckpoint)>, SimError> {
+        ck.restore_into_with_seed(&model.spec, &mut self.state, seed)?;
+        Ok(self.run_loop(model, stepper, end_day, on_day))
+    }
+
+    /// The one day-advance loop over the workspace buffers.
+    fn run_loop<S: Stepper, B>(
         &mut self,
         model: &CompiledSpec,
         stepper: &S,
         end_day: u32,
-    ) -> (DailySeries, SimCheckpoint) {
+        mut on_day: impl FnMut(u32, &[u64]) -> ControlFlow<B>,
+    ) -> ControlFlow<B, (DailySeries, SimCheckpoint)> {
         // Row i of the series covers day `state.day + 1 + i`, matching
         // `Simulation`'s convention.
         let mut series = DailySeries::with_day_capacity(
@@ -180,6 +224,7 @@ impl SimWorkspace {
             end_day.saturating_sub(self.state.day) as usize,
         );
         let n_flows = model.spec.flows.len();
+        let mut stopped = None;
         // epilint: allow(wall-clock) — telemetry only; never feeds results
         let started = Instant::now();
         while self.state.day < end_day {
@@ -189,15 +234,23 @@ impl SimWorkspace {
             model.censuses_into(&self.state, &mut self.day_buf);
             series.push_day(&self.day_buf);
             self.days_simulated += 1;
+            if let ControlFlow::Break(b) = on_day(self.state.day, &self.day_buf) {
+                stopped = Some(b);
+                break;
+            }
         }
         self.sim_nanos += started.elapsed().as_nanos() as u64;
         self.runs += 1;
-        let ck = SimCheckpoint::capture(&model.spec, &self.state);
-        (series, ck)
+        match stopped {
+            Some(b) => ControlFlow::Break(b),
+            None => {
+                ControlFlow::Continue((series, SimCheckpoint::capture(&model.spec, &self.state)))
+            }
+        }
     }
 
-    /// Completed runs through this workspace (reuse count is
-    /// `runs().saturating_sub(1)`).
+    /// Runs through this workspace, stopped ones included (reuse count
+    /// is `runs().saturating_sub(1)`).
     pub fn runs(&self) -> u64 {
         self.runs
     }
@@ -228,6 +281,11 @@ impl SimWorkspace {
     pub fn compiled_reuses(&self) -> u64 {
         self.compiled_reuses
     }
+}
+
+/// The per-day callback of a run that is never stopped.
+fn never_stop(_: u32, _: &[u64]) -> ControlFlow<Infallible> {
+    ControlFlow::Continue(())
 }
 
 #[cfg(test)]
@@ -285,6 +343,36 @@ mod tests {
         assert_eq!(&series, sim.series());
         assert_eq!(end_ck, sim.checkpoint());
         assert_eq!(series.start_day(), 21);
+    }
+
+    #[test]
+    fn day_callback_sees_every_row_and_can_stop_the_run() {
+        let (model, init) = model();
+        let stepper = BinomialChainStepper::daily();
+        let mut ws = SimWorkspace::new();
+        let (series, _) = ws.run(&model, &stepper, &init, 30).unwrap();
+        let mut rows = Vec::new();
+        let flow = ws
+            .run_with(&model, &stepper, &init, 30, |day, row| {
+                rows.push((day, row.to_vec()));
+                if day == 12 {
+                    ControlFlow::Break(day)
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })
+            .unwrap();
+        assert!(matches!(flow, ControlFlow::Break(12)));
+        assert_eq!(rows.len(), 12);
+        for (i, (day, row)) in rows.iter().enumerate() {
+            assert_eq!(*day, series.start_day() + i as u32);
+            let want: Vec<u64> = (0..series.names().len())
+                .map(|k| series.column(k).unwrap()[i])
+                .collect();
+            assert_eq!(*row, want, "day {day}");
+        }
+        // The stopped run counts, with the days it simulated.
+        assert_eq!((ws.runs(), ws.days_simulated()), (2, 42));
     }
 
     #[test]

@@ -37,8 +37,30 @@ pub trait Likelihood: Send + Sync {
     /// operations in the same order.
     fn prepared_day_term(&self, prepared_y: f64, eta_obs: f64) -> f64;
 
+    /// An upper bound on [`Self::prepared_day_term`]`(prepared_y, η)`
+    /// over every simulated value `η`, as computed in floating point
+    /// (a term that comes out NaN counts as under it).
+    ///
+    /// The PMMH move pass uses it to stop re-simulating a proposal once
+    /// no remaining day can get it accepted; a bound that is not exact
+    /// in floating point would change which moves are accepted. The
+    /// default, `f64::INFINITY`, declares no bound, and a pass over a
+    /// source without one never stops early.
+    fn day_term_bound(&self, prepared_y: f64) -> f64 {
+        let _ = prepared_y;
+        f64::INFINITY
+    }
+
     /// Short identifier for logs.
     fn name(&self) -> &'static str;
+}
+
+/// The Gaussian day term's peak, `-ln σ - ln √(2π)`. It bounds
+/// `-0.5·z·z - ln σ - ln √(2π)` exactly in floating point:
+/// `-0.5·z·z` is never above `-0.0`, IEEE subtraction is monotone, and
+/// `-0.0 - ln σ` is `-ln σ` exactly.
+fn gaussian_peak(sigma: f64) -> f64 {
+    -sigma.ln() - LN_SQRT_2PI
 }
 
 /// Independent Gaussian likelihood on square-root transformed counts:
@@ -100,6 +122,10 @@ impl Likelihood for GaussianSqrtLikelihood {
         -0.5 * z * z - self.sigma.ln() - LN_SQRT_2PI
     }
 
+    fn day_term_bound(&self, _prepared_y: f64) -> f64 {
+        gaussian_peak(self.sigma)
+    }
+
     fn name(&self) -> &'static str {
         "gaussian-sqrt"
     }
@@ -142,6 +168,10 @@ impl Likelihood for GaussianRawLikelihood {
     fn prepared_day_term(&self, prepared_y: f64, eta_obs: f64) -> f64 {
         let z = (prepared_y - eta_obs) / self.sigma;
         -0.5 * z * z - self.sigma.ln() - LN_SQRT_2PI
+    }
+
+    fn day_term_bound(&self, _prepared_y: f64) -> f64 {
+        gaussian_peak(self.sigma)
     }
 
     fn name(&self) -> &'static str {

@@ -16,8 +16,11 @@
 //! shrunk, scaled empirical posterior covariance, arriving as a Cholesky
 //! factor. The proposal is symmetric, so the acceptance ratio reduces to
 //! the likelihood ratio under the locally-flat-prior approximation the
-//! windowed scheme already makes.
+//! windowed scheme already makes. Most proposals are rejected, and an
+//! exact early-rejection rule (Solonen et al. 2012) stops re-simulating
+//! one as soon as no remaining window day can get it accepted.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use episim::output::SharedTrajectory;
@@ -34,13 +37,24 @@ use crate::simulator::{PooledWorkspace, TrajectorySimulator, WorkspaceStats};
 use crate::sis::{score_window, ObservedData, PreparedObserved};
 use crate::window::TimeWindow;
 
-/// Outcome statistics of a rejuvenation pass.
+/// Outcome statistics of a rejuvenation pass. Every count is exact and
+/// the same for every thread shape, for a batch run and a stream, and
+/// whether the simulator stops its day loop early or replays a full
+/// window (the [`TrajectorySimulator::run_scored_in`] default).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RejuvenationStats {
     /// Total proposed moves.
     pub proposed: usize,
     /// Accepted moves.
     pub accepted: usize,
+    /// Moves rejected before their window's last day, because a bound on
+    /// the final log-likelihood already failed the acceptance test.
+    pub decided_early: usize,
+    /// Window days scored to reach the decisions: all of a move's window
+    /// days when it ran to the window end, the days up to its decision
+    /// when it was decided early. Days before the window, which a
+    /// particle simulated fresh from day 0 re-runs, are not counted.
+    pub decision_days: usize,
 }
 
 impl RejuvenationStats {
@@ -76,6 +90,13 @@ fn reflect(mut x: f64, lo: f64, hi: f64) -> f64 {
     x
 }
 
+/// The Metropolis–Hastings test on window log-likelihoods: accept `ll`
+/// when it is at least `current`, else with probability
+/// `exp(ll - current)`, drawing the uniform only then.
+fn accepts(ll: f64, current: f64, uniform: impl FnOnce() -> f64) -> bool {
+    ll >= current || uniform() < (ll - current).exp()
+}
+
 /// Counter-stream tags of the PMMH pass, additionally keyed by the
 /// window index, so every window's move pass draws from its own stream
 /// and streaming-vs-batch identity holds window by window.
@@ -109,6 +130,23 @@ const TAG_PMMH_BIAS: u64 = 0x4E13;
 /// from counter-mode keys per `(window, particle)` — so the pass is
 /// bit-identical across thread shapes and identical whether the window
 /// was computed by a batch run or a streaming append.
+///
+/// **Early rejection.** A move accepts when `ℓ' >= ℓ || u < exp(ℓ' - ℓ)`
+/// ([`accepts`]; `ℓ` the current and `ℓ'` the proposed window
+/// log-likelihood), and draws `u` only when `ℓ' < ℓ`. The pass reads
+/// that `u` ahead from a clone of the move stream, re-simulates the
+/// window through [`TrajectorySimulator::run_scored_in`], and scores
+/// each window day as it arrives. After each day it bounds `ℓ'` from
+/// above in floating point ([`crate::sis::ScoreScratch::bound`]: every
+/// unscored day at its likelihood's
+/// [`crate::likelihood::Likelihood::day_term_bound`]). When even that
+/// bound `B` fails the test, `!accepts(B, ℓ, u)`, the move is rejected
+/// and the simulation stops. Every decision is the one the full window
+/// makes: `ℓ' <= B` (or `ℓ'` is NaN), and IEEE subtraction and
+/// `f64::exp` are monotone, so the full test fails too. The real `u` is
+/// then consumed, as the full test would have drawn it. Posteriors and
+/// acceptance counts are therefore bit-identical with and without the
+/// rule. A source whose likelihood declares no bound turns it off.
 ///
 /// # Errors
 /// [`SmcError::Degenerate`] if the proposal covariance cannot be
@@ -160,12 +198,24 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
         .absorb(window_index as u64);
 
     let prepared = PreparedObserved::build(observed, window)?;
+    // Each source's column in the simulator's per-day output rows.
+    let names = simulator.output_names();
+    let columns = observed
+        .sources
+        .iter()
+        .map(|src| {
+            names.iter().position(|n| *n == src.series).ok_or_else(|| {
+                SmcError::Observation(format!("the simulator records no series '{}'", src.series))
+            })
+        })
+        .collect::<Result<Vec<usize>, SmcError>>()?;
+    let n_days = window.len();
     // ρ also stays inside (0, 1], whatever its support says.
     let (rho_lo, rho_hi) = (jitter_rho.lo.max(1e-9), jitter_rho.hi.min(1.0));
     let zeros = vec![0.0f64; d];
     let ws_stats = Arc::new(WorkspaceStats::default());
     let particles: Vec<_> = ensemble.particles().to_vec();
-    let moved: Vec<Result<(Particle, usize), SmcError>> = runner.run_grid_pooled(
+    let moved: Vec<Result<(Particle, RejuvenationStats), SmcError>> = runner.run_grid_pooled(
         particles.len(),
         1,
         || PooledWorkspace::new(Arc::clone(&ws_stats)),
@@ -185,7 +235,7 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
                 &prepared,
                 scratch,
             )?;
-            let mut accepted_here = 0usize;
+            let mut counts = RejuvenationStats::default();
 
             for _ in 0..config.moves {
                 // One correlated Gaussian step for all of (θ, ρ): exactly
@@ -200,53 +250,89 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
                     .map(|((&t, &dx), k)| reflect(t + dx, k.lo, k.hi))
                     .collect();
                 let rho_new = reflect(p.rho + delta[d - 1], rho_lo, rho_hi);
+                // The uniform the acceptance test draws when the
+                // proposal scores below the current state.
+                let u = rng.clone().next_f64();
 
-                // Re-simulate the window with the SAME seed.
-                let (trajectory_new, checkpoint_new) = match &p.origin {
-                    None => {
-                        let (t, ck) =
-                            simulator.run_fresh_in(sim, &theta_new, p.seed, window.end)?;
-                        (SharedTrajectory::root(t), ck)
+                // Re-simulate the window with the SAME seed, scoring each
+                // window day as it is produced. The pre-window history
+                // is shared, not re-simulated; window days it already
+                // holds (an origin inside the window) are scored first.
+                let kept = p
+                    .origin
+                    .as_ref()
+                    .map(|o| (o.day, p.trajectory.truncated(o.day)));
+                scratch.begin(observed, &prepared, bias_seed)?;
+                if let Some((origin_day, history)) = &kept {
+                    if *origin_day >= window.start {
+                        let last = (*origin_day).min(window.end);
+                        scratch.score_stored(history, observed, &prepared, last, rho_new)?;
                     }
-                    Some(origin) => {
-                        let (tail, ck) =
-                            simulator.run_from_in(sim, origin, &theta_new, p.seed, window.end)?;
-                        // Share the (unchanged) pre-window history: only the
-                        // re-simulated window segment is fresh storage.
-                        (p.trajectory.truncated(origin.day).append(tail), ck)
+                }
+                let mut on_day = |day: u32, row: &[u64]| {
+                    let scored =
+                        scratch.score_day(observed, &prepared, &columns, rho_new, day, row);
+                    if scored && scratch.scored < n_days {
+                        if let Some(b) = scratch.bound(&prepared) {
+                            if !accepts(b, current_ll, || u) {
+                                return ControlFlow::Break(());
+                            }
+                        }
                     }
+                    ControlFlow::Continue(())
                 };
-                let proposed_ll = score_window(
-                    &trajectory_new,
-                    rho_new,
-                    bias_seed,
-                    observed,
-                    &prepared,
-                    scratch,
+                let origin = p.origin.as_deref();
+                let run = simulator.run_scored_in(
+                    sim,
+                    origin,
+                    &theta_new,
+                    p.seed,
+                    window.end,
+                    &mut on_day,
                 )?;
-                let accept =
-                    proposed_ll >= current_ll || rng.next_f64() < (proposed_ll - current_ll).exp();
-                if accept {
+                counts.decision_days += scratch.scored;
+                let Some((tail, checkpoint_new)) = run else {
+                    // Rejected with ℓ' < ℓ: draw the uniform the full
+                    // test would have drawn.
+                    rng.next_f64();
+                    counts.decided_early += 1;
+                    continue;
+                };
+                if scratch.scored != n_days {
+                    return Err(SmcError::Observation(format!(
+                        "the re-simulated trajectory does not cover days [{}, {}]",
+                        window.start, window.end
+                    )));
+                }
+                let proposed_ll = scratch.total();
+                if accepts(proposed_ll, current_ll, || rng.next_f64()) {
                     p.theta = theta_new.into();
                     p.rho = rho_new;
-                    p.trajectory = trajectory_new;
+                    p.trajectory = match kept {
+                        None => SharedTrajectory::root(tail),
+                        // Share the (unchanged) pre-window history: only
+                        // the re-simulated segment is fresh storage.
+                        Some((_, history)) => history.append(tail),
+                    };
                     p.checkpoint = crate::ckpool::share(checkpoint_new);
                     current_ll = proposed_ll;
-                    accepted_here += 1;
+                    counts.accepted += 1;
                 }
             }
-            Ok((p, accepted_here))
+            Ok((p, counts))
         },
     );
 
     let mut stats = RejuvenationStats {
         proposed: config.moves * particles.len(),
-        accepted: 0,
+        ..RejuvenationStats::default()
     };
     for (slot, item) in ensemble.particles_mut().iter_mut().zip(moved) {
-        let (p, acc) = item?;
+        let (p, counts) = item?;
         *slot = p;
-        stats.accepted += acc;
+        stats.accepted += counts.accepted;
+        stats.decided_early += counts.decided_early;
+        stats.decision_days += counts.decision_days;
     }
     Ok(stats)
 }

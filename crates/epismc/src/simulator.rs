@@ -7,6 +7,7 @@
 //! parameters (Section III-B), which is what makes the sequential scheme
 //! cheap.
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -18,6 +19,9 @@ use episim::seir::{SeirModel, SeirParams};
 use episim::workspace::SimWorkspace;
 
 use crate::error::SmcError;
+
+/// A simulated series and its end-of-run checkpoint.
+type Run = (DailySeries, SimCheckpoint);
 
 /// Shared counters aggregating [`SimWorkspace`] telemetry across all the
 /// per-worker workspaces of a parallel grid. Workers flush into these
@@ -222,6 +226,73 @@ pub trait TrajectorySimulator: Send + Sync {
         let _ = ws;
         self.run_from(checkpoint, theta, seed, end_day)
     }
+
+    /// Run to `end_day` through a reusable [`SimWorkspace`] — fresh from
+    /// day 0 when `origin` is `None`, else continuing `origin` like
+    /// [`Self::run_from_in`] — and call `on_day(day, row)` for every
+    /// simulated day in order, `row` holding the day's values in
+    /// [`Self::output_names`] order.
+    ///
+    /// A `Break` from `on_day` says the caller needs no further days:
+    /// the run may stop there and returns `Ok(None)`. A run `on_day`
+    /// never stops returns `Ok(Some(_))`, bit-identical to
+    /// `run_fresh_in` / `run_from_in`. The PMMH move pass scores each
+    /// day as it arrives and stops a proposal as soon as no remaining
+    /// day can get it accepted.
+    ///
+    /// The default runs the whole span through `run_fresh_in` /
+    /// `run_from_in` and then replays the rows to `on_day`, so the
+    /// callback sees the same days and makes the same decisions, but no
+    /// simulation is saved; the built-in adapters override it to stop
+    /// their day loop.
+    ///
+    /// # Errors
+    /// Same contract as [`Self::run_fresh_in`] / [`Self::run_from_in`];
+    /// the default also fails with [`SmcError::Simulation`] when the
+    /// run did not record one of [`Self::output_names`].
+    fn run_scored_in(
+        &self,
+        ws: &mut SimWorkspace,
+        origin: Option<&SimCheckpoint>,
+        theta: &[f64],
+        seed: u64,
+        end_day: u32,
+        on_day: &mut dyn FnMut(u32, &[u64]) -> ControlFlow<()>,
+    ) -> Result<Option<(DailySeries, SimCheckpoint)>, SmcError> {
+        let (series, ck) = match origin {
+            None => self.run_fresh_in(ws, theta, seed, end_day)?,
+            Some(origin) => self.run_from_in(ws, origin, theta, seed, end_day)?,
+        };
+        let columns = self
+            .output_names()
+            .iter()
+            .map(|name| {
+                series.series(name).ok_or_else(|| {
+                    SmcError::Simulation(format!("run did not record output series '{name}'"))
+                })
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut row = vec![0; columns.len()];
+        for (i, day) in (series.start_day()..).take(series.len()).enumerate() {
+            for (v, column) in row.iter_mut().zip(&columns) {
+                *v = column[i];
+            }
+            if on_day(day, &row).is_break() {
+                return Ok(None);
+            }
+        }
+        Ok(Some((series, ck)))
+    }
+}
+
+/// A per-day callback that never stops a run.
+fn never_stop(_: u32, _: &[u64]) -> ControlFlow<()> {
+    ControlFlow::Continue(())
+}
+
+/// The output of a scored run whose callback never stops it.
+fn to_end(run: Result<Option<Run>, SmcError>) -> Result<Run, SmcError> {
+    run?.ok_or_else(|| SmcError::Simulation("a run stopped without being asked to".into()))
 }
 
 /// Source for [`SimWorkspace::compiled_for`] salts: one per simulator
@@ -376,14 +447,7 @@ impl TrajectorySimulator for CovidSimulator {
         seed: u64,
         end_day: u32,
     ) -> Result<(DailySeries, SimCheckpoint), SmcError> {
-        let model = self.model_with(theta)?;
-        let key = theta_key::<2>(theta);
-        let compiled = ws.compiled_for(self.cache_salt, &key[..theta.len()], || {
-            CompiledSpec::new(model.spec())
-        })?;
-        let stepper = BinomialChainStepper::with_substeps(self.substeps);
-        let init = model.initial_state_in(&compiled.spec, seed);
-        Ok(ws.run(&compiled, &stepper, &init, end_day)?)
+        to_end(self.run_scored_in(ws, None, theta, seed, end_day, &mut never_stop))
     }
 
     fn run_from_in(
@@ -394,13 +458,35 @@ impl TrajectorySimulator for CovidSimulator {
         seed: u64,
         end_day: u32,
     ) -> Result<(DailySeries, SimCheckpoint), SmcError> {
+        let origin = Some(checkpoint);
+        to_end(self.run_scored_in(ws, origin, theta, seed, end_day, &mut never_stop))
+    }
+
+    fn run_scored_in(
+        &self,
+        ws: &mut SimWorkspace,
+        origin: Option<&SimCheckpoint>,
+        theta: &[f64],
+        seed: u64,
+        end_day: u32,
+        on_day: &mut dyn FnMut(u32, &[u64]) -> ControlFlow<()>,
+    ) -> Result<Option<(DailySeries, SimCheckpoint)>, SmcError> {
         let model = self.model_with(theta)?;
         let key = theta_key::<2>(theta);
         let compiled = ws.compiled_for(self.cache_salt, &key[..theta.len()], || {
             CompiledSpec::new(model.spec())
         })?;
         let stepper = BinomialChainStepper::with_substeps(self.substeps);
-        Ok(ws.run_from_checkpoint(&compiled, &stepper, checkpoint, seed, end_day)?)
+        let flow = match origin {
+            None => {
+                let init = model.initial_state_in(&compiled.spec, seed);
+                ws.run_with(&compiled, &stepper, &init, end_day, on_day)?
+            }
+            Some(ck) => {
+                ws.run_from_checkpoint_with(&compiled, &stepper, ck, seed, end_day, on_day)?
+            }
+        };
+        Ok(flow.continue_value())
     }
 }
 
@@ -485,13 +571,7 @@ impl TrajectorySimulator for SeirSimulator {
         seed: u64,
         end_day: u32,
     ) -> Result<(DailySeries, SimCheckpoint), SmcError> {
-        let model = self.model_with(theta)?;
-        let key = theta_key::<1>(theta);
-        let compiled =
-            ws.compiled_for(self.cache_salt, &key, || CompiledSpec::new(model.spec()))?;
-        let stepper = BinomialChainStepper::daily();
-        let init = model.initial_state_in(&compiled.spec, seed);
-        Ok(ws.run(&compiled, &stepper, &init, end_day)?)
+        to_end(self.run_scored_in(ws, None, theta, seed, end_day, &mut never_stop))
     }
 
     fn run_from_in(
@@ -502,12 +582,34 @@ impl TrajectorySimulator for SeirSimulator {
         seed: u64,
         end_day: u32,
     ) -> Result<(DailySeries, SimCheckpoint), SmcError> {
+        let origin = Some(checkpoint);
+        to_end(self.run_scored_in(ws, origin, theta, seed, end_day, &mut never_stop))
+    }
+
+    fn run_scored_in(
+        &self,
+        ws: &mut SimWorkspace,
+        origin: Option<&SimCheckpoint>,
+        theta: &[f64],
+        seed: u64,
+        end_day: u32,
+        on_day: &mut dyn FnMut(u32, &[u64]) -> ControlFlow<()>,
+    ) -> Result<Option<(DailySeries, SimCheckpoint)>, SmcError> {
         let model = self.model_with(theta)?;
         let key = theta_key::<1>(theta);
         let compiled =
             ws.compiled_for(self.cache_salt, &key, || CompiledSpec::new(model.spec()))?;
         let stepper = BinomialChainStepper::daily();
-        Ok(ws.run_from_checkpoint(&compiled, &stepper, checkpoint, seed, end_day)?)
+        let flow = match origin {
+            None => {
+                let init = model.initial_state_in(&compiled.spec, seed);
+                ws.run_with(&compiled, &stepper, &init, end_day, on_day)?
+            }
+            Some(ck) => {
+                ws.run_from_checkpoint_with(&compiled, &stepper, ck, seed, end_day, on_day)?
+            }
+        };
+        Ok(flow.continue_value())
     }
 }
 
@@ -540,8 +642,6 @@ mod tests {
         let ck = sim.checkpoint();
         (sim.into_series(), ck)
     }
-
-    type Run = (DailySeries, SimCheckpoint);
 
     fn covid() -> CovidSimulator {
         CovidSimulator::new(CovidParams {

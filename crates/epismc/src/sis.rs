@@ -74,15 +74,13 @@ impl ObservedSeries {
         Some(&self.values[a..=b])
     }
 
-    /// Last observed day, or `None` for an empty series (an empty series
-    /// used to underflow here: `start_day + 0 - 1` panics in debug and
-    /// wraps in release).
+    /// Last observed day, or `None` for an empty series or one whose
+    /// last day would lie past `u32::MAX` (unchecked, an empty series
+    /// underflowed here and an overlong one overflowed: a panic in debug
+    /// builds, a wrapped day in release).
     pub fn end_day(&self) -> Option<u32> {
-        if self.values.is_empty() {
-            None
-        } else {
-            Some(self.start_day + self.values.len() as u32 - 1)
-        }
+        let last = u32::try_from(self.values.len().checked_sub(1)?).ok()?;
+        self.start_day.checked_add(last)
     }
 }
 
@@ -418,21 +416,46 @@ pub struct WindowResult {
 }
 
 /// Reusable buffers for window scoring: the simulated window (integer
-/// counts) and the bias model's queue of reports not yet due. One
-/// scratch lives in each worker's [`crate::simulator::PooledWorkspace`],
-/// so scoring fused into the grid pass allocates nothing per cell after
+/// counts) and one running score per data source. One scratch
+/// lives in each worker's [`crate::simulator::PooledWorkspace`], so
+/// scoring fused into the grid pass allocates nothing per cell after
 /// warm-up.
 #[derive(Debug, Default)]
 pub struct ScoreScratch {
     /// Simulated window counts (`SharedTrajectory::window_into` target).
     sim_u: Vec<u64>,
-    /// The `pending` queue of [`BiasModel::observe_one`], emptied at the
-    /// start of every source pass.
-    pending: VecDeque<f64>,
+    /// The window being scored: one state per source, in source order.
+    sources: Vec<SourceScore>,
+    /// Window days scored since [`Self::begin`], in day order.
+    pub(crate) scored: usize,
     /// Per-source scoring passes (one per source per scored cell);
     /// flushed into [`crate::simulator::WorkspaceStats`] when the owning
     /// pooled workspace drops.
     pub(crate) fused_scores: u64,
+}
+
+/// One source's running score over a window: its own bias stream, its
+/// own queue of reports not yet due, and its log-likelihood so far.
+/// Sources share no state, so scoring day by day across sources draws
+/// the same numbers as scoring one source at a time.
+#[derive(Debug)]
+struct SourceScore {
+    bias_rng: Xoshiro256PlusPlus,
+    /// The `pending` queue of [`BiasModel::observe_one`].
+    pending: VecDeque<f64>,
+    /// Day terms summed in day order from `0.0`.
+    acc: f64,
+}
+
+impl SourceScore {
+    /// The one day step of window scoring: map the day's simulated
+    /// count through the bias model, then add the likelihood's day term.
+    fn day(&mut self, src: &DataSource, count: u64, prepared_y: f64, rho: f64) {
+        let eta_obs =
+            src.bias
+                .observe_one(count as f64, rho, &mut self.bias_rng, &mut self.pending);
+        self.acc += src.likelihood.prepared_day_term(prepared_y, eta_obs);
+    }
 }
 
 impl ScoreScratch {
@@ -444,6 +467,124 @@ impl ScoreScratch {
     /// Per-source scoring passes made through this scratch.
     pub fn fused_scores(&self) -> u64 {
         self.fused_scores
+    }
+
+    /// Start scoring `prepared`'s window: one fresh state per source,
+    /// each on its own bias stream, and no day scored yet.
+    ///
+    /// # Errors
+    /// [`SmcError::Observation`] if `prepared` was built from data with
+    /// a different number of sources.
+    pub(crate) fn begin(
+        &mut self,
+        observed: &ObservedData,
+        prepared: &PreparedObserved,
+        bias_seed: u64,
+    ) -> Result<(), SmcError> {
+        let n = observed.sources.len();
+        if prepared.per_source.len() != n {
+            return Err(SmcError::Observation(format!(
+                "prepared observations cover {} source(s), the observed data has {n}",
+                prepared.per_source.len(),
+            )));
+        }
+        let start = prepared.window.start as u64;
+        self.sources.resize_with(n, || SourceScore {
+            bias_rng: Xoshiro256PlusPlus::new(0),
+            pending: VecDeque::new(),
+            acc: 0.0,
+        });
+        for (si, state) in self.sources.iter_mut().enumerate() {
+            state.bias_rng =
+                Xoshiro256PlusPlus::from_stream(bias_seed, &[TAG_BIAS, start, si as u64]);
+            state.pending.clear();
+            state.acc = 0.0;
+        }
+        self.scored = 0;
+        Ok(())
+    }
+
+    /// Score the window days from its start through `last` (not before
+    /// the start) that `trajectory` already holds, source by source,
+    /// each source's days in order.
+    ///
+    /// # Errors
+    /// [`SmcError::Observation`] if the trajectory does not cover those
+    /// days on a referenced series.
+    pub(crate) fn score_stored(
+        &mut self,
+        trajectory: &SharedTrajectory,
+        observed: &ObservedData,
+        prepared: &PreparedObserved,
+        last: u32,
+        rho: f64,
+    ) -> Result<(), SmcError> {
+        let start = prepared.window.start;
+        for ((src, state), prep) in observed
+            .sources
+            .iter()
+            .zip(&mut self.sources)
+            .zip(&prepared.per_source)
+        {
+            if !trajectory.window_into(&src.series, start, last, &mut self.sim_u) {
+                return Err(SmcError::Observation(format!(
+                    "trajectory does not cover series '{}' on days [{start}, {last}]",
+                    src.series
+                )));
+            }
+            for (&count, &y) in self.sim_u.iter().zip(prep) {
+                state.day(src, count, y, rho);
+            }
+        }
+        self.scored = (last - start) as usize + 1;
+        Ok(())
+    }
+
+    /// Score one simulated day across all sources, each reading its
+    /// count from `row[columns[source]]`. Only the window's next
+    /// unscored day is scored; returns whether `day` was it.
+    pub(crate) fn score_day(
+        &mut self,
+        observed: &ObservedData,
+        prepared: &PreparedObserved,
+        columns: &[usize],
+        rho: f64,
+        day: u32,
+        row: &[u64],
+    ) -> bool {
+        let window = prepared.window;
+        let d = self.scored;
+        if day < window.start || (day - window.start) as usize != d || d >= window.len() {
+            return false;
+        }
+        for (si, (src, state)) in observed.sources.iter().zip(&mut self.sources).enumerate() {
+            state.day(src, row[columns[si]], prepared.per_source[si][d], rho);
+        }
+        self.scored += 1;
+        true
+    }
+
+    /// The window's joint log-likelihood so far: the sources' sums added
+    /// in source order from `-0.0`, the additive identity
+    /// `Iterator::sum` starts from.
+    pub(crate) fn total(&self) -> f64 {
+        self.sources.iter().fold(-0.0, |t, s| t + s.acc)
+    }
+
+    /// An upper bound, in floating point, on the [`Self::total`] the
+    /// window will reach once every day is scored: each source's running
+    /// sum continued with the per-day bound of each unscored day, in the
+    /// order the real terms would be added, then the sources combined as
+    /// `total` does. IEEE addition is monotone, so a sum over terms each
+    /// at most its bound is at most the bound's sum (or NaN, which the
+    /// acceptance test rejects either way). `None` when some source's
+    /// likelihood declares no bound.
+    pub(crate) fn bound(&self, prepared: &PreparedObserved) -> Option<f64> {
+        let rest = |s: &SourceScore, bounds: &Vec<f64>| {
+            bounds[self.scored..].iter().fold(s.acc, |a, &b| a + b)
+        };
+        let sources = self.sources.iter().zip(prepared.bounds.as_ref()?);
+        Some(sources.fold(-0.0, |t, (s, b)| t + rest(s, b)))
     }
 }
 
@@ -459,6 +600,9 @@ pub struct PreparedObserved {
     /// One prepared value per window day, per source (source order of
     /// the [`ObservedData`] it was built from).
     per_source: Vec<Vec<f64>>,
+    /// [`Likelihood::day_term_bound`] of each prepared value, or `None`
+    /// unless every bound is finite (below `+∞`, so not NaN either).
+    bounds: Option<Vec<Vec<f64>>>,
 }
 
 impl PreparedObserved {
@@ -495,7 +639,22 @@ impl PreparedObserved {
             }
             per_source.push(prep);
         }
-        Ok(Self { window, per_source })
+        let bounds: Vec<Vec<f64>> = observed
+            .sources
+            .iter()
+            .zip(&per_source)
+            .map(|(src, prep)| {
+                prep.iter()
+                    .map(|&y| src.likelihood.day_term_bound(y))
+                    .collect()
+            })
+            .collect();
+        let bounded = bounds.iter().flatten().all(|&b| b < f64::INFINITY);
+        Ok(Self {
+            window,
+            per_source,
+            bounds: bounded.then_some(bounds),
+        })
     }
 
     /// The window this preparation covers.
@@ -518,7 +677,8 @@ impl PreparedObserved {
 /// directly, with no materialized observation buffer. The result is
 /// bit-identical to [`Likelihood::log_likelihood`] of the observed window
 /// against [`BiasModel::observe`] of the simulated one on the same bias
-/// stream.
+/// stream. The PMMH move pass scores its proposals through the same day
+/// step, one simulated day at a time.
 ///
 /// # Errors
 /// Returns [`SmcError::Observation`] if `prepared` was built from data
@@ -532,38 +692,10 @@ pub fn score_window(
     prepared: &PreparedObserved,
     scratch: &mut ScoreScratch,
 ) -> Result<f64, SmcError> {
-    let window = prepared.window;
-    if prepared.per_source.len() != observed.sources.len() {
-        return Err(SmcError::Observation(format!(
-            "prepared observations cover {} source(s), the observed data has {}",
-            prepared.per_source.len(),
-            observed.sources.len()
-        )));
-    }
-    // `-0.0` is the additive identity `Iterator::sum` starts from.
-    let mut total = -0.0;
-    for (si, src) in observed.sources.iter().enumerate() {
-        if !trajectory.window_into(&src.series, window.start, window.end, &mut scratch.sim_u) {
-            return Err(SmcError::Observation(format!(
-                "trajectory does not cover series '{}' on days [{}, {}]",
-                src.series, window.start, window.end
-            )));
-        }
-        let prep = &prepared.per_source[si];
-        let mut bias_rng =
-            Xoshiro256PlusPlus::from_stream(bias_seed, &[TAG_BIAS, window.start as u64, si as u64]);
-        scratch.pending.clear();
-        let mut acc = 0.0;
-        for (&u, &y) in scratch.sim_u.iter().zip(prep) {
-            let eta_obs = src
-                .bias
-                .observe_one(u as f64, rho, &mut bias_rng, &mut scratch.pending);
-            acc += src.likelihood.prepared_day_term(y, eta_obs);
-        }
-        scratch.fused_scores += 1;
-        total += acc;
-    }
-    Ok(total)
+    scratch.begin(observed, prepared, bias_seed)?;
+    scratch.score_stored(trajectory, observed, prepared, prepared.window.end, rho)?;
+    scratch.fused_scores += observed.sources.len() as u64;
+    Ok(scratch.total())
 }
 
 /// Weight, resample, and package a candidate ensemble into a
@@ -1656,6 +1788,42 @@ mod tests {
         let c = score(&traj, 0.8, 43, &obs, w).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c); // different bias seed, different thinning draw
+    }
+
+    #[test]
+    fn day_by_day_scoring_matches_score_window_under_its_bound() {
+        use episim::output::DailySeries;
+        // Cases (sampled thinning) and deaths, with deaths stored first
+        // so the row columns differ from the source order.
+        let mut traj = DailySeries::new(vec!["deaths".into(), "infections".into()], 1);
+        for d in 0..12u64 {
+            traj.push_day(&[d % 3, 40 + 9 * d]);
+        }
+        let traj = SharedTrajectory::root(traj);
+        let cases: Vec<f64> = (0..12).map(|d| (30 + 6 * d) as f64).collect();
+        let obs = ObservedData::cases_and_deaths(cases, vec![1.0; 12]);
+        let window = TimeWindow::new(4, 10);
+        let prepared = PreparedObserved::build(&obs, window).unwrap();
+        let want = score_window(&traj, 0.7, 11, &obs, &prepared, &mut ScoreScratch::new()).unwrap();
+
+        // Days 4-6 from the stored trajectory, days 7-12 as simulated
+        // rows; day 11 and 12 lie past the window and are not scored.
+        let mut sc = ScoreScratch::new();
+        sc.begin(&obs, &prepared, 11).unwrap();
+        sc.score_stored(&traj, &obs, &prepared, 6, 0.7).unwrap();
+        let mut bounds = vec![sc.bound(&prepared).unwrap()];
+        for (day, row) in traj.iter_days().filter(|(day, _)| *day > 6) {
+            let scored = sc.score_day(&obs, &prepared, &[1, 0], 0.7, day, &row);
+            assert_eq!(scored, day <= 10, "day {day}");
+            if scored {
+                bounds.push(sc.bound(&prepared).unwrap());
+            }
+        }
+        assert_eq!(sc.scored, window.len());
+        assert_eq!(sc.total().to_bits(), want.to_bits());
+        assert!(bounds.iter().all(|&b| want <= b), "{bounds:?} vs {want}");
+        // With every day scored, the bound is the total itself.
+        assert_eq!(bounds.last().unwrap().to_bits(), want.to_bits());
     }
 
     #[test]

@@ -212,7 +212,8 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
     ///
     /// # Errors
     /// [`SmcError::Observation`] for an unknown source, an empty series,
-    /// or a gap/overlap with the existing data.
+    /// a series whose last day lies past `u32::MAX`, or a gap/overlap
+    /// with the existing data.
     pub fn ingest(&mut self, source: usize, series: &ObservedSeries) -> Result<(), SmcError> {
         let n_sources = self.observed.sources.len();
         let Some(target) = self.observed.sources.get_mut(source) else {
@@ -220,22 +221,18 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
                 "no data source {source} (the stream has {n_sources})"
             )));
         };
-        if series.values.is_empty() {
-            return Err(SmcError::Observation(
-                "cannot ingest an empty observed series".into(),
-            ));
-        }
-        match target.observed.end_day() {
-            Some(end) if series.start_day != end + 1 => {
+        last_day(series)?;
+        if target.observed.values.is_empty() {
+            target.observed.start_day = series.start_day;
+        } else {
+            let end = last_day(&target.observed)?;
+            if end.checked_add(1) != Some(series.start_day) {
                 return Err(SmcError::Observation(format!(
                     "source {source} ends at day {end}; appended series starts at day {} \
-                     (must be {})",
-                    series.start_day,
-                    end + 1
+                     (must start the day after)",
+                    series.start_day
                 )));
             }
-            Some(_) => {}
-            None => target.observed.start_day = series.start_day,
         }
         target.observed.values.extend_from_slice(&series.values);
         Ok(())
@@ -282,12 +279,7 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
                 self.observed.sources.len()
             )));
         }
-        let Some(end) = series.end_day() else {
-            return Err(SmcError::Observation(
-                "cannot append an empty observed series".into(),
-            ));
-        };
-        let window = TimeWindow::new(series.start_day, end);
+        let window = TimeWindow::new(series.start_day, last_day(series)?);
         self.ingest(0, series)?;
         Ok(self.advance_window(window)?.clone())
     }
@@ -368,6 +360,27 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
         self.next_window = widx + 1;
         Ok(())
     }
+}
+
+/// The last day of a series that has one.
+///
+/// # Errors
+/// [`SmcError::Observation`] for an empty series or one whose last day
+/// would lie past `u32::MAX`.
+fn last_day(series: &ObservedSeries) -> Result<u32, SmcError> {
+    if series.values.is_empty() {
+        return Err(SmcError::Observation(
+            "cannot append an empty observed series".into(),
+        ));
+    }
+    series.end_day().ok_or_else(|| {
+        SmcError::Observation(format!(
+            "a series of {} day(s) from day {} ends past the last representable day {}",
+            series.values.len(),
+            series.start_day,
+            u32::MAX
+        ))
+    })
 }
 
 /// Persist one window's snapshot inline through [`persist::persist`]

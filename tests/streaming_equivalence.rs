@@ -541,3 +541,56 @@ fn flush_parks_the_newest_window_on_sparse_cadence() {
     .unwrap();
     assert_eq!(stream.resume().unwrap().resumed_window, 2);
 }
+
+#[test]
+fn a_series_ending_past_the_last_representable_day_is_a_typed_error() {
+    // Regression: the last day of two values from day `u32::MAX` does
+    // not fit in a `u32`. Unchecked, `append_window` panicked with an
+    // add overflow in debug builds, and in release the end wrapped to
+    // day 0 and the window constructor asserted.
+    let (_, simulator) = setup();
+    let store = MemStore::new();
+    let policy = CheckpointPolicy {
+        every_windows: 1,
+        retain: None,
+    };
+    let mut stream = StreamingCalibrator::open(
+        calibrator(&simulator, Some(1), ResampleScheme::Systematic),
+        Priors::paper(),
+        ObservedData::cases_only(Vec::new()),
+        &store,
+        policy,
+    )
+    .unwrap();
+    let overlong = ObservedSeries {
+        start_day: u32::MAX,
+        values: vec![1.0, 2.0],
+    };
+    for err in [
+        stream.append_window(&overlong).unwrap_err(),
+        stream.ingest(0, &overlong).unwrap_err(),
+    ] {
+        assert!(matches!(err, SmcError::Observation(_)), "{err}");
+        assert!(
+            err.to_string().contains("past the last representable day"),
+            "{err}"
+        );
+    }
+    // A series may end on the last representable day; nothing can follow it.
+    let last = ObservedSeries {
+        start_day: u32::MAX - 1,
+        values: vec![1.0, 2.0],
+    };
+    stream.ingest(0, &last).unwrap();
+    let next = ObservedSeries {
+        start_day: 0,
+        values: vec![3.0],
+    };
+    let err = stream.ingest(0, &next).unwrap_err();
+    assert!(matches!(err, SmcError::Observation(_)), "{err}");
+    assert!(
+        !stream.is_failed(),
+        "rejected input does not fail-stop the stream"
+    );
+    assert!(store.list().unwrap().is_empty());
+}
