@@ -1,12 +1,10 @@
-//! Simulator stepper throughput: the three stochastic integrators on the
+//! Simulator stepper throughput: the two stochastic integrators on the
 //! same model specs, across population scales (the stepper-fidelity/cost
 //! ablation of DESIGN.md).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use episim::covid::{CovidModel, CovidParams};
-use episim::engine::{
-    BinomialChainStepper, CompiledSpec, GillespieStepper, StepScratch, Stepper, TauLeapStepper,
-};
+use episim::engine::{BinomialChainStepper, CompiledSpec, GillespieStepper, StepScratch, Stepper};
 use episim::seir::{SeirModel, SeirParams};
 use episim::state::SimState;
 use std::hint::black_box;
@@ -57,13 +55,6 @@ fn bench_seir_steppers(c: &mut Criterion) {
             &BinomialChainStepper::daily(),
             &init,
         );
-        bench_days(
-            &mut group,
-            &format!("tau4_pop{pop}"),
-            &model,
-            &TauLeapStepper::new(4),
-            &init,
-        );
         // Gillespie cost grows with event count; only the small population.
         if pop <= 1_000 {
             bench_days(
@@ -94,13 +85,6 @@ fn bench_covid_steppers(c: &mut Criterion) {
             &format!("chain_pop{pop}"),
             &model,
             &BinomialChainStepper::daily(),
-            &init,
-        );
-        bench_days(
-            &mut group,
-            &format!("tau4_pop{pop}"),
-            &model,
-            &TauLeapStepper::new(4),
             &init,
         );
     }

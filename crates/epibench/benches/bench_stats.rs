@@ -1,8 +1,8 @@
-//! Statistical-substrate cost: KDE evaluation (the Fig 4b/5b contour
+//! Statistical-substrate cost: 2-D KDE evaluation (the Fig 4b/5b contour
 //! grids), weighted quantiles (ribbon construction), and CRPS scoring.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use epistats::kde::{Kde1d, Kde2d};
+use epistats::kde::Kde2d;
 use epistats::rng::Xoshiro256PlusPlus;
 use epistats::score::crps;
 use epistats::summary::weighted_quantile;
@@ -23,10 +23,6 @@ fn bench_kde(c: &mut Criterion) {
         group.bench_function(BenchmarkId::new("kde2d_grid40", n), |b| {
             let kde = Kde2d::new(&xs, &ys, Some(&ws));
             b.iter(|| black_box(kde.grid((0.1, 0.5), (0.4, 1.0), 40, 40)));
-        });
-        group.bench_function(BenchmarkId::new("kde1d_grid200", n), |b| {
-            let kde = Kde1d::new(&xs, Some(&ws));
-            b.iter(|| black_box(kde.grid(0.1, 0.5, 200)));
         });
     }
     group.finish();

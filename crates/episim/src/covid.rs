@@ -556,13 +556,14 @@ mod tests {
             assert_eq!(st.total_population(), 4_000);
             (flows[0] as f64, flows[1] as f64) // infections, deaths
         };
+        let chain = BinomialChainStepper::try_with_substeps(8).unwrap();
         let reps = 8u64;
         let (mut gi, mut gd, mut ci, mut cd) = (0.0, 0.0, 0.0, 0.0);
         for s in 0..reps {
             let (i, d) = run(&GillespieStepper::new(), 300 + s);
             gi += i;
             gd += d;
-            let (i, d) = run(&BinomialChainStepper::with_substeps(8), 600 + s);
+            let (i, d) = run(&chain, 600 + s);
             ci += i;
             cd += d;
         }

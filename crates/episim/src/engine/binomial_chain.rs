@@ -28,16 +28,6 @@ impl BinomialChainStepper {
     /// Use `substeps` equal steps per day (finer steps reduce the
     /// discrete-hazard approximation error of simultaneous transitions).
     ///
-    /// # Panics
-    /// Panics if `substeps` is zero; use [`Self::try_with_substeps`] to
-    /// handle that case without panicking.
-    pub fn with_substeps(substeps: u32) -> Self {
-        // epilint: allow(panic-unwrap) — documented panicking convenience wrapper over try_with_substeps
-        Self::try_with_substeps(substeps).expect("BinomialChainStepper: substeps must be >= 1")
-    }
-
-    /// Fallible constructor: validates the substep count.
-    ///
     /// # Errors
     /// Returns [`SimError::Spec`] if `substeps` is zero.
     pub fn try_with_substeps(substeps: u32) -> Result<Self, SimError> {
@@ -223,7 +213,7 @@ mod tests {
     fn substeps_preserve_conservation() {
         let mut sc = StepScratch::default();
         let model = CompiledSpec::new(si_spec()).unwrap();
-        let stepper = BinomialChainStepper::with_substeps(4);
+        let stepper = BinomialChainStepper::try_with_substeps(4).unwrap();
         let mut st = init_state(&model, 13);
         let n0 = st.total_population();
         let mut flows = vec![0u64; 2];
@@ -250,8 +240,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
     fn zero_substeps_rejected() {
-        BinomialChainStepper::with_substeps(0);
+        let err = BinomialChainStepper::try_with_substeps(0).unwrap_err();
+        assert!(matches!(err, SimError::Spec(_)), "{err}");
     }
 }

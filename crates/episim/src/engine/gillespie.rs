@@ -180,7 +180,7 @@ mod tests {
         let mut sc = StepScratch::default();
         let model = CompiledSpec::new(si_spec()).unwrap();
         let exact = GillespieStepper::new();
-        let chain = super::super::BinomialChainStepper::with_substeps(8);
+        let chain = super::super::BinomialChainStepper::try_with_substeps(8).unwrap();
         let reps = 12u64;
         let mut fe = 0.0;
         let mut fc = 0.0;

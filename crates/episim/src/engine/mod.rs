@@ -1,9 +1,8 @@
-//! Stochastic steppers: three exact interpretations of one model spec.
+//! Stochastic steppers: two exact interpretations of one model spec.
 //!
 //! | Stepper | Time step | Event law | Use |
 //! |---|---|---|---|
 //! | [`BinomialChainStepper`] | fixed (default 1 day) | binomial competing risks | default; matches the reference model's daily cadence |
-//! | [`TauLeapStepper`] | fixed sub-day | Poisson leaps (capped) | accuracy/cost middle ground |
 //! | [`GillespieStepper`] | event-driven | exact CTMC (direct method) | fidelity baseline, small populations |
 //!
 //! All steppers consume the same [`CompiledSpec`] and mutate a
@@ -12,11 +11,9 @@
 
 mod binomial_chain;
 mod gillespie;
-mod tau_leap;
 
 pub use binomial_chain::BinomialChainStepper;
 pub use gillespie::GillespieStepper;
-pub use tau_leap::TauLeapStepper;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -244,19 +241,16 @@ struct SplitStep {
 /// the parallel grid.
 ///
 /// The layout is struct-of-arrays: per-stage intermediates (`deltas`,
-/// `draws`, `means`) are parallel flat arrays indexed by the dense stage
-/// offset of [`CompiledSpec::offsets`], so the steppers batch whole
-/// compartments through [`HazardSampler::draw_many`] /
-/// [`epistats::dist::sample_poisson_batch`] over contiguous slices.
+/// `draws`) are parallel flat arrays indexed by the dense stage offset
+/// of [`CompiledSpec::offsets`], so the chain stepper batches whole
+/// compartments through [`HazardSampler::draw_many`] over contiguous
+/// slices.
 #[derive(Clone, Debug, Default)]
 pub struct StepScratch {
     /// Net per-stage occupancy change within one substep.
     pub(crate) deltas: Vec<i64>,
-    /// Per-stage event counts drawn this substep (stage exits for the
-    /// chain stepper, leap counts for tau-leap).
+    /// Per-stage exits drawn this substep (chain stepper).
     pub(crate) draws: Vec<u64>,
-    /// Per-stage Poisson leap means (tau-leap).
-    pub(crate) means: Vec<f64>,
     /// Per-infection force of infection, snapshotted at substep start.
     pub(crate) foi_buf: Vec<f64>,
     /// Per-channel propensities (Gillespie).
@@ -272,10 +266,8 @@ pub struct StepScratch {
     /// Cache key for `hazards`/`hazard_samplers`:
     /// `(CompiledSpec::stamp, substeps)`.
     hazard_key: Option<(u64, u32)>,
-    /// Draws issued through batched sampling entry points
-    /// ([`HazardSampler::draw_many`] /
-    /// [`epistats::dist::sample_poisson_batch`]) — telemetry only, never
-    /// feeds results.
+    /// Draws issued through [`HazardSampler::draw_many`] — telemetry
+    /// only, never feeds results.
     pub(crate) batched_draws: u64,
 }
 
@@ -305,17 +297,7 @@ impl StepScratch {
         }
     }
 
-    /// Size the SoA buffers for `model` (tau-leap needs no hazard table:
-    /// its Poisson means are linear in the rates).
-    pub(crate) fn prepare_leap(&mut self, model: &CompiledSpec) {
-        let n_stages = model.spec.total_stages();
-        self.deltas.resize(n_stages, 0);
-        self.draws.resize(n_stages, 0);
-        self.means.resize(n_stages, 0.0);
-        self.foi_buf.resize(model.spec.infections.len(), 0.0);
-    }
-
-    /// Draws issued through batched sampling entry points since this
+    /// Draws issued through [`HazardSampler::draw_many`] since this
     /// scratch was created.
     pub fn batched_draws(&self) -> u64 {
         self.batched_draws

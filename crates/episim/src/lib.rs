@@ -14,12 +14,12 @@
 //! * Transitions are **progressions** (dwell-time driven, with categorical
 //!   branching on exit) and **infections** (force-of-infection driven,
 //!   mass-action with per-compartment infectivity weights).
-//! * Three exact-stochastic steppers share the spec: the daily
+//! * Two exact-stochastic steppers share the spec: the daily
 //!   [`engine::BinomialChainStepper`] (the default, matching the reference
-//!   model's daily cadence), [`engine::TauLeapStepper`] (Poisson leaps
-//!   with a configurable sub-day step), and [`engine::GillespieStepper`]
-//!   (the exact direct method, tractable for small populations and used
-//!   as the fidelity baseline in tests and benches).
+//!   model's daily cadence, and the stepper every calibration runs) and
+//!   [`engine::GillespieStepper`] (the exact direct method, tractable for
+//!   small populations and used as the fidelity baseline in tests and
+//!   benches).
 //! * [`checkpoint::SimCheckpoint`] serializes the *entire* simulation
 //!   state — clock, stage counts, and RNG state — and supports restarting
 //!   **with new parameter values**, which is the paper's trajectory-
@@ -44,7 +44,7 @@ pub mod workspace;
 pub use checkpoint::SimCheckpoint;
 pub use covid::{CovidModel, CovidParams};
 pub use covid_age::{AgeGroup, CovidAgeModel, CovidAgeParams};
-pub use engine::{BinomialChainStepper, GillespieStepper, Stepper, TauLeapStepper};
+pub use engine::{BinomialChainStepper, GillespieStepper, Stepper};
 pub use error::SimError;
 pub use output::DailySeries;
 pub use runner::Simulation;

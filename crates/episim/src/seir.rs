@@ -174,7 +174,7 @@ mod tests {
         for seed in 0..reps {
             let mut sim = Simulation::new(
                 m.spec(),
-                BinomialChainStepper::with_substeps(4),
+                BinomialChainStepper::try_with_substeps(4).unwrap(),
                 m.initial_state(seed),
             )
             .unwrap();

@@ -4,9 +4,9 @@
 //! compartments with Erlang dwell stages and infectivity weights,
 //! dwell-driven progressions with categorical branching, force-of-
 //! infection transitions, and the output flows/censuses to record.
-//! The three steppers in [`crate::engine`] interpret the same spec, so
-//! model fidelity comparisons (binomial chain vs tau-leap vs Gillespie)
-//! hold the model definition fixed.
+//! Both steppers in [`crate::engine`] interpret the same spec, so
+//! model fidelity comparisons (binomial chain vs Gillespie) hold the
+//! model definition fixed.
 
 use serde::{Deserialize, Serialize};
 

@@ -84,7 +84,8 @@ impl SimState {
         spec.transmission_rate * weighted / n as f64
     }
 
-    /// Force of infection felt by a specific [`Infection`] transition,
+    /// Force of infection felt by a specific
+    /// [`Infection`](crate::spec::Infection) transition,
     /// honouring its susceptibility multiplier and (optional) weighted
     /// source set — one row of a contact structure.
     pub fn force_of_infection_for(

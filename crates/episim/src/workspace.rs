@@ -11,9 +11,10 @@
 //! output and are necessarily fresh).
 //!
 //! The workspace is pure reuse: running a trajectory through a warm
-//! workspace is bit-identical to running it through [`Simulation`], which
-//! is what lets the parallel runner pool workspaces per worker without
-//! perturbing the deterministic replay guarantees.
+//! workspace is bit-identical to running it through a
+//! [`Simulation`](crate::runner::Simulation), which is what lets the
+//! parallel runner pool workspaces per worker without perturbing the
+//! deterministic replay guarantees.
 
 use std::convert::Infallible;
 use std::ops::ControlFlow;
@@ -329,7 +330,7 @@ mod tests {
     #[test]
     fn checkpoint_branching_matches_simulation_resume() {
         let (model, init) = model();
-        let stepper = BinomialChainStepper::with_substeps(2);
+        let stepper = BinomialChainStepper::try_with_substeps(2).unwrap();
         let mut ws = SimWorkspace::new();
         let (_, ck) = ws.run(&model, &stepper, &init, 20).unwrap();
 

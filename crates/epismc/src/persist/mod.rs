@@ -6,7 +6,7 @@
 //! sequential calibrator can snapshot its complete state — the posterior
 //! particle ensemble (thetas, log weights, structurally shared
 //! trajectories and `SimCheckpoint`s), the window scalars, and the
-//! telemetry — into one versioned, checksummed record (see [`format`])
+//! telemetry — into one versioned, checksummed record (see [`mod@format`])
 //! keyed by window index in a [`RunStore`].
 //!
 //! Because every window derives its RNG stream independently from the

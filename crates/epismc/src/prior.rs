@@ -8,7 +8,7 @@
 //! `theta` and *asymmetric* for `rho` (skewed toward higher reporting,
 //! reflecting improving surveillance) — to form the next proposal.
 
-use epistats::dist::{Beta, Distribution, TruncatedNormal, Uniform};
+use epistats::dist::{Beta, Distribution, Uniform};
 use epistats::rng::Xoshiro256PlusPlus;
 
 /// A univariate prior: sampling plus log-density evaluation.
@@ -71,33 +71,6 @@ impl Prior for BetaPrior {
     }
     fn support(&self) -> (f64, f64) {
         (0.0, 1.0)
-    }
-}
-
-/// Truncated-normal prior (for informative rate priors in custom
-/// scenarios).
-#[derive(Clone, Copy, Debug)]
-pub struct TruncatedNormalPrior(TruncatedNormal);
-
-impl TruncatedNormalPrior {
-    /// Create a `N(mu, sigma^2)` prior truncated to `[lo, hi]`.
-    ///
-    /// # Panics
-    /// Propagates [`TruncatedNormal::new`] panics.
-    pub fn new(mu: f64, sigma: f64, lo: f64, hi: f64) -> Self {
-        Self(TruncatedNormal::new(mu, sigma, lo, hi))
-    }
-}
-
-impl Prior for TruncatedNormalPrior {
-    fn sample(&self, rng: &mut Xoshiro256PlusPlus) -> f64 {
-        self.0.sample(rng)
-    }
-    fn ln_pdf(&self, x: f64) -> f64 {
-        self.0.ln_pdf(x)
-    }
-    fn support(&self) -> (f64, f64) {
-        (self.0.lo(), self.0.hi())
     }
 }
 
@@ -196,18 +169,6 @@ mod tests {
         // Beta(4,1) density: 4 x^3.
         assert!((p.ln_pdf(0.5) - (4.0f64 * 0.125).ln()).abs() < 1e-12);
         assert_eq!(p.support(), (0.0, 1.0));
-    }
-
-    #[test]
-    fn truncated_normal_prior_works() {
-        let p = TruncatedNormalPrior::new(0.3, 0.1, 0.1, 0.5);
-        let (lo, hi) = p.support();
-        assert!((lo - 0.1).abs() < 1e-9 && (hi - 0.5).abs() < 1e-9);
-        let mut rng = Xoshiro256PlusPlus::new(2);
-        for _ in 0..500 {
-            let x = p.sample(&mut rng);
-            assert!((0.1..=0.5).contains(&x));
-        }
     }
 
     #[test]

@@ -324,7 +324,6 @@ fn theta_key<const N: usize>(theta: &[f64]) -> [u64; N] {
 #[derive(Clone, Debug)]
 pub struct CovidSimulator {
     base: CovidParams,
-    substeps: u32,
     calibrate_detection: bool,
     /// Output-series names, captured at construction so the accessor
     /// never has to rebuild (and thus re-validate) the model.
@@ -348,21 +347,10 @@ impl CovidSimulator {
             .output_names();
         Ok(Self {
             base,
-            substeps: 1,
             calibrate_detection: false,
             output_names,
             cache_salt: fresh_cache_salt(),
         })
-    }
-
-    /// Use a finer chain-binomial step (substeps per day).
-    ///
-    /// # Panics
-    /// Panics if `substeps` is zero.
-    pub fn with_substeps(mut self, substeps: u32) -> Self {
-        assert!(substeps > 0, "substeps must be >= 1");
-        self.substeps = substeps;
-        self
     }
 
     /// Also calibrate a detection-probability multiplier as `theta[1]`
@@ -476,7 +464,7 @@ impl TrajectorySimulator for CovidSimulator {
         let compiled = ws.compiled_for(self.cache_salt, &key[..theta.len()], || {
             CompiledSpec::new(model.spec())
         })?;
-        let stepper = BinomialChainStepper::with_substeps(self.substeps);
+        let stepper = BinomialChainStepper::daily();
         let flow = match origin {
             None => {
                 let init = model.initial_state_in(&compiled.spec, seed);
@@ -775,16 +763,16 @@ mod tests {
 
     #[test]
     fn workspace_runs_match_plain_runs_bit_exactly() {
-        let sim = covid().with_substeps(2);
-        let chain = || BinomialChainStepper::with_substeps(2);
+        let sim = covid();
+        let daily = BinomialChainStepper::daily;
         let m = sim.model_with(&[0.32]).unwrap();
-        let (series, ck) = stepped(m.spec(), chain(), m.initial_state(77), 35);
+        let (series, ck) = stepped(m.spec(), daily(), m.initial_state(77), 35);
         assert_eq!(
             sim.run_fresh(&[0.32], 77, 35).unwrap(),
             (series.clone(), ck.clone())
         );
         let m = sim.model_with(&[0.5]).unwrap();
-        let (tail, ck2) = stepped_from(m.spec(), chain(), &ck, 78, 55);
+        let (tail, ck2) = stepped_from(m.spec(), daily(), &ck, 78, 55);
         assert_eq!(
             sim.run_from(&ck, &[0.5], 78, 55).unwrap(),
             (tail.clone(), ck2.clone())

@@ -273,10 +273,9 @@ pub struct TrajectoryTelemetry {
     /// Deterministic for a given configuration, never dependent on
     /// scheduling.
     pub fused_scores: u64,
-    /// Binomial/Poisson draws issued through the steppers' batched
-    /// sampling entry points (`HazardSampler::draw_many`,
-    /// `sample_poisson_batch`) across the window's grid. Deterministic
-    /// for a given configuration and model.
+    /// Binomial stage-exit draws the chain stepper issued through
+    /// `HazardSampler::draw_many` across the window's grid.
+    /// Deterministic for a given configuration and model.
     pub batched_draws: u64,
     /// Wall-clock nanoseconds spent encoding (serialization + CRC) this
     /// window's snapshot record — on the background writer thread in a
@@ -409,8 +408,9 @@ pub struct WindowResult {
     /// Trajectory-memory and pool telemetry of the posterior ensemble.
     pub telemetry: TrajectoryTelemetry,
     /// Move statistics of the post-resampling rejuvenation pass; `None`
-    /// under the default [`RejuvenationKernel::UniformJitter`] kernel
-    /// (no pass runs) and on windows restored from a snapshot
+    /// under the default
+    /// [`UniformJitter`](crate::config::RejuvenationKernel::UniformJitter)
+    /// kernel (no pass runs) and on windows restored from a snapshot
     /// (diagnostics are not persisted).
     pub rejuvenation: Option<crate::rejuvenate::RejuvenationStats>,
 }

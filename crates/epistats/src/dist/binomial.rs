@@ -15,10 +15,11 @@
 //!   the scaled pmf with squeeze tests, so the expected cost is `O(1)`
 //!   regardless of `n`.
 //!
-//! Both samplers share setup constants that depend only on `(n, p)`.
-//! [`BinomialSampler`] caches that setup so the simulator's hot loop, which
-//! draws repeatedly from slowly-changing `(n, p)` pairs (per-stage exits
-//! across substeps), pays it only when the pair actually changes.
+//! Both samplers share setup constants that depend only on `(n, p)`;
+//! [`BinomialSampler`] holds them for one pair. The simulator's hot loop
+//! draws stage exits with a fixed per-progression hazard and drifting
+//! occupancies, so it goes through [`HazardSampler`], which computes the
+//! p-only half of that setup once per hazard.
 
 use serde::{Deserialize, Serialize};
 
@@ -86,12 +87,9 @@ impl Binomial {
     }
 }
 
-/// Precomputed constants for one `(n, p)` pair, reusable across draws.
-///
-/// The simulator's chain-binomial stepper draws stage exits with a fixed
-/// hazard `p` and an occupancy `n` that changes slowly between substeps;
-/// [`BinomialSampler::draw`] re-runs setup only when `(n, p)` actually
-/// changes, so long runs of identical draws amortize it to zero.
+/// Precomputed constants for one `(n, p)` pair: the body of
+/// [`sample_binomial`], and the scalar reference [`HazardSampler`] is
+/// pinned to draw for draw.
 ///
 /// All samplers reduce to `r = min(p, 1-p)` internally and reflect the
 /// result (`n - k`) when `p > 1/2`; the reflection is *exact* — the same
@@ -99,7 +97,6 @@ impl Binomial {
 #[derive(Clone, Copy, Debug)]
 pub struct BinomialSampler {
     n: u64,
-    p_bits: u64,
     flipped: bool,
     method: Method,
 }
@@ -189,29 +186,7 @@ impl BinomialSampler {
         } else {
             Method::Btpe(BtpeSetup::new(n, r))
         };
-        Self {
-            n,
-            p_bits: p.to_bits(),
-            flipped,
-            method,
-        }
-    }
-
-    /// The `(n, p)` pair this setup was built for.
-    pub fn params(&self) -> (u64, f64) {
-        (self.n, f64::from_bits(self.p_bits))
-    }
-
-    /// Draw one variate, reusing the cached setup when `(n, p)` matches
-    /// the previous call and rebuilding it otherwise.
-    ///
-    /// # Panics
-    /// Panics unless `p` is in `[0, 1]`.
-    pub fn draw(&mut self, rng: &mut Xoshiro256PlusPlus, n: u64, p: f64) -> u64 {
-        if n != self.n || p.to_bits() != self.p_bits {
-            *self = Self::new(n, p);
-        }
-        self.sample(rng)
+        Self { n, flipped, method }
     }
 
     /// Draw one variate from the cached `(n, p)`. `&mut` only for the
@@ -264,16 +239,6 @@ impl BinomialSampler {
             }
         }
     }
-
-    /// Draw `out.len()` i.i.d. variates from the cached `(n, p)`,
-    /// consuming the stream exactly as the same number of
-    /// [`Self::sample`] calls would — the batch is an amortization of
-    /// setup and dispatch, not a different algorithm.
-    pub fn sample_many(&mut self, rng: &mut Xoshiro256PlusPlus, out: &mut [u64]) {
-        for slot in out.iter_mut() {
-            *slot = self.sample(rng);
-        }
-    }
 }
 
 /// Reciprocal table for the BINV pmf recursion (index 0 is unused).
@@ -286,12 +251,6 @@ const INV_K: [f64; 64] = {
     }
     t
 };
-
-impl Default for BinomialSampler {
-    fn default() -> Self {
-        Self::new(0, 0.0)
-    }
-}
 
 /// Inline `floor` for magnitudes below `2^52`: truncate through `i64` and
 /// adjust. Bit-identical to `f64::floor` on that domain, but compiles to a
@@ -623,17 +582,6 @@ pub fn sample_binomial(rng: &mut Xoshiro256PlusPlus, n: u64, p: f64) -> u64 {
     BinomialSampler::new(n, p).sample(rng)
 }
 
-/// Batched exact binomial sampling over a flat trial-count array with a
-/// shared success probability: one p-setup for the whole batch, draws in
-/// index order. Stream-equivalent to `sample_binomial(rng, n, p)` per
-/// element.
-///
-/// # Panics
-/// Panics unless `p` is in `[0, 1]` and `ns.len() == out.len()`.
-pub fn sample_binomial_batch(rng: &mut Xoshiro256PlusPlus, ns: &[u64], p: f64, out: &mut [u64]) {
-    HazardSampler::new(p).draw_many(rng, ns, out);
-}
-
 impl Distribution for Binomial {
     fn sample(&self, rng: &mut Xoshiro256PlusPlus) -> f64 {
         self.sample_u64(rng) as f64
@@ -865,25 +813,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_many_matches_repeated_sample() {
-        // Exact stream equivalence: sample_many must be draw-for-draw and
-        // RNG-state identical to repeated scalar sample() calls.
-        for &(n, p) in &[(25u64, 0.4), (1_000, 0.005), (10_000, 0.3), (400, 0.97)] {
-            let mut ra = Xoshiro256PlusPlus::new(73);
-            let mut rb = Xoshiro256PlusPlus::new(73);
-            let mut batch = BinomialSampler::new(n, p);
-            let mut scalar = BinomialSampler::new(n, p);
-            let mut many = [0u64; 257];
-            batch.sample_many(&mut ra, &mut many);
-            for (i, &got) in many.iter().enumerate() {
-                let want = scalar.sample(&mut rb);
-                assert_eq!(got, want, "n={n} p={p} draw {i}");
-            }
-            assert_eq!(ra, rb, "RNG streams diverged at n={n} p={p}");
-        }
-    }
-
-    #[test]
     fn hazard_draw_matches_scalar_sampler() {
         // The shared-p batch setup must consume the stream exactly as a
         // per-draw scalar setup, across regimes, reflection and
@@ -901,19 +830,6 @@ mod tests {
             }
             assert_eq!(ra, rb, "RNG streams diverged at p={p}");
         }
-    }
-
-    #[test]
-    fn batch_free_function_matches_scalar_free_function() {
-        let ns = [0u64, 3, 48, 999, 12_345, 2_700_000];
-        let mut ra = Xoshiro256PlusPlus::new(75);
-        let mut rb = Xoshiro256PlusPlus::new(75);
-        let mut out = [0u64; 6];
-        sample_binomial_batch(&mut ra, &ns, 0.2, &mut out);
-        for (i, &n) in ns.iter().enumerate() {
-            assert_eq!(out[i], sample_binomial(&mut rb, n, 0.2), "index {i}");
-        }
-        assert_eq!(ra, rb);
     }
 
     #[test]
@@ -937,31 +853,6 @@ mod tests {
                 assert_eq!(ra, rb, "RNG streams diverged at n={n} p={p}");
             }
         }
-    }
-
-    #[test]
-    fn sampler_cache_matches_fresh_setup() {
-        // draw() with a warm cache must be draw-for-draw identical to a
-        // freshly constructed sampler.
-        let mut cached = BinomialSampler::default();
-        let mut ra = Xoshiro256PlusPlus::new(63);
-        let mut rb = Xoshiro256PlusPlus::new(63);
-        let pairs = [
-            (1_000u64, 0.2),
-            (1_000, 0.2),
-            (999, 0.2),
-            (999, 0.8),
-            (10, 0.3),
-            (0, 0.5),
-            (2_700_000, 0.001),
-            (2_700_000, 0.001),
-        ];
-        for &(n, p) in &pairs {
-            let a = cached.draw(&mut ra, n, p);
-            let b = BinomialSampler::new(n, p).sample(&mut rb);
-            assert_eq!(a, b, "cache divergence at n={n} p={p}");
-        }
-        assert_eq!(cached.params(), (2_700_000, 0.001));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Probability distributions: sampling, densities, CDFs and quantiles.
 //!
 //! All samplers draw from the crate's serializable
-//! [`Xoshiro256PlusPlus`](crate::rng::Xoshiro256PlusPlus) generator so a
+//! [`Xoshiro256PlusPlus`] generator so a
 //! checkpointed simulation resumes with an identical random future. Every
 //! sampler is *exact* (no normal approximations to discrete laws): the
 //! binomial uses BINV inversion plus BTPE accept/reject (Kachitvichyanukul
@@ -17,29 +17,17 @@
 mod beta;
 mod binomial;
 mod categorical;
-mod dirichlet;
-mod exponential;
 mod gamma;
-mod lognormal;
-mod negbinomial;
 mod normal;
 mod poisson;
-mod truncated_normal;
 mod uniform;
 
 pub use beta::Beta;
-pub use binomial::{
-    sample_binomial, sample_binomial_batch, Binomial, BinomialSampler, HazardSampler,
-};
+pub use binomial::{sample_binomial, Binomial, BinomialSampler, HazardSampler};
 pub use categorical::Categorical;
-pub use dirichlet::Dirichlet;
-pub use exponential::Exponential;
 pub use gamma::Gamma;
-pub use lognormal::LogNormal;
-pub use negbinomial::NegBinomial;
 pub use normal::Normal;
-pub use poisson::{sample_poisson, sample_poisson_batch, Poisson};
-pub use truncated_normal::TruncatedNormal;
+pub use poisson::{sample_poisson, Poisson};
 pub use uniform::Uniform;
 
 use crate::rng::Xoshiro256PlusPlus;

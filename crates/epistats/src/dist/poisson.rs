@@ -10,11 +10,13 @@ use crate::special::{gamma_q, ln_factorial};
 
 /// Poisson distribution with rate `lambda`.
 ///
-/// Used by the tau-leaping stepper for event counts per leap. Sampling is
-/// exact: Knuth's product-of-uniforms method for small rates, and the
-/// Ahrens–Dieter gamma-reduction recursion for large ones (each round
-/// replaces `lambda` with a stochastically ~8x smaller remainder, so the
-/// cost is O(log lambda) gamma draws).
+/// No simulator or calibration path draws from it: it is the reference
+/// pmf for the negative-binomial likelihood's large-dispersion limit and
+/// a `bench_distributions` capture row. Sampling is exact: Knuth's
+/// product-of-uniforms method for small rates, and the Ahrens–Dieter
+/// gamma-reduction recursion for large ones (each round replaces
+/// `lambda` with a stochastically ~8x smaller remainder, so the cost is
+/// O(log lambda) gamma draws).
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Poisson {
     lambda: f64,
@@ -55,7 +57,7 @@ impl Poisson {
     }
 }
 
-/// Free-function exact Poisson sampler (hot path of the tau-leap stepper).
+/// Free-function exact Poisson sampler.
 ///
 /// # Panics
 /// Panics if `lambda` is negative or non-finite.
@@ -81,24 +83,6 @@ pub fn sample_poisson(rng: &mut Xoshiro256PlusPlus, lambda: f64) -> u64 {
         }
     }
     acc + small_poisson(rng, lambda)
-}
-
-/// Batched exact Poisson sampling over a flat mean array (the tau-leap
-/// stepper's per-stage leap counts), drawing in index order. Zero means
-/// consume no randomness, so empty stages are free — stream-equivalent
-/// to calling [`sample_poisson`] once per element.
-///
-/// # Panics
-/// Panics if any mean is negative or non-finite, or on length mismatch.
-pub fn sample_poisson_batch(rng: &mut Xoshiro256PlusPlus, means: &[f64], out: &mut [u64]) {
-    assert_eq!(
-        means.len(),
-        out.len(),
-        "sample_poisson_batch: means/out length mismatch"
-    );
-    for (slot, &mean) in out.iter_mut().zip(means) {
-        *slot = sample_poisson(rng, mean);
-    }
 }
 
 /// Knuth's method: count uniforms until their product drops below

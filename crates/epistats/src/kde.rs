@@ -1,4 +1,4 @@
-//! Gaussian kernel density estimation in one and two dimensions.
+//! Two-dimensional Gaussian kernel density estimation.
 //!
 //! Figures 4b and 5b of the paper show the joint posterior of
 //! `(theta, rho)` per calibration window as 2-D density contours. This
@@ -7,83 +7,6 @@
 //! "90%" contours enclose those posterior masses.
 
 use crate::summary::weighted_variance;
-
-/// Weighted 1-D Gaussian KDE.
-#[derive(Clone, Debug)]
-pub struct Kde1d {
-    xs: Vec<f64>,
-    ws: Vec<f64>,
-    bandwidth: f64,
-}
-
-impl Kde1d {
-    /// Build a KDE from samples with optional weights (pass `None` for
-    /// uniform). Bandwidth is Silverman's rule of thumb over the weighted
-    /// standard deviation.
-    ///
-    /// # Panics
-    /// Panics on empty input, mismatched lengths, or zero total weight.
-    pub fn new(xs: &[f64], ws: Option<&[f64]>) -> Self {
-        assert!(!xs.is_empty(), "Kde1d: empty sample");
-        let ws = match ws {
-            Some(w) => {
-                assert_eq!(w.len(), xs.len(), "Kde1d: length mismatch");
-                w.to_vec()
-            }
-            None => vec![1.0; xs.len()],
-        };
-        let total: f64 = ws.iter().sum();
-        assert!(total > 0.0, "Kde1d: zero total weight");
-        let sd = weighted_variance(xs, &ws).sqrt();
-        let n_eff = crate::summary::ess(&ws).max(2.0);
-        // Silverman: 0.9 * sd * n^(-1/5); floor the bandwidth so that
-        // degenerate ensembles still produce a usable (if spiky) density.
-        let bw = (0.9 * sd * n_eff.powf(-0.2)).max(1e-9);
-        Self {
-            xs: xs.to_vec(),
-            ws,
-            bandwidth: bw,
-        }
-    }
-
-    /// Override the bandwidth (e.g. for sensitivity checks).
-    ///
-    /// # Panics
-    /// Panics unless `bw > 0`.
-    pub fn with_bandwidth(mut self, bw: f64) -> Self {
-        assert!(bw > 0.0, "Kde1d: bandwidth must be positive");
-        self.bandwidth = bw;
-        self
-    }
-
-    /// The bandwidth in use.
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
-    }
-
-    /// Evaluate the density at a point.
-    pub fn density(&self, x: f64) -> f64 {
-        let total: f64 = self.ws.iter().sum();
-        let norm = total * self.bandwidth * (2.0 * std::f64::consts::PI).sqrt();
-        let mut acc = 0.0;
-        for (&xi, &wi) in self.xs.iter().zip(&self.ws) {
-            let z = (x - xi) / self.bandwidth;
-            acc += wi * (-0.5 * z * z).exp();
-        }
-        acc / norm
-    }
-
-    /// Evaluate on an equally spaced grid of `n` points over `[lo, hi]`.
-    pub fn grid(&self, lo: f64, hi: f64, n: usize) -> Vec<(f64, f64)> {
-        assert!(n >= 2 && lo < hi, "Kde1d::grid: bad grid spec");
-        (0..n)
-            .map(|i| {
-                let x = lo + (hi - lo) * i as f64 / (n - 1) as f64;
-                (x, self.density(x))
-            })
-            .collect()
-    }
-}
 
 /// Weighted 2-D Gaussian KDE with a diagonal bandwidth matrix.
 #[derive(Clone, Debug)]
@@ -203,25 +126,6 @@ impl Kde2d {
         }
     }
 
-    /// Override both bandwidths.
-    ///
-    /// # Panics
-    /// Panics unless both are positive.
-    pub fn with_bandwidths(mut self, bw_x: f64, bw_y: f64) -> Self {
-        assert!(
-            bw_x > 0.0 && bw_y > 0.0,
-            "Kde2d: bandwidths must be positive"
-        );
-        self.bw_x = bw_x;
-        self.bw_y = bw_y;
-        self
-    }
-
-    /// Bandwidths in use, `(bw_x, bw_y)`.
-    pub fn bandwidths(&self) -> (f64, f64) {
-        (self.bw_x, self.bw_y)
-    }
-
     /// Evaluate the density at a point.
     pub fn density(&self, x: f64, y: f64) -> f64 {
         let total: f64 = self.ws.iter().sum();
@@ -270,38 +174,6 @@ mod tests {
     use crate::rng::Xoshiro256PlusPlus;
 
     #[test]
-    fn kde1d_integrates_to_one() {
-        let mut rng = Xoshiro256PlusPlus::new(110);
-        let d = Normal::new(0.0, 1.0);
-        let xs = d.sample_n(&mut rng, 2_000);
-        let kde = Kde1d::new(&xs, None);
-        let grid = kde.grid(-6.0, 6.0, 601);
-        let dx = grid[1].0 - grid[0].0;
-        let mass: f64 = grid.iter().map(|&(_, d)| d * dx).sum();
-        assert!((mass - 1.0).abs() < 0.01, "mass = {mass}");
-    }
-
-    #[test]
-    fn kde1d_recovers_normal_shape() {
-        let mut rng = Xoshiro256PlusPlus::new(111);
-        let d = Normal::new(2.0, 0.5);
-        let xs = d.sample_n(&mut rng, 5_000);
-        let kde = Kde1d::new(&xs, None);
-        // Mode near 2, density there near analytic pdf(2) ~ 0.7979.
-        assert!(kde.density(2.0) > 0.6 && kde.density(2.0) < 0.95);
-        assert!(kde.density(2.0) > kde.density(0.5));
-        assert!(kde.density(2.0) > kde.density(3.5));
-    }
-
-    #[test]
-    fn kde1d_weights_shift_the_mass() {
-        let xs = [0.0, 10.0];
-        let ws = [0.01, 0.99];
-        let kde = Kde1d::new(&xs, Some(&ws)).with_bandwidth(0.5);
-        assert!(kde.density(10.0) > 50.0 * kde.density(0.0));
-    }
-
-    #[test]
     fn kde2d_mass_and_mode() {
         let mut rng = Xoshiro256PlusPlus::new(112);
         let dx = Normal::new(0.3, 0.05);
@@ -334,11 +206,5 @@ mod tests {
             (l50 - want).abs() / want < 0.35,
             "l50 = {l50}, want ~ {want}"
         );
-    }
-
-    #[test]
-    #[should_panic]
-    fn kde1d_rejects_empty() {
-        Kde1d::new(&[], None);
     }
 }

@@ -12,14 +12,14 @@
 //!   generator with deterministic stream derivation for parallel
 //!   common-random-number designs.
 //! * [`dist`] — probability distributions (sampling + log-density + CDF /
-//!   quantile where available): uniform, normal, log-normal, exponential,
-//!   gamma, beta, binomial, Poisson, categorical (alias method),
-//!   Dirichlet, truncated normal.
+//!   quantile where available): uniform, normal, gamma, beta, binomial
+//!   (with the shared-hazard batch sampler the simulator's hot loop
+//!   uses), Poisson, categorical (alias method).
 //! * [`summary`] — weighted means/variances/quantiles, effective sample
 //!   size of importance weights, histograms.
 //! * [`logweight`] — numerically stable log-weight arithmetic
 //!   (`log_sum_exp`, normalization).
-//! * [`kde`] — 1-D and 2-D Gaussian kernel density estimation with
+//! * [`kde`] — 2-D Gaussian kernel density estimation with
 //!   highest-density-region level extraction (used for the paper's joint
 //!   posterior contour plots, Figs 4b/5b).
 //!

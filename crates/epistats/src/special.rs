@@ -356,33 +356,6 @@ fn beta_cont_frac(a: f64, b: f64, x: f64) -> f64 {
     h
 }
 
-/// Digamma function (logarithmic derivative of the gamma function).
-///
-/// Recurrence to push the argument above 6, then the asymptotic series.
-pub fn digamma(x: f64) -> f64 {
-    assert!(
-        !(x <= 0.0 && x == x.floor()),
-        "digamma: pole at non-positive integer x = {x}"
-    );
-    if x < 0.0 {
-        // Reflection: psi(1-x) - psi(x) = pi cot(pi x)
-        return digamma(1.0 - x) - std::f64::consts::PI / (std::f64::consts::PI * x).tan();
-    }
-    let mut x = x;
-    let mut result = 0.0;
-    while x < 10.0 {
-        result -= 1.0 / x;
-        x += 1.0;
-    }
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    result + x.ln()
-        - 0.5 * inv
-        - inv2
-            * (1.0 / 12.0
-                - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0))))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,14 +499,5 @@ mod tests {
         for &(a, b, x) in &[(2.0, 5.0, 0.3), (1.5, 0.7, 0.6), (8.0, 3.0, 0.9)] {
             assert_close(beta_inc(a, b, x), 1.0 - beta_inc(b, a, 1.0 - x), 1e-11);
         }
-    }
-
-    #[test]
-    fn digamma_reference() {
-        const EULER: f64 = 0.577_215_664_901_532_9;
-        assert_close(digamma(1.0), -EULER, 1e-12);
-        assert_close(digamma(2.0), 1.0 - EULER, 1e-12);
-        assert_close(digamma(0.5), -EULER - 2.0 * 2f64.ln(), 1e-12);
-        assert_close(digamma(10.0), 2.251_752_589_066_721, 1e-11);
     }
 }

@@ -261,23 +261,6 @@ impl Histogram {
     }
 }
 
-/// Lag-k autocorrelation of a series (biased estimator).
-///
-/// Returns NaN when the series is shorter than `k + 2` or has zero
-/// variance.
-pub fn autocorrelation(xs: &[f64], k: usize) -> f64 {
-    if xs.len() < k + 2 {
-        return f64::NAN;
-    }
-    let m = mean(xs);
-    let denom: f64 = xs.iter().map(|&x| (x - m) * (x - m)).sum();
-    if denom == 0.0 {
-        return f64::NAN;
-    }
-    let num: f64 = xs.windows(k + 1).map(|w| (w[0] - m) * (w[k] - m)).sum();
-    num / denom
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,15 +378,5 @@ mod tests {
         h.add(5.0);
         assert_eq!(h.counts()[0], 1.0);
         assert_eq!(h.counts()[3], 1.0);
-    }
-
-    #[test]
-    fn autocorrelation_of_alternating_series() {
-        let xs: Vec<f64> = (0..100)
-            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        assert!(autocorrelation(&xs, 1) < -0.9);
-        assert!(autocorrelation(&xs, 2) > 0.9);
-        assert!(autocorrelation(&[1.0, 1.0, 1.0], 1).is_nan());
     }
 }

@@ -15,6 +15,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo run -p epilint"
 cargo run -p epilint --quiet
 
+# Rustdoc with warnings denied, so a broken, ambiguous or redundant
+# intra-doc link fails the gate. The repository's own packages are named
+# explicitly: the vendored path dependencies are implicit workspace
+# members, and their docs are not this gate's concern.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps -p epismc -p epistats -p episim -p epismc-core -p epidata -p epibench -p epilint"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p epismc -p epistats -p episim -p epismc-core -p epidata -p epibench -p epilint
+
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 

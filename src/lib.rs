@@ -10,9 +10,10 @@
 //!
 //! * [`stats`] — statistical substrate: serializable RNG, distributions,
 //!   special functions, weighted summaries, and kernel density estimation.
-//! * [`sim`] — a stochastic compartmental disease simulator with three
-//!   stochastic steppers (daily binomial chain, tau-leaping, exact
-//!   Gillespie) and full-state checkpointing.
+//! * [`sim`] — a stochastic compartmental disease simulator with two
+//!   stochastic steppers (the daily binomial chain every calibration
+//!   runs, and exact Gillespie as its fidelity baseline) and full-state
+//!   checkpointing.
 //! * [`smc`] — the paper's contribution: sequential importance sampling
 //!   over simulator trajectories with reporting-bias observation models,
 //!   windowed calibration, and a rayon-parallel ensemble runner.
@@ -70,7 +71,7 @@ pub mod prelude {
     pub use crate::sim::{
         checkpoint::SimCheckpoint,
         covid::{CovidModel, CovidParams},
-        engine::{BinomialChainStepper, GillespieStepper, Stepper, TauLeapStepper},
+        engine::{BinomialChainStepper, GillespieStepper, Stepper},
         error::SimError,
         output::{DailySeries, SharedTrajectory},
         seir::{SeirModel, SeirParams},

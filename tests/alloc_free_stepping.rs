@@ -138,9 +138,8 @@ fn advance_day_is_allocation_free_after_warmup() {
         ("binomial-chain", Box::new(BinomialChainStepper::daily())),
         (
             "binomial-chain-substeps",
-            Box::new(BinomialChainStepper::with_substeps(4)),
+            Box::new(BinomialChainStepper::try_with_substeps(4).unwrap()),
         ),
-        ("tau-leap", Box::new(TauLeapStepper::new(4))),
         ("gillespie", Box::new(GillespieStepper::new())),
     ];
 

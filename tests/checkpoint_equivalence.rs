@@ -176,12 +176,6 @@ fn restore_into_with_seed_matches_resume_across_steppers_and_models() {
         "covid/gillespie",
     );
     check(
-        covid.spec(),
-        TauLeapStepper::new(4),
-        covid.initial_state(5),
-        "covid/tau-leap",
-    );
-    check(
         age.spec(),
         BinomialChainStepper::daily(),
         age.initial_state(5),
@@ -192,12 +186,6 @@ fn restore_into_with_seed_matches_resume_across_steppers_and_models() {
         GillespieStepper::new(),
         age.initial_state(5),
         "covid-age/gillespie",
-    );
-    check(
-        age.spec(),
-        TauLeapStepper::new(4),
-        age.initial_state(5),
-        "covid-age/tau-leap",
     );
 }
 

@@ -107,10 +107,6 @@ fn trajectories() -> Vec<(String, SharedTrajectory)> {
             ),
         ));
         out.push((
-            format!("{model}/tau-leap"),
-            simulate(spec.clone(), state.clone(), TauLeapStepper::new(4), 40),
-        ));
-        out.push((
             format!("{model}/gillespie"),
             simulate(spec, state, GillespieStepper::new(), 40),
         ));
@@ -293,9 +289,10 @@ fn scratch_state_and_prepared_reuse_never_change_scores() {
 
 #[test]
 fn batched_draw_counter_is_deterministic_and_live() {
-    // The batched_draws telemetry counts stages pushed through the
-    // steppers' batched entry points: nonzero for the batching steppers,
-    // identical across reruns of the same configuration.
+    // The batched_draws telemetry counts stages pushed through the chain
+    // stepper's batched entry point: nonzero, growing with the work done
+    // (four substeps a day batch more than one), and identical across
+    // reruns of the same configuration.
     let covid = CovidModel::new(CovidParams {
         population: 8_000,
         initial_exposed: 40,
@@ -312,10 +309,11 @@ fn batched_draw_counter_is_deterministic_and_live() {
         }
         scratch.batched_draws()
     };
+    let quarter_day = || BinomialChainStepper::try_with_substeps(4).unwrap();
     let chain = count(&BinomialChainStepper::daily());
-    let tau = count(&TauLeapStepper::new(4));
+    let fine = count(&quarter_day());
     assert!(chain > 0, "chain stepper issued no batched draws");
-    assert!(tau > chain, "tau-leap (4 leaps/day) should batch more");
+    assert!(fine > chain, "4 substeps/day should batch more");
     assert_eq!(chain, count(&BinomialChainStepper::daily()));
-    assert_eq!(tau, count(&TauLeapStepper::new(4)));
+    assert_eq!(fine, count(&quarter_day()));
 }
