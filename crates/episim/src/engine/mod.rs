@@ -57,9 +57,7 @@ pub struct CompiledSpec {
     /// and their shared p-setups, computed once per compilation instead
     /// of once per split draw.
     split_plans: Vec<Vec<SplitStep>>,
-    /// Process-unique identity of this compilation, used as a cache key
-    /// for derived tables (e.g. [`StepScratch`]'s hazard table). Clones
-    /// share the stamp, which is sound: a clone has identical rates.
+    /// Process-unique identity of this compilation (see [`Self::stamp`]).
     stamp: u64,
 }
 
@@ -162,9 +160,29 @@ impl CompiledSpec {
         }
     }
 
-    /// Process-unique identity of this compilation (shared by clones).
+    /// Process-unique identity of this compilation's structure, the key
+    /// of derived tables such as [`StepScratch`]'s hazard table. Those
+    /// tables read the stage rates and split plans, never the
+    /// transmission rate, so [`Self::set_transmission_rate`] keeps the
+    /// stamp. Clones share it, which is sound for the same reason.
     pub fn stamp(&self) -> u64 {
         self.stamp
+    }
+
+    /// Set the transmission rate the force of infection reads, keeping
+    /// the compilation and its [`Self::stamp`] — a new rate is a run
+    /// parameter, not a new model.
+    ///
+    /// # Errors
+    /// Returns [`SimError::Spec`] unless `rate` is finite and
+    /// non-negative (the [`ModelSpec::validate`] rule); the spec is
+    /// left unchanged on error.
+    pub fn set_transmission_rate(&mut self, rate: f64) -> Result<(), SimError> {
+        if !(rate.is_finite() && rate >= 0.0) {
+            return Err(SimError::Spec(format!("invalid transmission rate {rate}")));
+        }
+        self.spec.transmission_rate = rate;
+        Ok(())
     }
 
     /// Add `count` traversals of the `(from, to)` edge to every flow

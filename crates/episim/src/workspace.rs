@@ -39,8 +39,8 @@ pub struct SimWorkspace {
     scratch: StepScratch,
     /// Per-day flow + census row buffer.
     day_buf: Vec<u64>,
-    /// Single-slot compiled-model cache: `(salt, key, compiled)`. See
-    /// [`Self::compiled_for`].
+    /// Single-slot compiled-model cache: `(salt, structure key,
+    /// compiled)`. See [`Self::compiled_for`].
     compiled_cache: Option<(u64, Box<[u64]>, Arc<CompiledSpec>)>,
     /// Cache-miss count for [`Self::compiled_for`] (compilations done).
     compiled_builds: u64,
@@ -81,43 +81,55 @@ impl SimWorkspace {
         }
     }
 
-    /// Return the compiled model cached under `(salt, key)`, building
-    /// (and caching) it with `build` on a miss.
+    /// Return the compiled model cached under `(salt, key)` with its
+    /// transmission rate set to `transmission_rate`, building (and
+    /// caching) it with `build` on a miss.
     ///
-    /// The inference grid walks cells in `(parameter, replicate)` order,
-    /// so consecutive runs through one worker's workspace usually share a
-    /// parameter vector. Compiling a fresh [`CompiledSpec`] per cell not
-    /// only repeats the spec build/validation, it also mints a fresh
-    /// [`CompiledSpec::stamp`] each time, which invalidates the scratch's
-    /// stamp-keyed hazard table on every run. This single-slot cache keeps
-    /// one compilation alive per `(salt, key)` so replicate runs reuse
-    /// both the compilation and the derived tables.
+    /// Compiling a fresh [`CompiledSpec`] repeats the spec build and
+    /// validation, and mints a fresh [`CompiledSpec::stamp`], which
+    /// invalidates the scratch's stamp-keyed hazard table. The key
+    /// therefore names the model's *structure* — what the compilation
+    /// derives tables from — and not the transmission rate, which the
+    /// force of infection reads live: a run under a new rate keeps the
+    /// compilation, its stamp and the hazard table, and only
+    /// [`CompiledSpec::set_transmission_rate`] runs. A calibration whose
+    /// parameter vector is the transmission rate alone compiles once per
+    /// workspace, however many parameter values the grid visits.
     ///
     /// `salt` must identify the builder (so two simulators sharing a
-    /// workspace can never alias) and `key` the exact parameterization
-    /// (e.g. raw `f64::to_bits` of each calibration coordinate — exact
-    /// equality, no float tolerance). The cache is pure memoization:
-    /// `build` must be deterministic in `(salt, key)`, and results are
-    /// bit-identical whether the slot hits or misses.
+    /// workspace can never alias) and `key` every structural parameter
+    /// (e.g. raw `f64::to_bits` of each calibrated coordinate other
+    /// than the transmission rate — exact equality, no float
+    /// tolerance; empty when there is none). The cache is pure
+    /// memoization: `build` must be deterministic in `(salt, key)`, and
+    /// results are bit-identical whether the slot hits or misses. The
+    /// returned `Arc` is the slot's own; setting the rate mutates it in
+    /// place once the caller has dropped the previous run's handle.
     ///
     /// # Errors
-    /// Propagates `build` failures; the slot is left unchanged on error.
-    pub fn compiled_for<E>(
+    /// Propagates `build` failures, leaving the slot unchanged, and
+    /// [`SimError::Spec`] for an invalid `transmission_rate`, leaving
+    /// the cached compilation's rate unchanged.
+    pub fn compiled_for<E: From<SimError>>(
         &mut self,
         salt: u64,
         key: &[u64],
+        transmission_rate: f64,
         build: impl FnOnce() -> Result<CompiledSpec, E>,
     ) -> Result<Arc<CompiledSpec>, E> {
-        if let Some((s, k, compiled)) = &self.compiled_cache {
-            if *s == salt && k.as_ref() == key {
+        let compiled = match &mut self.compiled_cache {
+            Some((s, k, compiled)) if *s == salt && k.as_ref() == key => {
                 self.compiled_reuses += 1;
-                return Ok(Arc::clone(compiled));
+                compiled
             }
-        }
-        let compiled = Arc::new(build()?);
-        self.compiled_builds += 1;
-        self.compiled_cache = Some((salt, key.into(), Arc::clone(&compiled)));
-        Ok(compiled)
+            slot => {
+                let built = Arc::new(build()?);
+                self.compiled_builds += 1;
+                &mut slot.insert((salt, key.into(), built)).2
+            }
+        };
+        Arc::make_mut(compiled).set_transmission_rate(transmission_rate)?;
+        Ok(Arc::clone(compiled))
     }
 
     /// Run a fresh trajectory from `init` until the clock reaches
@@ -390,28 +402,48 @@ mod tests {
     }
 
     #[test]
-    fn compiled_cache_hits_on_matching_key_only() {
+    fn compiled_cache_keys_on_structure_and_sets_the_rate() {
         let mut ws = SimWorkspace::new();
         let build = || CompiledSpec::new(SeirModel::new(SeirParams::default()).unwrap().spec());
-        let a = ws.compiled_for(1, &[10, 20], build).unwrap();
-        let b = ws.compiled_for(1, &[10, 20], build).unwrap();
-        // Hit: the exact same compilation (and thus the same stamp).
-        assert!(Arc::ptr_eq(&a, &b));
+        let a = ws.compiled_for(1, &[10, 20], 0.3, build).unwrap();
+        let (stamp, first) = (a.stamp(), Arc::as_ptr(&a));
+        drop(a);
+        // A new rate under the same key is a hit: the same compilation,
+        // stamp and allocation, with the rate set in place.
+        let b = ws.compiled_for(1, &[10, 20], 0.7, build).unwrap();
+        assert_eq!((b.stamp(), Arc::as_ptr(&b)), (stamp, first));
+        assert_eq!(b.spec.transmission_rate, 0.7);
         assert_eq!((ws.compiled_builds(), ws.compiled_reuses()), (1, 1));
-        // Different key or salt: rebuilds (single-slot, last one wins).
-        let c = ws.compiled_for(1, &[10, 21], build).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-        let d = ws.compiled_for(2, &[10, 21], build).unwrap();
-        assert!(!Arc::ptr_eq(&c, &d));
-        assert_eq!((ws.compiled_builds(), ws.compiled_reuses()), (3, 1));
+        // While a caller still holds the slot's handle, setting a rate
+        // copies on write: the held handle keeps its rate, the copy
+        // keeps the stamp.
+        let c = ws.compiled_for(1, &[10, 20], 0.2, build).unwrap();
+        assert!(!Arc::ptr_eq(&b, &c));
+        assert_eq!(
+            (b.spec.transmission_rate, c.spec.transmission_rate),
+            (0.7, 0.2)
+        );
+        assert_eq!(c.stamp(), stamp);
+        // A different key or salt rebuilds (single slot, last one wins).
+        let d = ws.compiled_for(1, &[10, 21], 0.2, build).unwrap();
+        let e = ws.compiled_for(2, &[10, 21], 0.2, build).unwrap();
+        assert!(d.stamp() != stamp && e.stamp() != d.stamp());
+        assert_eq!((ws.compiled_builds(), ws.compiled_reuses()), (3, 2));
         // Build errors propagate and leave the slot usable.
-        assert!(ws
-            .compiled_for(2, &[99], || Err::<CompiledSpec, SimError>(SimError::Spec(
-                "no".into()
-            )))
-            .is_err());
-        let e = ws.compiled_for(2, &[10, 21], build).unwrap();
-        assert!(Arc::ptr_eq(&d, &e));
+        let fail = || Err::<CompiledSpec, SimError>(SimError::Spec("no".into()));
+        assert!(ws.compiled_for(2, &[99], 0.2, fail).is_err());
+        assert_eq!(
+            ws.compiled_for(2, &[10, 21], 0.2, build).unwrap().stamp(),
+            e.stamp()
+        );
+        // An invalid rate is a typed error that leaves the cached rate.
+        for bad in [-0.1, f64::NAN, f64::INFINITY] {
+            let err = ws.compiled_for(2, &[10, 21], bad, build).unwrap_err();
+            assert!(matches!(err, SimError::Spec(_)), "{bad}: {err}");
+        }
+        let f = ws.compiled_for(2, &[10, 21], 0.5, build).unwrap();
+        assert_eq!((f.stamp(), f.spec.transmission_rate), (e.stamp(), 0.5));
+        assert_eq!(ws.compiled_builds(), 3);
     }
 
     #[test]

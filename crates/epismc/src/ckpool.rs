@@ -72,17 +72,18 @@ pub struct CheckpointSharing {
     pub refs: usize,
 }
 
-/// Measure sharing over an iterator of checkpoint references (e.g. every
-/// particle's `checkpoint` and `origin`).
+/// Measure sharing over checkpoint references, each given with the
+/// number of references it stands for (e.g. every distinct resampled
+/// particle's `checkpoint` and `origin`, weighted by its draw count).
 pub fn sharing<'a, I>(refs: I) -> CheckpointSharing
 where
-    I: IntoIterator<Item = &'a SharedCheckpoint>,
+    I: IntoIterator<Item = (&'a SharedCheckpoint, usize)>,
 {
     let mut ids = BTreeSet::new();
     let mut total = 0usize;
-    for ck in refs {
+    for (ck, n) in refs {
         ids.insert(Arc::as_ptr(ck) as usize);
-        total += 1;
+        total += n;
     }
     CheckpointSharing {
         unique: ids.len(),
@@ -121,9 +122,12 @@ mod tests {
         let a = share(checkpoint(1));
         let b = share(checkpoint(2));
         let dup = Arc::clone(&a);
-        let s = sharing([&a, &b, &dup, &a]);
+        let s = sharing([(&a, 1), (&b, 1), (&dup, 1), (&a, 1)]);
         assert_eq!(s.unique, 2);
         assert_eq!(s.refs, 4);
+        // Weighted references count their multiplicity.
+        let s = sharing([(&a, 3), (&b, 5), (&dup, 2)]);
+        assert_eq!((s.unique, s.refs), (2, 10));
         assert_eq!(sharing(std::iter::empty()), CheckpointSharing::default());
     }
 

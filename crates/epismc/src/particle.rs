@@ -46,22 +46,31 @@ pub struct Particle {
 }
 
 /// A collection of particles with weight-aware summaries.
+///
+/// The particles sit behind one [`Arc`], so cloning an ensemble is a
+/// reference-count bump whatever its size: the snapshot a persisted
+/// window hands to the writer, the [`crate::sis::WindowResult`] a
+/// streaming append returns and the ensemble the stream keeps all share
+/// one particle vector. Mutation is copy-on-write: [`Self::push`],
+/// [`Self::particles_mut`] and [`Self::set_uniform_weights`] copy the
+/// vector first if another clone still shares it, so no clone ever
+/// sees another's changes.
 #[derive(Clone, Debug, Default)]
 pub struct ParticleEnsemble {
-    particles: Vec<Particle>,
+    particles: Arc<Vec<Particle>>,
 }
 
 impl ParticleEnsemble {
     /// Create an empty ensemble.
     pub fn new() -> Self {
-        Self {
-            particles: Vec::new(),
-        }
+        Self::default()
     }
 
     /// Wrap an existing particle vector.
     pub fn from_vec(particles: Vec<Particle>) -> Self {
-        Self { particles }
+        Self {
+            particles: Arc::new(particles),
+        }
     }
 
     /// Number of particles.
@@ -74,9 +83,9 @@ impl ParticleEnsemble {
         self.particles.is_empty()
     }
 
-    /// Append a particle.
+    /// Append a particle (copy-on-write, see the type docs).
     pub fn push(&mut self, p: Particle) {
-        self.particles.push(p);
+        Arc::make_mut(&mut self.particles).push(p);
     }
 
     /// The particles.
@@ -84,14 +93,16 @@ impl ParticleEnsemble {
         &self.particles
     }
 
-    /// Mutable access to the particles.
+    /// Mutable access to the particles (copy-on-write, see the type
+    /// docs).
     pub fn particles_mut(&mut self) -> &mut [Particle] {
-        &mut self.particles
+        Arc::make_mut(&mut self.particles).as_mut_slice()
     }
 
-    /// Consume into the particle vector.
+    /// Consume into the particle vector, copying it only if another
+    /// clone still shares it.
     pub fn into_vec(self) -> Vec<Particle> {
-        self.particles
+        Arc::unwrap_or_clone(self.particles)
     }
 
     /// Normalized linear-space weights (uniform fallback if all log
@@ -129,7 +140,7 @@ impl ParticleEnsemble {
     /// Reset every particle to uniform weight (log 0) — done after
     /// resampling.
     pub fn set_uniform_weights(&mut self) {
-        for p in &mut self.particles {
+        for p in self.particles_mut() {
             p.log_weight = 0.0;
         }
     }
@@ -331,6 +342,34 @@ mod tests {
         let mut e = ensemble();
         e.push(dummy_particle(0.2, 0.9, 1, 0.0)); // same (theta, seed) as [0]
         assert_eq!(e.unique_inputs(), 3);
+    }
+
+    #[test]
+    fn clones_share_storage_until_one_is_mutated() {
+        let mut a = ensemble();
+        let b = a.clone();
+        assert!(std::ptr::eq(a.particles(), b.particles()));
+        a.particles_mut()[0].log_weight = 7.0;
+        assert!(!std::ptr::eq(a.particles(), b.particles()));
+        assert_eq!(b.particles()[0].log_weight, -1.0);
+        assert_eq!(a.particles()[0].log_weight, 7.0);
+        // The copy shares each particle's trajectory and checkpoint.
+        assert!(Arc::ptr_eq(
+            &a.particles()[1].checkpoint,
+            &b.particles()[1].checkpoint
+        ));
+        // A sole owner mutates in place.
+        let before = a.particles().as_ptr();
+        a.set_uniform_weights();
+        assert_eq!(a.particles().as_ptr(), before);
+        a.particles_mut()[2].rho = 0.1;
+        assert_eq!(a.particles().as_ptr(), before);
+        let mut c = b.clone();
+        c.push(dummy_particle(0.9, 0.9, 9, 0.0));
+        c.set_uniform_weights();
+        assert_eq!((b.len(), c.len()), (3, 4));
+        assert_eq!(b.particles()[2].log_weight, f64::NEG_INFINITY);
+        assert_eq!(b.clone().into_vec().len(), 3);
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! The sequential calibrator's critical path is the window loop; a
 //! persisted batch run hands each completed window's [`RunSnapshot`] to
 //! a [`SnapshotWriter`] and starts the next window immediately, while
-//! encode + CRC + atomic rename run off-thread. The handoff itself is O(1): the posterior is Arc
-//! structural sharing all the way down, so cloning it into the snapshot
-//! copies pointers, not trajectories.
+//! encode + CRC + atomic rename run off-thread. The handoff itself is
+//! O(1): a [`crate::particle::ParticleEnsemble`] keeps its particles
+//! behind one `Arc`, so cloning the posterior into the snapshot is one
+//! reference-count bump, not a copy of the particle vector.
 //!
 //! Protocol invariants (relied on by `tests/async_durability.rs` and
 //! documented in DESIGN.md §14):

@@ -298,22 +298,11 @@ fn to_end(run: Result<Option<Run>, SmcError>) -> Result<Run, SmcError> {
 /// Source for [`SimWorkspace::compiled_for`] salts: one per simulator
 /// instance, so simulators sharing a workspace can never alias each
 /// other's cached compilations. Clones share the salt, which is sound:
-/// a clone builds an identical spec for any given theta key.
+/// a clone builds an identical spec for any given structure key.
 static NEXT_CACHE_SALT: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_cache_salt() -> u64 {
     NEXT_CACHE_SALT.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Raw-bit cache key for a theta vector (exact equality, no tolerance).
-/// `N` must be at least the simulator's `theta_dim`, checked upstream by
-/// `model_with`'s dimension validation.
-fn theta_key<const N: usize>(theta: &[f64]) -> [u64; N] {
-    let mut key = [0u64; N];
-    for (k, t) in key.iter_mut().zip(theta) {
-        *k = t.to_bits();
-    }
-    key
 }
 
 /// Adapter driving the COVID-Chicago model with `theta[0]` as the
@@ -321,9 +310,14 @@ fn theta_key<const N: usize>(theta: &[f64]) -> [u64; N] {
 /// detection probabilities (clamped to `[0, 1]`), making the calibration
 /// two-dimensional — the paper's checkpoint-override list (Section III-B)
 /// includes the detection fractions as restart parameters.
+///
+/// The transmission rate is a per-run value: runs under any number of
+/// rates share one compilation per workspace, and only a new detection
+/// multiplier compiles a new model (see [`SimWorkspace::compiled_for`]).
 #[derive(Clone, Debug)]
 pub struct CovidSimulator {
-    base: CovidParams,
+    /// The validated base model (everything a run does not override).
+    base: CovidModel,
     calibrate_detection: bool,
     /// Output-series names, captured at construction so the accessor
     /// never has to rebuild (and thus re-validate) the model.
@@ -340,11 +334,8 @@ impl CovidSimulator {
     /// # Errors
     /// Propagates parameter validation failures.
     pub fn new(base: CovidParams) -> Result<Self, SmcError> {
-        base.validate().map_err(SmcError::Simulation)?;
-        let output_names = CovidModel::new(base.clone())
-            .map_err(SmcError::Simulation)?
-            .spec()
-            .output_names();
+        let base = CovidModel::new(base).map_err(SmcError::Simulation)?;
+        let output_names = base.spec().output_names();
         Ok(Self {
             base,
             calibrate_detection: false,
@@ -365,10 +356,13 @@ impl CovidSimulator {
 
     /// The base parameters.
     pub fn base_params(&self) -> &CovidParams {
-        &self.base
+        self.base.params()
     }
 
-    fn model_with(&self, theta: &[f64]) -> Result<CovidModel, SmcError> {
+    /// Check `theta` and return the raw bits of its structural
+    /// coordinate: the detection multiplier under calibrated detection,
+    /// none otherwise (exact equality, no float tolerance).
+    fn structure_key(&self, theta: &[f64]) -> Result<Option<u64>, SmcError> {
         if theta.len() != self.theta_dim() {
             return Err(SmcError::Simulation(format!(
                 "CovidSimulator expects {} parameter(s), got {}",
@@ -376,23 +370,31 @@ impl CovidSimulator {
                 theta.len()
             )));
         }
-        let mut params = CovidParams {
-            transmission_rate: theta[0],
-            ..self.base.clone()
-        };
+        if !self.calibrate_detection {
+            return Ok(None);
+        }
+        let m = theta[1];
+        if !(m.is_finite() && m >= 0.0) {
+            return Err(SmcError::Simulation(format!(
+                "detection multiplier {m} invalid"
+            )));
+        }
+        Ok(Some(m.to_bits()))
+    }
+
+    /// Compile the model `theta`'s structural coordinates select; its
+    /// transmission rate is the base one until a run sets `theta[0]`.
+    fn compile(&self, theta: &[f64]) -> Result<CompiledSpec, SmcError> {
+        let mut params = self.base.params().clone();
         if self.calibrate_detection {
             let m = theta[1];
-            if !(m.is_finite() && m >= 0.0) {
-                return Err(SmcError::Simulation(format!(
-                    "detection multiplier {m} invalid"
-                )));
-            }
-            params.detect_asymp = (self.base.detect_asymp * m).min(1.0);
-            params.detect_presymp = (self.base.detect_presymp * m).min(1.0);
-            params.detect_mild = (self.base.detect_mild * m).min(1.0);
-            params.detect_severe = (self.base.detect_severe * m).min(1.0);
+            params.detect_asymp = (params.detect_asymp * m).min(1.0);
+            params.detect_presymp = (params.detect_presymp * m).min(1.0);
+            params.detect_mild = (params.detect_mild * m).min(1.0);
+            params.detect_severe = (params.detect_severe * m).min(1.0);
         }
-        CovidModel::new(params).map_err(SmcError::Simulation)
+        let model = CovidModel::new(params).map_err(SmcError::Simulation)?;
+        Ok(CompiledSpec::new(model.spec())?)
     }
 }
 
@@ -459,15 +461,14 @@ impl TrajectorySimulator for CovidSimulator {
         end_day: u32,
         on_day: &mut dyn FnMut(u32, &[u64]) -> ControlFlow<()>,
     ) -> Result<Option<(DailySeries, SimCheckpoint)>, SmcError> {
-        let model = self.model_with(theta)?;
-        let key = theta_key::<2>(theta);
-        let compiled = ws.compiled_for(self.cache_salt, &key[..theta.len()], || {
-            CompiledSpec::new(model.spec())
+        let key = self.structure_key(theta)?;
+        let compiled = ws.compiled_for(self.cache_salt, key.as_slice(), theta[0], || {
+            self.compile(theta)
         })?;
         let stepper = BinomialChainStepper::daily();
         let flow = match origin {
             None => {
-                let init = model.initial_state_in(&compiled.spec, seed);
+                let init = self.base.initial_state_in(&compiled.spec, seed);
                 ws.run_with(&compiled, &stepper, &init, end_day, on_day)?
             }
             Some(ck) => {
@@ -479,10 +480,12 @@ impl TrajectorySimulator for CovidSimulator {
 }
 
 /// Adapter driving the minimal SEIR model with `theta[0]` as the
-/// transmission rate.
+/// transmission rate, a per-run value: one compilation per workspace
+/// serves every rate (see [`SimWorkspace::compiled_for`]).
 #[derive(Clone, Debug)]
 pub struct SeirSimulator {
-    base: SeirParams,
+    /// The validated base model (everything but the transmission rate).
+    base: SeirModel,
     /// Output-series names, captured at construction so the accessor
     /// never has to rebuild (and thus re-validate) the model.
     output_names: Vec<String>,
@@ -497,30 +500,13 @@ impl SeirSimulator {
     /// # Errors
     /// Propagates parameter validation failures.
     pub fn new(base: SeirParams) -> Result<Self, SmcError> {
-        base.validate().map_err(SmcError::Simulation)?;
-        let output_names = SeirModel::new(base.clone())
-            .map_err(SmcError::Simulation)?
-            .spec()
-            .output_names();
+        let base = SeirModel::new(base).map_err(SmcError::Simulation)?;
+        let output_names = base.spec().output_names();
         Ok(Self {
             base,
             output_names,
             cache_salt: fresh_cache_salt(),
         })
-    }
-
-    fn model_with(&self, theta: &[f64]) -> Result<SeirModel, SmcError> {
-        if theta.len() != 1 {
-            return Err(SmcError::Simulation(format!(
-                "SeirSimulator expects 1 parameter, got {}",
-                theta.len()
-            )));
-        }
-        SeirModel::new(SeirParams {
-            transmission_rate: theta[0],
-            ..self.base.clone()
-        })
-        .map_err(SmcError::Simulation)
     }
 }
 
@@ -583,14 +569,19 @@ impl TrajectorySimulator for SeirSimulator {
         end_day: u32,
         on_day: &mut dyn FnMut(u32, &[u64]) -> ControlFlow<()>,
     ) -> Result<Option<(DailySeries, SimCheckpoint)>, SmcError> {
-        let model = self.model_with(theta)?;
-        let key = theta_key::<1>(theta);
-        let compiled =
-            ws.compiled_for(self.cache_salt, &key, || CompiledSpec::new(model.spec()))?;
+        if theta.len() != 1 {
+            return Err(SmcError::Simulation(format!(
+                "SeirSimulator expects 1 parameter, got {}",
+                theta.len()
+            )));
+        }
+        let compiled = ws.compiled_for(self.cache_salt, &[], theta[0], || {
+            CompiledSpec::new(self.base.spec())
+        })?;
         let stepper = BinomialChainStepper::daily();
         let flow = match origin {
             None => {
-                let init = model.initial_state_in(&compiled.spec, seed);
+                let init = self.base.initial_state_in(&compiled.spec, seed);
                 ws.run_with(&compiled, &stepper, &init, end_day, on_day)?
             }
             Some(ck) => {
@@ -629,6 +620,16 @@ mod tests {
         sim.run_until(end);
         let ck = sim.checkpoint();
         (sim.into_series(), ck)
+    }
+
+    /// The covid model at transmission rate `theta`, built on its own
+    /// rather than through the adapter's cached compilation.
+    fn covid_at(sim: &CovidSimulator, theta: f64) -> CovidModel {
+        CovidModel::new(CovidParams {
+            transmission_rate: theta,
+            ..sim.base_params().clone()
+        })
+        .unwrap()
     }
 
     fn covid() -> CovidSimulator {
@@ -685,6 +686,16 @@ mod tests {
     fn rejects_invalid_theta_value() {
         let sim = covid();
         assert!(sim.run_fresh(&[-0.5], 1, 10).is_err());
+        // A warm workspace rejects it on the cached compilation too, and
+        // still serves valid rates bit-identically afterwards.
+        let mut ws = SimWorkspace::new();
+        let cold = sim.run_fresh(&[0.3], 1, 10).unwrap();
+        assert_eq!(sim.run_fresh_in(&mut ws, &[0.3], 1, 10).unwrap(), cold);
+        for bad in [-0.5, f64::NAN, f64::INFINITY] {
+            assert!(sim.run_fresh_in(&mut ws, &[bad], 1, 10).is_err(), "{bad}");
+        }
+        assert_eq!(sim.run_fresh_in(&mut ws, &[0.3], 1, 10).unwrap(), cold);
+        assert_eq!(ws.compiled_builds(), 1);
     }
 
     #[test]
@@ -765,13 +776,13 @@ mod tests {
     fn workspace_runs_match_plain_runs_bit_exactly() {
         let sim = covid();
         let daily = BinomialChainStepper::daily;
-        let m = sim.model_with(&[0.32]).unwrap();
+        let m = covid_at(&sim, 0.32);
         let (series, ck) = stepped(m.spec(), daily(), m.initial_state(77), 35);
         assert_eq!(
             sim.run_fresh(&[0.32], 77, 35).unwrap(),
             (series.clone(), ck.clone())
         );
-        let m = sim.model_with(&[0.5]).unwrap();
+        let m = covid_at(&sim, 0.5);
         let (tail, ck2) = stepped_from(m.spec(), daily(), &ck, 78, 55);
         assert_eq!(
             sim.run_from(&ck, &[0.5], 78, 55).unwrap(),
@@ -799,13 +810,17 @@ mod tests {
 
     #[test]
     fn seir_workspace_runs_match_plain_runs() {
-        let sim = SeirSimulator::new(SeirParams {
+        let base = SeirParams {
             population: 8_000,
             initial_exposed: 30,
             ..SeirParams::default()
+        };
+        let sim = SeirSimulator::new(base.clone()).unwrap();
+        let m = SeirModel::new(SeirParams {
+            transmission_rate: 0.45,
+            ..base
         })
         .unwrap();
-        let m = sim.model_with(&[0.45]).unwrap();
         let daily = BinomialChainStepper::daily;
         let (series, ck) = stepped(m.spec(), daily(), m.initial_state(3), 25);
         assert_eq!(
@@ -823,6 +838,69 @@ mod tests {
         );
         let (b, _) = sim.run_from_in(&mut ws, &ck, &[0.45], 4, 40).unwrap();
         assert_eq!(b, tail);
+    }
+
+    /// Run `thetas` in order through one warm workspace, alternating
+    /// fresh runs with continuations of `ck`, check every run against a
+    /// cold `run_fresh` / `run_from`, and return the workspace's
+    /// `(compiled_builds, compiled_reuses)`.
+    fn warm_runs_match_cold<S: TrajectorySimulator>(
+        sim: &S,
+        ck: &SimCheckpoint,
+        thetas: &[Vec<f64>],
+    ) -> (u64, u64) {
+        let mut ws = SimWorkspace::new();
+        for (i, theta) in thetas.iter().enumerate() {
+            let seed = 1_000 + i as u64;
+            if i % 2 == 0 {
+                let warm = sim.run_fresh_in(&mut ws, theta, seed, 30).unwrap();
+                assert_eq!(warm, sim.run_fresh(theta, seed, 30).unwrap(), "{theta:?}");
+            } else {
+                let warm = sim.run_from_in(&mut ws, ck, theta, seed, 40).unwrap();
+                assert_eq!(
+                    warm,
+                    sim.run_from(ck, theta, seed, 40).unwrap(),
+                    "{theta:?}"
+                );
+            }
+        }
+        (ws.compiled_builds(), ws.compiled_reuses())
+    }
+
+    #[test]
+    fn one_compilation_serves_every_transmission_rate() {
+        let thetas: Vec<Vec<f64>> = (0..50).map(|i| vec![0.1 + 0.013 * i as f64]).collect();
+        let sim = covid();
+        let (_, ck) = sim.run_fresh(&[0.3], 3, 20).unwrap();
+        assert_eq!(warm_runs_match_cold(&sim, &ck, &thetas), (1, 49));
+        let seir = SeirSimulator::new(SeirParams {
+            population: 8_000,
+            initial_exposed: 30,
+            ..SeirParams::default()
+        })
+        .unwrap();
+        let (_, ck) = seir.run_fresh(&[0.4], 3, 20).unwrap();
+        assert_eq!(warm_runs_match_cold(&seir, &ck, &thetas), (1, 49));
+    }
+
+    #[test]
+    fn detection_calibration_recompiles_only_on_a_new_multiplier() {
+        let sim = covid().with_calibrated_detection();
+        let (_, ck) = sim.run_fresh(&[0.3, 1.0], 3, 20).unwrap();
+        let thetas: Vec<Vec<f64>> = [
+            [0.30, 1.0],
+            [0.45, 1.0],
+            [0.20, 1.0],
+            [0.20, 2.5],
+            [0.35, 2.5],
+            [0.35, 1.0],
+            [0.50, 1.0],
+        ]
+        .iter()
+        .map(|t| t.to_vec())
+        .collect();
+        // Three runs of consecutive equal multipliers: three builds.
+        assert_eq!(warm_runs_match_cold(&sim, &ck, &thetas), (3, 4));
     }
 
     #[test]

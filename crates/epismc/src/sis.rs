@@ -263,9 +263,11 @@ pub struct TrajectoryTelemetry {
     /// phase — neither the simulation grid nor the parallelized
     /// between-window finalize passes (weight exponentiation, posterior
     /// assembly). What remains is the genuinely serial fraction (setup,
-    /// log-sum-exp reduction, resampling-index generation, telemetry
-    /// footprint measurement) that Amdahl's law bounds strong scaling
-    /// by; inherently nondeterministic — diagnostics only.
+    /// log-sum-exp reduction, resampling-index generation and counting,
+    /// and the telemetry footprint pass over the distinct resampled
+    /// candidates, which no field times on its own) that Amdahl's law
+    /// bounds strong scaling by; inherently nondeterministic —
+    /// diagnostics only.
     pub serial_nanos: u64,
     /// Per-source scoring passes through the fused day loop (per-day
     /// bias + likelihood term, no materialized observation buffer): one
@@ -336,12 +338,19 @@ struct WindowAccounting {
 /// by deduplicating on allocation identity, folding in the window's
 /// workspace-pool counters and phase timings.
 ///
-/// One serial pass: each particle's chain is walked only until the first
-/// segment already seen, so the pass costs the ensemble size plus its
-/// distinct segments, not the summed chain lengths; `segment_refs` comes
-/// from the chain depth each segment records.
+/// The posterior is the resample of `candidates` that `drawn` describes:
+/// each distinct drawn candidate with the number of times it was drawn.
+/// Duplicates share every allocation with their candidate, so one serial
+/// pass over the distinct candidates sees every segment and checkpoint
+/// the posterior holds, and the per-reference totals (`flat_bytes`,
+/// `segment_refs`, `checkpoint_refs`) weight each candidate by its
+/// count. Each chain is walked only until the first segment already
+/// seen, so the pass costs the distinct candidates plus their distinct
+/// segments, however large the resample; `segment_refs` comes from the
+/// chain depth each segment records.
 fn measure_telemetry(
-    posterior: &ParticleEnsemble,
+    candidates: &[Particle],
+    drawn: &[(usize, usize)],
     acct: WindowAccounting,
     resample_nanos: u64,
     ws_stats: &WorkspaceStats,
@@ -361,9 +370,10 @@ fn measure_telemetry(
         ..Default::default()
     };
     let mut seen = std::collections::BTreeSet::new();
-    for p in posterior.particles() {
-        t.flat_bytes += p.trajectory.flat_bytes();
-        t.segment_refs += p.trajectory.segment_count();
+    for &(i, n) in drawn {
+        let p = &candidates[i];
+        t.flat_bytes += n * p.trajectory.flat_bytes();
+        t.segment_refs += n * p.trajectory.segment_count();
         let (fresh, _) = p.trajectory.unknown_segments(|id| seen.contains(&id));
         for (id, series) in fresh {
             seen.insert(id);
@@ -371,19 +381,17 @@ fn measure_telemetry(
         }
     }
     t.unique_segments = seen.len();
-    let sharing = ckpool::sharing(
-        posterior
-            .particles()
-            .iter()
-            .flat_map(|p| std::iter::once(&p.checkpoint).chain(p.origin.as_ref())),
-    );
+    let sharing = ckpool::sharing(drawn.iter().flat_map(|&(i, n)| {
+        let p = &candidates[i];
+        std::iter::once((&p.checkpoint, n)).chain(p.origin.as_ref().map(|o| (o, n)))
+    }));
     t.unique_checkpoints = sharing.unique;
     t.checkpoint_refs = sharing.refs;
     t
 }
 
-/// The outcome of calibrating one window. Cloning is cheap where it
-/// matters: the ensembles are Arc structural sharing all the way down.
+/// The outcome of calibrating one window. Cloning is O(1) in the
+/// ensemble size: each [`ParticleEnsemble`] is one `Arc` bump.
 #[derive(Clone, Debug)]
 pub struct WindowResult {
     /// The scored window.
@@ -709,10 +717,10 @@ pub fn score_window(
 /// (log-sum-exp, whose summation order is part of the contract),
 /// resampling-index generation (a single sequential RNG stream at O(1)
 /// alias work per draw) and the telemetry footprint measurement (one
-/// early-stop walk costing the ensemble size plus its distinct segments)
-/// stay serial — `resample_nanos` keeps the resampling cost visible, and
-/// the parallel spans are subtracted from `serial_nanos` so the
-/// telemetry reports the true Amdahl fraction.
+/// early-stop walk over the distinct drawn candidates, costing them plus
+/// their distinct segments) stay serial — `resample_nanos` keeps the
+/// resampling cost visible, and the parallel spans are subtracted from
+/// `serial_nanos` so the telemetry reports the true Amdahl fraction.
 #[allow(clippy::too_many_arguments)]
 fn finalize_window(
     window: TimeWindow,
@@ -740,10 +748,14 @@ fn finalize_window(
         .resample
         .resampler()
         .resample(&weights, config.resample_size, rng);
-    let mut unique = idx.clone();
-    unique.sort_unstable();
-    unique.dedup();
-    let unique_ancestors = unique.len();
+    let mut sorted = idx.clone();
+    sorted.sort_unstable();
+    // Each distinct drawn candidate with its draw count.
+    let drawn: Vec<(usize, usize)> = sorted
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len()))
+        .collect();
+    let unique_ancestors = drawn.len();
 
     // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
     let build_started = std::time::Instant::now();
@@ -753,7 +765,8 @@ fn finalize_window(
     parallel_nanos += build_started.elapsed().as_nanos() as u64;
     posterior.set_uniform_weights();
     let resample_nanos = resample_started.elapsed().as_nanos() as u64;
-    let mut telemetry = measure_telemetry(&posterior, acct, resample_nanos, ws_stats);
+    let mut telemetry =
+        measure_telemetry(ensemble.particles(), &drawn, acct, resample_nanos, ws_stats);
     // Everything the window spent outside its parallel phases — grid
     // passes and the parallelized finalize spans above — is the serial
     // fraction strong scaling is bounded by.
@@ -1851,5 +1864,120 @@ mod tests {
         let a = score(&one, 0.8, 42, &obs, w).unwrap();
         let b = score(&three, 0.8, 42, &obs, w).unwrap();
         assert_eq!(a.to_bits(), b.to_bits());
+    }
+
+    /// The footprint counters of a posterior, recomputed by walking every
+    /// chain to its root and visiting every checkpoint reference (the
+    /// reference `tests/stream_constant_cost.rs` uses).
+    fn full_walk(posterior: &ParticleEnsemble) -> [usize; 6] {
+        use std::collections::BTreeSet;
+        let bytes = |s: &episim::output::DailySeries| {
+            s.len() * s.names().len() * std::mem::size_of::<u64>()
+        };
+        let (mut segments, mut checkpoints) = (BTreeSet::new(), BTreeSet::new());
+        let (mut refs, mut shared, mut flat, mut ck_refs) = (0, 0, 0, 0);
+        for p in posterior.particles() {
+            let (chain, _) = p.trajectory.unknown_segments(|_| false);
+            refs += chain.len();
+            for (id, series) in chain {
+                flat += bytes(series);
+                if segments.insert(id) {
+                    shared += bytes(series);
+                }
+            }
+            for ck in std::iter::once(&p.checkpoint).chain(&p.origin) {
+                checkpoints.insert(Arc::as_ptr(ck));
+                ck_refs += 1;
+            }
+        }
+        [
+            refs,
+            segments.len(),
+            shared,
+            flat,
+            checkpoints.len(),
+            ck_refs,
+        ]
+    }
+
+    fn footprint(t: &TrajectoryTelemetry) -> [usize; 6] {
+        [
+            t.segment_refs,
+            t.unique_segments,
+            t.shared_bytes,
+            t.flat_bytes,
+            t.unique_checkpoints,
+            t.checkpoint_refs,
+        ]
+    }
+
+    #[test]
+    fn pmmh_window_footprint_describes_the_posterior_its_moves_start_from() {
+        use crate::config::{PmmhConfig, RejuvenationKernel};
+        use crate::prior::{BetaPrior, JitterKernel, UniformPrior};
+        use crate::simulator::{SeirSimulator, TrajectorySimulator};
+        use episim::seir::SeirParams;
+
+        let sim = SeirSimulator::new(SeirParams {
+            population: 20_000,
+            initial_exposed: 40,
+            ..SeirParams::default()
+        })
+        .unwrap();
+        let (truth, _) = sim.run_fresh(&[0.45], 5, 40).unwrap();
+        let observed = ObservedData::cases_only(truth.series_f64("infections").unwrap());
+        let priors = Priors {
+            theta: vec![Box::new(UniformPrior::new(0.1, 0.9))],
+            rho: Box::new(BetaPrior::new(100.0, 1.0)),
+        };
+        let calibrator = |kernel| {
+            let config = CalibrationConfig::builder()
+                .n_params(20)
+                .n_replicates(2)
+                .resample_size(200)
+                .seed(23)
+                .rejuvenation(kernel)
+                .build();
+            SequentialCalibrator::new(
+                &sim,
+                config,
+                vec![JitterKernel::symmetric(0.08, 0.05, 0.95)],
+                JitterKernel::asymmetric(0.05, 0.08, 0.05, 1.0),
+            )
+        };
+        let pmmh = calibrator(RejuvenationKernel::Pmmh(PmmhConfig::default()));
+        // Everything before the move pass ignores the kernel, so the
+        // jitter twin computes each window's pre-move posterior.
+        let twin = calibrator(RejuvenationKernel::UniformJitter);
+        let runner = ParallelRunner::with_threads(2);
+        let mut prev: Option<ParticleEnsemble> = None;
+        for (widx, &window) in [
+            TimeWindow::new(8, 19),
+            TimeWindow::new(20, 29),
+            TimeWindow::new(30, 40),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let moved = pmmh
+                .compute_window(&runner, &priors, &observed, window, widx, prev.as_ref())
+                .unwrap();
+            let start = twin
+                .compute_window(&runner, &priors, &observed, window, widx, prev.as_ref())
+                .unwrap();
+            let stats = moved.rejuvenation.unwrap();
+            assert!(stats.accepted > 0, "window {widx}: no move accepted");
+            assert!(start.unique_ancestors < start.posterior.len());
+            assert_eq!(
+                footprint(&moved.telemetry),
+                full_walk(&start.posterior),
+                "window {widx}: [segment_refs, unique_segments, shared_bytes, flat_bytes, \
+                 unique_checkpoints, checkpoint_refs]"
+            );
+            assert_eq!(footprint(&start.telemetry), footprint(&moved.telemetry));
+            // The next window proposes from moved particles, whose fresh
+            // tails and checkpoints its footprint must count.
+            prev = Some(moved.posterior);
+        }
     }
 }

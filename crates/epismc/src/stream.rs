@@ -264,7 +264,8 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
 
     /// Single-source convenience: ingest `series` (contiguity checked)
     /// and advance one window spanning exactly its days. Returns the
-    /// window's result by (cheap, Arc-shared) clone.
+    /// window's result by clone, which is O(1): the result shares the
+    /// handle's posterior through its one `Arc`.
     ///
     /// # Errors
     /// [`SmcError::Observation`] unless the stream has exactly one data

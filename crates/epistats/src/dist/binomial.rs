@@ -57,16 +57,6 @@ impl Binomial {
         Self { n, p }
     }
 
-    /// Number of trials.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
-
-    /// Success probability.
-    pub fn p(&self) -> f64 {
-        self.p
-    }
-
     /// Draw one binomial variate as a native integer.
     pub fn sample_u64(&self, rng: &mut Xoshiro256PlusPlus) -> u64 {
         sample_binomial(rng, self.n, self.p)
@@ -489,7 +479,6 @@ impl BtpeSetup {
 /// amortization of setup, never a different sampling algorithm.
 #[derive(Clone, Copy, Debug)]
 pub struct HazardSampler {
-    p_bits: u64,
     flipped: bool,
     /// `ln s`, precomputed for BTPE's exact acceptance test.
     ln_s: f64,
@@ -518,7 +507,6 @@ impl HazardSampler {
         let q = 1.0 - r;
         let s = r / q;
         Self {
-            p_bits: p.to_bits(),
             flipped,
             r,
             q,
@@ -526,11 +514,6 @@ impl HazardSampler {
             ln_q: (-r).ln_1p(),
             ln_s: s.ln(),
         }
-    }
-
-    /// The success probability this setup was built for.
-    pub fn p(&self) -> f64 {
-        f64::from_bits(self.p_bits)
     }
 
     /// Draw one `Binomial(n, p)` variate, running only the n-dependent

@@ -2,9 +2,10 @@
 //!
 //! Implementations follow the standard numerical recipes: a Lanczos
 //! approximation for the log-gamma function, series / continued-fraction
-//! evaluation for the regularized incomplete gamma and beta functions, a
-//! rational minimax approximation for `erf`, and Acklam's algorithm with a
-//! Halley refinement step for the inverse normal CDF.
+//! evaluation for the regularized incomplete gamma and beta functions,
+//! `erf` through the incomplete gamma function
+//! (`erf(x) = sign(x) · P(1/2, x²)`), and Acklam's algorithm with a Halley
+//! refinement step for the inverse normal CDF.
 //!
 //! Accuracy targets (validated in the test module against high-precision
 //! reference values): relative error below `1e-12` for `ln_gamma`, below

@@ -22,16 +22,13 @@ cargo run -p epilint --quiet
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps -p epismc -p epistats -p episim -p epismc-core -p epidata -p epibench -p epilint"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p epismc -p epistats -p episim -p epismc-core -p epidata -p epibench -p epilint
 
+# The vendored crates are path dependencies inside the workspace root,
+# so they are implicit workspace members: this step also runs the pool's
+# unit tests and its concurrency suites (interleaving model, seeded
+# stress) along with the lifecycle-edge suite (tests/pool_lifecycle.rs).
+# Miri/TSan variants live in scripts/check_concurrency.sh.
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
-
-# The vendored pool is a path dependency, not a workspace member, so its
-# unit tests and the concurrency suites (interleaving model, seeded
-# stress, lifecycle edges) need explicit invocations. Miri/TSan variants
-# live in scripts/check_concurrency.sh.
-echo "==> cargo test -p rayon -q && cargo test --test pool_lifecycle -q"
-cargo test -p rayon -q
-cargo test --test pool_lifecycle -q
 
 # The durability harnesses run as part of the workspace suite above;
 # this explicit pass re-runs them under a constrained thread pool so the

@@ -7,8 +7,9 @@
 #   1. stable:  the pool's own unit tests, the exhaustive interleaving
 #               model (vendor/rayon/tests/pool_model.rs), the seeded
 #               stress suite, and the workspace lifecycle-edge suite —
-#               none of these run under `cargo test --workspace` because
-#               vendored crates are path deps, not workspace members.
+#               `cargo test --workspace` runs them too (the vendored
+#               crates are implicit workspace members); this layer runs
+#               them alone so the gate stands on its own.
 #   2. Miri:    undefined-behaviour check over the unsafe-bearing unit
 #               tests (pool + slab, ckpool interning, RNG stream keys).
 #               Needs: rustup +nightly component add miri

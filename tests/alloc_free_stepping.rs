@@ -5,6 +5,9 @@
 //! against two data sources allocates nothing per call, reporting-delayed
 //! cases included. This is what makes per-worker workspace pooling pay
 //! off — the steady-state cost of a grid cell is arithmetic, not malloc.
+//! A warm adapter run on a new transmission rate also allocates exactly
+//! as often as one on the rate it ran last: the rate is a per-run value,
+//! so no model is rebuilt per parameter value.
 //!
 //! The test installs a global counting allocator, so it lives alone in
 //! its own integration-test binary. The counter is additionally gated on
@@ -19,6 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use epismc::prelude::*;
 use epismc::sim::engine::{CompiledSpec, StepScratch};
+use epismc::sim::workspace::SimWorkspace;
 use epismc::sim::SimState;
 
 /// Forwards to the system allocator, counting every allocating call
@@ -123,6 +127,27 @@ fn allocs_over_scores(
     allocs() - before
 }
 
+/// Run one warm adapter simulation at `theta` (fresh from day 0, or
+/// continuing `origin`) and return the number of allocating calls it
+/// made; the run's own output (series, checkpoint, initial state) is
+/// part of the count.
+fn allocs_over_run(
+    sim: &CovidSimulator,
+    ws: &mut SimWorkspace,
+    origin: Option<&SimCheckpoint>,
+    theta: f64,
+) -> u64 {
+    let before = allocs();
+    MEASURING.with(|m| m.set(true));
+    let run = match origin {
+        None => sim.run_fresh_in(ws, &[theta], 7, 12),
+        Some(ck) => sim.run_from_in(ws, ck, &[theta], 7, 24),
+    };
+    MEASURING.with(|m| m.set(false));
+    assert!(run.is_ok(), "warm run at theta {theta}");
+    allocs() - before
+}
+
 #[test]
 fn advance_day_is_allocation_free_after_warmup() {
     let m = CovidModel::new(CovidParams {
@@ -214,4 +239,31 @@ fn advance_day_is_allocation_free_after_warmup() {
         during, 0,
         "score_window: {during} allocating calls over 100 warm delayed-source calls"
     );
+
+    // A warm adapter run on a new transmission rate allocates exactly as
+    // often as one on the rate the workspace ran last, fresh or
+    // continued: the new rate keeps the compiled model, its stamp and the
+    // hazard table.
+    let sim = CovidSimulator::new(CovidParams {
+        population: 200_000,
+        initial_exposed: 200,
+        ..CovidParams::default()
+    })
+    .unwrap();
+    let mut ws = SimWorkspace::new();
+    let (_, ck) = sim.run_fresh_in(&mut ws, &[0.3], 1, 12).unwrap();
+    for origin in [None, Some(&ck)] {
+        allocs_over_run(&sim, &mut ws, origin, 0.3);
+        let same = allocs_over_run(&sim, &mut ws, origin, 0.3);
+        let new = allocs_over_run(&sim, &mut ws, origin, 0.41);
+        let again = allocs_over_run(&sim, &mut ws, origin, 0.27);
+        let fresh = origin.is_none();
+        assert!(same > 0, "fresh {fresh}: the run's output is counted");
+        assert_eq!(
+            (new, again),
+            (same, same),
+            "fresh {fresh}: allocating calls on new rates vs the same rate"
+        );
+    }
+    assert_eq!(ws.compiled_builds(), 1);
 }
