@@ -18,7 +18,7 @@
 //! | `wall-clock` | `thread_rng` / `from_entropy` / `SystemTime` / `Instant::now` / `rand::random` in core crates | RNG streams and clocks must flow from checkpointable state (the paper's restart-with-new-parameters design) |
 //! | `float-eq` | bare `==` / `!=` against float literals in likelihood/observation code | exact float equality is almost always a masked tolerance bug |
 //! | `lossy-cast` | `as <int>` casts on float-bearing lines in likelihood/observation code | silent truncation of count variables skews likelihoods |
-//! | `checkpoint-clone` | `SimCheckpoint` deep clones / byte round-trips (`SimCheckpoint::clone`, `checkpoint.clone()`, `.to_bytes(`, `SimCheckpoint::from_bytes`) outside the interning module | inference code must alias checkpoints through `ckpool`'s `Arc` pool; a deep copy on the resample/jitter path silently reintroduces the per-particle memory blowup |
+//! | `checkpoint-clone` | `SimCheckpoint` deep clones / byte round-trips (`SimCheckpoint::clone`, `checkpoint.clone()`, `.to_bytes(`, `.append_bytes(` / `SimCheckpoint::append_bytes`, `SimCheckpoint::from_bytes`) outside the interning module | inference code must alias checkpoints through `ckpool`'s `Arc` pool; a deep copy on the resample/jitter path silently reintroduces the per-particle memory blowup |
 //! | `fs-write` | `std::fs` write operations (`File::create`, `OpenOptions`, `fs::write`, `fs::rename`, `fs::remove_*`, `fs::create_dir*`, `fs::copy`) outside `fs-exempt` paths | durability writes must stay in the audited persist module, where every record is checksummed and committed atomically; a stray write elsewhere bypasses the crash-recovery contract |
 //! | `unsafe-containment` | `unsafe` blocks/fns/impls outside the `unsafe-allow` module set, and any `unsafe` site (allowlisted or not, test code included) without an adjacent `// SAFETY: <reason>` comment or `# Safety` doc section | the worker pool's type-erased jobs and raw slab writes are the only sanctioned unsafe surface; every site must state the invariant it relies on so the model checker / Miri / TSan suites know what to cover |
 //! | `atomics-ordering` | in `atomics-paths` files: atomic load/store/RMW calls without an explicit `Ordering`, and any `Relaxed` ordering without an adjacent `// ORDER: <reason>` note | the pool's epoch-broadcast protocol gets its happens-before edges from the state mutex, not the atomics — each `Relaxed` must spell out why that is sufficient, or be strengthened |
@@ -433,6 +433,8 @@ fn needles(rule: Rule) -> &'static [&'static str] {
             "SimCheckpoint::clone",
             "checkpoint.clone()",
             ".to_bytes(",
+            ".append_bytes(",
+            "SimCheckpoint::append_bytes",
             "SimCheckpoint::from_bytes",
         ],
         Rule::FsWrite => &[
@@ -1042,6 +1044,8 @@ mod tests {
             "let c = p.checkpoint.clone();",
             "let c = SimCheckpoint::clone(&ck);",
             "let raw = ck.to_bytes();",
+            "ck.append_bytes(&mut out);",
+            "SimCheckpoint::append_bytes(&ck, &mut out);",
             "let ck = SimCheckpoint::from_bytes(&raw)?;",
         ] {
             let v = lint_source(&cfg_all(), "f.rs", line);

@@ -12,11 +12,12 @@
 //! for high-volume particle storage, and serde/JSON for human-debuggable
 //! artifacts; both round-trip bit-exactly.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use epistats::rng::Xoshiro256PlusPlus;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::engine::CompiledSpec;
 use crate::error::SimError;
 use crate::spec::ModelSpec;
 use crate::state::SimState;
@@ -89,8 +90,18 @@ pub fn layout_hash(spec: &ModelSpec) -> u64 {
 impl SimCheckpoint {
     /// Capture the current state of a run.
     pub fn capture(spec: &ModelSpec, state: &SimState) -> Self {
+        Self::capture_hashed(layout_hash(spec), state)
+    }
+
+    /// [`Self::capture`] under a compiled model, reading the layout hash
+    /// it compiled once instead of rehashing every compartment name.
+    pub(crate) fn capture_compiled(model: &CompiledSpec, state: &SimState) -> Self {
+        Self::capture_hashed(model.layout_hash(), state)
+    }
+
+    fn capture_hashed(layout_hash: u64, state: &SimState) -> Self {
         Self {
-            layout_hash: layout_hash(spec),
+            layout_hash,
             day: state.day,
             stage_counts: state.stage_counts.clone(),
             rng_state: state.rng.state(),
@@ -104,7 +115,7 @@ impl SimCheckpoint {
     /// Returns [`SimError::Checkpoint`] if the spec's layout differs from
     /// the one the checkpoint was captured under.
     pub fn restore(&self, spec: &ModelSpec) -> Result<SimState, SimError> {
-        self.validate_layout(spec)?;
+        self.validate_layout(spec, layout_hash(spec))?;
         Ok(SimState {
             day: self.day,
             time: self.day as f64,
@@ -132,7 +143,16 @@ impl SimCheckpoint {
     /// Same layout checks as [`Self::restore`]; on error `state` is left
     /// unmodified.
     pub fn restore_into(&self, spec: &ModelSpec, state: &mut SimState) -> Result<(), SimError> {
-        self.validate_layout(spec)?;
+        self.restore_into_hashed(spec, layout_hash(spec), state)
+    }
+
+    fn restore_into_hashed(
+        &self,
+        spec: &ModelSpec,
+        layout: u64,
+        state: &mut SimState,
+    ) -> Result<(), SimError> {
+        self.validate_layout(spec, layout)?;
         state.day = self.day;
         state.time = self.day as f64;
         state.stage_counts.clone_from(&self.stage_counts);
@@ -157,9 +177,23 @@ impl SimCheckpoint {
         Ok(())
     }
 
-    /// Shared layout/length validation for the restore family.
-    fn validate_layout(&self, spec: &ModelSpec) -> Result<(), SimError> {
-        if layout_hash(spec) != self.layout_hash {
+    /// [`Self::restore_into_with_seed`] under a compiled model, checking
+    /// against the layout hash it compiled once.
+    pub(crate) fn restore_compiled_with_seed(
+        &self,
+        model: &CompiledSpec,
+        state: &mut SimState,
+        seed: u64,
+    ) -> Result<(), SimError> {
+        self.restore_into_hashed(&model.spec, model.layout_hash(), state)?;
+        state.rng = Xoshiro256PlusPlus::new(seed);
+        Ok(())
+    }
+
+    /// Shared layout/length validation for the restore family, against
+    /// `spec` and its layout hash `layout`.
+    fn validate_layout(&self, spec: &ModelSpec, layout: u64) -> Result<(), SimError> {
+        if layout != self.layout_hash {
             return Err(SimError::Checkpoint(format!(
                 "layout mismatch for model '{}': captured under a different compartment structure",
                 spec.name
@@ -173,19 +207,23 @@ impl SimCheckpoint {
 
     /// Compact binary encoding.
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(24 + 8 * self.stage_counts.len() + 32);
-        buf.put_u32_le(MAGIC);
-        buf.put_u16_le(VERSION);
-        buf.put_u64_le(self.layout_hash);
-        buf.put_u32_le(self.day);
-        buf.put_u32_le(self.stage_counts.len() as u32);
-        for &c in &self.stage_counts {
-            buf.put_u64_le(c);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.append_bytes(&mut out);
+        Bytes::from(out)
+    }
+
+    /// Append the compact binary encoding of [`Self::to_bytes`] to `out`
+    /// — the path for writers that frame many checkpoints in one buffer.
+    pub fn append_bytes(&self, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_len());
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&self.layout_hash.to_le_bytes());
+        out.extend_from_slice(&self.day.to_le_bytes());
+        out.extend_from_slice(&(self.stage_counts.len() as u32).to_le_bytes());
+        for &c in self.stage_counts.iter().chain(&self.rng_state) {
+            out.extend_from_slice(&c.to_le_bytes());
         }
-        for &s in &self.rng_state {
-            buf.put_u64_le(s);
-        }
-        buf.freeze()
     }
 
     /// Decode the binary encoding.

@@ -17,6 +17,7 @@ pub use gillespie::GillespieStepper;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use epistats::dist::HazardSampler;
 use epistats::rng::Xoshiro256PlusPlus;
@@ -24,6 +25,7 @@ use epistats::rng::Xoshiro256PlusPlus;
 #[cfg(test)]
 use epistats::dist::sample_binomial;
 
+use crate::checkpoint;
 use crate::error::SimError;
 use crate::spec::ModelSpec;
 use crate::state::SimState;
@@ -57,6 +59,10 @@ pub struct CompiledSpec {
     /// and their shared p-setups, computed once per compilation instead
     /// of once per split draw.
     split_plans: Vec<Vec<SplitStep>>,
+    /// Output series names (see [`Self::output_names`]).
+    output_names: Arc<[String]>,
+    /// Checkpoint layout fingerprint (see [`Self::layout_hash`]).
+    layout_hash: u64,
     /// Process-unique identity of this compilation (see [`Self::stamp`]).
     stamp: u64,
 }
@@ -117,6 +123,8 @@ impl CompiledSpec {
             })
             .collect();
         Ok(Self {
+            output_names: spec.output_names().into(),
+            layout_hash: checkpoint::layout_hash(&spec),
             spec,
             offsets,
             stage_rates,
@@ -126,6 +134,21 @@ impl CompiledSpec {
             split_plans,
             stamp: NEXT_STAMP.fetch_add(1, Ordering::Relaxed),
         })
+    }
+
+    /// [`ModelSpec::output_names`], built once per compilation: every
+    /// series a run of this model records shares this allocation.
+    pub(crate) fn output_names(&self) -> &Arc<[String]> {
+        &self.output_names
+    }
+
+    /// [`checkpoint::layout_hash`] of the spec, computed once per
+    /// compilation: runs stamp it into the checkpoints they capture and
+    /// check it against the ones they restore. Like the other derived
+    /// tables it reads only the spec's structure, which
+    /// [`Self::set_transmission_rate`] leaves alone.
+    pub(crate) fn layout_hash(&self) -> u64 {
+        self.layout_hash
     }
 
     /// Split `total` exiting individuals of progression `pi` across its

@@ -16,6 +16,8 @@ pub enum SimError {
     Checkpoint(String),
     /// Filesystem failure while persisting or loading simulation state.
     Io(String),
+    /// Recorded output whose values do not fit its column names.
+    Output(String),
 }
 
 impl fmt::Display for SimError {
@@ -24,6 +26,7 @@ impl fmt::Display for SimError {
             SimError::Spec(msg) => write!(f, "invalid model spec: {msg}"),
             SimError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             SimError::Io(msg) => write!(f, "io error: {msg}"),
+            SimError::Output(msg) => write!(f, "invalid output series: {msg}"),
         }
     }
 }

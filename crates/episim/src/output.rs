@@ -5,13 +5,27 @@
 use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
+use crate::error::SimError;
+
 /// Daily output series recorded during a run: one row per simulated day,
 /// one named column per flow counter and census in the model spec.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// The values live in one column-major block: column `k` holds its days
+/// at `values[k * stride..k * stride + len]`, where `stride` is the day
+/// capacity every column has room for. A series sized for its run with
+/// [`Self::with_day_capacity`] is therefore one allocation that never
+/// regrows, and the names are a shared `Arc<[String]>`, so every run of
+/// one compiled model records under the same name allocation.
+#[derive(Clone, Debug)]
 pub struct DailySeries {
-    names: Vec<String>,
-    /// `columns[k][d]` = value of series `k` on day `d`.
-    columns: Vec<Vec<u64>>,
+    names: Arc<[String]>,
+    /// Column-major values; only the first `len` days of each column's
+    /// `stride` slots are recorded.
+    values: Vec<u64>,
+    /// Day capacity of each column (the distance between column starts).
+    stride: usize,
+    /// Recorded days.
+    len: usize,
     /// Day index of the first recorded row (nonzero when a run resumes
     /// from a checkpoint).
     start_day: u32,
@@ -20,19 +34,80 @@ pub struct DailySeries {
 impl DailySeries {
     /// Create an empty series set with the given column names, starting
     /// at `start_day`.
-    pub fn new(names: Vec<String>, start_day: u32) -> Self {
+    pub fn new(names: impl Into<Arc<[String]>>, start_day: u32) -> Self {
         Self::with_day_capacity(names, start_day, 0)
     }
 
-    /// [`Self::new`] with each column preallocated for `days` rows, so a
-    /// run of known length never regrows its columns.
-    pub fn with_day_capacity(names: Vec<String>, start_day: u32, days: usize) -> Self {
-        let columns = vec![Vec::with_capacity(days); names.len()];
+    /// [`Self::new`] with room for `days` rows in one allocation, so a
+    /// run of known length never regrows its block.
+    pub fn with_day_capacity(names: impl Into<Arc<[String]>>, start_day: u32, days: usize) -> Self {
+        let names = names.into();
         Self {
+            values: vec![0; names.len() * days],
             names,
-            columns,
+            stride: days,
+            len: 0,
             start_day,
         }
+    }
+
+    /// Assemble a series from complete columns — the inverse of reading
+    /// every [`Self::column`].
+    ///
+    /// # Errors
+    /// Returns [`SimError::Output`] if the column count does not match
+    /// the name count or the columns have unequal lengths.
+    pub fn from_columns(
+        names: impl Into<Arc<[String]>>,
+        start_day: u32,
+        columns: Vec<Vec<u64>>,
+    ) -> Result<Self, SimError> {
+        let names = names.into();
+        if names.len() != columns.len() {
+            return Err(SimError::Output(format!(
+                "from_columns: {} names but {} columns",
+                names.len(),
+                columns.len()
+            )));
+        }
+        let days = columns.first().map_or(0, Vec::len);
+        if columns.iter().any(|c| c.len() != days) {
+            return Err(SimError::Output(
+                "from_columns: columns have unequal lengths".into(),
+            ));
+        }
+        Self::from_block(names, start_day, days, columns.concat())
+    }
+
+    /// Assemble a series of `days` rows from its column-major block:
+    /// column `k` is `block[k * days..(k + 1) * days]` (used by the
+    /// durability layer to read a serialized segment straight into its
+    /// one allocation).
+    ///
+    /// # Errors
+    /// Returns [`SimError::Output`] unless the block holds exactly
+    /// `days` values per name.
+    pub fn from_block(
+        names: impl Into<Arc<[String]>>,
+        start_day: u32,
+        days: usize,
+        block: Vec<u64>,
+    ) -> Result<Self, SimError> {
+        let names = names.into();
+        if names.len().checked_mul(days) != Some(block.len()) {
+            return Err(SimError::Output(format!(
+                "from_block: {} values for {} columns of {days} days",
+                block.len(),
+                names.len()
+            )));
+        }
+        Ok(Self {
+            names,
+            values: block,
+            stride: days,
+            len: days,
+            start_day,
+        })
     }
 
     /// Append one day's values (must match the column count).
@@ -40,14 +115,31 @@ impl DailySeries {
     /// # Panics
     /// Panics on a length mismatch.
     pub fn push_day(&mut self, values: &[u64]) {
-        assert_eq!(
-            values.len(),
-            self.columns.len(),
-            "push_day: column mismatch"
-        );
-        for (col, &v) in self.columns.iter_mut().zip(values) {
-            col.push(v);
+        assert_eq!(values.len(), self.names.len(), "push_day: column mismatch");
+        self.reserve_days(1);
+        for (k, &v) in values.iter().enumerate() {
+            self.values[k * self.stride + self.len] = v;
         }
+        self.len += 1;
+    }
+
+    /// Make room for `more` further days, at least doubling the stride
+    /// when it grows so repeated pushes stay amortized `O(1)`.
+    fn reserve_days(&mut self, more: usize) {
+        let need = self.len + more;
+        if need <= self.stride {
+            return;
+        }
+        let stride = need.max(2 * self.stride).max(4);
+        self.values.resize(self.names.len() * stride, 0);
+        // Move columns to their new starts, last first: each column's new
+        // start lies at or after its old one and past every lower
+        // column's old rows, so nothing is overwritten before it moves.
+        for k in (1..self.names.len()).rev() {
+            let old = k * self.stride;
+            self.values.copy_within(old..old + self.len, k * stride);
+        }
+        self.stride = stride;
     }
 
     /// Column names in storage order.
@@ -55,14 +147,20 @@ impl DailySeries {
         &self.names
     }
 
+    /// Whether `other` records under the same names: the same shared
+    /// allocation, or equal strings.
+    fn same_names(&self, other: &DailySeries) -> bool {
+        Arc::ptr_eq(&self.names, &other.names) || self.names == other.names
+    }
+
     /// Number of recorded days.
     pub fn len(&self) -> usize {
-        self.columns.first().map_or(0, Vec::len)
+        self.len
     }
 
     /// Whether any days have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// First recorded day index.
@@ -72,45 +170,34 @@ impl DailySeries {
 
     /// Column `k` in [`Self::names`] order.
     pub fn column(&self, k: usize) -> Option<&[u64]> {
-        self.columns.get(k).map(Vec::as_slice)
+        (k < self.names.len()).then(|| self.column_slice(k))
     }
 
-    /// Assemble a series from complete columns — the inverse of reading
-    /// every [`Self::column`] (used by the durability layer to rebuild
-    /// trajectory segments from their serialized form).
-    ///
-    /// # Errors
-    /// Returns a description if the column count does not match the name
-    /// count or the columns have unequal lengths.
-    pub fn from_columns(
-        names: Vec<String>,
-        start_day: u32,
-        columns: Vec<Vec<u64>>,
-    ) -> Result<Self, String> {
-        if names.len() != columns.len() {
-            return Err(format!(
-                "from_columns: {} names but {} columns",
-                names.len(),
-                columns.len()
-            ));
+    /// Column `k`'s recorded days; `k` must be in range.
+    fn column_slice(&self, k: usize) -> &[u64] {
+        &self.values[k * self.stride..k * self.stride + self.len]
+    }
+
+    /// The columns as slices, in [`Self::names`] order.
+    fn columns(&self) -> impl Iterator<Item = &[u64]> {
+        (0..self.names.len()).map(|k| self.column_slice(k))
+    }
+
+    /// A copy of the first `days` rows (`days <= len`), in one block.
+    fn first_days(&self, days: usize) -> Self {
+        Self {
+            names: Arc::clone(&self.names),
+            values: self.columns().flat_map(|c| &c[..days]).copied().collect(),
+            stride: days,
+            len: days,
+            start_day: self.start_day,
         }
-        let len = columns.first().map_or(0, Vec::len);
-        if columns.iter().any(|c| c.len() != len) {
-            return Err("from_columns: columns have unequal lengths".into());
-        }
-        Ok(Self {
-            names,
-            columns,
-            start_day,
-        })
     }
 
     /// A column by name.
     pub fn series(&self, name: &str) -> Option<&[u64]> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.columns[i].as_slice())
+        let k = self.names.iter().position(|n| n == name)?;
+        self.column(k)
     }
 
     /// A column by name as `f64` (convenient for likelihood code).
@@ -125,15 +212,18 @@ impl DailySeries {
     /// # Panics
     /// Panics if the names differ or the day ranges are not contiguous.
     pub fn extend(&mut self, other: &DailySeries) {
-        assert_eq!(self.names, other.names, "extend: column names differ");
+        assert!(self.same_names(other), "extend: column names differ");
         assert_eq!(
-            self.start_day as usize + self.len(),
+            self.start_day as usize + self.len,
             other.start_day as usize,
             "extend: day ranges are not contiguous"
         );
-        for (dst, src) in self.columns.iter_mut().zip(&other.columns) {
-            dst.extend_from_slice(src);
+        self.reserve_days(other.len);
+        for (k, src) in other.columns().enumerate() {
+            let at = k * self.stride + self.len;
+            self.values[at..at + src.len()].copy_from_slice(src);
         }
+        self.len += other.len;
     }
 
     /// The sub-range of a column covering absolute days
@@ -149,6 +239,45 @@ impl DailySeries {
             return None;
         }
         Some(&col[lo..=hi])
+    }
+}
+
+impl PartialEq for DailySeries {
+    /// Content equality: names, start day and recorded values, whatever
+    /// spare capacity either block holds.
+    fn eq(&self, other: &Self) -> bool {
+        self.same_names(other)
+            && self.start_day == other.start_day
+            && self.len == other.len
+            && self.columns().eq(other.columns())
+    }
+}
+
+impl Serialize for DailySeries {
+    /// `{"names": [...], "columns": [[...], ...], "start_day": n}`: one
+    /// array per column, whatever the in-memory layout.
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("names".into(), self.names.to_value()),
+            (
+                "columns".into(),
+                Value::Array(self.columns().map(Serialize::to_value).collect()),
+            ),
+            ("start_day".into(), self.start_day.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for DailySeries {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let field = |name: &str| {
+            v.get_field(name)
+                .ok_or_else(|| format!("missing field {name} in DailySeries"))
+        };
+        let names = Vec::<String>::from_value(field("names")?)?;
+        let columns = Vec::<Vec<u64>>::from_value(field("columns")?)?;
+        let start_day = u32::from_value(field("start_day")?)?;
+        Self::from_columns(names, start_day, columns).map_err(|e| e.to_string())
     }
 }
 
@@ -208,7 +337,7 @@ impl SharedTrajectory {
 
     /// An empty trajectory with the given column names, starting at
     /// `start_day`.
-    pub fn empty(names: Vec<String>, start_day: u32) -> Self {
+    pub fn empty(names: impl Into<Arc<[String]>>, start_day: u32) -> Self {
         Self::root(DailySeries::new(names, start_day))
     }
 
@@ -223,7 +352,10 @@ impl SharedTrajectory {
     /// [`DailySeries::extend`]).
     #[must_use]
     pub fn append(&self, tail: DailySeries) -> Self {
-        assert_eq!(self.names(), tail.names(), "append: column names differ");
+        assert!(
+            self.head.series.same_names(&tail),
+            "append: column names differ"
+        );
         assert_eq!(
             self.head.chain_start as usize + self.head.chain_len,
             tail.start_day() as usize,
@@ -251,6 +383,11 @@ impl SharedTrajectory {
     /// Column names in storage order.
     pub fn names(&self) -> &[String] {
         self.head.series.names()
+    }
+
+    /// The shared name allocation, for series built from this one.
+    fn names_arc(&self) -> Arc<[String]> {
+        Arc::clone(&self.head.series.names)
     }
 
     /// Total recorded days across all segments.
@@ -294,7 +431,7 @@ impl SharedTrajectory {
         let col = self.names().iter().position(|n| n == name)?;
         let mut out = Vec::with_capacity(self.len());
         for seg in self.chain() {
-            out.extend_from_slice(&seg.series.columns[col]);
+            out.extend_from_slice(seg.series.column_slice(col));
         }
         Some(out)
     }
@@ -328,7 +465,7 @@ impl SharedTrajectory {
             if lo > hi {
                 continue;
             }
-            out.extend_from_slice(&seg.series.columns[col][lo - s_lo..=hi - s_lo]);
+            out.extend_from_slice(&seg.series.column_slice(col)[lo - s_lo..=hi - s_lo]);
         }
         Some(out)
     }
@@ -366,7 +503,7 @@ impl SharedTrajectory {
                 if lo <= hi {
                     let base = day_lo as usize;
                     out[lo - base..=hi - base]
-                        .copy_from_slice(&seg.series.columns[col][lo - s_lo..=hi - s_lo]);
+                        .copy_from_slice(&seg.series.column_slice(col)[lo - s_lo..=hi - s_lo]);
                     filled += hi - lo + 1;
                     if filled == n {
                         // The rest of the chain lies before `day_lo`.
@@ -386,11 +523,10 @@ impl SharedTrajectory {
 
     /// Copy the whole chain into one contiguous owned [`DailySeries`].
     pub fn flatten(&self) -> DailySeries {
-        let mut flat = DailySeries::new(self.names().to_vec(), self.head.chain_start);
+        let mut flat =
+            DailySeries::with_day_capacity(self.names_arc(), self.head.chain_start, self.len());
         for seg in self.chain() {
-            for (dst, src) in flat.columns.iter_mut().zip(&seg.series.columns) {
-                dst.extend_from_slice(src);
-            }
+            flat.extend(&seg.series);
         }
         flat
     }
@@ -427,7 +563,7 @@ impl SharedTrajectory {
     pub fn truncated(&self, day: u32) -> Self {
         let start = self.head.chain_start;
         if day < start || self.is_empty() {
-            return Self::empty(self.names().to_vec(), start);
+            return Self::empty(self.names_arc(), start);
         }
         if day >= start + self.head.chain_len as u32 - 1 {
             return self.clone();
@@ -456,16 +592,11 @@ impl SharedTrajectory {
             Some(p) => Self {
                 head: Arc::clone(p),
             },
-            None => Self::empty(self.names().to_vec(), start),
+            None => Self::empty(self.names_arc(), start),
         };
         let seg_first = seg.series.start_day();
         let keep = (day - seg_first + 1) as usize;
-        let mut partial = DailySeries::new(self.names().to_vec(), seg_first);
-        for d in 0..keep {
-            let row: Vec<u64> = seg.series.columns.iter().map(|c| c[d]).collect();
-            partial.push_day(&row);
-        }
-        prefix.append(partial)
+        prefix.append(seg.series.first_days(keep))
     }
 
     /// Number of segments in the chain (`O(1)`: each segment records its
@@ -561,7 +692,7 @@ impl Iterator for DayRows {
         while self.seg < self.segments.len() {
             let series = &self.segments[self.seg].series;
             if self.row < series.len() {
-                let row: Vec<u64> = series.columns.iter().map(|c| c[self.row]).collect();
+                let row: Vec<u64> = series.columns().map(|c| c[self.row]).collect();
                 let day = self.day;
                 self.row += 1;
                 self.day += 1;
@@ -822,12 +953,89 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rebuilt, s);
-        // Structural errors are reported, not panicked.
-        assert!(DailySeries::from_columns(vec!["a".into()], 0, vec![]).is_err());
-        assert!(
-            DailySeries::from_columns(vec!["a".into(), "b".into()], 0, vec![vec![1], vec![]])
-                .is_err()
+        // Structural errors are typed, not panicked.
+        for bad in [
+            DailySeries::from_columns(vec!["a".into()], 0, vec![]),
+            DailySeries::from_columns(vec!["a".into(), "b".into()], 0, vec![vec![1], vec![]]),
+            DailySeries::from_block(vec!["a".into(), "b".into()], 0, 2, vec![1, 2, 3]),
+        ] {
+            assert!(matches!(bad, Err(SimError::Output(_))), "{bad:?}");
+        }
+        // The block constructor reads the same column-major layout.
+        let block = DailySeries::from_block(s.names().to_vec(), 0, 3, vec![1, 2, 3, 10, 20, 30]);
+        assert_eq!(block.unwrap(), s);
+    }
+
+    #[test]
+    fn pushing_past_the_presized_capacity_keeps_every_column() {
+        let names: Vec<String> = vec!["a".into(), "b".into(), "c".into()];
+        for capacity in [0, 1, 3, 5] {
+            let mut s = DailySeries::with_day_capacity(names.clone(), 4, capacity);
+            for d in 0..40u64 {
+                s.push_day(&[d, 100 + d, 1_000 + d]);
+                // Every column holds every day pushed so far, across each
+                // regrowth of the block.
+                for (k, base) in [0u64, 100, 1_000].into_iter().enumerate() {
+                    let want: Vec<u64> = (0..=d).map(|i| base + i).collect();
+                    assert_eq!(s.column(k).unwrap(), want, "capacity {capacity}, day {d}");
+                }
+            }
+            assert_eq!((s.len(), s.start_day()), (40, 4));
+            assert_eq!(s.window("c", 10, 12).unwrap(), &[1_006, 1_007, 1_008]);
+        }
+    }
+
+    #[test]
+    fn presized_and_grown_series_with_equal_rows_are_equal() {
+        let names: Arc<[String]> = vec!["a".into(), "b".into()].into();
+        let mut presized = DailySeries::with_day_capacity(Arc::clone(&names), 1, 16);
+        // Separately allocated but equal names compare by content.
+        let mut grown = DailySeries::new(vec!["a".into(), "b".into()], 1);
+        for d in 0..9u64 {
+            presized.push_day(&[d, d * d]);
+            grown.push_day(&[d, d * d]);
+        }
+        assert_eq!(presized, grown);
+        // A series extended from pieces equals both.
+        let mut pieces = DailySeries::new(Arc::clone(&names), 1);
+        pieces.extend(
+            &DailySeries::from_columns(Arc::clone(&names), 1, vec![vec![0, 1], vec![0, 1]])
+                .unwrap(),
         );
+        let rest = (2..9u64).map(|d| d * d).collect();
+        pieces.extend(&DailySeries::from_columns(names, 3, vec![(2..9).collect(), rest]).unwrap());
+        assert_eq!(pieces, presized);
+        // Any differing value, start day or length breaks equality.
+        grown.push_day(&[9, 81]);
+        assert_ne!(presized, grown);
+        let shifted = DailySeries::from_columns(
+            presized.names().to_vec(),
+            2,
+            vec![
+                presized.column(0).unwrap().to_vec(),
+                presized.column(1).unwrap().to_vec(),
+            ],
+        );
+        assert_ne!(shifted.unwrap(), presized);
+    }
+
+    #[test]
+    fn serde_json_shape_is_one_array_per_column() {
+        let mut s = DailySeries::with_day_capacity(vec!["a".into(), "b".into()], 3, 8);
+        s.push_day(&[1, 10]);
+        s.push_day(&[2, 20]);
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(
+            json,
+            r#"{"names":["a","b"],"columns":[[1,2],[10,20]],"start_day":3}"#
+        );
+        let back: DailySeries = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, s);
+        // A ragged or missing field is an error, not a series.
+        let ragged = r#"{"names":["a","b"],"columns":[[1,2],[10]],"start_day":3}"#;
+        assert!(serde_json::from_str::<DailySeries>(ragged).is_err());
+        let missing = r#"{"names":["a"],"start_day":3}"#;
+        assert!(serde_json::from_str::<DailySeries>(missing).is_err());
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! High-level simulation driver tying a compiled model, a stepper, live
 //! state, and recorded output together.
 
+use std::sync::Arc;
+
 use crate::checkpoint::SimCheckpoint;
 use crate::engine::{CompiledSpec, StepScratch, Stepper};
 use crate::error::SimError;
@@ -36,7 +38,7 @@ impl<S: Stepper> Simulation<S> {
         }
         // Row i of the series covers day `state.day + 1 + i`: the first
         // step advances the clock to day start+1 and records that day.
-        let series = DailySeries::new(model.spec.output_names(), state.day + 1);
+        let series = DailySeries::new(Arc::clone(model.output_names()), state.day + 1);
         Ok(Self {
             model,
             stepper,
@@ -114,7 +116,7 @@ impl<S: Stepper> Simulation<S> {
 
     /// Capture a checkpoint of the current state.
     pub fn checkpoint(&self) -> SimCheckpoint {
-        SimCheckpoint::capture(&self.model.spec, &self.state)
+        SimCheckpoint::capture_compiled(&self.model, &self.state)
     }
 
     /// Consume the simulation, returning its recorded output.

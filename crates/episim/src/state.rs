@@ -24,6 +24,15 @@ pub struct SimState {
     pub rng: Xoshiro256PlusPlus,
 }
 
+/// Index of compartment `id`'s first stage in the flattened state vector
+/// (its [`ModelSpec::stage_offsets`] entry, without building the table).
+fn first_stage(spec: &ModelSpec, id: usize) -> usize {
+    spec.compartments[..id]
+        .iter()
+        .map(|c| c.stages as usize)
+        .sum()
+}
+
 impl SimState {
     /// Create a state with every stage empty and the clock at zero.
     pub fn empty(spec: &ModelSpec, seed: u64) -> Self {
@@ -47,14 +56,14 @@ impl SimState {
 
     /// Occupancy of a compartment (sum over its stages).
     pub fn compartment_count(&self, spec: &ModelSpec, id: usize) -> u64 {
-        let offsets = spec.stage_offsets();
-        self.stage_counts[offsets[id]..offsets[id + 1]].iter().sum()
+        let first = first_stage(spec, id);
+        let stages = spec.compartments[id].stages as usize;
+        self.stage_counts[first..first + stages].iter().sum()
     }
 
     /// Place `count` individuals into the first stage of a compartment.
     pub fn seed_compartment(&mut self, spec: &ModelSpec, id: usize, count: u64) {
-        let offsets = spec.stage_offsets();
-        self.stage_counts[offsets[id]] += count;
+        self.stage_counts[first_stage(spec, id)] += count;
     }
 
     /// Total population across all compartments (conserved by every

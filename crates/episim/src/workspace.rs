@@ -6,9 +6,10 @@
 //! vector, a step scratch, and a day buffer every time; a [`SimWorkspace`]
 //! owns those buffers once per worker thread and rehydrates them in place
 //! for each run, so the steady-state cost of a replicate is the simulated
-//! days themselves — **zero heap allocations per simulated day** (the
-//! recorded [`DailySeries`] and the returned checkpoint are the run's
-//! output and are necessarily fresh).
+//! days themselves — **zero heap allocations per simulated day**. A run's
+//! own output is its only allocation: the recorded [`DailySeries`], one
+//! block sized for the run under the compilation's shared names, and the
+//! returned checkpoint's stage vector.
 //!
 //! The workspace is pure reuse: running a trajectory through a warm
 //! workspace is bit-identical to running it through a
@@ -217,7 +218,7 @@ impl SimWorkspace {
         end_day: u32,
         on_day: impl FnMut(u32, &[u64]) -> ControlFlow<B>,
     ) -> Result<ControlFlow<B, (DailySeries, SimCheckpoint)>, SimError> {
-        ck.restore_into_with_seed(&model.spec, &mut self.state, seed)?;
+        ck.restore_compiled_with_seed(model, &mut self.state, seed)?;
         Ok(self.run_loop(model, stepper, end_day, on_day))
     }
 
@@ -230,9 +231,10 @@ impl SimWorkspace {
         mut on_day: impl FnMut(u32, &[u64]) -> ControlFlow<B>,
     ) -> ControlFlow<B, (DailySeries, SimCheckpoint)> {
         // Row i of the series covers day `state.day + 1 + i`, matching
-        // `Simulation`'s convention.
+        // `Simulation`'s convention. The series is sized for the whole
+        // run, under the compilation's shared names: one allocation.
         let mut series = DailySeries::with_day_capacity(
-            model.spec.output_names(),
+            Arc::clone(model.output_names()),
             self.state.day + 1,
             end_day.saturating_sub(self.state.day) as usize,
         );
@@ -257,7 +259,7 @@ impl SimWorkspace {
         match stopped {
             Some(b) => ControlFlow::Break(b),
             None => {
-                ControlFlow::Continue((series, SimCheckpoint::capture(&model.spec, &self.state)))
+                ControlFlow::Continue((series, SimCheckpoint::capture_compiled(model, &self.state)))
             }
         }
     }

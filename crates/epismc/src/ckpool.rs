@@ -39,16 +39,17 @@ pub fn fork(ck: &SharedCheckpoint) -> SimCheckpoint {
     SimCheckpoint::clone(ck)
 }
 
-/// Serialize a shared checkpoint to its compact binary form — the
-/// durability layer's sanctioned byte path. Interned checkpoints are
-/// encoded once per allocation by the persist format (deduplicated by
-/// [`Arc::as_ptr`]), so this never runs per resampled duplicate.
-pub fn encode(ck: &SharedCheckpoint) -> Vec<u8> {
+/// Append a shared checkpoint's compact binary form to `out` — the
+/// durability layer's sanctioned byte path, writing straight into the
+/// record being built. Interned checkpoints are encoded once per
+/// allocation by the persist format (deduplicated by [`Arc::as_ptr`]),
+/// so this never runs per resampled duplicate.
+pub fn encode_into(ck: &SharedCheckpoint, out: &mut Vec<u8>) {
     // epilint: allow(checkpoint-clone) — the interning module's sanctioned serialization path
-    ck.to_bytes().to_vec()
+    ck.append_bytes(out);
 }
 
-/// Decode a checkpoint from [`encode`]'s binary form. The caller interns
+/// Decode a checkpoint from [`encode_into`]'s binary form. The caller interns
 /// the result with [`share`] so all restored references alias one
 /// allocation.
 ///
@@ -143,7 +144,12 @@ mod tests {
     #[test]
     fn encode_decode_round_trips_bit_exactly() {
         let a = share(checkpoint(5));
-        let bytes = encode(&a);
+        // Appending keeps what the buffer already holds.
+        let mut bytes = vec![0xAB];
+        encode_into(&a, &mut bytes);
+        assert_eq!(bytes[0], 0xAB);
+        let bytes = bytes.split_off(1);
+        assert_eq!(bytes.len(), a.encoded_len());
         let back = decode(&bytes).unwrap();
         assert_eq!(&back, &*a);
         assert!(decode(&bytes[..bytes.len() - 3]).is_err());

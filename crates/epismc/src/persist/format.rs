@@ -51,6 +51,10 @@ pub const TRAILER_LEN: usize = 4;
 /// Sentinel index meaning "no parent" / "no origin checkpoint".
 const NONE_IDX: u32 = u32::MAX;
 
+/// Bytes per particle row: theta, segment, checkpoint and origin indices
+/// (`u32` each) plus rho, seed and log weight (8 bytes each).
+const PARTICLE_LEN: usize = 4 * 4 + 3 * 8;
+
 const CRC_POLY: u32 = 0xEDB8_8320;
 
 /// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte-at-a-
@@ -214,6 +218,13 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
+fn put_u64s(out: &mut Vec<u8>, values: &[u64]) {
+    out.reserve(8 * values.len());
+    for &v in values {
+        put_u64(out, v);
+    }
+}
+
 fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
@@ -223,9 +234,16 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
+/// Write a zero `u32` to patch later with [`patch_u32`] once its value
+/// (a count or length that follows it on the wire) is known; returns its
+/// offset.
+fn reserve_u32(out: &mut Vec<u8>) -> usize {
+    put_u32(out, 0);
+    out.len() - 4
+}
+
+fn patch_u32(out: &mut [u8], at: usize, v: u32) {
+    out[at..at + 4].copy_from_slice(&v.to_le_bytes());
 }
 
 /// The telemetry counters in record order. Adding a field to
@@ -258,21 +276,19 @@ fn telemetry_words(t: &TrajectoryTelemetry) -> [u64; 21] {
 }
 
 fn write_telemetry(out: &mut Vec<u8>, t: &TrajectoryTelemetry) {
-    for w in telemetry_words(t) {
-        put_u64(out, w);
-    }
+    put_u64s(out, &telemetry_words(t));
 }
 
+/// Write the ensemble: the column names, then the segment, theta and
+/// checkpoint pools, then the particles, each pool's count patched in
+/// once its walk is done.
 fn write_ensemble(out: &mut Vec<u8>, ensemble: &ParticleEnsemble) {
     let particles = ensemble.particles();
 
     // Global column-name table (one output schema per ensemble).
-    let names: Vec<String> = particles
-        .first()
-        .map(|p| p.trajectory.names().to_vec())
-        .unwrap_or_default();
+    let names = particles.first().map_or(&[][..], |p| p.trajectory.names());
     put_u32(out, names.len() as u32);
-    for n in &names {
+    for n in names {
         put_str(out, n);
     }
 
@@ -283,8 +299,8 @@ fn write_ensemble(out: &mut Vec<u8>, ensemble: &ParticleEnsemble) {
     // chain is interned together with its ancestors), so the walk stops
     // at the first interned one: resampled duplicates — the bulk of a
     // posterior — cost one lookup of their head.
+    let seg_count_at = reserve_u32(out);
     let mut seg_index = PtrIndex::with_capacity(particles.len() / 4);
-    let mut seg_records: Vec<u8> = Vec::new();
     let mut n_segs = 0u32;
     for p in particles {
         let (fresh, stop) = p
@@ -295,24 +311,21 @@ fn write_ensemble(out: &mut Vec<u8>, ensemble: &ParticleEnsemble) {
             let idx = n_segs;
             seg_index.insert(id, idx);
             n_segs += 1;
-            put_u32(&mut seg_records, parent_idx);
-            put_u32(&mut seg_records, series.start_day());
-            put_u32(&mut seg_records, series.len() as u32);
+            put_u32(out, parent_idx);
+            put_u32(out, series.start_day());
+            put_u32(out, series.len() as u32);
             for col in 0..names.len() {
-                for &v in series.column(col).unwrap_or_default() {
-                    put_u64(&mut seg_records, v);
-                }
+                put_u64s(out, series.column(col).unwrap_or_default());
             }
             parent_idx = idx;
         }
     }
-    put_u32(out, n_segs);
-    out.extend_from_slice(&seg_records);
+    patch_u32(out, seg_count_at, n_segs);
 
     // Theta pool: one vector per proposal, shared by its replicates.
+    let theta_count_at = reserve_u32(out);
+    put_u32(out, particles.first().map_or(0, |p| p.theta.len()) as u32);
     let mut theta_index = PtrIndex::with_capacity(particles.len() / 4);
-    let mut theta_records: Vec<u8> = Vec::new();
-    let theta_dim = particles.first().map_or(0, |p| p.theta.len());
     let mut n_thetas = 0u32;
     for p in particles {
         let id = Arc::as_ptr(&p.theta) as *const f64 as usize;
@@ -322,18 +335,16 @@ fn write_ensemble(out: &mut Vec<u8>, ensemble: &ParticleEnsemble) {
         theta_index.insert(id, n_thetas);
         n_thetas += 1;
         for &v in p.theta.iter() {
-            put_f64(&mut theta_records, v);
+            put_f64(out, v);
         }
     }
-    put_u32(out, n_thetas);
-    put_u32(out, theta_dim as u32);
-    out.extend_from_slice(&theta_records);
+    patch_u32(out, theta_count_at, n_thetas);
 
     // Checkpoint pool: each distinct allocation (current state and
-    // origin alike) serializes once via the interning module's
-    // sanctioned byte path.
+    // origin alike) serializes once, appended in place via the
+    // interning module's sanctioned byte path behind its length.
+    let ck_count_at = reserve_u32(out);
     let mut ck_index = PtrIndex::with_capacity(particles.len() / 4);
-    let mut ck_records: Vec<u8> = Vec::new();
     let mut n_cks = 0u32;
     for p in particles {
         for ck in std::iter::once(&p.checkpoint).chain(p.origin.as_ref()) {
@@ -343,14 +354,17 @@ fn write_ensemble(out: &mut Vec<u8>, ensemble: &ParticleEnsemble) {
             }
             ck_index.insert(id, n_cks);
             n_cks += 1;
-            put_bytes(&mut ck_records, &ckpool::encode(ck));
+            let len_at = reserve_u32(out);
+            ckpool::encode_into(ck, out);
+            let len = out.len() - len_at - 4;
+            patch_u32(out, len_at, len as u32);
         }
     }
-    put_u32(out, n_cks);
-    out.extend_from_slice(&ck_records);
+    patch_u32(out, ck_count_at, n_cks);
 
     // Particles: pool references plus per-particle scalars.
     put_u32(out, particles.len() as u32);
+    out.reserve(PARTICLE_LEN * particles.len());
     for p in particles {
         let theta_id = Arc::as_ptr(&p.theta) as *const f64 as usize;
         let head_id = p.trajectory.head_id();
@@ -370,33 +384,35 @@ fn write_ensemble(out: &mut Vec<u8>, ensemble: &ParticleEnsemble) {
     }
 }
 
-/// Encode a snapshot into one framed, checksummed record.
+/// Encode a snapshot into one framed, checksummed record, in one pass
+/// over one buffer: the header's payload length and each pool's count
+/// are written as zeros and patched in place once known, and the CRC
+/// covers the finished bytes.
 pub fn encode_record(snap: &RunSnapshot) -> Vec<u8> {
-    // Seed the payload with the fixed scalar/telemetry prefix plus the
-    // dominant variable cost (40 bytes of pool references per particle);
-    // pool bytes still grow the buffer, but the per-particle tail — the
-    // bulk of a large posterior — lands without reallocation.
-    let mut payload = Vec::with_capacity(256 + snap.posterior.len() * 40);
-    put_u64(&mut payload, snap.seed);
-    put_u64(&mut payload, snap.fingerprint);
-    put_u32(&mut payload, snap.window_index);
-    put_u32(&mut payload, snap.window.start);
-    put_u32(&mut payload, snap.window.end);
-    put_f64(&mut payload, snap.ess);
-    put_f64(&mut payload, snap.log_marginal);
-    put_u64(&mut payload, snap.unique_ancestors);
-    put_u64(&mut payload, snap.iterations);
-    put_u64(&mut payload, snap.wall_nanos);
-    write_telemetry(&mut payload, &snap.telemetry);
-    write_ensemble(&mut payload, &snap.posterior);
-    put_u64(&mut payload, snap.observed_fingerprint);
-
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+    // Seed the buffer with the fixed envelope, scalars and telemetry plus
+    // the per-particle tail; the pools, which depend on how much the
+    // posterior shares, grow it from there.
+    let capacity = HEADER_LEN + 512 + snap.posterior.len() * PARTICLE_LEN + TRAILER_LEN;
+    let mut out = Vec::with_capacity(capacity);
     put_u32(&mut out, MAGIC);
     put_u16(&mut out, FORMAT_VERSION);
     put_u32(&mut out, snap.window_index);
-    put_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
+    put_u64(&mut out, 0); // payload length, patched below
+    put_u64(&mut out, snap.seed);
+    put_u64(&mut out, snap.fingerprint);
+    put_u32(&mut out, snap.window_index);
+    put_u32(&mut out, snap.window.start);
+    put_u32(&mut out, snap.window.end);
+    put_f64(&mut out, snap.ess);
+    put_f64(&mut out, snap.log_marginal);
+    put_u64(&mut out, snap.unique_ancestors);
+    put_u64(&mut out, snap.iterations);
+    put_u64(&mut out, snap.wall_nanos);
+    write_telemetry(&mut out, &snap.telemetry);
+    write_ensemble(&mut out, &snap.posterior);
+    put_u64(&mut out, snap.observed_fingerprint);
+    let payload_len = (out.len() - HEADER_LEN) as u64;
+    out[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     let crc = crc32(&out);
     put_u32(&mut out, crc);
     out
@@ -448,10 +464,7 @@ impl<'a> Reader<'a> {
     }
 
     fn u64(&mut self, what: &str) -> Result<u64, SmcError> {
-        let s = self.take(8, what)?;
-        Ok(u64::from_le_bytes([
-            s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7],
-        ]))
+        self.take(8, what).map(le_u64)
     }
 
     fn f64(&mut self, what: &str) -> Result<f64, SmcError> {
@@ -479,6 +492,13 @@ impl<'a> Reader<'a> {
         let raw = self.take(len, what)?;
         String::from_utf8(raw.to_vec()).map_err(|_| corrupt(format!("invalid utf8 in {what}")))
     }
+}
+
+/// A little-endian `u64` from exactly eight bytes.
+fn le_u64(b: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(b);
+    u64::from_le_bytes(word)
 }
 
 fn read_telemetry(r: &mut Reader<'_>) -> Result<TrajectoryTelemetry, SmcError> {
@@ -510,10 +530,9 @@ fn read_telemetry(r: &mut Reader<'_>) -> Result<TrajectoryTelemetry, SmcError> {
 fn read_ensemble(r: &mut Reader<'_>) -> Result<ParticleEnsemble, SmcError> {
     let n_names = r.u32("name count")? as usize;
     r.expect_items(n_names, 4, "column names")?;
-    let mut names = Vec::with_capacity(n_names);
-    for _ in 0..n_names {
-        names.push(r.str("column name")?);
-    }
+    let names = (0..n_names)
+        .map(|_| r.str("column name"))
+        .collect::<Result<Arc<[String]>, _>>()?;
 
     // Rebuild the segment pool in record order. Parents always precede
     // children (topological encode order), and contiguity/emptiness are
@@ -530,15 +549,14 @@ fn read_ensemble(r: &mut Reader<'_>) -> Result<ParticleEnsemble, SmcError> {
             .checked_mul(names.len())
             .ok_or_else(|| corrupt("segment size overflow"))?;
         r.expect_items(cells, 8, "segment values")?;
-        let mut columns = Vec::with_capacity(names.len());
-        for _ in 0..names.len() {
-            let mut col = Vec::with_capacity(n_days);
-            for _ in 0..n_days {
-                col.push(r.u64("segment value")?);
-            }
-            columns.push(col);
-        }
-        let series = DailySeries::from_columns(names.clone(), start_day, columns)
+        // The record stores a segment column by column, which is the
+        // series' own block layout: read it straight into one block.
+        let block = r
+            .take(cells * 8, "segment values")?
+            .chunks_exact(8)
+            .map(le_u64)
+            .collect();
+        let series = DailySeries::from_block(Arc::clone(&names), start_day, n_days, block)
             .map_err(|e| corrupt(format!("segment {i}: {e}")))?;
         let traj = if parent == NONE_IDX {
             SharedTrajectory::root(series)
@@ -589,7 +607,7 @@ fn read_ensemble(r: &mut Reader<'_>) -> Result<ParticleEnsemble, SmcError> {
     }
 
     let n_particles = r.u32("particle count")? as usize;
-    r.expect_items(n_particles, 40, "particles")?;
+    r.expect_items(n_particles, PARTICLE_LEN, "particles")?;
     let mut particles = Vec::with_capacity(n_particles);
     for i in 0..n_particles {
         let theta_idx = r.u32("particle theta index")? as usize;

@@ -7,7 +7,11 @@
 //! off — the steady-state cost of a grid cell is arithmetic, not malloc.
 //! A warm adapter run on a new transmission rate also allocates exactly
 //! as often as one on the rate it ran last: the rate is a per-run value,
-//! so no model is rebuilt per parameter value.
+//! so no model is rebuilt per parameter value. And a warm run allocates
+//! only its output, whatever its length: a continued run makes exactly
+//! two allocating calls (the recorded series' one block and the end
+//! checkpoint's stage vector), a fresh run at most one more (its initial
+//! state).
 //!
 //! The test installs a global counting allocator, so it lives alone in
 //! its own integration-test binary. The counter is additionally gated on
@@ -127,21 +131,22 @@ fn allocs_over_scores(
     allocs() - before
 }
 
-/// Run one warm adapter simulation at `theta` (fresh from day 0, or
-/// continuing `origin`) and return the number of allocating calls it
-/// made; the run's own output (series, checkpoint, initial state) is
-/// part of the count.
+/// Run one warm adapter simulation at `theta` to `end_day` (fresh from
+/// day 0, or continuing `origin`) and return the number of allocating
+/// calls it made; the run's own output (series, checkpoint, initial
+/// state) is part of the count.
 fn allocs_over_run(
     sim: &CovidSimulator,
     ws: &mut SimWorkspace,
     origin: Option<&SimCheckpoint>,
     theta: f64,
+    end_day: u32,
 ) -> u64 {
     let before = allocs();
     MEASURING.with(|m| m.set(true));
     let run = match origin {
-        None => sim.run_fresh_in(ws, &[theta], 7, 12),
-        Some(ck) => sim.run_from_in(ws, ck, &[theta], 7, 24),
+        None => sim.run_fresh_in(ws, &[theta], 7, end_day),
+        Some(ck) => sim.run_from_in(ws, ck, &[theta], 7, end_day),
     };
     MEASURING.with(|m| m.set(false));
     assert!(run.is_ok(), "warm run at theta {theta}");
@@ -252,11 +257,11 @@ fn advance_day_is_allocation_free_after_warmup() {
     .unwrap();
     let mut ws = SimWorkspace::new();
     let (_, ck) = sim.run_fresh_in(&mut ws, &[0.3], 1, 12).unwrap();
-    for origin in [None, Some(&ck)] {
-        allocs_over_run(&sim, &mut ws, origin, 0.3);
-        let same = allocs_over_run(&sim, &mut ws, origin, 0.3);
-        let new = allocs_over_run(&sim, &mut ws, origin, 0.41);
-        let again = allocs_over_run(&sim, &mut ws, origin, 0.27);
+    for (origin, end_day) in [(None, 12), (Some(&ck), 24)] {
+        allocs_over_run(&sim, &mut ws, origin, 0.3, end_day);
+        let same = allocs_over_run(&sim, &mut ws, origin, 0.3, end_day);
+        let new = allocs_over_run(&sim, &mut ws, origin, 0.41, end_day);
+        let again = allocs_over_run(&sim, &mut ws, origin, 0.27, end_day);
         let fresh = origin.is_none();
         assert!(same > 0, "fresh {fresh}: the run's output is counted");
         assert_eq!(
@@ -266,4 +271,21 @@ fn advance_day_is_allocation_free_after_warmup() {
         );
     }
     assert_eq!(ws.compiled_builds(), 1);
+
+    // A warm run allocates its output and nothing else, however many
+    // days it records: the series is one block sized for the run under
+    // the compilation's shared names, and the checkpoint reads the layout
+    // hash compiled with the model.
+    for days in [1, 12, 24] {
+        let continued = allocs_over_run(&sim, &mut ws, Some(&ck), 0.35, ck.day + days);
+        assert_eq!(
+            continued, 2,
+            "a continued {days}-day run: series block and checkpoint only"
+        );
+        let fresh = allocs_over_run(&sim, &mut ws, None, 0.35, days);
+        assert!(
+            (1..=3).contains(&fresh),
+            "a fresh {days}-day run made {fresh} allocating calls (at most initial state, series block and checkpoint)"
+        );
+    }
 }
