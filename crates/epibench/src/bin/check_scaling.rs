@@ -1,194 +1,90 @@
-//! CI gate over the strong-scaling bench: parses
-//! `BENCH_strong_scaling.json` (emitted by
-//! `cargo bench -p epibench --bench bench_strong_scaling`), computes
-//! parallel efficiency `eff(t) = mean(1) / (t * mean(t))`, and fails
-//! when the 4-thread point drops below the floor.
+//! Strong-scaling gate: one SIS window at the paper's full grid *shape*
+//! — 25,000 parameter tuples x 20 replicates = 500,000 cells — on a
+//! scaled-down SEIR model, timed at 1, 2, 4 (and 8, when the host has
+//! the cores) worker threads. Fixed work, varying threads: results are
+//! bit-identical across the sweep (pinned by
+//! `tests/determinism_parallel.rs`), so only wall-clock moves. Each
+//! point is the fastest of several timed runs after a warm-up.
 //!
-//! Usage: `check_scaling [path-to-json]` (default:
-//! `BENCH_strong_scaling.json` in the current directory).
+//! The gate computes parallel efficiency
+//! `eff(t) = time(1) / (t · time(t))` and fails when the 4-thread point
+//! drops below the floor (see [`epibench::gate::check_scaling`]).
+//!
+//! Usage: `cargo run --release -p epibench --bin check_scaling`.
 //!
 //! Environment:
 //! - `SCALING_FLOOR`: efficiency floor at the gated thread count
 //!   (default `0.70`).
 //!
-//! Exit status: 0 when the gate passes, 1 when it fails, and
-//! [`EXIT_CANNOT_MEASURE`] (77) when this host cannot measure it: on
-//! fewer than 4 cores a 4-thread efficiency number measures
-//! oversubscription, not scaling, so the gate neither passes nor fails.
+//! Exit status: 0 when the gate passes, 1 when it fails, and 77 when
+//! this host cannot measure it: on fewer than 4 cores a 4-thread
+//! efficiency number measures oversubscription, not scaling, so the
+//! gate exits before timing anything and neither passes nor fails.
 //! `scripts/check.sh` and `scripts/check_scaling.sh` report that status
-//! as SKIPPED. Thread points beyond 4 (the 8-thread sweep on larger
-//! runners) are recorded for trend data but never gated.
-//!
-//! Independent of the gate, the checker shouts about two capture
-//! artifacts that would otherwise be recorded silently: superlinear
-//! efficiency (> 1.05 — the 1-thread baseline was itself slowed down
-//! by a noisy host) and non-monotonic timings (more threads taking
-//! *longer* — oversubscription or a polluted run). Either means the
-//! JSON should be re-recorded on a quiet machine, not trusted.
+//! as SKIPPED. The 8-thread point on larger runners is printed but
+//! never gated.
 
-use std::collections::BTreeMap;
+use epibench::gate;
+use episim::seir::SeirParams;
+use epismc_core::config::CalibrationConfig;
+use epismc_core::observation::BiasMode;
+use epismc_core::prior::{BetaPrior, UniformPrior};
+use epismc_core::simulator::{SeirSimulator, TrajectorySimulator};
+use epismc_core::sis::{ObservedData, Priors, SingleWindowIs};
+use epismc_core::window::TimeWindow;
+use std::hint::black_box;
 use std::process::ExitCode;
 
-/// Gated thread count: paper-scale CI runners all expose >= 4 cores.
-const GATE_THREADS: usize = 4;
+const N_PARAMS: usize = 25_000;
+const N_REPS: usize = 20;
 
-/// Exit status for "this host cannot measure the gate" (the status
-/// automake-style harnesses read as a skip): distinct from a pass, so a
-/// host without the cores never reports the gate as passed.
-const EXIT_CANNOT_MEASURE: u8 = 77;
-
-/// Efficiency above this is flagged as superlinear: fixed-work sweeps
-/// with bit-identical results can't genuinely beat perfect scaling, so
-/// anything past measurement slack (5%) means a polluted baseline.
-const SUPERLINEAR_EFF: f64 = 1.05;
-
-#[derive(serde::Deserialize)]
-struct Summary {
-    suite: String,
-    benchmarks: Vec<Bench>,
-}
-
-#[derive(serde::Deserialize)]
-struct Bench {
-    name: String,
-    mean_ns: f64,
-    /// Total timed iterations behind the mean. Older captures predate
-    /// the field; they default to 0 and are rejected below — a mean of
-    /// one (or an unknown number of) iterations of a multi-second
-    /// calibration is a noise sample, not a measurement.
-    #[serde(default)]
-    iterations: u64,
-}
-
-fn fail(msg: &str) -> ExitCode {
-    eprintln!("check_scaling: {msg}");
-    ExitCode::FAILURE
+fn config(threads: usize) -> CalibrationConfig {
+    CalibrationConfig::builder()
+        .n_params(N_PARAMS)
+        .n_replicates(N_REPS)
+        .resample_size(2_000)
+        .seed(99)
+        .threads(threads)
+        .build()
 }
 
 fn main() -> ExitCode {
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_strong_scaling.json".into());
-    let floor: f64 = match std::env::var("SCALING_FLOOR") {
-        Ok(v) => match v.trim().parse() {
-            Ok(f) => f,
-            Err(_) => return fail(&format!("SCALING_FLOOR {v:?} is not a number")),
-        },
-        Err(_) => 0.70,
-    };
-
-    let raw = match std::fs::read_to_string(&path) {
-        Ok(raw) => raw,
-        Err(e) => return fail(&format!("cannot read {path}: {e}")),
-    };
-    let summary: Summary = match serde_json::from_str(&raw) {
-        Ok(s) => s,
-        Err(e) => return fail(&format!("cannot parse {path}: {e}")),
-    };
-    if summary.suite != "strong_scaling" {
-        return fail(&format!(
-            "{path} holds suite {:?}, expected \"strong_scaling\"",
-            summary.suite
-        ));
-    }
-
-    // Collect "strong_scaling/window/<t>" points, rejecting any point
-    // whose mean rests on fewer than 2 iterations: single-shot timings
-    // of second-scale calibrations carry whole-percent scheduler noise,
-    // which is exactly the magnitude the efficiency gate resolves.
-    let mut means: BTreeMap<usize, f64> = BTreeMap::new();
-    for b in &summary.benchmarks {
-        if let Some(t) = b.name.strip_prefix("strong_scaling/window/") {
-            if let Ok(t) = t.parse::<usize>() {
-                if b.iterations < 2 {
-                    return fail(&format!(
-                        "point {:?} was measured over {} iteration(s); captures need >= 2 \
-                         per point — re-record with the current bench harness",
-                        b.name, b.iterations
-                    ));
-                }
-                means.insert(t, b.mean_ns);
-            }
+    let floor = match gate::env_floor("SCALING_FLOOR", 0.70) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("check_scaling: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    let Some(&serial) = means.get(&1) else {
-        return fail(&format!("{path} has no 1-thread baseline point"));
     };
-    if !(serial.is_finite() && serial > 0.0) {
-        return fail(&format!("1-thread mean {serial} is not a positive time"));
-    }
-
-    println!("strong scaling ({path}):");
-    println!("  threads      mean        speedup   efficiency");
-    let mut gate_eff: Option<f64> = None;
-    let mut warnings: Vec<String> = Vec::new();
-    let mut prev: Option<(usize, f64)> = None;
-    for (&t, &mean) in &means {
-        let speedup = serial / mean;
-        let eff = speedup / t as f64;
-        println!(
-            "  {t:>7}  {:>10.1} ms  {speedup:>7.2}x  {:>9.1}%",
-            mean / 1e6,
-            eff * 100.0
-        );
-        if t == GATE_THREADS {
-            gate_eff = Some(eff);
-        }
-        // Capture-quality checks. Superlinear efficiency cannot come
-        // from this fixed-work sweep (results are bit-identical across
-        // thread counts); it means the 1-thread baseline itself ran
-        // slow, so every efficiency number derived from it is inflated.
-        if t > 1 && eff > SUPERLINEAR_EFF {
-            warnings.push(format!(
-                "efficiency {:.1}% at {t} threads is superlinear (> {:.0}%) — the 1-thread \
-                 baseline was likely polluted; re-record on a quiet host",
-                eff * 100.0,
-                SUPERLINEAR_EFF * 100.0
-            ));
-        }
-        // Adding workers to fixed work must not make it slower. When it
-        // does, the sweep measured oversubscription or host noise, not
-        // scaling, and the file should not be trusted as trend data.
-        if let Some((pt, pm)) = prev {
-            if mean > pm {
-                warnings.push(format!(
-                    "non-monotonic timings: {t} threads ({:.1} ms) slower than {pt} threads \
-                     ({:.1} ms) — oversubscribed or polluted capture; re-record on a quiet host",
-                    mean / 1e6,
-                    pm / 1e6
-                ));
-            }
-        }
-        prev = Some((t, mean));
-    }
-    for w in &warnings {
-        eprintln!("check_scaling: WARNING: {w}");
-    }
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores < GATE_THREADS {
-        println!(
-            "gate cannot measure here: host has {cores} core(s) < {GATE_THREADS}; a \
-             {GATE_THREADS}-thread point here measures oversubscription, not scaling"
-        );
-        return ExitCode::from(EXIT_CANNOT_MEASURE);
-    }
-    let Some(eff) = gate_eff else {
-        return fail(&format!(
-            "{path} has no {GATE_THREADS}-thread point to gate"
-        ));
-    };
-    if eff < floor {
-        return fail(&format!(
-            "parallel efficiency {:.1}% at {GATE_THREADS} threads is below the {:.0}% floor",
-            eff * 100.0,
-            floor * 100.0
-        ));
-    }
-    println!(
-        "gate passed: {:.1}% efficiency at {GATE_THREADS} threads (floor {:.0}%)",
-        eff * 100.0,
-        floor * 100.0
+    let simulator = SeirSimulator::new(SeirParams {
+        population: 200,
+        initial_exposed: 4,
+        ..SeirParams::default()
+    })
+    .expect("valid SEIR parameters");
+    let window = TimeWindow::new(3, 8);
+    let (truth, _) = simulator
+        .run_fresh(&[0.5], 31, window.end)
+        .expect("ground-truth run");
+    let observed = ObservedData::cases_only_with(
+        truth
+            .series_f64("infections")
+            .expect("SEIR records infections"),
+        BiasMode::Mean,
+        1.0,
     );
-    ExitCode::SUCCESS
+    let priors = Priors {
+        theta: vec![Box::new(UniformPrior::new(0.1, 0.9))],
+        rho: Box::new(BetaPrior::new(100.0, 1.0)),
+    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let verdict = gate::check_scaling(cores, floor, |threads| {
+        let driver = SingleWindowIs::new(&simulator, config(threads));
+        let [time] = gate::fastest_rounds([&mut || {
+            black_box(driver.run(&priors, &observed, window).expect("window run"));
+        }]);
+        time
+    });
+    println!("strong scaling, {N_PARAMS} x {N_REPS} cells, {cores}-core host:");
+    verdict.report("check_scaling")
 }

@@ -17,7 +17,14 @@
 //! Each prints the series/rows behind the figure and writes CSVs under
 //! `results/`. Default scale is laptop-friendly; pass `--full` for the
 //! paper's 25,000 x 20 ensemble (HPC-sized).
+//!
+//! Two more binaries are performance gates that time their own runs and
+//! answer through their exit status (see [`gate`]): `check_scaling`
+//! (parallel efficiency of one 500,000-cell window at 4 threads) and
+//! `check_pipelining` (a pipelined persisted calibration against a
+//! synchronously written one).
 
+pub mod gate;
 pub mod runspec;
 
 use epidata::Scenario;

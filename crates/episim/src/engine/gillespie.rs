@@ -3,8 +3,8 @@
 //! Simulates the continuous-time Markov chain event by event: exponential
 //! waiting times at the total propensity, categorical channel selection
 //! proportional to per-channel propensities. Exact but O(events), so
-//! practical for the small-population fidelity studies in tests and
-//! `bench_sim`, not for Chicago-scale ensembles.
+//! practical for the small-population agreement tests against the chain
+//! stepper, not for Chicago-scale ensembles.
 
 use super::{CompiledSpec, StepScratch, Stepper};
 use crate::state::SimState;

@@ -18,8 +18,7 @@
 //!   [`engine::BinomialChainStepper`] (the default, matching the reference
 //!   model's daily cadence, and the stepper every calibration runs) and
 //!   [`engine::GillespieStepper`] (the exact direct method, tractable for
-//!   small populations and used as the fidelity baseline in tests and
-//!   benches).
+//!   small populations and used as the fidelity baseline in tests).
 //! * [`checkpoint::SimCheckpoint`] serializes the *entire* simulation
 //!   state — clock, stage counts, and RNG state — and supports restarting
 //!   **with new parameter values**, which is the paper's trajectory-

@@ -4,8 +4,7 @@
 //! the importance weights (multinomial). Systematic, stratified, and
 //! residual resampling are the standard lower-variance SMC alternatives;
 //! all four are unbiased (expected offspring count of particle `i` equals
-//! `n * w_i`) and are compared in `bench_resampling` and the ablation
-//! experiments.
+//! `n * w_i`) and are compared in the `ablation` experiments.
 
 use epistats::dist::Categorical;
 use epistats::rng::Xoshiro256PlusPlus;

@@ -5,9 +5,9 @@
 //! checkpointed simulation resumes with an identical random future. Every
 //! sampler is *exact* (no normal approximations to discrete laws): the
 //! binomial uses BINV inversion plus BTPE accept/reject (Kachitvichyanukul
-//! & Schmeiser 1988), the Poisson uses Knuth multiplication plus the
-//! Ahrens–Dieter gamma reduction, and the gamma uses Marsaglia–Tsang
-//! squeeze rejection.
+//! & Schmeiser 1988), and the gamma uses Marsaglia–Tsang squeeze
+//! rejection. The Poisson has no sampler: it is a reference pmf and CDF
+//! for tests, outside the [`Distribution`] trait.
 //!
 //! The unifying [`Distribution`] trait treats discrete laws as
 //! integer-valued `f64`s, which is what the generic prior / likelihood
@@ -27,7 +27,7 @@ pub use binomial::{sample_binomial, Binomial, BinomialSampler, HazardSampler};
 pub use categorical::Categorical;
 pub use gamma::Gamma;
 pub use normal::Normal;
-pub use poisson::{sample_poisson, Poisson};
+pub use poisson::Poisson;
 pub use uniform::Uniform;
 
 use crate::rng::Xoshiro256PlusPlus;

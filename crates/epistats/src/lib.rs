@@ -14,7 +14,8 @@
 //! * [`dist`] — probability distributions (sampling + log-density + CDF /
 //!   quantile where available): uniform, normal, gamma, beta, binomial
 //!   (with the shared-hazard batch sampler the simulator's hot loop
-//!   uses), Poisson, categorical (alias method).
+//!   uses), categorical (alias method), and a sampler-free Poisson pmf
+//!   and CDF used as a test reference.
 //! * [`summary`] — weighted means/variances/quantiles, effective sample
 //!   size of importance weights, histograms.
 //! * [`logweight`] — numerically stable log-weight arithmetic

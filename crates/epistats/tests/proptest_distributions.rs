@@ -3,8 +3,7 @@
 //! special-function identities, across randomly drawn parameterizations.
 
 use epistats::dist::{
-    sample_binomial, sample_poisson, Beta, Binomial, Distribution, Gamma, Normal, Poisson,
-    Quantile, Uniform,
+    sample_binomial, Beta, Binomial, Distribution, Gamma, Normal, Poisson, Quantile, Uniform,
 };
 use epistats::rng::Xoshiro256PlusPlus;
 use epistats::special::{beta_inc, gamma_p, gamma_q, ln_gamma};
@@ -34,14 +33,6 @@ proptest! {
                 prop_assert!((a - b).abs() < 1e-9, "k={}: {} vs {}", k, a, b);
             }
         }
-    }
-
-    #[test]
-    fn poisson_sampler_nonnegative_and_mean_scaled(lambda in 0.0f64..5_000.0, seed in 0u64..500) {
-        let mut rng = Xoshiro256PlusPlus::new(seed);
-        let k = sample_poisson(&mut rng, lambda);
-        // 10-sigma guard band (not a distributional test, a sanity bound).
-        prop_assert!((k as f64) < lambda + 10.0 * lambda.sqrt() + 20.0);
     }
 
     #[test]

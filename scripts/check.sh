@@ -41,9 +41,6 @@ cargo test --workspace -q
 echo "==> RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden --test stream_constant_cost --test early_rejection -q"
 RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden --test stream_constant_cost --test early_rejection -q
 
-echo "==> cargo bench --workspace --no-run"
-cargo bench --workspace --no-run --quiet
-
 # The benchmark (perfbench/) is a workspace of its own that implements
 # the public simulator and store traits and reads window results, so an
 # API change can break it without touching the workspace above.
@@ -52,22 +49,9 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo test --offline --manifest-path perfbench/Cargo.toml"
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
-# Strong-scaling gate: only meaningful against a summary produced on
-# this machine. If one is present, assert the efficiency floor. On
-# hosts with < 4 cores the gate cannot measure and exits 77, reported
-# here as SKIPPED; any other nonzero status fails. Regenerate + gate in
-# one step with scripts/check_scaling.sh.
-if [ -f BENCH_strong_scaling.json ]; then
-  echo "==> check_scaling BENCH_strong_scaling.json"
-  status=0
-  cargo run -q -p epibench --bin check_scaling -- BENCH_strong_scaling.json || status=$?
-  case "$status" in
-    0) ;;
-    77) echo "==> strong-scaling gate SKIPPED (this host cannot measure 4-thread scaling)" ;;
-    *) exit "$status" ;;
-  esac
-else
-  echo "==> strong-scaling gate skipped (no BENCH_strong_scaling.json; run scripts/check_scaling.sh)"
-fi
+# Strong-scaling gate: times one 500k-cell window at 1, 2 and 4
+# threads and asserts the efficiency floor; on hosts with < 4 cores it
+# exits 77 before timing anything and the script reports SKIPPED.
+./scripts/check_scaling.sh
 
 echo "All checks passed."

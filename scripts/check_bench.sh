@@ -1,138 +1,108 @@
 #!/usr/bin/env bash
-# Bench gates: the simulation-throughput regression gate and the
-# end-to-end pipelining gate.
+# Bench gates: the stepper and sampler regression gate on perfbench's
+# layer probes, and the end-to-end pipelining gate.
 #
-# Gate 1 re-runs the stepper bench on this machine and compares against
-# the committed BENCH_sim.json.
+# Gate 1 guards the calibration hot path's two lowest layers: one
+# stepper day (perfbench's `engine.day_ns` probe) and one binomial draw
+# (`dist.draw_ns`, about two thirds of a stepper day). The committed
+# BENCH_perfbench.json holds three traced runs per benchmark workload
+# (`--trace 1 --seconds 1`), each run's host record and result object
+# exactly as perfbench printed them. The script reruns every captured
+# workload and seed on this machine and divides each probe by the same
+# run's `host.reference_ms`: perfbench's timing of a fixed reference
+# computation that shares no code with the program, so a host that runs
+# everything slower moves both. It fails when a workload's median
+# normalized probe is more than 25% above the capture's (override with
+# BENCH_REGRESSION_PCT=NN), or when any run's output checks failed
+# (`correct` false).
 #
-# Fails when any `chain_*` benchmark (the calibration hot path — the
-# chain-binomial stepper at every model/population scale) regresses by
-# more than 25% over the committed baseline (override with
-# BENCH_REGRESSION_PCT=NN). Other suites drift with model fidelity
-# choices; the chain path is the one the paper's grid burns its compute
-# in, so it is the one a PR must not quietly slow down.
+# The committed file is the baseline and is left untouched: the fresh
+# runs are written to BENCH_perfbench.fresh.json in the same form (CI
+# uploads it as an artifact). To re-baseline, move that file over
+# BENCH_perfbench.json.
 #
-# The committed file is treated as the *baseline* and left untouched:
-# the fresh capture is written to BENCH_sim.fresh.json (CI uploads it
-# as an artifact so trend data survives even when the job is
-# non-blocking). Single-shot wall-clock numbers on shared runners are
-# noisy — the vendored criterion reports a min-over-batches statistic
-# to clip spikes, and the 25% margin is sized for the residual.
-#
-# Also runs the end-to-end pipelining gate: bench_e2e times a full
-# multi-window persisted calibration written synchronously (a stream
-# advanced over the plan, writing each window inline) vs. pipelined
-# (run_persisted's background writer), in paired, alternating rounds,
-# and the pipelined run must be at least E2E_SPEEDUP_PCT (default 20)
-# percent faster than the sync run at the same thread count. This is
-# self-relative within one fresh capture — no cross-machine baseline
-# involved — so it holds anywhere the store's commit latency is nonzero.
+# Gate 2 is `check_pipelining`: a ten-window persisted calibration must
+# run at least E2E_SPEEDUP_PCT (default 20) percent faster pipelined
+# (run_persisted's background writer) than written synchronously, at
+# every thread count. It is self-relative, so no baseline is involved;
+# see crates/epibench/src/bin/check_pipelining.rs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 threshold="${BENCH_REGRESSION_PCT:-25}"
 
-if [ ! -f BENCH_sim.json ]; then
-  echo "check_bench: no committed BENCH_sim.json baseline" >&2
+if [ ! -f BENCH_perfbench.json ]; then
+  echo "check_bench: no committed BENCH_perfbench.json baseline" >&2
   exit 1
 fi
-cp BENCH_sim.json BENCH_sim.baseline.tmp.json
-trap 'mv BENCH_sim.baseline.tmp.json BENCH_sim.json' EXIT
 
-echo "==> cargo bench -p epibench --bench bench_sim"
-cargo bench -p epibench --bench bench_sim
-mv BENCH_sim.json BENCH_sim.fresh.json
+echo "==> cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> comparing chain_* against committed baseline (fail > ${threshold}% slower)"
+echo "==> perfbench probes against BENCH_perfbench.json (fail > ${threshold}% slower)"
 python3 - "$threshold" << 'PY'
-import json, sys
+import json, statistics, subprocess, sys
 
 threshold = float(sys.argv[1])
-base = {
-    b["name"]: b["mean_ns"]
-    for b in json.load(open("BENCH_sim.baseline.tmp.json"))["benchmarks"]
-}
-fresh = {
-    b["name"]: b["mean_ns"]
-    for b in json.load(open("BENCH_sim.fresh.json"))["benchmarks"]
-}
+PROBES = ("engine.day_ns", "dist.draw_ns")
+base = json.load(open("BENCH_perfbench.json"))
 
 failed = []
-checked = 0
-for name, base_ns in sorted(base.items()):
-    if "/chain_" not in name:
+fresh = []
+for run in base:
+    workload, seed = run["host"]["workload"], run["host"]["seed"]
+    print(f"  perfbench --workload {workload} --seed {seed} --seconds 1 --trace 1", flush=True)
+    out = subprocess.run(
+        ["cargo", "run", "--release", "--quiet", "--offline",
+         "--manifest-path", "perfbench/Cargo.toml", "--",
+         "--workload", workload, "--seed", str(seed), "--seconds", "1", "--trace", "1"],
+        stdout=subprocess.PIPE, text=True,
+    ).stdout.splitlines()
+    try:
+        fresh.append({"host": json.loads(out[0])["host"], "result": json.loads(out[-1])})
+    except (IndexError, KeyError, ValueError):
+        failed.append(f"{workload} seed {seed}: perfbench printed no result")
+# One run per line, as perfbench printed it.
+with open("BENCH_perfbench.fresh.json", "w") as f:
+    f.write("[\n" + ",\n".join(json.dumps(run) for run in fresh) + "\n]\n")
+
+def normalized(runs):
+    by_probe = {}
+    for run in runs:
+        metrics = run["result"]["metrics"]
+        reference = metrics["host.reference_ms"]["value"]
+        for probe in PROBES:
+            key = (run["host"]["workload"], probe)
+            by_probe.setdefault(key, []).append(metrics[probe]["value"] / reference)
+    return {key: statistics.median(values) for key, values in by_probe.items()}
+
+for name, runs in (("capture", base), ("fresh", fresh)):
+    for run in runs:
+        if not run["result"]["correct"]:
+            host = run["host"]
+            failed.append(f"{name} {host['workload']} seed {host['seed']}: output checks failed")
+
+base_norm, fresh_norm = normalized(base), normalized(fresh)
+for (workload, probe), base_value in sorted(base_norm.items()):
+    if (workload, probe) not in fresh_norm:
+        failed.append(f"{workload} {probe}: no fresh run")
         continue
-    if name not in fresh:
-        failed.append(f"{name}: present in baseline but missing from fresh run")
-        continue
-    checked += 1
-    delta = (fresh[name] / base_ns - 1.0) * 100.0
+    delta = (fresh_norm[(workload, probe)] / base_value - 1.0) * 100.0
     status = "FAIL" if delta > threshold else "ok"
     print(
-        f"  {status:>4}  {name}: {base_ns / 1e3:.1f} -> {fresh[name] / 1e3:.1f} µs "
-        f"({delta:+.1f}%)"
+        f"  {status:>4}  {workload} {probe} per reference ms: "
+        f"{base_value:.2f} -> {fresh_norm[(workload, probe)]:.2f} ({delta:+.1f}%)"
     )
     if delta > threshold:
-        failed.append(f"{name}: {delta:+.1f}% over baseline (limit +{threshold:.0f}%)")
+        failed.append(f"{workload} {probe}: {delta:+.1f}% over the capture (limit +{threshold:.0f}%)")
 
-if checked == 0:
-    failed.append("baseline has no chain_* benchmarks to compare")
+if not base_norm:
+    failed.append("BENCH_perfbench.json holds no runs")
 for msg in failed:
     print(f"check_bench: {msg}", file=sys.stderr)
 sys.exit(1 if failed else 0)
 PY
-echo "bench regression gate passed (fresh capture in BENCH_sim.fresh.json)"
+echo "probe regression gate passed (fresh runs in BENCH_perfbench.fresh.json)"
 
-e2e_threshold="${E2E_SPEEDUP_PCT:-20}"
-
-if [ ! -f BENCH_e2e.json ]; then
-  echo "check_bench: no committed BENCH_e2e.json capture" >&2
-  exit 1
-fi
-cp BENCH_e2e.json BENCH_e2e.baseline.tmp.json
-trap 'mv BENCH_sim.baseline.tmp.json BENCH_sim.json; mv BENCH_e2e.baseline.tmp.json BENCH_e2e.json' EXIT
-
-echo "==> cargo bench -p epibench --bench bench_e2e"
-cargo bench -p epibench --bench bench_e2e
-mv BENCH_e2e.json BENCH_e2e.fresh.json
-
-echo "==> pipelined vs sync (fail < ${e2e_threshold}% faster at any thread count)"
-python3 - "$e2e_threshold" << 'PY'
-import json, sys
-
-threshold = float(sys.argv[1])
-fresh = {
-    b["name"]: b["mean_ns"]
-    for b in json.load(open("BENCH_e2e.fresh.json"))["benchmarks"]
-}
-
-failed = []
-checked = 0
-for name, sync_ns in sorted(fresh.items()):
-    if not name.startswith("e2e/sync/"):
-        continue
-    threads = name.rsplit("/", 1)[1]
-    piped = fresh.get(f"e2e/pipelined/{threads}")
-    if piped is None:
-        failed.append(f"{name}: no matching pipelined entry")
-        continue
-    checked += 1
-    speedup = (1.0 - piped / sync_ns) * 100.0
-    status = "FAIL" if speedup < threshold else "ok"
-    print(
-        f"  {status:>4}  {threads} thread(s): sync {sync_ns / 1e6:.1f} ms, "
-        f"pipelined {piped / 1e6:.1f} ms ({speedup:+.1f}%)"
-    )
-    if speedup < threshold:
-        failed.append(
-            f"e2e @{threads} threads: pipelined only {speedup:+.1f}% vs sync "
-            f"(floor +{threshold:.0f}%)"
-        )
-
-if checked == 0:
-    failed.append("fresh e2e capture has no e2e/sync/* benchmarks")
-for msg in failed:
-    print(f"check_bench: {msg}", file=sys.stderr)
-sys.exit(1 if failed else 0)
-PY
-echo "e2e pipelining gate passed (fresh capture in BENCH_e2e.fresh.json)"
+echo "==> cargo run --release -p epibench --bin check_pipelining"
+cargo run --release -q -p epibench --bin check_pipelining
