@@ -14,6 +14,7 @@ use epibench::runspec::{RunSpec, SourceSpec};
 use epibench::{row, section};
 use epidata::{generate_ground_truth, io::Table};
 use epismc_core::diagnostics::{PosteriorSummary, Ribbon};
+use epismc_core::observation::BiasMode;
 use epismc_core::simulator::CovidSimulator;
 use epismc_core::sis::{ObservedData, Priors, SequentialCalibrator};
 
@@ -55,14 +56,14 @@ fn main() {
     let observed = match spec.sources {
         SourceSpec::Cases => ObservedData::cases_only_with(
             truth.observed_cases.clone(),
-            spec.calibration.bias_mode,
-            spec.calibration.sigma,
+            BiasMode::Sampled,
+            spec.sigma,
         ),
         SourceSpec::CasesDeaths => ObservedData::cases_and_deaths_with(
             truth.observed_cases.clone(),
             truth.deaths.clone(),
-            spec.calibration.bias_mode,
-            spec.calibration.sigma,
+            BiasMode::Sampled,
+            spec.sigma,
         ),
     };
     let (kt, kr) = spec.kernels();

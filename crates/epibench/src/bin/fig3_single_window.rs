@@ -34,8 +34,7 @@ fn main() {
 
     let truth = generate_ground_truth(&scenario, scenario.truth_seed);
     let simulator = CovidSimulator::new(scenario.base_params.clone()).expect("params");
-    let observed =
-        ObservedData::cases_only_with(truth.observed_cases.clone(), args.bias_mode, config.sigma);
+    let observed = ObservedData::cases_only_with(truth.observed_cases.clone(), args.bias_mode, 1.0);
     let started = std::time::Instant::now();
     let result = SingleWindowIs::new(&simulator, config)
         .run(&Priors::paper(), &observed, window)

@@ -29,8 +29,7 @@ fn main() {
 
     let truth = generate_ground_truth(&scenario, scenario.truth_seed);
     let simulator = CovidSimulator::new(scenario.base_params.clone()).expect("params");
-    let observed =
-        ObservedData::cases_only_with(truth.observed_cases.clone(), args.bias_mode, config.sigma);
+    let observed = ObservedData::cases_only_with(truth.observed_cases.clone(), args.bias_mode, 1.0);
     // The paper: symmetric uniform jitter for theta, asymmetric (skewed
     // toward higher reporting) for rho.
     let calibrator = SequentialCalibrator::new(

@@ -149,9 +149,7 @@ impl Args {
             .n_params(self.n_params)
             .n_replicates(self.n_replicates)
             .resample_size(self.resample_size)
-            .seed(self.seed)
-            .sigma(1.0)
-            .bias_mode(self.bias_mode);
+            .seed(self.seed);
         if let Some(t) = self.threads {
             b = b.threads(t);
         }

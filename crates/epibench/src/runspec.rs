@@ -58,6 +58,10 @@ pub struct RunSpec {
     /// Data streams to score against.
     #[serde(default = "default_sources")]
     pub sources: SourceSpec,
+    /// Observation standard deviation on the square-root scale, shared
+    /// by every source (`sigma_t = 1` in the paper).
+    #[serde(default = "default_sigma")]
+    pub sigma: f64,
     /// Proposal jitter settings.
     #[serde(default)]
     pub jitter: JitterSpec,
@@ -78,6 +82,9 @@ fn default_windows() -> Vec<(u32, u32)> {
 fn default_sources() -> SourceSpec {
     SourceSpec::Cases
 }
+fn default_sigma() -> f64 {
+    1.0
+}
 fn default_out() -> String {
     "results/calibrate".into()
 }
@@ -89,6 +96,7 @@ impl Default for RunSpec {
             calibration: CalibrationConfig::default(),
             windows: default_windows(),
             sources: default_sources(),
+            sigma: default_sigma(),
             jitter: JitterSpec::default(),
             adaptive: None,
             out_dir: default_out(),
@@ -113,6 +121,9 @@ impl RunSpec {
     /// Returns the first inconsistency.
     pub fn validate(&self) -> Result<(), String> {
         self.calibration.validate()?;
+        if !(self.sigma.is_finite() && self.sigma > 0.0) {
+            return Err(format!("runspec: sigma = {} must be positive", self.sigma));
+        }
         if self.windows.is_empty() {
             return Err("runspec: no windows".into());
         }
@@ -195,9 +206,10 @@ mod tests {
                 "scale": "tiny",
                 "sources": "cases_deaths",
                 "windows": [[10, 20], [21, 40]],
+                "sigma": 1.5,
                 "calibration": {
                     "n_params": 50, "n_replicates": 2, "resample_size": 100,
-                    "seed": 5, "sigma": 1.0, "threads": null,
+                    "seed": 5, "threads": null,
                     "keep_prior_ensemble": false
                 },
                 "adaptive": {
@@ -210,6 +222,7 @@ mod tests {
         assert_eq!(spec.scale, "tiny");
         assert_eq!(spec.sources, SourceSpec::CasesDeaths);
         assert_eq!(spec.calibration.n_params, 50);
+        assert_eq!(spec.sigma, 1.5);
         assert!(spec.adaptive.is_some());
         // Full serde round trip.
         let json = serde_json::to_string(&spec).unwrap();
@@ -223,6 +236,20 @@ mod tests {
         assert!(RunSpec::from_json(r#"{"windows": [[10, 5]]}"#).is_err());
         assert!(RunSpec::from_json(r#"{"windows": [[5, 10], [10, 20]]}"#).is_err());
         assert!(RunSpec::from_json(r#"{"windows": [[5, 500]]}"#).is_err());
+    }
+
+    #[test]
+    fn rejects_bad_sigma() {
+        assert_eq!(RunSpec::from_json(r#"{}"#).unwrap().sigma, 1.0);
+        assert!(RunSpec::from_json(r#"{"sigma": 0.0}"#).is_err());
+        assert!(RunSpec::from_json(r#"{"sigma": -1.0}"#).is_err());
+        for sigma in [f64::NAN, f64::INFINITY] {
+            let spec = RunSpec {
+                sigma,
+                ..RunSpec::default()
+            };
+            assert!(spec.validate().is_err(), "sigma = {sigma}");
+        }
     }
 
     #[test]

@@ -1,7 +1,6 @@
-//! Typed errors for scenario data, ground truth, and CSV artifacts.
+//! Typed errors for scenario data and ground truth.
 //!
-//! Hand-rolled (no `thiserror` in the vendor tree). CSV problems carry
-//! the file, 1-based line number, and enough context to fix the input.
+//! Hand-rolled (no `thiserror` in the vendor tree).
 
 use std::fmt;
 
@@ -10,38 +9,6 @@ use episim::error::SimError;
 /// Errors produced by the data layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DataError {
-    /// Filesystem or stream failure.
-    Io {
-        /// Offending path.
-        path: String,
-        /// Underlying error text.
-        message: String,
-    },
-    /// A CSV file had no header row.
-    EmptyCsv {
-        /// Offending path.
-        path: String,
-    },
-    /// A CSV cell failed to parse as a number.
-    NonNumericCell {
-        /// Offending path.
-        path: String,
-        /// 1-based line number.
-        line: usize,
-        /// Underlying parse error text.
-        message: String,
-    },
-    /// A CSV row's width differs from the header's.
-    RaggedRow {
-        /// Offending path.
-        path: String,
-        /// 1-based line number.
-        line: usize,
-        /// Header width.
-        expected: usize,
-        /// Row width.
-        found: usize,
-    },
     /// Scenario validation or ground-truth simulation failure.
     Scenario(String),
 }
@@ -49,22 +16,6 @@ pub enum DataError {
 impl fmt::Display for DataError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DataError::Io { path, message } => write!(f, "{path}: {message}"),
-            DataError::EmptyCsv { path } => write!(f, "{path}: empty csv"),
-            DataError::NonNumericCell {
-                path,
-                line,
-                message,
-            } => write!(f, "{path}:{line}: non-numeric cell: {message}"),
-            DataError::RaggedRow {
-                path,
-                line,
-                expected,
-                found,
-            } => write!(
-                f,
-                "{path}:{line}: width mismatch (expected {expected} columns, found {found})"
-            ),
             DataError::Scenario(msg) => write!(f, "scenario error: {msg}"),
         }
     }
@@ -87,24 +38,6 @@ impl From<SimError> for DataError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_carries_file_and_line() {
-        let e = DataError::RaggedRow {
-            path: "t.csv".into(),
-            line: 3,
-            expected: 2,
-            found: 1,
-        };
-        assert_eq!(
-            e.to_string(),
-            "t.csv:3: width mismatch (expected 2 columns, found 1)"
-        );
-        let e = DataError::EmptyCsv {
-            path: "t.csv".into(),
-        };
-        assert_eq!(e.to_string(), "t.csv: empty csv");
-    }
 
     #[test]
     fn sim_error_lifts_into_scenario_variant() {

@@ -1,14 +1,12 @@
-//! Minimal CSV reading/writing for result artifacts.
+//! Minimal CSV writing for result artifacts.
 //!
 //! Every figure binary writes its series under `results/` in plain CSV so
 //! the numbers behind each panel are auditable (EXPERIMENTS.md quotes
 //! them) and plottable with any external tool.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
-
-use crate::error::DataError;
 
 /// A simple columnar table: named `f64` columns of equal length.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -20,58 +18,21 @@ pub struct Table {
 }
 
 impl Table {
-    /// Create an empty table with the given headers.
-    pub fn new(headers: Vec<String>) -> Self {
-        let columns = vec![Vec::new(); headers.len()];
-        Self { headers, columns }
-    }
-
     /// Build directly from `(name, column)` pairs.
     ///
     /// # Panics
     /// Panics if column lengths differ.
     pub fn from_pairs(pairs: Vec<(&str, Vec<f64>)>) -> Self {
-        let mut t = Self::new(pairs.iter().map(|(n, _)| n.to_string()).collect());
-        t.columns = pairs.into_iter().map(|(_, c)| c).collect();
-        t.assert_rectangular();
-        t
-    }
-
-    fn assert_rectangular(&self) {
-        if let Some(first) = self.columns.first() {
-            for (h, c) in self.headers.iter().zip(&self.columns) {
+        let (headers, columns): (Vec<String>, Vec<Vec<f64>>) = pairs
+            .into_iter()
+            .map(|(name, column)| (name.to_string(), column))
+            .unzip();
+        if let Some(first) = columns.first() {
+            for (h, c) in headers.iter().zip(&columns) {
                 assert_eq!(c.len(), first.len(), "column '{h}' length mismatch");
             }
         }
-    }
-
-    /// Append one row.
-    ///
-    /// # Panics
-    /// Panics on a width mismatch.
-    pub fn push_row(&mut self, row: &[f64]) {
-        assert_eq!(row.len(), self.columns.len(), "push_row: width mismatch");
-        for (c, &v) in self.columns.iter_mut().zip(row) {
-            c.push(v);
-        }
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.columns.first().map_or(0, Vec::len)
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// A column by name.
-    pub fn column(&self, name: &str) -> Option<&[f64]> {
-        self.headers
-            .iter()
-            .position(|h| h == name)
-            .map(|i| self.columns[i].as_slice())
+        Self { headers, columns }
     }
 
     /// Write as CSV.
@@ -84,63 +45,12 @@ impl Table {
         }
         let mut w = BufWriter::new(File::create(path)?);
         writeln!(w, "{}", self.headers.join(","))?;
-        for row in 0..self.len() {
+        let rows = self.columns.first().map_or(0, Vec::len);
+        for row in 0..rows {
             let line: Vec<String> = self.columns.iter().map(|c| format_float(c[row])).collect();
             writeln!(w, "{}", line.join(","))?;
         }
         w.flush()
-    }
-
-    /// Read a CSV produced by [`Self::write_csv`].
-    ///
-    /// # Errors
-    /// Returns [`DataError::Io`] on filesystem failures,
-    /// [`DataError::EmptyCsv`] when the header row is missing,
-    /// [`DataError::NonNumericCell`] when a cell does not parse, and
-    /// [`DataError::RaggedRow`] when a row's width differs from the
-    /// header's.
-    pub fn read_csv(path: &Path) -> Result<Self, DataError> {
-        let display = path.display().to_string();
-        let io_err = |e: std::io::Error| DataError::Io {
-            path: display.clone(),
-            message: e.to_string(),
-        };
-        let f = File::open(path).map_err(io_err)?;
-        let mut lines = BufReader::new(f).lines();
-        let header_line = lines
-            .next()
-            .ok_or(DataError::EmptyCsv {
-                path: display.clone(),
-            })?
-            .map_err(io_err)?;
-        let headers: Vec<String> = header_line
-            .split(',')
-            .map(|s| s.trim().to_string())
-            .collect();
-        let mut table = Table::new(headers);
-        for (lineno, line) in lines.enumerate() {
-            let line = line.map_err(io_err)?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let row: Result<Vec<f64>, _> =
-                line.split(',').map(|s| s.trim().parse::<f64>()).collect();
-            let row = row.map_err(|e| DataError::NonNumericCell {
-                path: display.clone(),
-                line: lineno + 2,
-                message: e.to_string(),
-            })?;
-            if row.len() != table.columns.len() {
-                return Err(DataError::RaggedRow {
-                    path: display.clone(),
-                    line: lineno + 2,
-                    expected: table.columns.len(),
-                    found: row.len(),
-                });
-            }
-            table.push_row(&row);
-        }
-        Ok(table)
     }
 }
 
@@ -160,7 +70,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_through_disk() {
+    fn write_csv_formats_integers_and_fractions() {
         let t = Table::from_pairs(vec![
             ("day", vec![1.0, 2.0, 3.0]),
             ("cases", vec![10.0, 20.5, 30.0]),
@@ -168,73 +78,9 @@ mod tests {
         let dir = std::env::temp_dir().join("epidata-io-test");
         let path = dir.join("t.csv");
         t.write_csv(&path).unwrap();
-        let back = Table::read_csv(&path).unwrap();
-        assert_eq!(back.headers, t.headers);
-        assert_eq!(back.column("day").unwrap(), t.column("day").unwrap());
-        assert!((back.column("cases").unwrap()[1] - 20.5).abs() < 1e-9);
+        let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn push_row_and_query() {
-        let mut t = Table::new(vec!["a".into(), "b".into()]);
-        t.push_row(&[1.0, 2.0]);
-        t.push_row(&[3.0, 4.0]);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.column("b").unwrap(), &[2.0, 4.0]);
-        assert!(t.column("c").is_none());
-    }
-
-    #[test]
-    fn read_rejects_ragged_rows() {
-        let dir = std::env::temp_dir().join("epidata-io-test2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.csv");
-        std::fs::write(&path, "a,b\n1,2\n3\n").unwrap();
-        match Table::read_csv(&path) {
-            Err(DataError::RaggedRow {
-                line,
-                expected,
-                found,
-                ..
-            }) => {
-                assert_eq!((line, expected, found), (3, 2, 1));
-            }
-            other => panic!("expected RaggedRow, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_rejects_empty_file() {
-        let dir = std::env::temp_dir().join("epidata-io-test3");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("empty.csv");
-        std::fs::write(&path, "").unwrap();
-        assert!(matches!(
-            Table::read_csv(&path),
-            Err(DataError::EmptyCsv { .. })
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_rejects_non_numeric_cell() {
-        let dir = std::env::temp_dir().join("epidata-io-test4");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("nan.csv");
-        std::fs::write(&path, "a,b\n1,2\n3,oops\n").unwrap();
-        match Table::read_csv(&path) {
-            Err(DataError::NonNumericCell { line, .. }) => assert_eq!(line, 3),
-            other => panic!("expected NonNumericCell, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_reports_missing_file_as_io() {
-        let path = std::env::temp_dir().join("epidata-io-nope/definitely-missing.csv");
-        assert!(matches!(Table::read_csv(&path), Err(DataError::Io { .. })));
+        assert_eq!(text, "day,cases\n1,10\n2,20.500000\n3,30\n");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! * [`scenario::Scenario`] — the paper's configuration at full Chicago
 //!   scale plus laptop-scale variants used by tests and default bench
 //!   runs.
-//! * [`io`] — CSV writers/readers for every series and summary the
-//!   figure binaries emit.
+//! * [`io`] — the CSV writer for every series and summary the figure
+//!   binaries emit.
 
 pub mod error;
 pub mod ground_truth;

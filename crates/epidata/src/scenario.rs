@@ -1,13 +1,12 @@
 //! Scenario definitions: the paper's experiment at several scales.
 
 use episim::covid::CovidParams;
-use serde::{Deserialize, Serialize};
 
 use crate::schedule::PiecewiseConstant;
 
 /// A complete ground-truth scenario: disease model base parameters plus
 /// the time-varying truth schedules and the simulation horizon.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Scenario {
     /// Scenario name (used in result file names).
     pub name: String,
@@ -211,14 +210,5 @@ mod tests {
             wave1 > 1.5 * trough && wave2 > 1.5 * trough,
             "waves {wave1:.0}/{wave2:.0} vs trough {trough:.0}"
         );
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let s = Scenario::paper_tiny();
-        let json = serde_json::to_string(&s).unwrap();
-        let back: Scenario = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.name, s.name);
-        assert_eq!(back.theta_schedule, s.theta_schedule);
     }
 }

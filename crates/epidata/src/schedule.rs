@@ -1,11 +1,9 @@
 //! Piecewise-constant time-varying parameter schedules.
 
-use serde::{Deserialize, Serialize};
-
 /// A right-continuous piecewise-constant schedule: `values[k]` applies
 /// from `breaks[k]` (inclusive) until `breaks[k+1]` (exclusive); the last
 /// value extends to infinity.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PiecewiseConstant {
     breaks: Vec<u32>,
     values: Vec<f64>,

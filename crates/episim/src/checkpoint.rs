@@ -8,13 +8,11 @@
 //! memory in Erlang stage counts, a checkpoint is exactly
 //! `(day, stage_counts, rng_state)` — compact, exact, and cheap.
 //!
-//! Two encodings are provided: a compact binary framing (via [`bytes`])
-//! for high-volume particle storage, and serde/JSON for human-debuggable
-//! artifacts; both round-trip bit-exactly.
+//! One compact binary encoding ([`SimCheckpoint::append_bytes`] /
+//! [`SimCheckpoint::from_bytes`]) frames many checkpoints in one buffer
+//! for the durable run store; it round-trips bit-exactly.
 
-use bytes::{Buf, Bytes};
 use epistats::rng::Xoshiro256PlusPlus;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::engine::CompiledSpec;
@@ -40,7 +38,7 @@ const MAGIC: u32 = 0x4550_4953; // "EPIS"
 const VERSION: u16 = 1;
 
 /// A serialized simulation state, restorable onto a compatible model.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct SimCheckpoint {
     /// Fingerprint of the model layout this state belongs to (compartment
     /// names and stage structure). Restoring onto a model with a
@@ -205,15 +203,8 @@ impl SimCheckpoint {
         Ok(())
     }
 
-    /// Compact binary encoding.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        self.append_bytes(&mut out);
-        Bytes::from(out)
-    }
-
-    /// Append the compact binary encoding of [`Self::to_bytes`] to `out`
-    /// — the path for writers that frame many checkpoints in one buffer.
+    /// Append the compact binary encoding to `out` — the path for
+    /// writers that frame many checkpoints in one buffer.
     pub fn append_bytes(&self, out: &mut Vec<u8>) {
         out.reserve(self.encoded_len());
         out.extend_from_slice(&MAGIC.to_le_bytes());
@@ -226,43 +217,41 @@ impl SimCheckpoint {
         }
     }
 
-    /// Decode the binary encoding.
+    /// Decode the binary encoding from the front of `data`; bytes past
+    /// [`Self::encoded_len`] are left unread.
     ///
     /// # Errors
     /// Returns [`SimError::Checkpoint`] on truncation, bad magic, or an
     /// unknown version.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, SimError> {
-        if data.remaining() < 22 {
+    pub fn from_bytes(data: &[u8]) -> Result<Self, SimError> {
+        let Some((header, body)) = data.split_first_chunk::<22>() else {
             return Err(SimError::Checkpoint("truncated header".into()));
-        }
-        if data.get_u32_le() != MAGIC {
+        };
+        // The little-endian header field of `len` bytes at `at`.
+        let field = |at: usize, len: usize| {
+            let mut word = [0u8; 8];
+            word[..len].copy_from_slice(&header[at..at + len]);
+            u64::from_le_bytes(word)
+        };
+        if field(0, 4) != u64::from(MAGIC) {
             return Err(SimError::Checkpoint("bad magic".into()));
         }
-        let version = data.get_u16_le();
-        if version != VERSION {
+        let version = field(4, 2);
+        if version != u64::from(VERSION) {
             return Err(SimError::Checkpoint(format!(
                 "unsupported version {version}"
             )));
         }
-        let layout = data.get_u64_le();
-        let day = data.get_u32_le();
-        let n = data.get_u32_le() as usize;
-        if data.remaining() < 8 * (n + 4) {
+        let n = field(18, 4) as usize;
+        let (words, _) = body.as_chunks::<8>();
+        if words.len() < n + 4 {
             return Err(SimError::Checkpoint("truncated body".into()));
         }
-        let mut stage_counts = Vec::with_capacity(n);
-        for _ in 0..n {
-            stage_counts.push(data.get_u64_le());
-        }
-        let mut rng_state = [0u64; 4];
-        for s in &mut rng_state {
-            *s = data.get_u64_le();
-        }
         Ok(Self {
-            layout_hash: layout,
-            day,
-            stage_counts,
-            rng_state,
+            layout_hash: field(6, 8),
+            day: field(14, 4) as u32,
+            stage_counts: words[..n].iter().map(|w| u64::from_le_bytes(*w)).collect(),
+            rng_state: std::array::from_fn(|i| u64::from_le_bytes(words[n + i])),
         })
     }
 
@@ -323,18 +312,10 @@ mod tests {
     fn binary_round_trip() {
         let sp = spec();
         let ck = SimCheckpoint::capture(&sp, &state(&sp));
-        let bytes = ck.to_bytes();
+        let mut bytes = Vec::new();
+        ck.append_bytes(&mut bytes);
         assert_eq!(bytes.len(), ck.encoded_len());
         let back = SimCheckpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(back, ck);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let sp = spec();
-        let ck = SimCheckpoint::capture(&sp, &state(&sp));
-        let json = serde_json::to_string(&ck).unwrap();
-        let back: SimCheckpoint = serde_json::from_str(&json).unwrap();
         assert_eq!(back, ck);
     }
 
@@ -390,7 +371,8 @@ mod tests {
         assert!(SimCheckpoint::from_bytes(&[0u8; 40]).is_err());
         let sp = spec();
         let ck = SimCheckpoint::capture(&sp, &state(&sp));
-        let bytes = ck.to_bytes();
+        let mut bytes = Vec::new();
+        ck.append_bytes(&mut bytes);
         assert!(SimCheckpoint::from_bytes(&bytes[..bytes.len() - 4]).is_err());
     }
 }

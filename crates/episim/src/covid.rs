@@ -29,8 +29,6 @@
 //! `rel_infectious_asymp`, `rel_infectious_detected`, and
 //! `transmission_rate`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::{
     CensusSpec, Compartment, CompartmentId, FlowSpec, Infection, ModelSpec, Progression,
 };
@@ -67,7 +65,7 @@ impl C {
 /// All parameters of the COVID model.
 ///
 /// Durations are in days; fractions and probabilities in `[0, 1]`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CovidParams {
     /// Transmission rate `theta` — the paper's calibration parameter.
     pub transmission_rate: f64,
@@ -213,22 +211,6 @@ impl CovidParams {
             return Err("Erlang stage counts must be >= 1".into());
         }
         Ok(())
-    }
-
-    /// Rough basic reproduction number implied by the parameters
-    /// (transmission rate times the detection-weighted mean infectious
-    /// duration) — a diagnostic, not used by the engine.
-    pub fn approx_r0(&self) -> f64 {
-        let fs = self.frac_symptomatic;
-        let ka = self.rel_infectious_asymp;
-        // Mean weighted infectious person-days per infection, ignoring the
-        // (small) detected fraction.
-        let asymp = (1.0 - fs) * ka * self.asymp_duration;
-        let presym = fs * ka * self.presymp_duration;
-        let sym = fs
-            * ((1.0 - self.frac_severe) * self.mild_duration
-                + self.frac_severe * self.severe_to_hosp);
-        self.transmission_rate * (asymp + presym + sym)
     }
 }
 
@@ -415,15 +397,6 @@ impl CovidModel {
         st.seed_compartment(spec, C::E.id(), self.params.initial_exposed);
         st
     }
-
-    /// Clone of the parameters with a different transmission rate — the
-    /// common re-parameterization in the calibration loop.
-    pub fn with_transmission_rate(&self, theta: f64) -> CovidParams {
-        CovidParams {
-            transmission_rate: theta,
-            ..self.params.clone()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -446,13 +419,7 @@ mod tests {
         let spec = m.spec();
         assert!(spec.validate().is_ok());
         assert_eq!(spec.compartments.len(), 15);
-        assert_eq!(spec.compartment_id("Ss_d"), Some(C::SsD.id()));
-    }
-
-    #[test]
-    fn r0_in_plausible_range() {
-        let r0 = CovidParams::default().approx_r0();
-        assert!(r0 > 1.2 && r0 < 3.0, "r0 = {r0}");
+        assert_eq!(spec.compartments[C::SsD.id()].name, "Ss_d");
     }
 
     #[test]
@@ -587,7 +554,11 @@ mod tests {
         sim.run_until(30);
         let ck = sim.checkpoint();
         // New theta, same layout: restore must succeed.
-        let m2 = CovidModel::new(m.with_transmission_rate(0.5)).unwrap();
+        let m2 = CovidModel::new(CovidParams {
+            transmission_rate: 0.5,
+            ..small_params()
+        })
+        .unwrap();
         let mut resumed =
             Simulation::resume_with_seed(m2.spec(), BinomialChainStepper::daily(), &ck, 77)
                 .unwrap();

@@ -18,8 +18,6 @@
 //! analyses, which the paper's Discussion motivates (school closures,
 //! age-targeted vaccination).
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::{
     CensusSpec, Compartment, CompartmentId, FlowSpec, Infection, ModelSpec, Progression,
 };
@@ -28,7 +26,7 @@ use crate::state::SimState;
 /// Disease parameters shared by all age groups (durations, detection,
 /// relative infectiousness) — mirrors the scalar fields of
 /// [`crate::covid::CovidParams`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SharedDisease {
     /// Mean latent (E) duration.
     pub latent_period: f64,
@@ -89,7 +87,7 @@ impl Default for SharedDisease {
 }
 
 /// One age group's demography and severity profile.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AgeGroup {
     /// Group label (used in compartment and output names).
     pub name: String,
@@ -110,7 +108,7 @@ pub struct AgeGroup {
 }
 
 /// Full configuration of the age-stratified model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CovidAgeParams {
     /// Global transmission rate (the calibration parameter).
     pub transmission_rate: f64,
@@ -520,8 +518,9 @@ mod tests {
         assert!(spec.validate().is_ok());
         assert_eq!(spec.compartments.len(), 3 * 15);
         assert_eq!(spec.infections.len(), 3);
-        assert!(spec.compartment_id("Ss_d@elder").is_some());
-        assert!(spec.compartment_id("Ss_d@nobody").is_none());
+        let named = |name: &str| spec.compartments.iter().any(|c| c.name == name);
+        assert!(named("Ss_d@elder"));
+        assert!(!named("Ss_d@nobody"));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! ([`DailySeries`]) or structurally shared across a particle ensemble
 //! ([`SharedTrajectory`]).
 
-use serde::{Deserialize, Serialize, Value};
 use std::sync::Arc;
 
 use crate::error::SimError;
@@ -250,34 +249,6 @@ impl PartialEq for DailySeries {
             && self.start_day == other.start_day
             && self.len == other.len
             && self.columns().eq(other.columns())
-    }
-}
-
-impl Serialize for DailySeries {
-    /// `{"names": [...], "columns": [[...], ...], "start_day": n}`: one
-    /// array per column, whatever the in-memory layout.
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("names".into(), self.names.to_value()),
-            (
-                "columns".into(),
-                Value::Array(self.columns().map(Serialize::to_value).collect()),
-            ),
-            ("start_day".into(), self.start_day.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for DailySeries {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        let field = |name: &str| {
-            v.get_field(name)
-                .ok_or_else(|| format!("missing field {name} in DailySeries"))
-        };
-        let names = Vec::<String>::from_value(field("names")?)?;
-        let columns = Vec::<Vec<u64>>::from_value(field("columns")?)?;
-        let start_day = u32::from_value(field("start_day")?)?;
-        Self::from_columns(names, start_day, columns).map_err(|e| e.to_string())
     }
 }
 
@@ -664,18 +635,6 @@ impl From<DailySeries> for SharedTrajectory {
     }
 }
 
-impl Serialize for SharedTrajectory {
-    fn to_value(&self) -> Value {
-        self.flatten().to_value()
-    }
-}
-
-impl Deserialize for SharedTrajectory {
-    fn from_value(v: &Value) -> Result<Self, String> {
-        DailySeries::from_value(v).map(Self::root)
-    }
-}
-
 /// Iterator over the `(absolute_day, row)` pairs of a
 /// [`SharedTrajectory`] (see [`SharedTrajectory::iter_days`]).
 pub struct DayRows {
@@ -927,17 +886,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_root_append_and_serde_round_trip() {
+    fn empty_root_is_dropped_on_append() {
         let e = SharedTrajectory::empty(vec!["a".into(), "b".into()], 0);
         assert!(e.is_empty());
         assert_eq!(e.end_day(), None);
         let t = e.append(segment(0, &[(1, 10)]));
         assert_eq!(t.segment_count(), 1, "empty root should be dropped");
         assert_eq!(t.len(), 1);
-        let json = serde_json::to_string(&chained()).unwrap();
-        let back: SharedTrajectory = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, chained());
-        assert_eq!(back.segment_count(), 1);
     }
 
     #[test]
@@ -1017,25 +972,6 @@ mod tests {
             ],
         );
         assert_ne!(shifted.unwrap(), presized);
-    }
-
-    #[test]
-    fn serde_json_shape_is_one_array_per_column() {
-        let mut s = DailySeries::with_day_capacity(vec!["a".into(), "b".into()], 3, 8);
-        s.push_day(&[1, 10]);
-        s.push_day(&[2, 20]);
-        let json = serde_json::to_string(&s).unwrap();
-        assert_eq!(
-            json,
-            r#"{"names":["a","b"],"columns":[[1,2],[10,20]],"start_day":3}"#
-        );
-        let back: DailySeries = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, s);
-        // A ragged or missing field is an error, not a series.
-        let ragged = r#"{"names":["a","b"],"columns":[[1,2],[10]],"start_day":3}"#;
-        assert!(serde_json::from_str::<DailySeries>(ragged).is_err());
-        let missing = r#"{"names":["a"],"start_day":3}"#;
-        assert!(serde_json::from_str::<DailySeries>(missing).is_err());
     }
 
     #[test]

@@ -4,13 +4,11 @@
 //! the exact Gillespie run is affordable), quick examples, and tests. It
 //! exercises the same engine as the full COVID model.
 
-use serde::{Deserialize, Serialize};
-
 use crate::spec::{CensusSpec, Compartment, FlowSpec, Infection, ModelSpec, Progression};
 use crate::state::SimState;
 
 /// Parameters of the minimal SEIR model.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SeirParams {
     /// Transmission rate.
     pub transmission_rate: f64,
@@ -58,11 +56,6 @@ impl SeirParams {
             return Err("stages must be >= 1".into());
         }
         Ok(())
-    }
-
-    /// Basic reproduction number `theta * infectious_period`.
-    pub fn r0(&self) -> f64 {
-        self.transmission_rate * self.infectious_period
     }
 }
 
@@ -160,7 +153,6 @@ mod tests {
     fn default_builds_valid_spec() {
         let m = SeirModel::new(SeirParams::default()).unwrap();
         assert!(m.spec().validate().is_ok());
-        assert!((m.params().r0() - 2.0).abs() < 1e-12);
     }
 
     #[test]

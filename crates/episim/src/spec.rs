@@ -8,8 +8,6 @@
 //! model fidelity comparisons (binomial chain vs Gillespie) hold the
 //! model definition fixed.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::SimError;
 
 /// Index of a compartment within a [`ModelSpec`].
@@ -17,7 +15,7 @@ pub type CompartmentId = usize;
 
 /// A single compartment: a named pool of individuals with an Erlang
 /// dwell-time structure and an infectivity weight.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Compartment {
     /// Human-readable name (unique within a spec).
     pub name: String,
@@ -54,7 +52,7 @@ impl Compartment {
 /// An individual entering `from` stays for an Erlang-distributed time with
 /// the given mean (shape = `from`'s stage count), then moves to one of the
 /// `branches` targets with the associated probabilities.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Progression {
     /// Source compartment.
     pub from: CompartmentId,
@@ -71,7 +69,7 @@ pub struct Progression {
 /// With `sources == None` every compartment contributes with weight 1
 /// (homogeneous mixing). Explicit `sources` express structured mixing —
 /// e.g. a row of an age-contact matrix in the age-stratified model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Infection {
     /// The susceptible pool.
     pub susceptible: CompartmentId,
@@ -114,7 +112,7 @@ impl Infection {
 
 /// A named flow counter: records the number of individuals crossing any
 /// of the listed `(from, to)` edges each day.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FlowSpec {
     /// Output series name (e.g. `"infections"`, `"deaths"`).
     pub name: String,
@@ -123,7 +121,7 @@ pub struct FlowSpec {
 }
 
 /// A named census: records end-of-day occupancy summed over compartments.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CensusSpec {
     /// Output series name (e.g. `"hospital_census"`).
     pub name: String,
@@ -132,7 +130,7 @@ pub struct CensusSpec {
 }
 
 /// A complete stochastic compartmental model definition.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ModelSpec {
     /// Model name (for diagnostics and serialized artifacts).
     pub name: String,
@@ -275,11 +273,6 @@ impl ModelSpec {
         Ok(())
     }
 
-    /// Look up a compartment id by name.
-    pub fn compartment_id(&self, name: &str) -> Option<CompartmentId> {
-        self.compartments.iter().position(|c| c.name == name)
-    }
-
     /// Total number of Erlang stages across all compartments (the length
     /// of the flattened state vector).
     pub fn total_stages(&self) -> usize {
@@ -356,8 +349,6 @@ mod tests {
         let s = tiny_spec();
         assert_eq!(s.total_stages(), 4);
         assert_eq!(s.stage_offsets(), vec![0, 1, 3, 4]);
-        assert_eq!(s.compartment_id("I"), Some(1));
-        assert_eq!(s.compartment_id("X"), None);
     }
 
     #[test]

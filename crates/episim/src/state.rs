@@ -6,12 +6,11 @@
 //! what makes checkpoints compact and exact.
 
 use epistats::rng::Xoshiro256PlusPlus;
-use serde::{Deserialize, Serialize};
 
 use crate::spec::ModelSpec;
 
 /// The complete mutable state of a simulation run.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimState {
     /// Completed whole days since the epidemic's start.
     pub day: u32,
@@ -72,42 +71,13 @@ impl SimState {
         self.stage_counts.iter().sum()
     }
 
-    /// Homogeneous-mixing force of infection per susceptible:
-    /// `transmission_rate * sum_c(infectivity_c * count_c) / N`.
-    ///
-    /// Returns 0 for an empty population. Structured-mixing infections
-    /// use [`Self::force_of_infection_for`] instead.
-    pub fn force_of_infection(&self, spec: &ModelSpec) -> f64 {
-        let n = self.total_population();
-        if n == 0 {
-            return 0.0;
-        }
-        let offsets = spec.stage_offsets();
-        let mut weighted = 0.0;
-        for (id, c) in spec.compartments.iter().enumerate() {
-            if c.infectivity > 0.0 {
-                let count: u64 = self.stage_counts[offsets[id]..offsets[id + 1]].iter().sum();
-                weighted += c.infectivity * count as f64;
-            }
-        }
-        spec.transmission_rate * weighted / n as f64
-    }
-
     /// Force of infection felt by a specific
     /// [`Infection`](crate::spec::Infection) transition,
     /// honouring its susceptibility multiplier and (optional) weighted
-    /// source set — one row of a contact structure.
-    pub fn force_of_infection_for(
-        &self,
-        spec: &ModelSpec,
-        infection: &crate::spec::Infection,
-    ) -> f64 {
-        self.force_of_infection_with(spec, infection, &spec.stage_offsets())
-    }
-
-    /// [`Self::force_of_infection_for`] against caller-supplied stage
-    /// offsets (e.g. `CompiledSpec::offsets`), so per-step hot paths
-    /// don't rebuild the offset table on every evaluation.
+    /// source set — one row of a contact structure — against
+    /// caller-supplied stage offsets (e.g. `CompiledSpec::offsets`), so
+    /// per-step hot paths don't rebuild the offset table on every
+    /// evaluation. Returns 0 for an empty population.
     pub fn force_of_infection_with(
         &self,
         spec: &ModelSpec,
@@ -179,60 +149,34 @@ mod tests {
         assert_eq!(st.total_population(), 1000);
     }
 
-    #[test]
-    fn foi_formula() {
-        let s = spec();
-        let mut st = SimState::empty(&s, 1);
-        st.seed_compartment(&s, 0, 900);
-        st.seed_compartment(&s, 1, 100);
-        // FOI = 0.4 * (0.5 * 100) / 1000 = 0.02
-        assert!((st.force_of_infection(&s) - 0.02).abs() < 1e-14);
+    fn foi(st: &SimState, s: &ModelSpec, inf: &Infection) -> f64 {
+        st.force_of_infection_with(s, inf, &s.stage_offsets())
     }
 
     #[test]
-    fn foi_zero_for_empty_population() {
+    fn foi_formula_honours_sources_and_susceptibility() {
         let s = spec();
-        let st = SimState::empty(&s, 1);
-        assert_eq!(st.force_of_infection(&s), 0.0);
-    }
-
-    #[test]
-    fn structured_foi_honours_sources_and_susceptibility() {
-        let s = spec();
+        assert_eq!(
+            foi(&SimState::empty(&s, 1), &s, &Infection::simple(0, 1)),
+            0.0
+        );
         let mut st = SimState::empty(&s, 1);
         st.seed_compartment(&s, 0, 900);
         st.seed_compartment(&s, 1, 100);
-        // Homogeneous with susceptibility 1 matches the global FOI.
-        let inf = Infection::simple(0, 1);
-        assert!((st.force_of_infection_for(&s, &inf) - st.force_of_infection(&s)).abs() < 1e-14);
+        // Homogeneous: FOI = 0.4 * (0.5 * 100) / 1000 = 0.02.
+        let global = foi(&st, &s, &Infection::simple(0, 1));
+        assert!((global - 0.02).abs() < 1e-14);
         // Susceptibility multiplier scales linearly.
         let half = Infection {
             susceptibility: 0.5,
             ..Infection::simple(0, 1)
         };
-        assert!(
-            (st.force_of_infection_for(&s, &half) - 0.5 * st.force_of_infection(&s)).abs() < 1e-15
-        );
+        assert!((foi(&st, &s, &half) - 0.5 * global).abs() < 1e-15);
         // Structured sources: weight 2 on compartment I doubles the FOI;
         // sourcing only from the (non-infectious) S pool gives zero.
         let double = Infection::weighted(0, 1, 1.0, vec![(1, 2.0)]);
-        assert!(
-            (st.force_of_infection_for(&s, &double) - 2.0 * st.force_of_infection(&s)).abs()
-                < 1e-15
-        );
+        assert!((foi(&st, &s, &double) - 2.0 * global).abs() < 1e-15);
         let none = Infection::weighted(0, 1, 1.0, vec![(0, 1.0)]);
-        assert_eq!(st.force_of_infection_for(&s, &none), 0.0);
-    }
-
-    #[test]
-    fn state_serde_round_trip() {
-        let s = spec();
-        let mut st = SimState::empty(&s, 42);
-        st.seed_compartment(&s, 0, 5);
-        st.day = 7;
-        st.time = 7.0;
-        let json = serde_json::to_string(&st).unwrap();
-        let back: SimState = serde_json::from_str(&json).unwrap();
-        assert_eq!(st, back);
+        assert_eq!(foi(&st, &s, &none), 0.0);
     }
 }

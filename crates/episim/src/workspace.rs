@@ -17,7 +17,6 @@
 //! parallel runner pool workspaces per worker without perturbing the
 //! deterministic replay guarantees.
 
-use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::Instant;
@@ -134,33 +133,17 @@ impl SimWorkspace {
     }
 
     /// Run a fresh trajectory from `init` until the clock reaches
-    /// `end_day`, recording daily flows and censuses. Returns the
-    /// recorded series and an end-of-run checkpoint.
+    /// `end_day`, recording daily flows and censuses, and calling
+    /// `on_day(day, row)` after each simulated day with the day's output
+    /// row in [`ModelSpec::output_names`](crate::spec::ModelSpec::output_names)
+    /// order. Returns the recorded series and an end-of-run checkpoint.
+    /// A `Break` from `on_day` stops the run after that day and is
+    /// returned in place of the series and checkpoint; the stopped run's
+    /// days still count in [`Self::days_simulated`].
     ///
     /// # Errors
     /// Returns [`SimError::Spec`] if `init` does not match the model's
     /// stage layout.
-    pub fn run<S: Stepper>(
-        &mut self,
-        model: &CompiledSpec,
-        stepper: &S,
-        init: &SimState,
-        end_day: u32,
-    ) -> Result<(DailySeries, SimCheckpoint), SimError> {
-        let ControlFlow::Continue(run) =
-            self.run_with(model, stepper, init, end_day, never_stop)?;
-        Ok(run)
-    }
-
-    /// [`Self::run`], calling `on_day(day, row)` after each simulated
-    /// day with the day's output row in
-    /// [`ModelSpec::output_names`](crate::spec::ModelSpec::output_names)
-    /// order. A `Break` from `on_day` stops the run after that day and
-    /// is returned in place of the series and checkpoint; the stopped
-    /// run's days still count in [`Self::days_simulated`].
-    ///
-    /// # Errors
-    /// Same contract as [`Self::run`].
     pub fn run_with<S: Stepper, B>(
         &mut self,
         model: &CompiledSpec,
@@ -179,7 +162,8 @@ impl SimWorkspace {
     }
 
     /// Resume a trajectory from a checkpoint with a fresh RNG seed (the
-    /// paper's trajectory-branching restart), running until `end_day`.
+    /// paper's trajectory-branching restart), running until `end_day`
+    /// with a per-day callback, as in [`Self::run_with`].
     ///
     /// The reseed fully replaces the workspace RNG state, so the run
     /// depends only on `(ck, seed, end_day)` — never on what the
@@ -191,24 +175,6 @@ impl SimWorkspace {
     ///
     /// # Errors
     /// Propagates checkpoint layout errors.
-    pub fn run_from_checkpoint<S: Stepper>(
-        &mut self,
-        model: &CompiledSpec,
-        stepper: &S,
-        ck: &SimCheckpoint,
-        seed: u64,
-        end_day: u32,
-    ) -> Result<(DailySeries, SimCheckpoint), SimError> {
-        let ControlFlow::Continue(run) =
-            self.run_from_checkpoint_with(model, stepper, ck, seed, end_day, never_stop)?;
-        Ok(run)
-    }
-
-    /// [`Self::run_from_checkpoint`] with a per-day callback, as in
-    /// [`Self::run_with`].
-    ///
-    /// # Errors
-    /// Same contract as [`Self::run_from_checkpoint`].
     pub fn run_from_checkpoint_with<S: Stepper, B>(
         &mut self,
         model: &CompiledSpec,
@@ -298,17 +264,45 @@ impl SimWorkspace {
     }
 }
 
-/// The per-day callback of a run that is never stopped.
-fn never_stop(_: u32, _: &[u64]) -> ControlFlow<Infallible> {
-    ControlFlow::Continue(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{BinomialChainStepper, GillespieStepper};
     use crate::runner::Simulation;
     use crate::seir::{SeirModel, SeirParams};
+    use std::convert::Infallible;
+
+    type Run = Result<(DailySeries, SimCheckpoint), SimError>;
+
+    fn never_stop(_: u32, _: &[u64]) -> ControlFlow<Infallible> {
+        ControlFlow::Continue(())
+    }
+
+    /// A fresh run to `end_day` that is never stopped.
+    fn run<S: Stepper>(
+        ws: &mut SimWorkspace,
+        model: &CompiledSpec,
+        stepper: &S,
+        init: &SimState,
+        end_day: u32,
+    ) -> Run {
+        let ControlFlow::Continue(run) = ws.run_with(model, stepper, init, end_day, never_stop)?;
+        Ok(run)
+    }
+
+    /// A branched run from `ck` to `end_day` that is never stopped.
+    fn branch<S: Stepper>(
+        ws: &mut SimWorkspace,
+        model: &CompiledSpec,
+        stepper: &S,
+        ck: &SimCheckpoint,
+        seed: u64,
+        end_day: u32,
+    ) -> Run {
+        let ControlFlow::Continue(run) =
+            ws.run_from_checkpoint_with(model, stepper, ck, seed, end_day, never_stop)?;
+        Ok(run)
+    }
 
     fn model() -> (CompiledSpec, SimState) {
         let m = SeirModel::new(SeirParams {
@@ -332,8 +326,8 @@ mod tests {
 
         let mut ws = SimWorkspace::new();
         // Warm the workspace on an unrelated run first.
-        ws.run(&model, &stepper, &init, 13).unwrap();
-        let (series, ck) = ws.run(&model, &stepper, &init, 40).unwrap();
+        run(&mut ws, &model, &stepper, &init, 13).unwrap();
+        let (series, ck) = run(&mut ws, &model, &stepper, &init, 40).unwrap();
 
         assert_eq!(&series, sim.series());
         assert_eq!(ck, sim.checkpoint());
@@ -346,15 +340,13 @@ mod tests {
         let (model, init) = model();
         let stepper = BinomialChainStepper::try_with_substeps(2).unwrap();
         let mut ws = SimWorkspace::new();
-        let (_, ck) = ws.run(&model, &stepper, &init, 20).unwrap();
+        let (_, ck) = run(&mut ws, &model, &stepper, &init, 20).unwrap();
 
         let mut sim =
             Simulation::resume_with_seed(model.spec.clone(), stepper.clone(), &ck, 77).unwrap();
         sim.run_until(45);
 
-        let (series, end_ck) = ws
-            .run_from_checkpoint(&model, &stepper, &ck, 77, 45)
-            .unwrap();
+        let (series, end_ck) = branch(&mut ws, &model, &stepper, &ck, 77, 45).unwrap();
         assert_eq!(&series, sim.series());
         assert_eq!(end_ck, sim.checkpoint());
         assert_eq!(series.start_day(), 21);
@@ -365,7 +357,7 @@ mod tests {
         let (model, init) = model();
         let stepper = BinomialChainStepper::daily();
         let mut ws = SimWorkspace::new();
-        let (series, _) = ws.run(&model, &stepper, &init, 30).unwrap();
+        let (series, _) = run(&mut ws, &model, &stepper, &init, 30).unwrap();
         let mut rows = Vec::new();
         let flow = ws
             .run_with(&model, &stepper, &init, 30, |day, row| {
@@ -396,9 +388,9 @@ mod tests {
         let mut ws = SimWorkspace::new();
         let chain = BinomialChainStepper::daily();
         let exact = GillespieStepper::new();
-        let (a, _) = ws.run(&model, &chain, &init, 10).unwrap();
-        let (b, _) = ws.run(&model, &exact, &init, 10).unwrap();
-        let (a2, _) = ws.run(&model, &chain, &init, 10).unwrap();
+        let (a, _) = run(&mut ws, &model, &chain, &init, 10).unwrap();
+        let (b, _) = run(&mut ws, &model, &exact, &init, 10).unwrap();
+        let (a2, _) = run(&mut ws, &model, &chain, &init, 10).unwrap();
         assert_eq!(a, a2);
         assert_eq!(a.len(), b.len());
     }
@@ -454,20 +446,19 @@ mod tests {
         let (model, init) = model();
         let stepper = BinomialChainStepper::daily();
         let mut ws = SimWorkspace::new();
-        let (_, ck) = ws.run(&model, &stepper, &init, 15).unwrap();
+        let (_, ck) = run(&mut ws, &model, &stepper, &init, 15).unwrap();
         // Per-replicate seeds derive in O(1) from a shared counter key,
         // exactly as the inference grid derives them.
         let key = StreamKey::new(42).absorb(0x5EED);
         let run_cell = |ws: &mut SimWorkspace, r: u64| {
-            ws.run_from_checkpoint(&model, &stepper, &ck, key.derive(r), 40)
-                .unwrap()
+            branch(ws, &model, &stepper, &ck, key.derive(r), 40).unwrap()
         };
         let forward: Vec<_> = (0..6u64).map(|r| run_cell(&mut ws, r)).collect();
         // A differently warmed workspace visiting the cells in reverse
         // order reproduces every trajectory bit for bit: the reseed
         // carries no sequential state between cells.
         let mut ws2 = SimWorkspace::new();
-        ws2.run(&model, &stepper, &init, 3).unwrap();
+        run(&mut ws2, &model, &stepper, &init, 3).unwrap();
         let mut reverse: Vec<_> = (0..6u64).rev().map(|r| run_cell(&mut ws2, r)).collect();
         reverse.reverse();
         assert_eq!(forward, reverse);
@@ -485,8 +476,6 @@ mod tests {
             stage_counts: vec![0; 3],
             rng: Xoshiro256PlusPlus::new(1),
         };
-        assert!(ws
-            .run(&model, &BinomialChainStepper::daily(), &bad, 5)
-            .is_err());
+        assert!(run(&mut ws, &model, &BinomialChainStepper::daily(), &bad, 5).is_err());
     }
 }

@@ -10,9 +10,10 @@
 //! never mutated, the pooled state's buffers are overwritten in place, so
 //! no serialization round-trip or deep clone happens between windows.
 //!
-//! This module is the **only** place in `epismc` allowed to deep-copy or
-//! serialize a checkpoint (enforced by the `checkpoint-clone` epilint
-//! rule); everything else goes through [`SharedCheckpoint`].
+//! This module is the **only** place in `epismc` allowed to encode or
+//! decode a checkpoint, and no code in `epismc` deep-copies one (both
+//! enforced by the `checkpoint-clone` epilint rule); everything else
+//! goes through [`SharedCheckpoint`].
 
 use episim::checkpoint::SimCheckpoint;
 use std::collections::BTreeSet;
@@ -28,15 +29,6 @@ pub type SharedCheckpoint = Arc<SimCheckpoint>;
 /// descends from it then aliases this allocation.
 pub fn share(ck: SimCheckpoint) -> SharedCheckpoint {
     Arc::new(ck)
-}
-
-/// An independent mutable deep copy of a shared checkpoint — the one
-/// sanctioned escape hatch for code that genuinely needs to edit a
-/// checkpoint (nothing on the calibration hot path does). Counted by
-/// `episim::checkpoint::deep_clone_count`.
-pub fn fork(ck: &SharedCheckpoint) -> SimCheckpoint {
-    // epilint: allow(checkpoint-clone) — the interning module's explicit deep-copy escape hatch
-    SimCheckpoint::clone(ck)
 }
 
 /// Append a shared checkpoint's compact binary form to `out` — the
@@ -154,14 +146,5 @@ mod tests {
         assert_eq!(&back, &*a);
         assert!(decode(&bytes[..bytes.len() - 3]).is_err());
         assert!(decode(&[]).is_err());
-    }
-
-    #[test]
-    fn fork_deep_copies() {
-        let a = share(checkpoint(4));
-        let before = episim::checkpoint::deep_clone_count();
-        let copy = fork(&a);
-        assert!(episim::checkpoint::deep_clone_count() > before);
-        assert_eq!(&copy, &*a);
     }
 }

@@ -3,7 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::SmcError;
-use crate::observation::BiasMode;
 use crate::resample::{Multinomial, Resampler, Residual, Stratified, Systematic};
 
 /// Configuration of one calibration run (shared by the single-window and
@@ -24,20 +23,8 @@ pub struct CalibrationConfig {
     pub resample_size: usize,
     /// Master seed; everything downstream derives deterministically.
     pub seed: u64,
-    /// Observation standard deviation on the square-root scale
-    /// (`sigma_t = 1` in the paper).
-    pub sigma: f64,
-    /// Binomial bias mode (sampled per the paper, or conditional-mean).
-    #[serde(skip, default = "default_bias_mode")]
-    pub bias_mode: BiasMode,
     /// Rayon thread count (`None` = rayon's default pool).
     pub threads: Option<usize>,
-    /// Scheduling chunk size over the flattened `(parameter, replicate)`
-    /// cell grid (`None` = adaptive: grid size / (workers × 8), clamped).
-    /// Results are bit-identical for every value; this only tunes
-    /// load-balancing granularity vs. claim overhead.
-    #[serde(default)]
-    pub chunk_cells: Option<usize>,
     /// Keep the full prior ensemble in the window result (needed for the
     /// Fig 3 prior-trajectory cloud; memory-heavy at scale).
     pub keep_prior_ensemble: bool,
@@ -228,10 +215,6 @@ impl ResampleScheme {
     }
 }
 
-fn default_bias_mode() -> BiasMode {
-    BiasMode::Sampled
-}
-
 impl Default for CalibrationConfig {
     fn default() -> Self {
         Self {
@@ -239,10 +222,7 @@ impl Default for CalibrationConfig {
             n_replicates: 10,
             resample_size: 1_024,
             seed: 20_240_101,
-            sigma: 1.0,
-            bias_mode: BiasMode::Sampled,
             threads: None,
-            chunk_cells: None,
             keep_prior_ensemble: false,
             resample: ResampleScheme::Multinomial,
             rejuvenation: RejuvenationKernel::UniformJitter,
@@ -258,11 +238,6 @@ impl CalibrationConfig {
         }
     }
 
-    /// Total trajectories simulated per window.
-    pub fn ensemble_size(&self) -> usize {
-        self.n_params * self.n_replicates
-    }
-
     /// Validate the configuration.
     ///
     /// # Errors
@@ -271,14 +246,8 @@ impl CalibrationConfig {
         if self.n_params == 0 || self.n_replicates == 0 || self.resample_size == 0 {
             return Err("n_params, n_replicates, resample_size must be positive".into());
         }
-        if !(self.sigma.is_finite() && self.sigma > 0.0) {
-            return Err(format!("sigma = {} must be positive", self.sigma));
-        }
         if self.threads == Some(0) {
             return Err("threads must be >= 1 when set".into());
-        }
-        if self.chunk_cells == Some(0) {
-            return Err("chunk_cells must be >= 1 when set".into());
         }
         self.rejuvenation.validate()?;
         Ok(())
@@ -301,7 +270,7 @@ impl CalibrationConfig {
 /// write with the next window; a [`crate::stream::StreamingCalibrator`]
 /// writes inline, so each append returns only once its window is
 /// durable. Both write the same records in window order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Snapshot cadence: persist after windows `every_windows - 1`,
     /// `2 * every_windows - 1`, … (1 = after every window).
@@ -379,27 +348,9 @@ impl CalibrationConfigBuilder {
         self
     }
 
-    /// Set the sqrt-scale observation standard deviation.
-    pub fn sigma(mut self, v: f64) -> Self {
-        self.cfg.sigma = v;
-        self
-    }
-
-    /// Set the binomial bias mode.
-    pub fn bias_mode(mut self, v: BiasMode) -> Self {
-        self.cfg.bias_mode = v;
-        self
-    }
-
     /// Pin the rayon thread count.
     pub fn threads(mut self, v: usize) -> Self {
         self.cfg.threads = Some(v);
-        self
-    }
-
-    /// Pin the grid scheduling chunk size (cells per work unit).
-    pub fn chunk_cells(mut self, v: usize) -> Self {
-        self.cfg.chunk_cells = Some(v);
         self
     }
 
@@ -452,11 +403,10 @@ mod tests {
             .n_replicates(5)
             .resample_size(200)
             .seed(7)
-            .sigma(2.0)
             .threads(4)
             .keep_prior_ensemble(true)
             .build();
-        assert_eq!(cfg.ensemble_size(), 500);
+        assert_eq!((cfg.n_params, cfg.n_replicates), (100, 5));
         assert_eq!(cfg.threads, Some(4));
         assert!(cfg.keep_prior_ensemble);
     }
@@ -468,41 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_zero_chunk_cells() {
-        let cfg = CalibrationConfig {
-            chunk_cells: Some(0),
-            ..Default::default()
-        };
-        assert!(cfg.validate().is_err());
-        let ok = CalibrationConfig::builder().chunk_cells(7).build();
-        assert_eq!(ok.chunk_cells, Some(7));
-    }
-
-    #[test]
-    fn validate_catches_bad_sigma() {
-        let mut cfg = CalibrationConfig {
-            sigma: 0.0,
-            ..Default::default()
-        };
-        assert!(cfg.validate().is_err());
-        cfg.sigma = f64::NAN;
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn policy_and_resample_default_under_serde() {
-        // Policies serialized while they still carried a persistence
-        // mode must still deserialize: unknown fields are ignored.
-        let old_policy = r#"{"every_windows":2,"retain":null,"mode":"Sync"}"#;
-        let policy: CheckpointPolicy = serde_json::from_str(old_policy).unwrap();
-        assert_eq!(
-            policy,
-            CheckpointPolicy {
-                every_windows: 2,
-                retain: None,
-            }
-        );
-
+    fn resample_defaults_under_serde() {
         let json = serde_json::to_string(&CalibrationConfig::default()).unwrap();
         let cfg: CalibrationConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(cfg.resample, ResampleScheme::Multinomial);
@@ -567,14 +483,5 @@ mod tests {
             };
             assert!(cfg.validate().is_err(), "{bad:?} should be rejected");
         }
-    }
-
-    #[test]
-    fn serde_round_trip_skips_bias_mode() {
-        let cfg = CalibrationConfig::default();
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: CalibrationConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.n_params, cfg.n_params);
-        assert_eq!(back.bias_mode, BiasMode::Sampled);
     }
 }

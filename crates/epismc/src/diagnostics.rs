@@ -11,7 +11,6 @@
 //!   calibration check EXPERIMENTS.md reports.
 
 use epistats::kde::{DensityGrid, Kde2d};
-use epistats::rng::Xoshiro256PlusPlus;
 use epistats::summary::{weighted_mean, weighted_quantile, weighted_variance};
 
 use crate::particle::ParticleEnsemble;
@@ -249,18 +248,6 @@ pub fn joint_density(
     }
 }
 
-/// Posterior-predictive draw of reported counts for one particle: thins
-/// its true series through a *sampled* binomial with its `rho` (used by
-/// the figure binaries for predictive spaghetti).
-pub fn predictive_reported(truth: &[f64], rho: f64, seed: u64) -> Vec<f64> {
-    use epistats::dist::sample_binomial;
-    let mut rng = Xoshiro256PlusPlus::new(seed);
-    truth
-        .iter()
-        .map(|&v| sample_binomial(&mut rng, v.max(0.0) as u64, rho) as f64)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,15 +371,5 @@ mod tests {
         // With one dominating particle the posterior is near a point mass
         // and one grid cell can hold both HDRs, so levels may coincide.
         assert!(jd.level50 >= jd.level90);
-    }
-
-    #[test]
-    fn predictive_reported_is_thinned_and_deterministic() {
-        let truth = vec![1000.0; 50];
-        let a = predictive_reported(&truth, 0.3, 9);
-        let b = predictive_reported(&truth, 0.3, 9);
-        assert_eq!(a, b);
-        let mean: f64 = a.iter().sum::<f64>() / a.len() as f64;
-        assert!((mean - 300.0).abs() < 40.0, "mean = {mean}");
     }
 }

@@ -38,14 +38,6 @@ impl Forecast {
         self.len() == 0
     }
 
-    /// Number of ensemble members.
-    pub fn n_members(&self) -> usize {
-        self.series
-            .first()
-            .and_then(|(_, v)| v.first())
-            .map_or(0, Vec::len)
-    }
-
     /// The member ensemble for `name` on forecast-day offset `d`.
     pub fn ensemble(&self, name: &str, d: usize) -> Option<&[f64]> {
         self.series
@@ -285,8 +277,7 @@ mod tests {
             .unwrap();
         assert_eq!(f.start_day, 31);
         assert_eq!(f.len(), 30);
-        assert_eq!(f.n_members(), 50);
-        assert!(f.ensemble("infections", 0).is_some());
+        assert_eq!(f.ensemble("infections", 0).map(<[f64]>::len), Some(50));
         assert!(f.ensemble("infections", 30).is_none());
         assert!(f.ensemble("nope", 0).is_none());
         let f2 = Forecaster::new(&sim)

@@ -9,7 +9,11 @@
 
 /// A log-likelihood of an observed window given a simulated window on the
 /// observed scale.
-pub trait Likelihood: Send + Sync {
+///
+/// The `Debug` form must show every parameter the likelihood scores
+/// with: a persisted run fingerprints it with the data, so a stream
+/// cannot reopen under a different σ.
+pub trait Likelihood: Send + Sync + std::fmt::Debug {
     /// `log l(observed | simulated_observed)` over a whole window; slices
     /// are aligned by day and must have equal length. The scorer sums
     /// [`Self::prepared_day_term`] instead; this is the reference those
@@ -88,11 +92,6 @@ impl GaussianSqrtLikelihood {
     /// The paper's configuration, `sigma = 1`.
     pub fn paper() -> Self {
         Self::new(1.0)
-    }
-
-    /// Observation standard deviation.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
     }
 }
 
@@ -200,11 +199,6 @@ impl NegBinomialLikelihood {
     pub fn new(k: f64) -> Self {
         assert!(k.is_finite() && k > 0.0, "NegBinomialLikelihood: k = {k}");
         Self { k }
-    }
-
-    /// Dispersion parameter.
-    pub fn dispersion(&self) -> f64 {
-        self.k
     }
 
     fn ln_pmf(&self, y: u64, mu: f64) -> f64 {

@@ -24,7 +24,11 @@ pub enum BiasMode {
 }
 
 /// A map from a true simulated series to the observed scale.
-pub trait BiasModel: Send + Sync {
+///
+/// The `Debug` form must show every parameter the model observes with:
+/// a persisted run fingerprints it with the data, so a stream cannot
+/// reopen under a different observation model.
+pub trait BiasModel: Send + Sync + std::fmt::Debug {
     /// Transform one day's true count into its observed-scale count.
     /// The generator is dedicated to this transformation (derived
     /// deterministically from the particle seed), so sampled thinning is

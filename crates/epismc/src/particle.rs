@@ -9,7 +9,7 @@ use crate::ckpool::SharedCheckpoint;
 use crate::runner::ParallelRunner;
 use episim::output::SharedTrajectory;
 use epistats::logweight::{log_sum_exp, normalize_log_weights};
-use epistats::summary::{ess, weighted_mean, weighted_quantile, weighted_variance};
+use epistats::summary::{ess, weighted_mean, weighted_variance};
 use std::sync::Arc;
 
 /// One weighted simulated trajectory.
@@ -99,12 +99,6 @@ impl ParticleEnsemble {
         Arc::make_mut(&mut self.particles).as_mut_slice()
     }
 
-    /// Consume into the particle vector, copying it only if another
-    /// clone still shares it.
-    pub fn into_vec(self) -> Vec<Particle> {
-        Arc::unwrap_or_clone(self.particles)
-    }
-
     /// Normalized linear-space weights (uniform fallback if all log
     /// weights are negative infinity; see
     /// [`epistats::logweight::normalize_log_weights`]).
@@ -178,16 +172,6 @@ impl ParticleEnsemble {
         weighted_variance(&self.rhos(), &self.normalized_weights()).sqrt()
     }
 
-    /// Weighted posterior quantile of `theta[k]`.
-    pub fn quantile_theta(&self, k: usize, q: f64) -> f64 {
-        weighted_quantile(&self.thetas(k), &self.normalized_weights(), q)
-    }
-
-    /// Weighted posterior quantile of `rho`.
-    pub fn quantile_rho(&self, q: f64) -> f64 {
-        weighted_quantile(&self.rhos(), &self.normalized_weights(), q)
-    }
-
     /// Weighted posterior correlation between `theta[k]` and `rho` — the
     /// paper's central identifiability diagnostic: with case counts
     /// alone, transmission and reporting are negatively confounded
@@ -218,21 +202,6 @@ impl ParticleEnsemble {
         keys.sort();
         keys.dedup();
         keys.len()
-    }
-
-    /// Index of the highest-weighted particle.
-    ///
-    /// # Panics
-    /// Panics on an empty ensemble.
-    pub fn argmax_weight(&self) -> usize {
-        assert!(!self.is_empty(), "argmax_weight: empty ensemble");
-        let mut best = 0;
-        for (i, p) in self.particles.iter().enumerate() {
-            if p.log_weight > self.particles[best].log_weight {
-                best = i;
-            }
-        }
-        best
     }
 }
 
@@ -369,23 +338,5 @@ mod tests {
         c.set_uniform_weights();
         assert_eq!((b.len(), c.len()), (3, 4));
         assert_eq!(b.particles()[2].log_weight, f64::NEG_INFINITY);
-        assert_eq!(b.clone().into_vec().len(), 3);
-    }
-
-    #[test]
-    fn argmax_weight_finds_heaviest() {
-        let mut e = ensemble();
-        e.particles_mut()[1].log_weight = 5.0;
-        assert_eq!(e.argmax_weight(), 1);
-    }
-
-    #[test]
-    fn quantiles_are_weight_aware() {
-        let e = ParticleEnsemble::from_vec(vec![
-            dummy_particle(0.1, 0.1, 1, f64::NEG_INFINITY),
-            dummy_particle(0.5, 0.5, 2, 0.0),
-        ]);
-        assert!((e.quantile_theta(0, 0.5) - 0.5).abs() < 1e-12);
-        assert!((e.quantile_rho(0.9) - 0.5).abs() < 1e-12);
     }
 }

@@ -93,11 +93,6 @@ impl<'a> FaultStore<'a> {
             writes: AtomicUsize::new(0),
         }
     }
-
-    /// Total writes attempted so far (faulted ones included).
-    pub fn writes_attempted(&self) -> usize {
-        self.writes.load(Ordering::SeqCst)
-    }
 }
 
 impl RunStore for FaultStore<'_> {
@@ -161,7 +156,6 @@ mod tests {
         assert!(err.to_string().contains("injected fault"), "{err}");
         store.put(2, b"third").unwrap();
         assert_eq!(mem.list().unwrap(), vec![0, 2]);
-        assert_eq!(store.writes_attempted(), 3);
     }
 
     #[test]

@@ -230,19 +230,24 @@ pub fn apply_retention_after(
 }
 
 /// Deterministic fingerprint of the observed data over one window: the
-/// source count, then per source the series name bytes, the window
-/// bounds, and the bit pattern of every observed value inside the
-/// window. Returns `None` when any source does not cover the window
-/// (no score can have been computed there). Never returns `Some(0)`:
-/// zero is reserved as the snapshot's "not recorded" sentinel.
+/// source count, then per source the series name bytes, the `Debug`
+/// forms of its bias model and likelihood (every parameter they score
+/// with, e.g. the bias mode and σ), the window bounds, and the bit
+/// pattern of every observed value inside the window. Returns `None`
+/// when any source does not cover the window (no score can have been
+/// computed there). Never returns `Some(0)`: zero is reserved as the
+/// snapshot's "not recorded" sentinel.
 pub fn observed_fingerprint(observed: &ObservedData, window: TimeWindow) -> Option<u64> {
     let mut h = FNV_OFFSET;
     h = fnv1a(h, 0x4F42_5346); // "OBSF" domain separator
     h = fnv1a(h, observed.sources.len() as u64);
     for source in &observed.sources {
-        h = fnv1a(h, source.series.len() as u64);
-        for b in source.series.bytes() {
-            h = fnv1a(h, u64::from(b));
+        let scoring = format!("{:?}{:?}", source.bias, source.likelihood);
+        for text in [source.series.as_str(), scoring.as_str()] {
+            h = fnv1a(h, text.len() as u64);
+            for b in text.bytes() {
+                h = fnv1a(h, u64::from(b));
+            }
         }
         h = fnv1a(h, u64::from(window.start));
         h = fnv1a(h, u64::from(window.end));
@@ -268,10 +273,12 @@ fn fnv1a(hash: u64, word: u64) -> u64 {
 
 /// Deterministic fingerprint of the configuration knobs that shape
 /// calibration *results*: a snapshot written under one fingerprint can
-/// only resume a run with the same one. Scheduling knobs (`threads`,
-/// `chunk_cells`) and `keep_prior_ensemble` are deliberately excluded —
-/// results are bit-identical across them, so resuming on a different
-/// machine shape is legal.
+/// only resume a run with the same one. The scheduling knob `threads`
+/// and `keep_prior_ensemble` are deliberately excluded — results are
+/// bit-identical across them, so resuming on a different machine shape
+/// is legal. The observation model (bias mode, σ) lives on each data
+/// source and is fingerprinted with the data by
+/// [`observed_fingerprint`].
 pub fn run_fingerprint(
     config: &CalibrationConfig,
     jitter_theta: &[JitterKernel],
@@ -282,7 +289,6 @@ pub fn run_fingerprint(
     h = fnv1a(h, config.n_replicates as u64);
     h = fnv1a(h, config.resample_size as u64);
     h = fnv1a(h, config.seed);
-    h = fnv1a(h, config.sigma.to_bits());
     // The resampling scheme shapes results, so it is part of the
     // fingerprint — but the default (Multinomial) is skipped entirely,
     // keeping records persisted before the menu existed resumable.
@@ -334,7 +340,6 @@ mod tests {
 
         let mut threads = cfg.clone();
         threads.threads = Some(4);
-        threads.chunk_cells = Some(7);
         threads.keep_prior_ensemble = true;
         assert_eq!(base, run_fingerprint(&threads, &jt, &jr));
 
@@ -433,6 +438,15 @@ mod tests {
             observed_fingerprint(&data, TimeWindow::new(2, 4)).unwrap()
         );
         assert!(observed_fingerprint(&data, TimeWindow::new(2, 9)).is_none());
+
+        // So does the observation model the data are scored under.
+        use crate::observation::BiasMode;
+        for scored in [
+            ObservedData::cases_only_with(vec![1.0, 2.0, 3.0, 4.0], BiasMode::Sampled, 2.0),
+            ObservedData::cases_only_with(vec![1.0, 2.0, 3.0, 4.0], BiasMode::Mean, 1.0),
+        ] {
+            assert_ne!(base, observed_fingerprint(&scored, w).unwrap());
+        }
     }
 
     #[test]

@@ -13,21 +13,8 @@
 //!    comparisons are not confounded by Monte Carlo noise.
 
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Process-wide count of dedicated pools built so far.
-static POOL_BUILDS: AtomicUsize = AtomicUsize::new(0);
-
-/// Total dedicated rayon pools built by [`ParallelRunner::with_threads`]
-/// since process start. The sequential calibrator constructs its runner
-/// once per run, so a whole multi-window calibration should advance this
-/// by at most one — the telemetry in
-/// [`crate::sis::TrajectoryTelemetry::pool_builds`] reports the per-window
-/// delta to make regressions (a pool rebuilt per window batch) visible.
-pub fn pool_build_count() -> usize {
-    POOL_BUILDS.load(Ordering::Relaxed)
-}
 
 /// Parallel grid executor.
 ///
@@ -39,7 +26,6 @@ pub fn pool_build_count() -> usize {
 pub struct ParallelRunner {
     threads: Option<usize>,
     pool: Option<Arc<rayon::ThreadPool>>,
-    chunk_cells: Option<usize>,
     build_charge: Arc<AtomicBool>,
 }
 
@@ -49,7 +35,6 @@ impl ParallelRunner {
         Self {
             threads: None,
             pool: None,
-            chunk_cells: None,
             build_charge: Arc::new(AtomicBool::new(false)),
         }
     }
@@ -66,11 +51,9 @@ impl ParallelRunner {
             .build()
             // epilint: allow(panic-unwrap) — pool construction fails only on OS thread exhaustion; documented panic
             .expect("failed to build rayon pool");
-        POOL_BUILDS.fetch_add(1, Ordering::Relaxed);
         Self {
             threads: Some(threads),
             pool: Some(Arc::new(pool)),
-            chunk_cells: None,
             build_charge: Arc::new(AtomicBool::new(true)),
         }
     }
@@ -83,15 +66,6 @@ impl ParallelRunner {
             Some(t) => Self::with_threads(t),
             None => Self::new(),
         }
-    }
-
-    /// Pin the scheduling chunk size for grid runs (`None` = adaptive).
-    /// Cells are claimed from the shared cursor in blocks of this many;
-    /// results are unaffected, only scheduling granularity changes.
-    #[must_use]
-    pub fn with_chunk_cells(mut self, chunk_cells: Option<usize>) -> Self {
-        self.chunk_cells = chunk_cells.map(|c| c.max(1));
-        self
     }
 
     /// Configured thread count (`None` = rayon default).
@@ -114,12 +88,10 @@ impl ParallelRunner {
     }
 
     /// Scheduling chunk size (in cells) a grid of `total` cells runs
-    /// with: the explicit [`Self::with_chunk_cells`] override, else the
-    /// adaptive policy (several chunks per worker, clamped so the atomic
-    /// claim amortizes).
-    pub fn chunk_size(&self, total: usize) -> usize {
-        self.chunk_cells
-            .unwrap_or_else(|| rayon::adaptive_chunk(total, self.workers()))
+    /// with: several chunks per worker, clamped so the atomic claim
+    /// amortizes. Results are bit-identical for every chunk size.
+    fn chunk_size(&self, total: usize) -> usize {
+        rayon::adaptive_chunk(total, self.workers())
     }
 
     /// Number of scheduling chunks a grid of `total` cells splits into
@@ -163,7 +135,7 @@ impl ParallelRunner {
     ///
     /// Work is scheduled over the **flattened cell grid**: workers claim
     /// fixed-size blocks of `(param, replicate)` cells from a shared
-    /// cursor (chunk size from [`Self::chunk_size`]), so a straggler cell
+    /// cursor (`cells / (workers × 8)` of them, clamped), so a straggler cell
     /// delays only its own chunk instead of a statically assigned slice
     /// of rows. Each cell writes into its row-major slot
     /// (`result[i * n_replicates + r]`) of a preallocated slab, so the
@@ -274,15 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_build_counter_advances_on_construction() {
-        // Other tests build pools concurrently, so only monotonicity and
-        // a lower bound are asserted.
-        let before = pool_build_count();
-        let _runner = ParallelRunner::with_threads(1);
-        assert!(pool_build_count() > before);
-    }
-
-    #[test]
     fn pooled_grid_matches_plain_grid_across_thread_counts() {
         let f = |i: usize, r: usize| {
             let mut rng = epistats::rng::Xoshiro256PlusPlus::from_stream(7, &[i as u64, r as u64]);
@@ -328,14 +291,19 @@ mod tests {
             let mut rng = epistats::rng::Xoshiro256PlusPlus::from_stream(13, &[i as u64, r as u64]);
             rng.next()
         };
+        // One worker claims 3-cell chunks that straddle the 5-cell rows;
+        // two and four claim one cell at a time.
+        assert_eq!(ParallelRunner::with_threads(1).chunk_size(30), 3);
+        assert_eq!(ParallelRunner::with_threads(4).chunk_size(30), 1);
         let baseline = ParallelRunner::with_threads(1).run_grid(6, 5, f);
         for threads in [1usize, 2, 4] {
-            for chunk in [Some(1usize), Some(7), Some(5), None] {
-                let got = ParallelRunner::with_threads(threads)
-                    .with_chunk_cells(chunk)
-                    .run_grid_pooled(6, 5, || (), |(), i, r| f(i, r));
-                assert_eq!(baseline, got, "threads = {threads}, chunk = {chunk:?}");
-            }
+            let got = ParallelRunner::with_threads(threads).run_grid_pooled(
+                6,
+                5,
+                || (),
+                |(), i, r| f(i, r),
+            );
+            assert_eq!(baseline, got, "threads = {threads}");
         }
     }
 
@@ -355,17 +323,13 @@ mod tests {
     }
 
     #[test]
-    fn chunk_helpers_respect_override() {
-        let runner = ParallelRunner::with_threads(2).with_chunk_cells(Some(7));
-        assert_eq!(runner.chunk_size(100), 7);
-        assert_eq!(runner.chunk_count(100), 15);
-        // Zero-size override is clamped to 1 cell per chunk.
-        let clamped = ParallelRunner::with_threads(2).with_chunk_cells(Some(0));
-        assert_eq!(clamped.chunk_size(10), 1);
-        // Adaptive policy always yields at least one cell per chunk.
-        let adaptive = ParallelRunner::with_threads(2);
-        assert!(adaptive.chunk_size(3) >= 1);
-        assert!(adaptive.chunk_count(0) == 0 || adaptive.chunk_count(0) == 1);
+    fn chunk_helpers_follow_the_adaptive_policy() {
+        let runner = ParallelRunner::with_threads(2);
+        assert_eq!(runner.chunk_size(100), 6);
+        assert_eq!(runner.chunk_count(100), 17);
+        // Always at least one cell per chunk.
+        assert_eq!(runner.chunk_size(3), 1);
+        assert!(runner.chunk_count(0) <= 1);
     }
 
     #[test]

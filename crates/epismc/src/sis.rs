@@ -289,31 +289,6 @@ pub struct TrajectoryTelemetry {
     pub encode_nanos: u64,
 }
 
-impl TrajectoryTelemetry {
-    /// Segment references satisfied by sharing instead of copying.
-    pub fn reused_segments(&self) -> usize {
-        self.segment_refs - self.unique_segments
-    }
-
-    /// Checkpoint references satisfied by `Arc` sharing instead of deep
-    /// copies — under interned checkpoints this is every reference beyond
-    /// the first per allocation.
-    pub fn shared_checkpoints(&self) -> usize {
-        self.checkpoint_refs - self.unique_checkpoints
-    }
-
-    /// `flat_bytes / shared_bytes` — how many times over the ensemble's
-    /// history would have been duplicated without structural sharing
-    /// (1.0 when nothing is shared, 0 on an empty ensemble).
-    pub fn sharing_ratio(&self) -> f64 {
-        if self.shared_bytes == 0 {
-            0.0
-        } else {
-            self.flat_bytes as f64 / self.shared_bytes as f64
-        }
-    }
-}
-
 /// Per-window scheduling/accounting context threaded into
 /// [`finalize_window`] — the counters that are not derivable from the
 /// candidate ensemble itself.
@@ -834,8 +809,7 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
     /// Returns [`SmcError::Config`] if the configuration is invalid.
     pub fn try_new(simulator: &'a S, config: CalibrationConfig) -> Result<Self, SmcError> {
         config.validate().map_err(SmcError::Config)?;
-        let runner =
-            ParallelRunner::from_option(config.threads).with_chunk_cells(config.chunk_cells);
+        let runner = ParallelRunner::from_option(config.threads);
         Ok(Self {
             simulator,
             config,
@@ -1378,8 +1352,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         // One runner — and therefore at most one dedicated pool — for the
         // whole calibration run, hoisted out of the per-window (and
         // per-adaptive-iteration) batch loop.
-        let runner = ParallelRunner::from_option(self.config.threads)
-            .with_chunk_cells(self.config.chunk_cells);
+        let runner = ParallelRunner::from_option(self.config.threads);
         let fingerprint = self.fingerprint();
         let mut windows: Vec<WindowResult> = Vec::with_capacity(plan.len());
         let resume = restored.as_ref().map(|(widx, _)| ResumeReport {
@@ -1740,6 +1713,7 @@ mod tests {
     #[test]
     fn prepared_build_rejects_a_likelihood_that_drops_days() {
         /// Prepares one value too few.
+        #[derive(Debug)]
         struct ShortPrep;
         impl Likelihood for ShortPrep {
             fn log_likelihood(&self, _: &[f64], _: &[f64]) -> f64 {

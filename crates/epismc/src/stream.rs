@@ -128,8 +128,7 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
         // One runner — and at most one dedicated pool — for the life of
         // the stream, exactly like the batch loop's hoisted runner: every
         // appended window reuses it.
-        let runner = ParallelRunner::from_option(calibrator.config().threads)
-            .with_chunk_cells(calibrator.config().chunk_cells);
+        let runner = ParallelRunner::from_option(calibrator.config().threads);
         let fingerprint = calibrator.fingerprint();
         let (snap, recoveries) = persist::recover_latest(store)?;
         let mut stream = Self {

@@ -17,7 +17,7 @@
 use epistats::rng::{derive_stream, Xoshiro256PlusPlus};
 
 use crate::config::CalibrationConfig;
-use crate::observation::{BiasMode, BiasModel, BinomialBias};
+use crate::observation::{BiasModel, BinomialBias};
 use crate::simulator::TrajectorySimulator;
 use crate::sis::{ObservedData, Priors, SingleWindowIs};
 use crate::window::TimeWindow;
@@ -50,13 +50,6 @@ impl SbcResult {
             .iter()
             .map(|&r| (r as f64 + 0.5) / (self.subsample as f64 + 1.0))
             .collect()
-    }
-
-    /// Chi-square-style uniformity statistic of the theta ranks over
-    /// `bins` bins (smaller is better; expectation ~ `bins - 1` under
-    /// uniformity).
-    pub fn theta_uniformity(&self, bins: usize) -> f64 {
-        epistats::score::pit_uniformity_statistic(&self.normalized_theta_ranks(), bins)
     }
 }
 
@@ -116,7 +109,7 @@ pub fn run_sbc<S: TrajectorySimulator>(
         // Posterior.
         let mut cal = config.calibration.clone();
         cal.seed = derive_stream(config.seed, &[0x5BC3, k as u64]);
-        let observed = ObservedData::cases_only_with(observed_cases, BiasMode::Sampled, cal.sigma);
+        let observed = ObservedData::cases_only(observed_cases);
         let result = SingleWindowIs::new(simulator, cal).run(priors, &observed, config.window)?;
 
         // Thin the (uniformly weighted) posterior to `subsample` draws and
@@ -151,6 +144,7 @@ mod tests {
     use crate::prior::{BetaPrior, UniformPrior};
     use crate::simulator::SeirSimulator;
     use episim::seir::SeirParams;
+    use epistats::score::pit_uniformity_statistic;
 
     fn sbc_setup(replicates: usize) -> (SeirSimulator, Priors, SbcConfig) {
         let sim = SeirSimulator::new(SeirParams {
@@ -184,7 +178,7 @@ mod tests {
         let good = run_sbc(&sim, &priors, &config).unwrap();
         assert_eq!(good.theta_ranks.len(), 36);
         assert!(good.theta_ranks.iter().all(|&r| r <= 15));
-        let stat_good = good.theta_uniformity(4);
+        let stat_good = pit_uniformity_statistic(&good.normalized_theta_ranks(), 4);
 
         // Broken pipeline: the "posterior" ignores the data entirely
         // because the observations are replaced by a constant series —
@@ -201,7 +195,7 @@ mod tests {
         broken_cfg.replicates = 24;
         let broken =
             run_sbc_with_mismatched_truth(&sim, &priors, &wrong_priors, &broken_cfg).unwrap();
-        let stat_broken = broken.theta_uniformity(4);
+        let stat_broken = pit_uniformity_statistic(&broken.normalized_theta_ranks(), 4);
         assert!(
             stat_broken > 3.0 * stat_good.max(1.0),
             "broken pipeline stat {stat_broken:.1} should dwarf good {stat_good:.1}"
@@ -237,8 +231,7 @@ mod tests {
             let observed_cases = bias.observe(&true_cases, rho_true, &mut bias_rng);
             let mut cal = config.calibration.clone();
             cal.seed = derive_stream(config.seed, &[0xBAD3, k as u64]);
-            let observed =
-                ObservedData::cases_only_with(observed_cases, BiasMode::Sampled, cal.sigma);
+            let observed = ObservedData::cases_only(observed_cases);
             let result =
                 SingleWindowIs::new(simulator, cal).run(fit_priors, &observed, config.window)?;
             let post = &result.posterior;

@@ -1,10 +1,8 @@
 //! Calibration time windows.
 
-use serde::{Deserialize, Serialize};
-
 /// An inclusive range of days `[start, end]` over which one calibration
 /// pass scores trajectories against data.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TimeWindow {
     /// First scored day.
     pub start: u32,
@@ -40,7 +38,7 @@ impl TimeWindow {
 
 /// An ordered sequence of contiguous or gapped calibration windows —
 /// the outer loop of the sequential scheme.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WindowPlan {
     windows: Vec<TimeWindow>,
 }

@@ -1,7 +1,5 @@
 //! Beta distribution.
 
-use serde::{Deserialize, Serialize};
-
 use super::gamma::Gamma;
 use super::{Distribution, Quantile};
 use crate::rng::Xoshiro256PlusPlus;
@@ -12,7 +10,7 @@ use crate::special::{beta_inc, ln_beta};
 /// The paper's prior on the reporting probability `rho` is `Beta(4, 1)`
 /// (Section V-B). Sampling goes through two gamma draws,
 /// `X = G_a / (G_a + G_b)`, which is exact for all shapes.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Beta {
     a: f64,
     b: f64,

@@ -21,14 +21,12 @@
 //! occupancies, so it goes through [`HazardSampler`], which computes the
 //! p-only half of that setup once per hazard.
 
-use serde::{Deserialize, Serialize};
-
 use super::Distribution;
 use crate::rng::Xoshiro256PlusPlus;
 use crate::special::{beta_inc, ln_choose, ln_factorial};
 
 /// Binomial distribution `Binomial(n, p)`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Binomial {
     n: u64,
     p: f64,

@@ -1,7 +1,5 @@
 //! Categorical distribution with O(1) sampling via Walker's alias method.
 
-use serde::{Deserialize, Serialize};
-
 use super::Distribution;
 use crate::rng::Xoshiro256PlusPlus;
 
@@ -10,7 +8,7 @@ use crate::rng::Xoshiro256PlusPlus;
 /// Built once (O(k) preprocessing into an alias table), then sampled in
 /// O(1) — this is what makes multinomial resampling of large particle
 /// ensembles cheap.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Categorical {
     probs: Vec<f64>,
     alias: Vec<u32>,
@@ -88,11 +86,6 @@ impl Categorical {
         self.probs.is_empty()
     }
 
-    /// Normalized probability of category `i`.
-    pub fn prob(&self, i: usize) -> f64 {
-        self.probs[i]
-    }
-
     /// Draw a category index in O(1).
     pub fn sample_usize(&self, rng: &mut Xoshiro256PlusPlus) -> usize {
         let k = self.probs.len();
@@ -162,7 +155,7 @@ mod tests {
             counts[d.sample_usize(&mut rng)] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
-            let expected = d.prob(i) * n as f64;
+            let expected = (i + 1) as f64 / 10.0 * n as f64;
             assert!(
                 (c as f64 - expected).abs() < 5.0 * expected.sqrt(),
                 "cat {i}: {c} vs {expected}"
@@ -186,7 +179,7 @@ mod tests {
         let d = Categorical::new(&[5.0]);
         let mut rng = Xoshiro256PlusPlus::new(82);
         assert_eq!(d.sample_usize(&mut rng), 0);
-        assert_eq!(d.prob(0), 1.0);
+        assert_eq!(d.ln_pdf(0.0), 0.0);
     }
 
     #[test]

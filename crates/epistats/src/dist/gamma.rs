@@ -1,7 +1,5 @@
 //! Gamma distribution (shape–rate parameterization).
 
-use serde::{Deserialize, Serialize};
-
 use super::normal::Normal;
 use super::Distribution;
 use crate::rng::Xoshiro256PlusPlus;
@@ -13,7 +11,7 @@ use crate::special::{gamma_p, ln_gamma};
 /// Sampling uses the Marsaglia–Tsang (2000) squeeze method for
 /// `alpha >= 1` and the boosting transformation `Gamma(alpha + 1) * U^(1/alpha)`
 /// for `alpha < 1`; both are exact.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Gamma {
     alpha: f64,
     beta: f64,

@@ -1,6 +1,6 @@
 //! Probability distributions: sampling, densities, CDFs and quantiles.
 //!
-//! All samplers draw from the crate's serializable
+//! All samplers draw from the crate's explicit-state
 //! [`Xoshiro256PlusPlus`] generator so a
 //! checkpointed simulation resumes with an identical random future. Every
 //! sampler is *exact* (no normal approximations to discrete laws): the

@@ -1,7 +1,5 @@
 //! Normal (Gaussian) distribution.
 
-use serde::{Deserialize, Serialize};
-
 use super::{Distribution, Quantile};
 use crate::rng::Xoshiro256PlusPlus;
 use crate::special::{std_normal_cdf, std_normal_quantile};
@@ -10,7 +8,7 @@ use crate::special::{std_normal_cdf, std_normal_quantile};
 ///
 /// The paper's observation noise: the likelihood is Gaussian on
 /// square-root-transformed counts with `sigma = 1` (Section V-B).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Normal {
     mu: f64,
     sigma: f64,
@@ -30,14 +28,6 @@ impl Normal {
             "Normal: invalid parameters mu = {mu}, sigma = {sigma}"
         );
         Self { mu, sigma }
-    }
-
-    /// The standard normal `N(0, 1)`.
-    pub fn standard() -> Self {
-        Self {
-            mu: 0.0,
-            sigma: 1.0,
-        }
     }
 
     /// Mean parameter.
@@ -98,12 +88,12 @@ mod tests {
     #[test]
     fn moments_and_ks() {
         check_moments(&Normal::new(3.0, 2.0), 10, 50_000, 4.0);
-        check_ks(&Normal::standard(), 11, 20_000);
+        check_ks(&Normal::new(0.0, 1.0), 11, 20_000);
     }
 
     #[test]
     fn ln_pdf_reference() {
-        let d = Normal::standard();
+        let d = Normal::new(0.0, 1.0);
         // ln pdf(0) = -0.5 ln(2 pi)
         assert!((d.ln_pdf(0.0) + LN_SQRT_2PI).abs() < 1e-14);
         let d2 = Normal::new(1.0, 0.5);

@@ -1,7 +1,5 @@
 //! Poisson distribution: the reference pmf and CDF.
 
-use serde::{Deserialize, Serialize};
-
 use crate::special::{gamma_q, ln_factorial};
 
 /// Poisson distribution with rate `lambda`.
@@ -10,7 +8,7 @@ use crate::special::{gamma_q, ln_factorial};
 /// sampler: it is the reference pmf for the negative-binomial
 /// likelihood's large-dispersion limit, and its CDF is the reference for
 /// the gamma CDF's integer-shape identity.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Poisson {
     lambda: f64,
 }

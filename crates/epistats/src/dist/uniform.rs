@@ -1,7 +1,5 @@
 //! Continuous uniform distribution on `[lo, hi)`.
 
-use serde::{Deserialize, Serialize};
-
 use super::{Distribution, Quantile};
 use crate::rng::Xoshiro256PlusPlus;
 
@@ -10,7 +8,7 @@ use crate::rng::Xoshiro256PlusPlus;
 /// The workhorse prior of the paper's calibration: the transmission rate
 /// prior in the first window is `Uniform(0.1, 0.5)` and the window-to-window
 /// jitter kernels are (possibly asymmetric) uniforms.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Uniform {
     lo: f64,
     hi: f64,
@@ -37,11 +35,6 @@ impl Uniform {
     /// Upper bound.
     pub fn hi(&self) -> f64 {
         self.hi
-    }
-
-    /// Interval width.
-    pub fn width(&self) -> f64 {
-        self.hi - self.lo
     }
 }
 

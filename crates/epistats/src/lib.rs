@@ -3,13 +3,13 @@
 //! # epistats — statistical substrate for `epismc`
 //!
 //! Everything statistical that the SMC framework and the disease simulator
-//! need, implemented from scratch on top of `rand`'s traits only:
+//! need, implemented from scratch with no dependency outside the workspace:
 //!
 //! * [`special`] — special functions (`ln_gamma`, incomplete beta/gamma,
-//!   `erf`, inverse normal CDF) with accuracy tested against high-precision
+//!   `erfc`, inverse normal CDF) with accuracy tested against high-precision
 //!   reference values.
-//! * [`rng`] — a serializable, jumpable [`rng::Xoshiro256PlusPlus`]
-//!   generator with deterministic stream derivation for parallel
+//! * [`rng`] — an [`rng::Xoshiro256PlusPlus`] generator with an
+//!   explicit state and deterministic stream derivation for parallel
 //!   common-random-number designs.
 //! * [`dist`] — probability distributions (sampling + log-density + CDF /
 //!   quantile where available): uniform, normal, gamma, beta, binomial

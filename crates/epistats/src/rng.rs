@@ -1,11 +1,12 @@
-//! Serializable, jumpable pseudo-random number generation.
+//! Pseudo-random number generation with an explicit state.
 //!
 //! Checkpointing a stochastic simulation (DESIGN.md, `episim::checkpoint`)
-//! requires the *generator state itself* to be serializable so that a
+//! requires the *generator state itself* to be captured so that a
 //! restored trajectory continues with the same random future it would have
 //! had. The `rand` crate's `StdRng` deliberately hides its state, so we
-//! implement xoshiro256++ (Blackman & Vigna, 2019) with explicit,
-//! serde-serializable state.
+//! implement xoshiro256++ (Blackman & Vigna, 2019) with an explicit state
+//! ([`Xoshiro256PlusPlus::state`] / [`Xoshiro256PlusPlus::from_state`]),
+//! which the checkpoint's binary encoding stores as four words.
 //!
 //! Parallel ensembles additionally need *deterministic stream derivation*:
 //! particle `i`, replicate `r` must receive the same stream regardless of
@@ -13,9 +14,6 @@
 //! design requires replicate `r` to share seeds across parameter values.
 //! [`derive_stream`] provides this by hashing `(master_seed, tags...)`
 //! through SplitMix64.
-
-use rand_core::{RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One step of the SplitMix64 sequence; used for seeding and stream
 /// derivation. Returns the output and advances `state`.
@@ -123,12 +121,12 @@ impl StreamKey {
     }
 }
 
-/// xoshiro256++ generator with explicit serializable state.
+/// xoshiro256++ generator with an explicit state.
 ///
-/// Passes BigCrush (per the reference authors); period `2^256 - 1`. The
-/// [`Self::jump`] function advances the state by `2^128` steps, providing
-/// up to `2^128` non-overlapping subsequences for parallel use.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// Passes BigCrush (per the reference authors); period `2^256 - 1`.
+/// Parallel streams come from [`StreamKey`] seed derivation, not from
+/// jumping one generator ahead.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Xoshiro256PlusPlus {
     s: [u64; 4],
 }
@@ -210,31 +208,6 @@ impl Xoshiro256PlusPlus {
         (m >> 64) as u64
     }
 
-    /// Jump the state forward by `2^128` steps.
-    ///
-    /// Calling `jump` `k` times on a fresh generator yields the start of
-    /// the `k`-th non-overlapping subsequence of length `2^128`.
-    pub fn jump(&mut self) {
-        const JUMP: [u64; 4] = [
-            0x180e_c6d3_3cfd_0aba,
-            0xd5a6_1266_f0c9_392c,
-            0xa958_2618_e03f_c9aa,
-            0x39ab_dc45_29b1_661c,
-        ];
-        let mut acc = [0u64; 4];
-        for &j in &JUMP {
-            for b in 0..64 {
-                if (j >> b) & 1 == 1 {
-                    for (a, s) in acc.iter_mut().zip(self.s.iter()) {
-                        *a ^= s;
-                    }
-                }
-                self.next();
-            }
-        }
-        self.s = acc;
-    }
-
     /// Expose the raw state (for checkpoint debugging / tests).
     pub fn state(&self) -> [u64; 4] {
         self.s
@@ -248,51 +221,6 @@ impl Xoshiro256PlusPlus {
     pub fn from_state(s: [u64; 4]) -> Self {
         assert!(s != [0; 4], "from_state: all-zero state is invalid");
         Self { s }
-    }
-}
-
-impl RngCore for Xoshiro256PlusPlus {
-    #[inline]
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&self.next().to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = self.next().to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-}
-
-impl SeedableRng for Xoshiro256PlusPlus {
-    type Seed = [u8; 32];
-
-    fn from_seed(seed: Self::Seed) -> Self {
-        let mut s = [0u64; 4];
-        for (i, slot) in s.iter_mut().enumerate() {
-            let mut b = [0u8; 8];
-            b.copy_from_slice(&seed[i * 8..(i + 1) * 8]);
-            *slot = u64::from_le_bytes(b);
-        }
-        if s == [0; 4] {
-            return Self::new(0);
-        }
-        Self { s }
-    }
-
-    fn seed_from_u64(state: u64) -> Self {
-        Self::new(state)
     }
 }
 
@@ -364,31 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn jump_produces_disjoint_streams() {
-        let mut a = Xoshiro256PlusPlus::new(5);
-        let mut b = a.clone();
-        b.jump();
-        assert_ne!(a.state(), b.state());
-        let xs: Vec<u64> = (0..32).map(|_| a.next()).collect();
-        let ys: Vec<u64> = (0..32).map(|_| b.next()).collect();
-        assert_ne!(xs, ys);
-    }
-
-    #[test]
-    fn serde_round_trip_continues_identically() {
-        let mut rng = Xoshiro256PlusPlus::new(99);
-        for _ in 0..123 {
-            rng.next();
-        }
-        let json = serde_json::to_string(&rng).unwrap();
-        let mut restored: Xoshiro256PlusPlus = serde_json::from_str(&json).unwrap();
-        let mut original = rng.clone();
-        for _ in 0..64 {
-            assert_eq!(original.next(), restored.next());
-        }
-    }
-
-    #[test]
     fn derive_stream_is_order_and_tag_sensitive() {
         let m = 123_456;
         let a = derive_stream(m, &[1, 2]);
@@ -443,30 +346,6 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(a.next(), b.next());
         }
-    }
-
-    #[test]
-    fn fill_bytes_matches_next_outputs() {
-        let mut a = Xoshiro256PlusPlus::new(1);
-        let mut b = Xoshiro256PlusPlus::new(1);
-        let mut buf = [0u8; 20];
-        a.fill_bytes(&mut buf);
-        let w0 = b.next().to_le_bytes();
-        let w1 = b.next().to_le_bytes();
-        let w2 = b.next().to_le_bytes();
-        assert_eq!(&buf[..8], &w0);
-        assert_eq!(&buf[8..16], &w1);
-        assert_eq!(&buf[16..20], &w2[..4]);
-    }
-
-    #[test]
-    fn rngcore_integration_with_rand() {
-        use rand::Rng;
-        let mut rng = Xoshiro256PlusPlus::new(3);
-        let x: f64 = rng.random_range(0.0..1.0);
-        assert!((0.0..1.0).contains(&x));
-        let n: u32 = rng.random_range(0..10);
-        assert!(n < 10);
     }
 
     #[test]

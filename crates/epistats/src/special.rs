@@ -3,9 +3,10 @@
 //! Implementations follow the standard numerical recipes: a Lanczos
 //! approximation for the log-gamma function, series / continued-fraction
 //! evaluation for the regularized incomplete gamma and beta functions,
-//! `erf` through the incomplete gamma function
-//! (`erf(x) = sign(x) · P(1/2, x²)`), and Acklam's algorithm with a Halley
-//! refinement step for the inverse normal CDF.
+//! `erfc` through the incomplete gamma functions
+//! (`erfc(x) = Q(1/2, x²)`, or `1 + P(1/2, x²)` for negative `x`), and
+//! Acklam's algorithm with a Halley refinement step for the inverse
+//! normal CDF.
 //!
 //! Accuracy targets (validated in the test module against high-precision
 //! reference values): relative error below `1e-12` for `ln_gamma`, below
@@ -110,25 +111,9 @@ pub fn ln_choose(n: u64, k: u64) -> f64 {
     ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
 }
 
-/// Error function.
-///
-/// Computed through the regularized incomplete gamma function via the
-/// identity `erf(x) = sign(x) * P(1/2, x^2)`, which reuses the carefully
-/// tested series / continued-fraction machinery below and is accurate to
-/// ~1e-14 relative error across the full range.
-pub fn erf(x: f64) -> f64 {
-    if x == 0.0 {
-        return 0.0;
-    }
-    let p = gamma_p(0.5, x * x);
-    if x > 0.0 {
-        p
-    } else {
-        -p
-    }
-}
-
-/// Complementary error function `erfc(x) = 1 - erf(x)`.
+/// Complementary error function `erfc(x) = 1 - erf(x)`, through the
+/// regularized incomplete gamma functions: `Q(1/2, x^2)` for `x >= 0`,
+/// `1 + P(1/2, x^2)` below.
 ///
 /// For positive arguments this evaluates `Q(1/2, x^2)` directly (continued
 /// fraction), so deep-tail values like `erfc(8) ~ 1e-29` keep full relative
@@ -425,14 +410,17 @@ mod tests {
     }
 
     #[test]
-    fn erf_reference_values() {
-        assert_close(erf(0.1), 0.112_462_916_018_284_9, 1e-10);
-        assert_close(erf(0.5), 0.520_499_877_813_046_5, 1e-10);
-        assert_close(erf(1.0), 0.842_700_792_949_714_9, 1e-10);
-        assert_close(erf(2.0), 0.995_322_265_018_952_7, 1e-10);
-        assert_close(erf(3.0), 0.999_977_909_503_001_4, 1e-9);
-        assert_close(erf(-1.0), -0.842_700_792_949_714_9, 1e-10);
-        assert_eq!(erf(0.0), 0.0);
+    fn erfc_reference_values() {
+        // Negative arguments go through `P(1/2, x²)`, positive ones
+        // through `Q(1/2, x²)`.
+        assert_close(erfc(0.1), 0.887_537_083_981_715_2, 1e-10);
+        assert_close(erfc(0.5), 0.479_500_122_186_953_5, 1e-10);
+        assert_close(erfc(1.0), 0.157_299_207_050_285_13, 1e-10);
+        assert_close(erfc(2.0), 0.004_677_734_981_047_265, 1e-9);
+        assert_close(erfc(3.0), 2.209_049_699_858_543_8e-5, 1e-9);
+        assert_close(erfc(-0.5), 1.520_499_877_813_046_5, 1e-10);
+        assert_close(erfc(-1.0), 1.842_700_792_949_715, 1e-10);
+        assert_eq!(erfc(0.0), 1.0);
     }
 
     #[test]
@@ -443,10 +431,9 @@ mod tests {
     }
 
     #[test]
-    fn erf_erfc_complementarity() {
+    fn erfc_reflection() {
         for &x in &[0.0, 0.3, 0.9, 1.5, 2.5, 3.7, 4.5] {
-            assert_close(erf(x) + erfc(x), 1.0, 1e-12);
-            assert_close(erf(-x), -erf(x), 1e-12);
+            assert_close(erfc(x) + erfc(-x), 2.0, 1e-12);
         }
     }
 

@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
+# Every dependency a repository package declares must be named in its
+# sources (see the script for where each section is looked up).
+echo "==> scripts/check_deps.sh"
+./scripts/check_deps.sh
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

@@ -95,7 +95,7 @@ pub mod prelude {
         prior::{BetaPrior, JitterKernel, Prior, UniformPrior},
         rejuvenate::RejuvenationStats,
         resample::{Multinomial, Resampler, Residual, Stratified, Systematic},
-        runner::{pool_build_count, ParallelRunner},
+        runner::ParallelRunner,
         simulator::{
             CovidSimulator, PooledWorkspace, SeirSimulator, TrajectorySimulator, WorkspaceStats,
         },

@@ -48,7 +48,9 @@ fn binary_checkpoint_survives_the_full_pipeline() {
     let sim = simulator();
     let (_, ck) = sim.run_fresh(&[0.3], 5, 40).unwrap();
     // bytes round trip
-    let restored = SimCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
+    let mut bytes = Vec::new();
+    ck.append_bytes(&mut bytes);
+    let restored = SimCheckpoint::from_bytes(&bytes).unwrap();
     assert_eq!(restored, ck);
     // Continue from original and from the round-tripped copy with the
     // same seed: identical futures.

@@ -109,23 +109,29 @@ fn sequential_run_is_deterministic_across_thread_counts() {
 #[test]
 fn scheduling_matrix_is_bit_identical() {
     // The tentpole guarantee: the flattened (parameter, replicate) cell
-    // grid produces bit-identical calibrations for EVERY combination of
-    // worker count and scheduling chunk size — including the
+    // grid produces bit-identical calibrations for EVERY worker count and
+    // the scheduling chunk size each one gets — including the
     // checkpoint-continuation path (window 2 restores window 1's shared
-    // checkpoints). The baseline is fully serial with adaptive chunking;
-    // every other cell of the matrix must reproduce it exactly.
+    // checkpoints). The baseline is fully serial; every other shape must
+    // reproduce it exactly.
+    //
+    // The adaptive rule claims `cells / (workers × 8)` cells at a time:
+    // on this 15 × 4 grid one worker claims 7-cell chunks that straddle
+    // parameter rows, two claim 3-cell chunks, and four claim one cell.
+    assert_eq!(rayon::adaptive_chunk(60, 1), 7);
+    assert_eq!(rayon::adaptive_chunk(60, 2), 3);
+    assert_eq!(rayon::adaptive_chunk(60, 4), 1);
     let (truth, simulator) = setup();
     let observed = ObservedData::cases_only(truth.observed_cases.clone());
     let plan = WindowPlan::new(vec![TimeWindow::new(20, 33), TimeWindow::new(34, 47)]);
-    let run = |threads: Option<usize>, chunk_cells: Option<usize>| {
+    let run = |threads: Option<usize>| {
         let mut cfg = CalibrationConfig::builder()
-            .n_params(60)
+            .n_params(15)
             .n_replicates(4)
             .resample_size(120)
             .seed(11)
             .build();
         cfg.threads = threads;
-        cfg.chunk_cells = chunk_cells;
         SequentialCalibrator::new(
             &simulator,
             cfg,
@@ -135,36 +141,29 @@ fn scheduling_matrix_is_bit_identical() {
         .run(&Priors::paper(), &observed, &plan)
         .unwrap()
     };
-    let baseline = run(Some(1), None);
+    let baseline = run(Some(1));
     let baseline_fp = posterior_fingerprint(baseline.final_posterior());
     let baseline_lm: Vec<u64> = baseline
         .windows
         .iter()
         .map(|w| w.log_marginal.to_bits())
         .collect();
-    // Chunk sizes: single cell, a prime that straddles row boundaries,
-    // and one full parameter row (= n_replicates cells).
-    for threads in [Some(1), Some(2), Some(4), None] {
-        for chunk_cells in [Some(1), Some(7), Some(4), None] {
-            if (threads, chunk_cells) == (Some(1), None) {
-                continue;
-            }
-            let got = run(threads, chunk_cells);
-            assert_eq!(
-                posterior_fingerprint(got.final_posterior()),
-                baseline_fp,
-                "posterior diverged at threads={threads:?} chunk_cells={chunk_cells:?}"
-            );
-            let lm: Vec<u64> = got
-                .windows
-                .iter()
-                .map(|w| w.log_marginal.to_bits())
-                .collect();
-            assert_eq!(
-                lm, baseline_lm,
-                "log marginals diverged at threads={threads:?} chunk_cells={chunk_cells:?}"
-            );
-        }
+    for threads in [Some(2), Some(4), None] {
+        let got = run(threads);
+        assert_eq!(
+            posterior_fingerprint(got.final_posterior()),
+            baseline_fp,
+            "posterior diverged at threads={threads:?}"
+        );
+        let lm: Vec<u64> = got
+            .windows
+            .iter()
+            .map(|w| w.log_marginal.to_bits())
+            .collect();
+        assert_eq!(
+            lm, baseline_lm,
+            "log marginals diverged at threads={threads:?}"
+        );
     }
 }
 
@@ -173,8 +172,14 @@ fn dir_store_resume_round_trip_is_bit_identical_across_shapes() {
     // Counter-based streams make every window's RNG layout a pure
     // function of `(master seed, window, param, replicate)` — so a run
     // persisted under one scheduling shape, truncated on disk, and
-    // resumed under a *different* thread count / chunk size must land on
-    // the serial baseline bit for bit.
+    // resumed under a *different* thread count — and so a different
+    // chunk size — must land on the serial baseline bit for bit. On this
+    // 20 × 3 grid one worker claims 7-cell chunks that straddle
+    // parameter rows, two claim one row at a time, and four claim one
+    // cell.
+    assert_eq!(rayon::adaptive_chunk(60, 1), 7);
+    assert_eq!(rayon::adaptive_chunk(60, 2), 3);
+    assert_eq!(rayon::adaptive_chunk(60, 4), 1);
     let (truth, simulator) = setup();
     let observed = ObservedData::cases_only(truth.observed_cases.clone());
     let plan = WindowPlan::new(vec![
@@ -183,15 +188,14 @@ fn dir_store_resume_round_trip_is_bit_identical_across_shapes() {
         TimeWindow::new(48, 61),
     ]);
     let policy = CheckpointPolicy::every_window();
-    let calibrate = |threads: Option<usize>, chunk_cells: Option<usize>| {
+    let calibrate = |threads: Option<usize>| {
         let mut cfg = CalibrationConfig::builder()
-            .n_params(48)
+            .n_params(20)
             .n_replicates(3)
             .resample_size(96)
             .seed(17)
             .build();
         cfg.threads = threads;
-        cfg.chunk_cells = chunk_cells;
         SequentialCalibrator::new(
             &simulator,
             cfg,
@@ -199,7 +203,7 @@ fn dir_store_resume_round_trip_is_bit_identical_across_shapes() {
             JitterKernel::asymmetric(0.05, 0.08, 0.05, 1.0),
         )
     };
-    let baseline = calibrate(Some(1), None)
+    let baseline = calibrate(Some(1))
         .run(&Priors::paper(), &observed, &plan)
         .unwrap();
     let baseline_fp = posterior_fingerprint(baseline.final_posterior());
@@ -207,20 +211,16 @@ fn dir_store_resume_round_trip_is_bit_identical_across_shapes() {
 
     // (write shape, resume shape): every resume crosses the shape it
     // was persisted under.
-    let shapes = [
-        ((Some(2), Some(7)), (Some(4), None)),
-        ((Some(4), None), (None, Some(1))),
-        ((None, Some(4)), (Some(2), Some(1))),
-    ];
-    for (case, &((wt, wc), (rt, rc))) in shapes.iter().enumerate() {
-        let ctx = format!("case {case}: write=({wt:?},{wc:?}) resume=({rt:?},{rc:?})");
+    let shapes = [(Some(2), Some(4)), (Some(4), None), (None, Some(1))];
+    for (case, &(wt, rt)) in shapes.iter().enumerate() {
+        let ctx = format!("case {case}: write={wt:?} resume={rt:?}");
         let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
             .join(format!("determinism_dir_resume_{case}"));
         if dir.exists() {
             std::fs::remove_dir_all(&dir).unwrap();
         }
         let store = DirStore::open(&dir).unwrap();
-        calibrate(wt, wc)
+        calibrate(wt)
             .run_persisted(&Priors::paper(), &observed, &plan, &store, &policy)
             .unwrap();
         // Crash simulation: the final window's record is lost; the
@@ -228,7 +228,7 @@ fn dir_store_resume_round_trip_is_bit_identical_across_shapes() {
         store.delete(plan.len() as u32 - 1).unwrap();
         // Round-trip through a fresh handle (re-lists the directory).
         let reopened = DirStore::open(&dir).unwrap();
-        let resumed = calibrate(rt, rc)
+        let resumed = calibrate(rt)
             .resume_from(&Priors::paper(), &observed, &plan, &reopened, &policy)
             .unwrap();
         assert_eq!(

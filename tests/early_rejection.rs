@@ -116,6 +116,7 @@ fn observed(sources: Sources, truth: &GroundTruth) -> ObservedData {
 
 /// A likelihood that forwards everything but its bound, so a pass
 /// scoring through it runs every proposal to its window end.
+#[derive(Debug)]
 struct NoBound(Arc<dyn Likelihood>);
 
 impl Likelihood for NoBound {

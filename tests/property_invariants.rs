@@ -72,11 +72,16 @@ proptest! {
         .unwrap();
         sim.run_until(day);
         let ck = sim.checkpoint();
-        let back = SimCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
+        let mut bytes = Vec::new();
+        ck.append_bytes(&mut bytes);
+        prop_assert_eq!(bytes.len(), ck.encoded_len());
+        let back = SimCheckpoint::from_bytes(&bytes).unwrap();
         prop_assert_eq!(&back, &ck);
-        let json: SimCheckpoint =
-            serde_json::from_str(&serde_json::to_string(&ck).unwrap()).unwrap();
-        prop_assert_eq!(&json, &ck);
+        // Every strict prefix is a typed error, never a panic.
+        for cut in 0..bytes.len() {
+            let err = SimCheckpoint::from_bytes(&bytes[..cut]);
+            prop_assert!(matches!(err, Err(SimError::Checkpoint(_))), "prefix of {} bytes", cut);
+        }
     }
 
     #[test]

@@ -416,6 +416,42 @@ fn reopen_rejects_mismatched_seed_and_observed_data() {
 }
 
 #[test]
+fn reopen_rejects_data_scored_under_another_sigma_or_bias_mode() {
+    // The guard fingerprints the observation model each source scores
+    // with, not only the observed values: a store written over σ = 1
+    // sampled-binomial data refuses the same counts scored with σ = 2 or
+    // with conditional-mean thinning, and reopens the unchanged data.
+    let (truth, simulator) = setup();
+    let scheme = ResampleScheme::Multinomial;
+    let policy = CheckpointPolicy::every_window();
+    let data =
+        |mode, sigma| ObservedData::cases_only_with(truth.observed_cases.clone(), mode, sigma);
+    let store = MemStore::new();
+    let open = |observed| {
+        StreamingCalibrator::open(
+            calibrator(&simulator, None, scheme),
+            Priors::paper(),
+            observed,
+            &store,
+            policy,
+        )
+    };
+    let mut stream = open(data(BiasMode::Sampled, 1.0)).unwrap();
+    stream.advance_window(plan().windows()[0]).unwrap();
+    drop(stream);
+
+    for (mode, sigma) in [(BiasMode::Sampled, 2.0), (BiasMode::Mean, 1.0)] {
+        let err = open(data(mode, sigma)).unwrap_err();
+        assert!(
+            matches!(err, SmcError::Persist(_)),
+            "{mode:?}, sigma {sigma}: {err}"
+        );
+    }
+    let reopened = open(data(BiasMode::Sampled, 1.0)).unwrap();
+    assert_eq!(reopened.next_window_index(), 1);
+}
+
+#[test]
 fn retention_never_drops_the_newest_durable_record_mid_append() {
     // The regression: with pruning keyed off the store's *listing*
     // (instead of the record just written), a retained stream whose
