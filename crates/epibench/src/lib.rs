@@ -44,7 +44,8 @@ pub struct Args {
     pub resample_size: usize,
     /// Master seed.
     pub seed: u64,
-    /// Thread count (None = rayon default).
+    /// Worker-pool size for the calibration runner (`None` = the process
+    /// default: `RAYON_NUM_THREADS`, else the core count).
     pub threads: Option<usize>,
     /// Binomial bias mode.
     pub bias_mode: BiasMode,

@@ -231,6 +231,20 @@ mod tests {
     }
 
     #[test]
+    fn rejects_keys_that_name_no_field() {
+        // A parent-era runspec carrying σ inside `calibration` (since
+        // moved to the top level), and a misspelled top-level key: both
+        // fail, naming the key, instead of running on defaults.
+        for (json, key) in [
+            (r#"{"calibration": {"sigma": 2.0}}"#, "sigma"),
+            (r#"{"windws": [[10, 20]]}"#, "windws"),
+        ] {
+            let err = RunSpec::from_json(json).unwrap_err();
+            assert!(err.contains(key), "{json}: {err}");
+        }
+    }
+
+    #[test]
     fn rejects_bad_windows() {
         assert!(RunSpec::from_json(r#"{"windows": []}"#).is_err());
         assert!(RunSpec::from_json(r#"{"windows": [[10, 5]]}"#).is_err());

@@ -18,7 +18,7 @@
 //! | `wall-clock` | `thread_rng` / `from_entropy` / `SystemTime` / `Instant::now` / `rand::random` in core crates | RNG streams and clocks must flow from checkpointable state (the paper's restart-with-new-parameters design) |
 //! | `float-eq` | bare `==` / `!=` against float literals in likelihood/observation code | exact float equality is almost always a masked tolerance bug |
 //! | `lossy-cast` | `as <int>` casts on float-bearing lines in likelihood/observation code | silent truncation of count variables skews likelihoods |
-//! | `checkpoint-clone` | `SimCheckpoint` deep clones / byte round-trips (`SimCheckpoint::clone`, `checkpoint.clone()`, `.to_bytes(`, `.append_bytes(` / `SimCheckpoint::append_bytes`, `SimCheckpoint::from_bytes`) outside the interning module | inference code must alias checkpoints through `ckpool`'s `Arc` pool; a deep copy on the resample/jitter path silently reintroduces the per-particle memory blowup |
+//! | `checkpoint-clone` | `SimCheckpoint` deep clones / byte round-trips (`SimCheckpoint::clone`, `checkpoint.clone()`, `.append_bytes(` / `SimCheckpoint::append_bytes`, `SimCheckpoint::from_bytes`) outside the interning module | inference code must alias checkpoints through `ckpool`'s `Arc` pool; a deep copy on the resample/jitter path silently reintroduces the per-particle memory blowup |
 //! | `fs-write` | `std::fs` write operations (`File::create`, `OpenOptions`, `fs::write`, `fs::rename`, `fs::remove_*`, `fs::create_dir*`, `fs::copy`) outside `fs-exempt` paths | durability writes must stay in the audited persist module, where every record is checksummed and committed atomically; a stray write elsewhere bypasses the crash-recovery contract |
 //! | `unsafe-containment` | `unsafe` blocks/fns/impls outside the `unsafe-allow` module set, and any `unsafe` site (allowlisted or not, test code included) without an adjacent `// SAFETY: <reason>` comment or `# Safety` doc section | the worker pool's type-erased jobs and raw slab writes are the only sanctioned unsafe surface; every site must state the invariant it relies on so the model checker / Miri / TSan suites know what to cover |
 //! | `atomics-ordering` | in `atomics-paths` files: atomic load/store/RMW calls without an explicit `Ordering`, and any `Relaxed` ordering without an adjacent `// ORDER: <reason>` note | the pool's epoch-broadcast protocol gets its happens-before edges from the state mutex, not the atomics — each `Relaxed` must spell out why that is sufficient, or be strengthened |
@@ -432,7 +432,6 @@ fn needles(rule: Rule) -> &'static [&'static str] {
         Rule::CheckpointClone => &[
             "SimCheckpoint::clone",
             "checkpoint.clone()",
-            ".to_bytes(",
             ".append_bytes(",
             "SimCheckpoint::append_bytes",
             "SimCheckpoint::from_bytes",
@@ -1043,7 +1042,6 @@ mod tests {
         for line in [
             "let c = p.checkpoint.clone();",
             "let c = SimCheckpoint::clone(&ck);",
-            "let raw = ck.to_bytes();",
             "ck.append_bytes(&mut out);",
             "SimCheckpoint::append_bytes(&ck, &mut out);",
             "let ck = SimCheckpoint::from_bytes(&raw)?;",
@@ -1298,22 +1296,25 @@ mod tests {
     #[test]
     fn atomics_ordering_respects_path_scoping_and_tests() {
         let cfg = CrateConfig {
-            atomics_paths: vec!["src/lib.rs".into()],
+            atomics_paths: vec!["src/runner.rs".into()],
             ..cfg_all()
         };
         let src = "cursor.fetch_add(1, Ordering::Relaxed);";
-        assert_eq!(lint_source(&cfg, "vendor/rayon/src/lib.rs", src).len(), 1);
-        assert!(lint_source(&cfg, "crates/x/src/runner.rs", src).is_empty());
+        assert_eq!(
+            lint_source(&cfg, "crates/epismc/src/runner.rs", src).len(),
+            1
+        );
+        assert!(lint_source(&cfg, "crates/x/src/lib.rs", src).is_empty());
         // Test-code atomics (telemetry counters in unit tests) are not
         // part of the audited protocol surface.
         let src = "#[cfg(test)]\nmod tests {\n    fn t() {\n        c.fetch_add(1, Ordering::Relaxed);\n    }\n}\n";
-        assert!(lint_source(&cfg, "vendor/rayon/src/lib.rs", src).is_empty());
+        assert!(lint_source(&cfg, "crates/epismc/src/runner.rs", src).is_empty());
     }
 
     #[test]
     fn config_parses_workspace_block() {
         let cfg = Config::parse(
-            "[workspace]\nrules = unsafe-containment, atomics-ordering\nscan = src, tests, vendor\nscan-exclude = tests/fixtures/\nunsafe-allow = vendor/rayon/src/lib.rs\natomics-paths = vendor/rayon/src/lib.rs\n\n[crate.episim]\nrules = panic-unwrap\n",
+            "[workspace]\nrules = unsafe-containment, atomics-ordering\nscan = src, tests, vendor\nscan-exclude = tests/fixtures/\nunsafe-allow = crates/epismc/src/runner.rs\natomics-paths = crates/epismc/src/runner.rs\n\n[crate.episim]\nrules = panic-unwrap\n",
         )
         .unwrap();
         assert_eq!(cfg.crates.len(), 1);
@@ -1324,8 +1325,8 @@ mod tests {
         );
         assert_eq!(ws.scan, vec!["src", "tests", "vendor"]);
         assert_eq!(ws.scan_exclude, vec!["tests/fixtures/"]);
-        assert_eq!(ws.unsafe_allow, vec!["vendor/rayon/src/lib.rs"]);
-        assert_eq!(ws.atomics_paths, vec!["vendor/rayon/src/lib.rs"]);
+        assert_eq!(ws.unsafe_allow, vec!["crates/epismc/src/runner.rs"]);
+        assert_eq!(ws.atomics_paths, vec!["crates/epismc/src/runner.rs"]);
     }
 
     #[test]

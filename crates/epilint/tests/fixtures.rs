@@ -81,10 +81,9 @@ fn r5_fixture_exact_diagnostics() {
     let want = vec![
         "r5_checkpoint.rs:4: [checkpoint-clone] `checkpoint.clone`",
         "r5_checkpoint.rs:5: [checkpoint-clone] `SimCheckpoint::clone`",
-        "r5_checkpoint.rs:6: [checkpoint-clone] `to_bytes`",
-        "r5_checkpoint.rs:7: [checkpoint-clone] `SimCheckpoint::from_bytes`",
-        "r5_checkpoint.rs:8: [checkpoint-clone] `append_bytes`",
-        "r5_checkpoint.rs:9: [checkpoint-clone] `SimCheckpoint::append_bytes`",
+        "r5_checkpoint.rs:6: [checkpoint-clone] `SimCheckpoint::from_bytes`",
+        "r5_checkpoint.rs:7: [checkpoint-clone] `append_bytes`",
+        "r5_checkpoint.rs:8: [checkpoint-clone] `SimCheckpoint::append_bytes`",
     ];
     assert_eq!(got, want);
 }

@@ -1,10 +1,9 @@
 //! R5 fixture: checkpoint deep clones and byte round-trips.
 
-fn bad(p: &Particle, ck: &SimCheckpoint, out: &mut Vec<u8>) {
+fn bad(p: &Particle, ck: &SimCheckpoint, raw: &[u8], out: &mut Vec<u8>) {
     let a = p.checkpoint.clone();
     let b = SimCheckpoint::clone(ck);
-    let raw = ck.to_bytes();
-    let c = SimCheckpoint::from_bytes(&raw);
+    let c = SimCheckpoint::from_bytes(raw);
     ck.append_bytes(out);
     SimCheckpoint::append_bytes(ck, out);
 }

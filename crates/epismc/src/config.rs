@@ -23,7 +23,9 @@ pub struct CalibrationConfig {
     pub resample_size: usize,
     /// Master seed; everything downstream derives deterministically.
     pub seed: u64,
-    /// Rayon thread count (`None` = rayon's default pool).
+    /// Worker count of the runner's persistent pool (`None` = the
+    /// process default: `RAYON_NUM_THREADS` when set to a positive
+    /// integer, else the core count). Never changes results.
     pub threads: Option<usize>,
     /// Keep the full prior ensemble in the window result (needed for the
     /// Fig 3 prior-trajectory cloud; memory-heavy at scale).
@@ -348,7 +350,7 @@ impl CalibrationConfigBuilder {
         self
     }
 
-    /// Pin the rayon thread count.
+    /// Pin the runner's worker count.
     pub fn threads(mut self, v: usize) -> Self {
         self.cfg.threads = Some(v);
         self

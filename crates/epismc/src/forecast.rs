@@ -110,8 +110,9 @@ impl Forecast {
 
 /// Posterior-predictive forecaster over a calibrated ensemble.
 ///
-/// Owns its [`ParallelRunner`], so a pinned thread pool is built once at
-/// [`Self::with_threads`] and reused by every forecast call.
+/// Owns its [`ParallelRunner`]: the worker pool, sized by the process
+/// default (`RAYON_NUM_THREADS`, else the core count), is built once by
+/// [`Self::new`] and reused by every forecast call.
 pub struct Forecaster<'a, S: TrajectorySimulator> {
     simulator: &'a S,
     runner: ParallelRunner,
@@ -119,22 +120,14 @@ pub struct Forecaster<'a, S: TrajectorySimulator> {
 
 impl<'a, S: TrajectorySimulator> Forecaster<'a, S> {
     /// Create a forecaster over a simulator.
-    pub fn new(simulator: &'a S) -> Self {
-        Self {
-            simulator,
-            runner: ParallelRunner::new(),
-        }
-    }
-
-    /// Pin the rayon thread count (the dedicated pool is built here,
-    /// once, not per forecast call).
     ///
-    /// # Panics
-    /// Panics if `threads` is zero.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads > 0, "Forecaster: threads must be >= 1");
-        self.runner = ParallelRunner::with_threads(threads);
-        self
+    /// # Errors
+    /// [`SmcError::Config`] if a worker thread cannot be spawned.
+    pub fn new(simulator: &'a S) -> Result<Self, SmcError> {
+        Ok(Self {
+            simulator,
+            runner: ParallelRunner::new(None)?,
+        })
     }
 
     /// Forecast `days` beyond the ensemble's checkpoint horizon with
@@ -273,6 +266,7 @@ mod tests {
     fn forecast_shapes_and_determinism() {
         let (sim, posterior, _) = calibrated();
         let f = Forecaster::new(&sim)
+            .unwrap()
             .forecast(&posterior, 30, 50, 9, &["infections"])
             .unwrap();
         assert_eq!(f.start_day, 31);
@@ -281,6 +275,7 @@ mod tests {
         assert!(f.ensemble("infections", 30).is_none());
         assert!(f.ensemble("nope", 0).is_none());
         let f2 = Forecaster::new(&sim)
+            .unwrap()
             .forecast(&posterior, 30, 50, 9, &["infections"])
             .unwrap();
         assert_eq!(f.ensemble("infections", 10), f2.ensemble("infections", 10));
@@ -290,6 +285,7 @@ mod tests {
     fn forecast_brackets_realized_future() {
         let (sim, posterior, future) = calibrated();
         let f = Forecaster::new(&sim)
+            .unwrap()
             .forecast(&posterior, 30, 80, 11, &["infections"])
             .unwrap();
         let (_, lo, _, hi) = f.band("infections", 0.05, 0.95);
@@ -305,7 +301,7 @@ mod tests {
     #[test]
     fn calibrated_forecast_beats_wrong_theta_forecast() {
         let (sim, posterior, future) = calibrated();
-        let fc = Forecaster::new(&sim);
+        let fc = Forecaster::new(&sim).unwrap();
         let good = fc
             .forecast(&posterior, 30, 60, 13, &["infections"])
             .unwrap()
@@ -323,7 +319,7 @@ mod tests {
     #[test]
     fn intervention_transform_reduces_caseload() {
         let (sim, posterior, _) = calibrated();
-        let fc = Forecaster::new(&sim);
+        let fc = Forecaster::new(&sim).unwrap();
         let base = fc
             .forecast(&posterior, 30, 60, 17, &["infections"])
             .unwrap();
@@ -351,7 +347,7 @@ mod tests {
     #[test]
     fn rejects_degenerate_inputs() {
         let (sim, posterior, _) = calibrated();
-        let fc = Forecaster::new(&sim);
+        let fc = Forecaster::new(&sim).unwrap();
         assert!(fc
             .forecast(&ParticleEnsemble::new(), 10, 10, 1, &["infections"])
             .is_err());

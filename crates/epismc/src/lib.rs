@@ -28,8 +28,8 @@
 //!   counts (`sigma = 1` in the paper) and its alternatives.
 //! * [`resample`] — multinomial, systematic, stratified, and residual
 //!   resamplers.
-//! * [`runner`] — the rayon-parallel ensemble executor with deterministic
-//!   common-random-number streams.
+//! * [`runner`] — the parallel ensemble executor, on a persistent worker
+//!   pool, with deterministic common-random-number streams.
 //! * [`sis`] — Algorithm 1 ([`sis::SingleWindowIs`]) and the windowed
 //!   outer loop ([`sis::SequentialCalibrator`]) with checkpoint
 //!   propagation and incremental-likelihood weighting.

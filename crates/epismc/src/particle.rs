@@ -266,7 +266,7 @@ mod tests {
         e.particles_mut()[0].log_weight = -1000.0;
         let serial = e.normalized_weights();
         for threads in [1usize, 2, 4] {
-            let runner = ParallelRunner::with_threads(threads);
+            let runner = ParallelRunner::new(Some(threads)).unwrap();
             let par = e.normalized_weights_par(&runner);
             assert_eq!(serial.len(), par.len());
             for (s, p) in serial.iter().zip(&par) {
@@ -274,7 +274,7 @@ mod tests {
             }
         }
         // Degenerate and empty fallbacks match the serial path too.
-        let runner = ParallelRunner::with_threads(2);
+        let runner = ParallelRunner::new(Some(2)).unwrap();
         let dead = ParticleEnsemble::from_vec(vec![
             dummy_particle(0.1, 0.1, 1, f64::NEG_INFINITY),
             dummy_particle(0.2, 0.2, 2, f64::NEG_INFINITY),

@@ -382,7 +382,7 @@ mod tests {
             &JitterKernel::asymmetric(0.03, 0.03, 0.05, 1.0),
             1,
             0,
-            &ParallelRunner::new(),
+            &ParallelRunner::new(None).unwrap(),
         )
         .unwrap();
         assert_eq!(stats.proposed, 0);

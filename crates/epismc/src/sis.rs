@@ -199,9 +199,10 @@ pub struct TrajectoryTelemetry {
     /// summed); `segment_refs - unique_segments` references were shared
     /// rather than copied.
     pub segment_refs: usize,
-    /// Dedicated rayon pools built while computing this window. The
-    /// sequential calibrator pre-builds its pool once per run, so this
-    /// should be 0 for every window it emits.
+    /// Worker pools built while computing this window: a runner's one
+    /// pool build is charged to the first window it serves. The
+    /// sequential calibrator builds its pool once per run, before the
+    /// window loop, so this is 0 for every window it emits.
     pub pool_builds: usize,
     /// Days simulated across the window's whole `(parameter, replicate)`
     /// grid (all adaptive iterations included). Deterministic for a
@@ -793,23 +794,24 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
     /// Create a driver over a simulator with the given configuration.
     ///
     /// # Panics
-    /// Panics if the configuration is invalid; use [`Self::try_new`] to
-    /// handle that case without panicking.
+    /// Panics if [`Self::try_new`] fails; use it to handle an invalid
+    /// configuration without panicking.
     pub fn new(simulator: &'a S, config: CalibrationConfig) -> Self {
         // epilint: allow(panic-unwrap) — documented panicking convenience wrapper over try_new
-        Self::try_new(simulator, config).expect("invalid CalibrationConfig")
+        Self::try_new(simulator, config).expect("invalid CalibrationConfig or worker pool")
     }
 
     /// Fallible constructor: validates the configuration and pre-builds
-    /// the runner (and its dedicated pool, if any) once for the driver's
-    /// lifetime — repeated [`Self::run`] calls reuse it, and only the
-    /// first charges the build to its window's telemetry.
+    /// the runner and its worker pool once for the driver's lifetime —
+    /// repeated [`Self::run`] calls reuse it, and only the first charges
+    /// the build to its window's telemetry.
     ///
     /// # Errors
-    /// Returns [`SmcError::Config`] if the configuration is invalid.
+    /// Returns [`SmcError::Config`] if the configuration is invalid or a
+    /// worker thread cannot be spawned.
     pub fn try_new(simulator: &'a S, config: CalibrationConfig) -> Result<Self, SmcError> {
         config.validate().map_err(SmcError::Config)?;
-        let runner = ParallelRunner::from_option(config.threads);
+        let runner = ParallelRunner::new(config.threads)?;
         Ok(Self {
             simulator,
             config,
@@ -1349,10 +1351,10 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         recoveries: usize,
     ) -> Result<CalibrationResult, SmcError> {
         self.validate_dims(priors)?;
-        // One runner — and therefore at most one dedicated pool — for the
-        // whole calibration run, hoisted out of the per-window (and
+        // One runner — and therefore one worker pool — for the whole
+        // calibration run, hoisted out of the per-window (and
         // per-adaptive-iteration) batch loop.
-        let runner = ParallelRunner::from_option(self.config.threads);
+        let runner = ParallelRunner::new(self.config.threads)?;
         let fingerprint = self.fingerprint();
         let mut windows: Vec<WindowResult> = Vec::with_capacity(plan.len());
         let resume = restored.as_ref().map(|(widx, _)| ResumeReport {
@@ -1923,7 +1925,7 @@ mod tests {
         // Everything before the move pass ignores the kernel, so the
         // jitter twin computes each window's pre-move posterior.
         let twin = calibrator(RejuvenationKernel::UniformJitter);
-        let runner = ParallelRunner::with_threads(2);
+        let runner = ParallelRunner::new(Some(2)).unwrap();
         let mut prev: Option<ParticleEnsemble> = None;
         for (widx, &window) in [
             TimeWindow::new(8, 19),

@@ -114,8 +114,9 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
     ///
     /// # Errors
     /// [`SmcError::Config`] for an invalid policy or dimension mismatch,
-    /// [`SmcError::Persist`] when the newest snapshot belongs to a
-    /// differently configured run or different observed data.
+    /// or a worker thread that cannot be spawned; [`SmcError::Persist`]
+    /// when the newest snapshot belongs to a differently configured run
+    /// or different observed data.
     pub fn open(
         calibrator: SequentialCalibrator<'a, S>,
         priors: Priors,
@@ -125,10 +126,10 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
     ) -> Result<Self, SmcError> {
         policy.validate().map_err(SmcError::Config)?;
         calibrator.validate_dims(&priors)?;
-        // One runner — and at most one dedicated pool — for the life of
-        // the stream, exactly like the batch loop's hoisted runner: every
-        // appended window reuses it.
-        let runner = ParallelRunner::from_option(calibrator.config().threads);
+        // One runner — and one worker pool — for the life of the stream,
+        // exactly like the batch loop's hoisted runner: every appended
+        // window reuses it.
+        let runner = ParallelRunner::new(calibrator.config().threads)?;
         let fingerprint = calibrator.fingerprint();
         let (snap, recoveries) = persist::recover_latest(store)?;
         let mut stream = Self {

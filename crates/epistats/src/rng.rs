@@ -10,7 +10,7 @@
 //!
 //! Parallel ensembles additionally need *deterministic stream derivation*:
 //! particle `i`, replicate `r` must receive the same stream regardless of
-//! which rayon worker executes it, and the paper's common-random-number
+//! which pool worker executes it, and the paper's common-random-number
 //! design requires replicate `r` to share seeds across parameter values.
 //! [`derive_stream`] provides this by hashing `(master_seed, tags...)`
 //! through SplitMix64.

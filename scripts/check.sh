@@ -27,24 +27,24 @@ cargo run -p epilint --quiet
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --no-deps -p epismc -p epistats -p episim -p epismc-core -p epidata -p epibench -p epilint"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -p epismc -p epistats -p episim -p epismc-core -p epidata -p epibench -p epilint
 
-# The vendored crates are path dependencies inside the workspace root,
-# so they are implicit workspace members: this step also runs the pool's
-# unit tests and its concurrency suites (interleaving model, seeded
-# stress) along with the lifecycle-edge suite (tests/pool_lifecycle.rs).
-# Miri/TSan variants live in scripts/check_concurrency.sh.
+# This step also runs the worker pool's unit tests (in the epismc-core
+# runner module) and its three suites (tests/pool_model.rs,
+# tests/pool_stress.rs, tests/pool_lifecycle.rs). Miri/TSan variants
+# live in scripts/check_concurrency.sh.
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 # The durability harnesses run as part of the workspace suite above;
-# this explicit pass re-runs them under a constrained thread pool so the
+# this explicit pass re-runs them under a two-worker default pool so the
 # kill/resume bit-identity matrices (background writer and inline
 # stream alike), the cross-commit move-pass pin, the streaming
 # constant-cost pin and the early-rejection exactness suite also cover
 # the multi-worker path locally (CI's fault-injection job sweeps 1/2/4
 # threads and there is a dedicated streaming job at
-# RAYON_NUM_THREADS=2).
-echo "==> RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden --test stream_constant_cost --test early_rejection -q"
-RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden --test stream_constant_cost --test early_rejection -q
+# RAYON_NUM_THREADS=2), and the pool lifecycle suite checks that a
+# default-sized runner keeps its two workers.
+echo "==> RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden --test stream_constant_cost --test early_rejection --test pool_lifecycle -q"
+RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden --test stream_constant_cost --test early_rejection --test pool_lifecycle -q
 
 # The benchmark (perfbench/) is a workspace of its own that implements
 # the public simulator and store traits and reads window results, so an

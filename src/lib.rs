@@ -16,7 +16,7 @@
 //!   checkpointing.
 //! * [`smc`] — the paper's contribution: sequential importance sampling
 //!   over simulator trajectories with reporting-bias observation models,
-//!   windowed calibration, and a rayon-parallel ensemble runner.
+//!   windowed calibration, and a parallel ensemble runner.
 //! * [`data`] — the paper's simulation-study scenario: time-varying
 //!   ground truth generation, binomial reporting bias, and CSV IO.
 //!

@@ -22,6 +22,11 @@ fn config(seed: u64, threads: Option<usize>) -> CalibrationConfig {
     b.build()
 }
 
+/// Scheduling chunks a 60-cell grid splits into on 1, 2 and 4 workers.
+fn chunks_of_60_cells() -> [usize; 3] {
+    [1, 2, 4].map(|t| ParallelRunner::new(Some(t)).unwrap().chunk_count(60))
+}
+
 fn posterior_fingerprint(e: &ParticleEnsemble) -> Vec<(u64, u64, u64)> {
     e.particles()
         .iter()
@@ -118,9 +123,7 @@ fn scheduling_matrix_is_bit_identical() {
     // The adaptive rule claims `cells / (workers × 8)` cells at a time:
     // on this 15 × 4 grid one worker claims 7-cell chunks that straddle
     // parameter rows, two claim 3-cell chunks, and four claim one cell.
-    assert_eq!(rayon::adaptive_chunk(60, 1), 7);
-    assert_eq!(rayon::adaptive_chunk(60, 2), 3);
-    assert_eq!(rayon::adaptive_chunk(60, 4), 1);
+    assert_eq!(chunks_of_60_cells(), [9, 20, 60]);
     let (truth, simulator) = setup();
     let observed = ObservedData::cases_only(truth.observed_cases.clone());
     let plan = WindowPlan::new(vec![TimeWindow::new(20, 33), TimeWindow::new(34, 47)]);
@@ -177,9 +180,7 @@ fn dir_store_resume_round_trip_is_bit_identical_across_shapes() {
     // 20 × 3 grid one worker claims 7-cell chunks that straddle
     // parameter rows, two claim one row at a time, and four claim one
     // cell.
-    assert_eq!(rayon::adaptive_chunk(60, 1), 7);
-    assert_eq!(rayon::adaptive_chunk(60, 2), 3);
-    assert_eq!(rayon::adaptive_chunk(60, 4), 1);
+    assert_eq!(chunks_of_60_cells(), [9, 20, 60]);
     let (truth, simulator) = setup();
     let observed = ObservedData::cases_only(truth.observed_cases.clone());
     let plan = WindowPlan::new(vec![

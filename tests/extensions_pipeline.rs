@@ -34,6 +34,7 @@ fn forecast_from_calibrated_posterior_is_sane() {
         .unwrap();
 
     let forecast = Forecaster::new(&simulator)
+        .unwrap()
         .forecast(&result.posterior, 20, 60, 7, &["infections", "deaths"])
         .unwrap();
     assert_eq!(forecast.start_day, 48);
@@ -55,6 +56,7 @@ fn forecast_from_calibrated_posterior_is_sane() {
     let future: Vec<f64> = truth.true_cases[47..67].to_vec();
     let good = forecast.mean_crps("infections", &future);
     let bad = Forecaster::new(&simulator)
+        .unwrap()
         .forecast_with(&result.posterior, 20, 60, 7, &["infections"], |_| {
             vec![0.05]
         })

@@ -1,9 +1,9 @@
 //! Deterministic interleaving model of the persistent pool's
-//! epoch-broadcast protocol (`src/lib.rs`).
+//! epoch-broadcast protocol (`crates/epismc/src/runner.rs`).
 //!
 //! Vendoring `loom` is too heavy for this workspace, so this suite does
 //! the next-best loom-style thing: it transcribes the protocol —
-//! `PoolShared::broadcast`, `worker_loop`, and `ThreadPool::drop` — into
+//! `PoolShared::broadcast`, `worker_loop`, and `Pool::drop` — into
 //! an explicit state machine and exhaustively explores **every**
 //! interleaving of its critical sections with a DFS over cloned states.
 //! Because all shared state in the real pool is guarded by one mutex and
@@ -12,24 +12,24 @@
 //! stepping whole critical sections atomically therefore covers the real
 //! interleaving space at the protocol level. (The `Relaxed` claim cursor
 //! and raw slab writes live *inside* a job and are covered separately:
-//! by the `// ORDER:`/`// SAFETY:` arguments in `src/lib.rs`, the
-//! claim-uniqueness regression in the workspace `tests/pool_lifecycle.rs`
-//! suite, and the Miri/TSan CI jobs.)
+//! by the `// ORDER:`/`// SAFETY:` arguments in the runner module, the
+//! claim-uniqueness regression in `pool_lifecycle.rs`, and the Miri/TSan
+//! CI jobs.)
 //!
-//! Transcription map (state machine ⇄ `src/lib.rs`):
+//! Transcription map (state machine ⇄ `crates/epismc/src/runner.rs`):
 //!
 //! | model step | real code |
 //! |---|---|
-//! | `WorkerStep::Idle` | `worker_loop`'s locked loop: shutdown check, epoch compare, `work.wait` |
+//! | `WorkerStep::Idle` | `worker_loop`'s locked loop: shutdown check, epoch compare and job take, `work.wait` |
 //! | `WorkerStep::Run` | `catch_unwind(.. (job.run)(job.ctx) ..)` outside the lock |
 //! | `WorkerStep::Post` | re-lock: first-panic record, `running -= 1`, `done.notify_all` at zero |
 //! | `SubmitterStep::Acquire` | `broadcast`: wait for the `job` slot, publish job+epoch+running, `work.notify_all` |
 //! | `SubmitterStep::Drain` | `broadcast`: wait for `running == 0`, clear slot, take panic, `done.notify_all` |
-//! | `ShutterStep` | `ThreadPool::drop`: set `shutdown`, `work.notify_all`, join workers |
+//! | `ShutterStep` | `Pool::drop`: set `shutdown`, `work.notify_all`, join workers |
 //!
 //! Checked invariants, on every reachable state:
 //! - `running` never underflows, and a claimed epoch always carries a job
-//!   (the `expect` in `worker_loop` can never fire);
+//!   (so `worker_loop` never waits past an epoch it has not run);
 //! - every worker runs every broadcast job exactly once per epoch;
 //! - `broadcast` returns only after all workers finished its job;
 //! - the panic slot is empty at publish time (no payload ever bleeds
@@ -101,14 +101,15 @@ enum ShutterStep {
     Done,
 }
 
-/// When the modeled `ThreadPool::drop` runs.
+/// When the modeled `Pool::drop` runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Shutdown {
     /// No drop in this scenario; terminal = submitters done, workers
     /// parked on the `work` condvar.
     None,
     /// Drop after every submitter finished — the only shape the real
-    /// API permits, since `install(&self)` borrows the pool.
+    /// API permits, since every grid call borrows a runner that keeps
+    /// the pool alive.
     AfterSubmits,
     /// Drop racing a still-queued submitter — *forbidden* by the
     /// borrow discipline; the model proves it would deadlock, which is
@@ -271,8 +272,8 @@ impl State {
                     self.workers[i].step = WorkerStep::Exited;
                 } else if self.st.epoch != self.workers[i].seen {
                     self.workers[i].seen = self.st.epoch;
-                    // The `expect("pool epoch advanced without a job")`
-                    // in worker_loop: prove it unreachable.
+                    // worker_loop takes the job with the epoch: prove an
+                    // unseen epoch never lacks one.
                     let job = self.st.job.ok_or_else(|| {
                         format!("worker {i}: epoch advanced without a job\n{self:?}")
                     })?;
@@ -578,7 +579,7 @@ fn panic_then_clean_job_across_submitters() {
 
 #[test]
 fn shutdown_after_drain_joins_every_worker() {
-    // ThreadPool::drop after the last install returned: every
+    // Pool::drop after the last grid call returned: every
     // interleaving of the shutdown broadcast must wake all parked
     // workers (no lost wakeup) and join them.
     for workers in 1..=3 {
@@ -610,9 +611,10 @@ fn shutdown_racing_a_queued_submitter_deadlocks_in_the_model() {
     // A drop racing a not-yet-published broadcast: once `shutdown` is
     // set, workers exit without touching any later-published job, so
     // the submitter waits on `running > 0` forever. The model MUST find
-    // this deadlock — it is the reason `ThreadPool::install(&self)`
-    // borrowing the pool (making drop-while-queued unrepresentable in
-    // safe code) is load-bearing, and it proves the explorer has teeth.
+    // this deadlock — it is the reason every grid call borrowing a
+    // runner that owns the pool (making drop-while-queued
+    // unrepresentable in safe code) is load-bearing, and it proves the
+    // explorer has teeth.
     let sc = Scenario {
         workers: 2,
         submitters: vec![1],

@@ -9,16 +9,23 @@
 //! from a SplitMix64 stream keyed by `(seed, index)`, so a failing cell
 //! reproduces from its printed parameters alone.
 //!
-//! This is the suite the ThreadSanitizer CI job runs (see
+//! This is one of the suites the ThreadSanitizer CI job runs (see
 //! `scripts/check_concurrency.sh`): the jitter widens the window for
 //! claim/slab races, which is exactly what TSan instruments for.
+//!
+//! Chunk sizes follow the runner's adaptive policy, `cells / (workers ×
+//! 8)` clamped to at least one, so grid sizes below `16 × workers` cells
+//! claim one cell at a time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use rayon::prelude::*;
-use rayon::ThreadPoolBuilder;
+use epismc::prelude::ParallelRunner;
+
+fn runner(threads: usize) -> ParallelRunner {
+    ParallelRunner::new(Some(threads)).unwrap()
+}
 
 /// SplitMix64: tiny, deterministic, good diffusion — the same generator
 /// the workspace uses for seed derivation elsewhere.
@@ -55,28 +62,16 @@ fn work_item(seed: u64, i: usize) -> u64 {
 
 #[test]
 fn seeded_grid_sweep_is_deterministic_and_ordered() {
-    const N: usize = 257; // prime: never divides evenly into chunks
-    for seed in [1u64, 0xDEAD_BEEF, 0x5EED_5EED_5EED_5EED] {
-        // Sequential reference.
-        let expect: Vec<u64> = (0..N).map(|i| work_item(seed, i)).collect();
-        for threads in [2usize, 3, 4] {
-            for min_len in [Some(1), Some(3), None] {
-                let pool = ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let got: Vec<u64> = pool.install(|| {
-                    let it = (0..N).into_par_iter();
-                    let it = match min_len {
-                        Some(m) => it.with_min_len(m),
-                        None => it,
-                    };
-                    it.map(|i| work_item(seed, i)).collect()
-                });
-                assert_eq!(
-                    got, expect,
-                    "seed={seed:#x} threads={threads} min_len={min_len:?}"
-                );
+    // Prime sizes never divide evenly into chunks; across 2, 3 and 4
+    // workers they claim 1 to 16 cells at a time.
+    for threads in [2usize, 3, 4] {
+        let runner = runner(threads);
+        for n in [23usize, 59, 257] {
+            for seed in [1u64, 0xDEAD_BEEF, 0x5EED_5EED_5EED_5EED] {
+                // Sequential reference.
+                let expect: Vec<u64> = (0..n).map(|i| work_item(seed, i)).collect();
+                let got = runner.run_indexed(n, |i| work_item(seed, i));
+                assert_eq!(got, expect, "seed={seed:#x} threads={threads} n={n}");
             }
         }
     }
@@ -87,24 +82,20 @@ fn panic_storm_leaves_the_pool_reusable() {
     // Alternate panicking and clean broadcasts on one long-lived pool.
     // Panic sites are seed-derived; every payload must surface on the
     // submitting thread, and the very next broadcast must run clean.
-    let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+    const N: usize = 47;
+    let runner = runner(3);
+    assert_eq!(runner.chunk_count(N), N, "one cell per claim");
     let mut rng = 0x00C0_FFEEu64;
     for round in 0..20 {
-        let bomb = splitmix64(&mut rng) as usize % 64;
+        let bomb = splitmix64(&mut rng) as usize % N;
         let stormy = round % 2 == 0;
         let result: Result<Vec<u64>, _> = catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| {
-                (0..64)
-                    .into_par_iter()
-                    .with_min_len(1)
-                    .map(|i| {
-                        jitter(i as u64 ^ round);
-                        if stormy && i == bomb {
-                            panic!("storm {round} at {i}");
-                        }
-                        i as u64 * 3
-                    })
-                    .collect()
+            runner.run_indexed(N, |i| {
+                jitter(i as u64 ^ round);
+                if stormy && i == bomb {
+                    panic!("storm {round} at {i}");
+                }
+                i as u64 * 3
             })
         }));
         if stormy {
@@ -116,36 +107,31 @@ fn panic_storm_leaves_the_pool_reusable() {
             assert!(msg.contains(&format!("storm {round}")), "got: {msg}");
         } else {
             let got = result.expect("clean round must not panic");
-            assert_eq!(got, (0..64).map(|i| i * 3).collect::<Vec<u64>>());
+            assert_eq!(got, (0..N as u64).map(|i| i * 3).collect::<Vec<u64>>());
         }
     }
 }
 
 #[test]
 fn concurrent_submitters_queue_on_the_job_slot() {
-    // Several OS threads share one pool and install concurrently,
-    // exercising the queued-submitter wait in `broadcast` (the model's
-    // `SubmitterStep::Acquire` blocking case) under real contention.
-    let pool = Arc::new(ThreadPoolBuilder::new().num_threads(2).build().unwrap());
+    // Several OS threads share one pool through clones of one runner and
+    // submit concurrently, exercising the queued-submitter wait in
+    // `broadcast` (the model's `SubmitterStep::Acquire` blocking case)
+    // under real contention.
+    let runner = runner(2);
     let total = Arc::new(AtomicUsize::new(0));
     std::thread::scope(|scope| {
         for sub in 0..4u64 {
-            let pool = Arc::clone(&pool);
+            let runner = runner.clone();
             let total = Arc::clone(&total);
             scope.spawn(move || {
                 for round in 0..8 {
-                    let got: Vec<u64> = pool.install(|| {
-                        (0..96)
-                            .into_par_iter()
-                            .with_min_len(1)
-                            .map(|i| {
-                                jitter(sub << 32 | round << 16 | i as u64);
-                                i as u64
-                            })
-                            .collect()
+                    let got: Vec<u64> = runner.run_indexed(31, |i| {
+                        jitter(sub << 32 | round << 16 | i as u64);
+                        i as u64
                     });
                     let sum: u64 = got.iter().sum();
-                    assert_eq!(sum, 95 * 96 / 2, "submitter {sub} round {round}");
+                    assert_eq!(sum, 30 * 31 / 2, "submitter {sub} round {round}");
                     total.fetch_add(1, Ordering::Relaxed);
                 }
             });
@@ -156,30 +142,21 @@ fn concurrent_submitters_queue_on_the_job_slot() {
 
 #[test]
 fn rapid_build_drop_cycles_join_cleanly() {
-    // Pools built, (sometimes) used once, and dropped in a tight loop:
+    // Runners built, (sometimes) used once, and dropped in a tight loop:
     // shutdown must always wake and join every worker, including workers
     // that never ran a single job.
     let mut rng = 0x0BAD_5EEDu64;
     for cycle in 0..24 {
         let threads = 2 + (splitmix64(&mut rng) as usize % 3);
-        let pool = ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
+        let runner = runner(threads);
         if cycle % 3 != 0 {
-            let got: Vec<usize> = pool.install(|| {
-                (0..40)
-                    .into_par_iter()
-                    .with_min_len(1)
-                    .map(|i| {
-                        jitter(cycle ^ i as u64);
-                        i + 1
-                    })
-                    .collect()
+            let got: Vec<usize> = runner.run_indexed(31, |i| {
+                jitter(cycle ^ i as u64);
+                i + 1
             });
-            assert_eq!(got.len(), 40);
+            assert_eq!(got.len(), 31);
         }
-        drop(pool); // joins all workers; hangs here = lost wakeup
+        drop(runner); // joins all workers; hangs here = lost wakeup
     }
 }
 
@@ -199,21 +176,15 @@ impl Drop for Tracked {
 
 #[test]
 fn slab_elements_drop_exactly_once_on_clean_runs() {
-    const N: usize = 128;
-    let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+    const N: usize = 47;
+    let runner = runner(3);
     let flags: Arc<Vec<AtomicU8>> = Arc::new((0..N).map(|_| AtomicU8::new(0)).collect());
-    let out: Vec<Tracked> = pool.install(|| {
-        (0..N)
-            .into_par_iter()
-            .with_min_len(1)
-            .map(|i| {
-                jitter(i as u64);
-                Tracked {
-                    idx: i,
-                    flags: Arc::clone(&flags),
-                }
-            })
-            .collect()
+    let out: Vec<Tracked> = runner.run_indexed(N, |i| {
+        jitter(i as u64);
+        Tracked {
+            idx: i,
+            flags: Arc::clone(&flags),
+        }
     });
     assert_eq!(out.len(), N);
     drop(out);
@@ -228,25 +199,19 @@ fn panicked_run_never_double_drops() {
     // already-written elements intentionally leak, but nothing may drop
     // twice and nothing may read uninitialized slots. The `Tracked`
     // drop assertion enforces the former; Miri checks the latter.
-    const N: usize = 64;
-    let pool = ThreadPoolBuilder::new().num_threads(3).build().unwrap();
+    const N: usize = 47;
+    let runner = runner(3);
     let flags: Arc<Vec<AtomicU8>> = Arc::new((0..N).map(|_| AtomicU8::new(0)).collect());
     let result: Result<Vec<Tracked>, _> = catch_unwind(AssertUnwindSafe(|| {
-        pool.install(|| {
-            (0..N)
-                .into_par_iter()
-                .with_min_len(1)
-                .map(|i| {
-                    jitter(i as u64);
-                    if i == N / 2 {
-                        panic!("mid-run bomb");
-                    }
-                    Tracked {
-                        idx: i,
-                        flags: Arc::clone(&flags),
-                    }
-                })
-                .collect()
+        runner.run_indexed(N, |i| {
+            jitter(i as u64);
+            if i == N / 2 {
+                panic!("mid-run bomb");
+            }
+            Tracked {
+                idx: i,
+                flags: Arc::clone(&flags),
+            }
         })
     }));
     assert!(result.is_err());
@@ -257,6 +222,6 @@ fn panicked_run_never_double_drops() {
         );
     }
     // The pool survives for the next caller.
-    let ok: Vec<usize> = pool.install(|| (0..8).into_par_iter().map(|i| i).collect());
+    let ok: Vec<usize> = runner.run_indexed(8, |i| i);
     assert_eq!(ok, (0..8).collect::<Vec<usize>>());
 }

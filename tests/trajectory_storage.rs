@@ -143,7 +143,7 @@ fn pooled_workspaces_are_bit_identical_across_thread_counts() {
 
     let (sim, _, _) = scenario();
     let run_pooled = |threads: Option<usize>| -> (Vec<u64>, u64) {
-        let runner = ParallelRunner::from_option(threads);
+        let runner = ParallelRunner::new(threads).unwrap();
         let stats = Arc::new(WorkspaceStats::default());
         let out = runner.run_grid_pooled(
             8,
