@@ -11,7 +11,7 @@
 //! posterior samples, and credible ribbons under the spec's `out_dir`.
 
 use epibench::runspec::{RunSpec, SourceSpec};
-use epibench::{row, section};
+use epibench::{done_in, row, section};
 use epidata::{generate_ground_truth, io::Table};
 use epismc_core::diagnostics::{PosteriorSummary, Ribbon};
 use epismc_core::observation::BiasMode;
@@ -76,7 +76,7 @@ fn main() {
     let result = calibrator
         .run(&Priors::paper(), &observed, &plan)
         .expect("calibration");
-    println!("done in {:.1}s", started.elapsed().as_secs_f64());
+    println!("{}", done_in(started));
 
     section("per-window posterior");
     let widths = [10, 9, 9, 9, 9, 6, 6];

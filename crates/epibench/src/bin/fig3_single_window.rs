@@ -8,7 +8,7 @@
 //!
 //! Pass `--bias-mode mean` for the conditional-mean thinning ablation.
 
-use epibench::{row, section, Args};
+use epibench::{done_in, row, section, Args};
 use epidata::{generate_ground_truth, io::Table};
 use epismc_core::diagnostics::{coverage, PosteriorSummary, Ribbon};
 use epismc_core::simulator::CovidSimulator;
@@ -40,8 +40,8 @@ fn main() {
         .run(&Priors::paper(), &observed, window)
         .expect("calibration");
     println!(
-        "done in {:.1}s  (ESS {:.1}, unique ancestors {}, log marginal {:.1})",
-        started.elapsed().as_secs_f64(),
+        "{}  (ESS {:.1}, unique ancestors {}, log marginal {:.1})",
+        done_in(started),
         result.ess,
         result.unique_ancestors,
         result.log_marginal

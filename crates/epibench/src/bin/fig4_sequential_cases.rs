@@ -6,7 +6,7 @@
 //! * Fig 4b — per-window joint posterior of `(theta, rho)`: KDE mode,
 //!   50%/90% HDR levels, and the truth marker.
 
-use epibench::{row, section, Args};
+use epibench::{done_in, row, section, Args};
 use epidata::{generate_ground_truth, io::Table};
 use epismc_core::diagnostics::{coverage, joint_density, PosteriorSummary, Ribbon};
 use epismc_core::prior::JitterKernel;
@@ -42,7 +42,7 @@ fn main() {
     let result = calibrator
         .run(&Priors::paper(), &observed, &plan)
         .expect("calibration");
-    println!("done in {:.1}s", started.elapsed().as_secs_f64());
+    println!("{}", done_in(started));
 
     // --- Fig 4b: parameter trace per window vs truth. ---
     section("per-window posterior of (theta, rho) vs truth  [Fig 4b]");

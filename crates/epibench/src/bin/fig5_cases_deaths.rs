@@ -6,7 +6,7 @@
 //! Runs both configurations (cases-only and cases+deaths) at identical
 //! settings and prints the credible-interval-width reduction.
 
-use epibench::{row, section, Args};
+use epibench::{done_in, row, section, Args};
 use epidata::{generate_ground_truth, io::Table};
 use epismc_core::diagnostics::{coverage, PosteriorSummary, Ribbon};
 use epismc_core::prior::JitterKernel;
@@ -58,10 +58,7 @@ fn main() {
     let started = std::time::Instant::now();
     let res_cases = run(&simulator, &args, &obs_cases, &plan);
     let res_both = run(&simulator, &args, &obs_both, &plan);
-    println!(
-        "done in {:.1}s (both runs)",
-        started.elapsed().as_secs_f64()
-    );
+    println!("{} (both runs)", done_in(started));
 
     // --- Fig 5b: per-window posteriors under both data configurations. ---
     section("per-window posterior vs truth  [Fig 5b]");

@@ -54,7 +54,7 @@ fn main() {
 
     let horizon_days = scenario.horizon - 61;
     let future_truth: Vec<f64> = truth.true_cases[61..scenario.horizon as usize].to_vec();
-    let fc = Forecaster::new(&simulator).expect("forecaster");
+    let fc = Forecaster::new(&simulator, args.threads).expect("forecaster");
 
     // (a) the honest day-61 forecast,
     let honest = fc

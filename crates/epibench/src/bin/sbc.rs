@@ -7,7 +7,7 @@
 //! Prints rank histograms and chi-square uniformity statistics for theta
 //! and rho, and writes the raw ranks to CSV.
 
-use epibench::{row, section, Args};
+use epibench::{done_in, row, section, Args};
 use epidata::io::Table;
 use epismc_core::simulator::SeirSimulator;
 use epismc_core::sis::Priors;
@@ -55,7 +55,7 @@ fn main() {
     );
     let started = std::time::Instant::now();
     let result = run_sbc(&simulator, &priors, &config).expect("sbc");
-    println!("done in {:.1}s", started.elapsed().as_secs_f64());
+    println!("{}", done_in(started));
 
     let bins = 5usize;
     let histogram = |ranks: &[f64]| -> Vec<usize> {

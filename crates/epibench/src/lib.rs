@@ -158,6 +158,26 @@ impl Args {
     }
 }
 
+/// Peak resident set size of this process in MiB: `VmHWM` from
+/// `/proc/self/status`, or `None` where that file or line does not exist
+/// (off Linux).
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kib: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kib / 1024.0)
+}
+
+/// The `done in` footer of a run started at `started`: its wall time and,
+/// where the host reports it, the process's peak resident set so far.
+pub fn done_in(started: std::time::Instant) -> String {
+    let wall = started.elapsed().as_secs_f64();
+    match peak_rss_mib() {
+        Some(mib) => format!("done in {wall:.1}s, peak RSS {mib:.0} MiB"),
+        None => format!("done in {wall:.1}s"),
+    }
+}
+
 /// Print a named section header to stdout.
 pub fn section(title: &str) {
     println!("\n=== {title} ===");
@@ -176,6 +196,22 @@ pub fn row(cells: &[String], widths: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn footer_reports_peak_rss_where_the_host_does() {
+        let footer = done_in(std::time::Instant::now());
+        assert!(footer.starts_with("done in 0.0s"), "{footer}");
+        match peak_rss_mib() {
+            Some(mib) => {
+                assert!(mib > 0.0);
+                assert!(footer.ends_with(" MiB"), "{footer}");
+            }
+            None => assert_eq!(footer, "done in 0.0s"),
+        }
+        if cfg!(target_os = "linux") {
+            assert!(peak_rss_mib().is_some());
+        }
+    }
 
     #[test]
     fn default_args_build_valid_config() {

@@ -110,23 +110,27 @@ impl Forecast {
 
 /// Posterior-predictive forecaster over a calibrated ensemble.
 ///
-/// Owns its [`ParallelRunner`]: the worker pool, sized by the process
-/// default (`RAYON_NUM_THREADS`, else the core count), is built once by
-/// [`Self::new`] and reused by every forecast call.
+/// Owns its [`ParallelRunner`]: the worker pool is built once by
+/// [`Self::new`] and reused by every forecast call. Forecasts are
+/// bit-identical for every worker count.
 pub struct Forecaster<'a, S: TrajectorySimulator> {
     simulator: &'a S,
     runner: ParallelRunner,
 }
 
 impl<'a, S: TrajectorySimulator> Forecaster<'a, S> {
-    /// Create a forecaster over a simulator.
+    /// Create a forecaster over a simulator, forecasting on `threads`
+    /// workers, or the process default when `None` (the
+    /// [`crate::config::CalibrationConfig::threads`] convention, see
+    /// [`ParallelRunner::new`]).
     ///
     /// # Errors
-    /// [`SmcError::Config`] if a worker thread cannot be spawned.
-    pub fn new(simulator: &'a S) -> Result<Self, SmcError> {
+    /// [`SmcError::Config`] for `Some(0)`, or if a worker thread cannot be
+    /// spawned.
+    pub fn new(simulator: &'a S, threads: Option<usize>) -> Result<Self, SmcError> {
         Ok(Self {
             simulator,
-            runner: ParallelRunner::new(None)?,
+            runner: ParallelRunner::new(threads)?,
         })
     }
 
@@ -265,7 +269,7 @@ mod tests {
     #[test]
     fn forecast_shapes_and_determinism() {
         let (sim, posterior, _) = calibrated();
-        let f = Forecaster::new(&sim)
+        let f = Forecaster::new(&sim, None)
             .unwrap()
             .forecast(&posterior, 30, 50, 9, &["infections"])
             .unwrap();
@@ -274,7 +278,7 @@ mod tests {
         assert_eq!(f.ensemble("infections", 0).map(<[f64]>::len), Some(50));
         assert!(f.ensemble("infections", 30).is_none());
         assert!(f.ensemble("nope", 0).is_none());
-        let f2 = Forecaster::new(&sim)
+        let f2 = Forecaster::new(&sim, None)
             .unwrap()
             .forecast(&posterior, 30, 50, 9, &["infections"])
             .unwrap();
@@ -282,9 +286,38 @@ mod tests {
     }
 
     #[test]
+    fn forecasts_are_bit_identical_across_thread_counts() {
+        use crate::simulator::TrajectorySimulator;
+        let (sim, posterior, _) = calibrated();
+        let outputs = sim.output_names();
+        let names: Vec<&str> = outputs.iter().map(String::as_str).collect();
+        let at = |threads| {
+            Forecaster::new(&sim, Some(threads))
+                .unwrap()
+                .forecast(&posterior, 30, 50, 9, &names)
+                .unwrap()
+        };
+        let (one, two) = (at(1), at(2));
+        assert_eq!((one.start_day, one.len()), (two.start_day, two.len()));
+        for &name in &names {
+            for d in 0..one.len() {
+                let bits = |f: &Forecast| -> Vec<u64> {
+                    f.ensemble(name, d)
+                        .unwrap()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(&one), bits(&two), "{name}, day {d}");
+            }
+        }
+        assert!(Forecaster::new(&sim, Some(0)).is_err());
+    }
+
+    #[test]
     fn forecast_brackets_realized_future() {
         let (sim, posterior, future) = calibrated();
-        let f = Forecaster::new(&sim)
+        let f = Forecaster::new(&sim, None)
             .unwrap()
             .forecast(&posterior, 30, 80, 11, &["infections"])
             .unwrap();
@@ -301,7 +334,7 @@ mod tests {
     #[test]
     fn calibrated_forecast_beats_wrong_theta_forecast() {
         let (sim, posterior, future) = calibrated();
-        let fc = Forecaster::new(&sim).unwrap();
+        let fc = Forecaster::new(&sim, None).unwrap();
         let good = fc
             .forecast(&posterior, 30, 60, 13, &["infections"])
             .unwrap()
@@ -319,7 +352,7 @@ mod tests {
     #[test]
     fn intervention_transform_reduces_caseload() {
         let (sim, posterior, _) = calibrated();
-        let fc = Forecaster::new(&sim).unwrap();
+        let fc = Forecaster::new(&sim, None).unwrap();
         let base = fc
             .forecast(&posterior, 30, 60, 17, &["infections"])
             .unwrap();
@@ -347,7 +380,7 @@ mod tests {
     #[test]
     fn rejects_degenerate_inputs() {
         let (sim, posterior, _) = calibrated();
-        let fc = Forecaster::new(&sim).unwrap();
+        let fc = Forecaster::new(&sim, None).unwrap();
         assert!(fc
             .forecast(&ParticleEnsemble::new(), 10, 10, 1, &["infections"])
             .is_err());

@@ -107,25 +107,6 @@ impl ParticleEnsemble {
         normalize_log_weights(&lw)
     }
 
-    /// [`Self::normalized_weights`] with the elementwise exponentials
-    /// computed on `runner` — **bit-identical** to the serial form at any
-    /// thread count: the log-sum-exp *reduction* (whose float summation
-    /// order is part of the deterministic contract) stays serial, and
-    /// only the independent per-particle `exp(x - lse)` map, which has no
-    /// cross-element arithmetic, fans out.
-    pub fn normalized_weights_par(&self, runner: &ParallelRunner) -> Vec<f64> {
-        if self.particles.is_empty() {
-            return Vec::new();
-        }
-        let lw: Vec<f64> = self.particles.iter().map(|p| p.log_weight).collect();
-        let lse = log_sum_exp(&lw);
-        if lse == f64::NEG_INFINITY {
-            let u = 1.0 / lw.len() as f64;
-            return vec![u; lw.len()];
-        }
-        runner.run_indexed(lw.len(), |i| (lw[i] - lse).exp())
-    }
-
     /// Effective sample size of the current weights.
     pub fn ess(&self) -> f64 {
         ess(&self.normalized_weights())
@@ -205,6 +186,24 @@ impl ParticleEnsemble {
     }
 }
 
+/// [`normalize_log_weights`] with the elementwise exponentials computed
+/// on `runner` — **bit-identical** to the serial form at any thread
+/// count: the log-sum-exp *reduction* (whose float summation order is
+/// part of the deterministic contract) stays serial, and only the
+/// independent per-weight `exp(x - lse)` map, which has no cross-element
+/// arithmetic, fans out.
+pub(crate) fn normalized_weights_par(log_w: &[f64], runner: &ParallelRunner) -> Vec<f64> {
+    if log_w.is_empty() {
+        return Vec::new();
+    }
+    let lse = log_sum_exp(log_w);
+    if lse == f64::NEG_INFINITY {
+        let u = 1.0 / log_w.len() as f64;
+        return vec![u; log_w.len()];
+    }
+    runner.run_indexed(log_w.len(), |i| (log_w[i] - lse).exp())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,9 +264,12 @@ mod tests {
         e.push(dummy_particle(0.6, 0.2, 9, -997.25));
         e.particles_mut()[0].log_weight = -1000.0;
         let serial = e.normalized_weights();
+        let log_w = |e: &ParticleEnsemble| -> Vec<f64> {
+            e.particles().iter().map(|p| p.log_weight).collect()
+        };
         for threads in [1usize, 2, 4] {
             let runner = ParallelRunner::new(Some(threads)).unwrap();
-            let par = e.normalized_weights_par(&runner);
+            let par = normalized_weights_par(&log_w(&e), &runner);
             assert_eq!(serial.len(), par.len());
             for (s, p) in serial.iter().zip(&par) {
                 assert_eq!(s.to_bits(), p.to_bits(), "threads = {threads}");
@@ -281,11 +283,9 @@ mod tests {
         ]);
         assert_eq!(
             dead.normalized_weights(),
-            dead.normalized_weights_par(&runner)
+            normalized_weights_par(&log_w(&dead), &runner)
         );
-        assert!(ParticleEnsemble::new()
-            .normalized_weights_par(&runner)
-            .is_empty());
+        assert!(normalized_weights_par(&[], &runner).is_empty());
     }
 
     #[test]

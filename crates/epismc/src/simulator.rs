@@ -155,6 +155,16 @@ impl Drop for PooledWorkspace {
 /// `theta` is the calibration parameter vector; what each coordinate
 /// means is up to the implementation (for the built-in adapters,
 /// `theta[0]` is the transmission rate).
+///
+/// [`Self::run_fresh_in`] and [`Self::run_from_in`] (and the
+/// [`Self::run_fresh`] / [`Self::run_from`] they default to) must be pure
+/// functions of `(theta, seed, checkpoint, end_day)`: state a simulator
+/// keeps between calls — a cache, a counter — must never change what a
+/// run returns. The calibrator may run a grid cell twice: a cell scored
+/// too far below the best to be resampled drops its trajectory and
+/// checkpoint, and is run again if resampling draws it after all. A
+/// second run that scores differently fails the window with
+/// [`SmcError::Simulation`].
 pub trait TrajectorySimulator: Send + Sync {
     /// Dimension of the calibration parameter vector.
     fn theta_dim(&self) -> usize;

@@ -22,12 +22,12 @@ use epistats::logweight::log_mean_exp;
 use epistats::rng::{StreamKey, Xoshiro256PlusPlus};
 use epistats::summary::ess;
 
-use crate::ckpool;
+use crate::ckpool::{self, SharedCheckpoint};
 use crate::config::{CalibrationConfig, CheckpointPolicy};
 use crate::error::SmcError;
 use crate::likelihood::{GaussianSqrtLikelihood, Likelihood};
 use crate::observation::{BiasMode, BiasModel, BinomialBias, IdentityBias};
-use crate::particle::{Particle, ParticleEnsemble};
+use crate::particle::{normalized_weights_par, Particle, ParticleEnsemble};
 use crate::persist::{self, ResumeReport, RunSnapshot, RunStore, SnapshotWriter};
 use crate::prior::{JitterKernel, Prior};
 use crate::runner::ParallelRunner;
@@ -314,19 +314,18 @@ struct WindowAccounting {
 /// by deduplicating on allocation identity, folding in the window's
 /// workspace-pool counters and phase timings.
 ///
-/// The posterior is the resample of `candidates` that `drawn` describes:
-/// each distinct drawn candidate with the number of times it was drawn.
-/// Duplicates share every allocation with their candidate, so one serial
-/// pass over the distinct candidates sees every segment and checkpoint
-/// the posterior holds, and the per-reference totals (`flat_bytes`,
+/// The posterior is the resample that `drawn` describes: each distinct
+/// drawn candidate with the number of times it was drawn. Duplicates
+/// share every allocation with their candidate, so one serial pass over
+/// the distinct candidates sees every segment and checkpoint the
+/// posterior holds, and the per-reference totals (`flat_bytes`,
 /// `segment_refs`, `checkpoint_refs`) weight each candidate by its
 /// count. Each chain is walked only until the first segment already
 /// seen, so the pass costs the distinct candidates plus their distinct
 /// segments, however large the resample; `segment_refs` comes from the
 /// chain depth each segment records.
 fn measure_telemetry(
-    candidates: &[Particle],
-    drawn: &[(usize, usize)],
+    drawn: &[(Particle, usize)],
     acct: WindowAccounting,
     resample_nanos: u64,
     ws_stats: &WorkspaceStats,
@@ -346,8 +345,7 @@ fn measure_telemetry(
         ..Default::default()
     };
     let mut seen = std::collections::BTreeSet::new();
-    for &(i, n) in drawn {
-        let p = &candidates[i];
+    for (p, n) in drawn {
         t.flat_bytes += n * p.trajectory.flat_bytes();
         t.segment_refs += n * p.trajectory.segment_count();
         let (fresh, _) = p.trajectory.unknown_segments(|id| seen.contains(&id));
@@ -357,8 +355,7 @@ fn measure_telemetry(
         }
     }
     t.unique_segments = seen.len();
-    let sharing = ckpool::sharing(drawn.iter().flat_map(|&(i, n)| {
-        let p = &candidates[i];
+    let sharing = ckpool::sharing(drawn.iter().flat_map(|&(ref p, n)| {
         std::iter::once((&p.checkpoint, n)).chain(p.origin.as_ref().map(|o| (o, n)))
     }));
     t.unique_checkpoints = sharing.unique;
@@ -374,8 +371,12 @@ pub struct WindowResult {
     pub window: TimeWindow,
     /// Resampled (uniformly weighted) posterior particles.
     pub posterior: ParticleEnsemble,
-    /// The full weighted candidate ensemble, kept only when
-    /// [`CalibrationConfig::keep_prior_ensemble`] is set.
+    /// The full weighted candidate ensemble, every candidate with its
+    /// trajectory and checkpoint, kept only when
+    /// [`CalibrationConfig::keep_prior_ensemble`] is set. Only that
+    /// setting holds every candidate's payload through the grid: without
+    /// it, a candidate too light to be resampled drops its trajectory and
+    /// checkpoint as soon as it is scored.
     pub prior_ensemble: Option<ParticleEnsemble>,
     /// Effective sample size of the importance weights before resampling.
     pub ess: f64,
@@ -682,12 +683,12 @@ pub fn score_window(
     Ok(scratch.total())
 }
 
-/// Weight, resample, and package a candidate ensemble into a
+/// Weight, resample, and package a grid's scored cells into a
 /// [`WindowResult`].
 ///
 /// The between-window phases run parallel wherever the deterministic
 /// contract allows: weight exponentiation fans out elementwise
-/// ([`ParticleEnsemble::normalized_weights_par`]) and posterior duplicate
+/// ([`normalized_weights_par`]) and posterior duplicate
 /// materialization (pure `Arc` bumps under shared trajectories /
 /// checkpoints / thetas) runs on the grid runner. The float *reductions*
 /// (log-sum-exp, whose summation order is part of the contract),
@@ -697,25 +698,31 @@ pub fn score_window(
 /// their distinct segments) stay serial — `resample_nanos` keeps the
 /// resampling cost visible, and the parallel spans are subtracted from
 /// `serial_nanos` so the telemetry reports the true Amdahl fraction.
+///
+/// A drawn cell whose payload the grid dropped is rebuilt first: run
+/// again through [`Grid::cell`] on the same streams and ancestor
+/// checkpoint, on workspaces counting into their own
+/// [`WorkspaceStats`], so the window's counters read as if the payload
+/// had been kept. A rebuild that does not reproduce the cell's log weight
+/// bit for bit fails with [`SmcError::Simulation`].
 #[allow(clippy::too_many_arguments)]
-fn finalize_window(
-    window: TimeWindow,
-    candidates: Vec<Particle>,
+fn finalize_window<S: TrajectorySimulator>(
+    grid: &Grid<'_, S>,
+    mut cells: Vec<Cell>,
     config: &CalibrationConfig,
     rng: &mut Xoshiro256PlusPlus,
     runner: &ParallelRunner,
     started: std::time::Instant,
     acct: WindowAccounting,
     ws_stats: &WorkspaceStats,
-) -> WindowResult {
-    let ensemble = ParticleEnsemble::from_vec(candidates);
+) -> Result<WindowResult, SmcError> {
+    let log_w: Vec<f64> = cells.iter().map(|c| c.log_weight).collect();
     let mut parallel_nanos = 0u64;
     // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
     let weights_started = std::time::Instant::now();
-    let weights = ensemble.normalized_weights_par(runner);
+    let weights = normalized_weights_par(&log_w, runner);
     parallel_nanos += weights_started.elapsed().as_nanos() as u64;
     let window_ess = ess(&weights);
-    let log_w: Vec<f64> = ensemble.particles().iter().map(|p| p.log_weight).collect();
     let log_marginal = log_mean_exp(&log_w);
 
     // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
@@ -733,31 +740,66 @@ fn finalize_window(
         .collect();
     let unique_ancestors = drawn.len();
 
+    let lost: Vec<usize> = drawn
+        .iter()
+        .map(|&(k, _)| k)
+        .filter(|&k| cells[k].payload.is_none())
+        .collect();
+    if !lost.is_empty() {
+        let rebuild_stats = Arc::new(WorkspaceStats::default());
+        let rebuilt = runner.run_grid_pooled(
+            lost.len(),
+            1,
+            || PooledWorkspace::new(Arc::clone(&rebuild_stats)),
+            |ws, j, _| grid.cell(ws, lost[j]),
+        );
+        for (&k, cell) in lost.iter().zip(rebuilt) {
+            let cell = cell?;
+            if cell.log_weight.to_bits() != cells[k].log_weight.to_bits() {
+                return Err(SmcError::Simulation(format!(
+                    "grid cell {k} scored {} when run again, {} the first time: the \
+                     simulator's runs are not pure functions of (theta, seed, checkpoint, \
+                     end day)",
+                    cell.log_weight, cells[k].log_weight
+                )));
+            }
+            cells[k] = cell;
+        }
+    }
+
+    let distinct = drawn
+        .iter()
+        .map(|&(k, n)| Ok((cells[k].particle()?, n)))
+        .collect::<Result<Vec<_>, SmcError>>()?;
     // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
     let build_started = std::time::Instant::now();
-    let mut posterior = ParticleEnsemble::from_vec(
-        runner.run_indexed(idx.len(), |j| ensemble.particles()[idx[j]].clone()),
-    );
+    let mut posterior = ParticleEnsemble::from_vec(runner.run_indexed(idx.len(), |j| {
+        // `drawn` is sorted by candidate and holds every drawn one.
+        distinct[drawn.partition_point(|&(k, _)| k < idx[j])]
+            .0
+            .clone()
+    }));
     parallel_nanos += build_started.elapsed().as_nanos() as u64;
     posterior.set_uniform_weights();
     let resample_nanos = resample_started.elapsed().as_nanos() as u64;
-    let mut telemetry =
-        measure_telemetry(ensemble.particles(), &drawn, acct, resample_nanos, ws_stats);
+    let mut telemetry = measure_telemetry(&distinct, acct, resample_nanos, ws_stats);
     // Everything the window spent outside its parallel phases — grid
     // passes and the parallelized finalize spans above — is the serial
     // fraction strong scaling is bounded by.
     telemetry.serial_nanos = (started.elapsed().as_nanos() as u64)
         .saturating_sub(acct.grid_nanos)
         .saturating_sub(parallel_nanos);
+    let prior_ensemble = if config.keep_prior_ensemble {
+        let all = cells.iter().map(Cell::particle).collect::<Result<_, _>>()?;
+        Some(ParticleEnsemble::from_vec(all))
+    } else {
+        None
+    };
 
-    WindowResult {
-        window,
+    Ok(WindowResult {
+        window: grid.window,
         posterior,
-        prior_ensemble: if config.keep_prior_ensemble {
-            Some(ensemble)
-        } else {
-            None
-        },
+        prior_ensemble,
         ess: window_ess,
         log_marginal,
         unique_ancestors,
@@ -765,7 +807,7 @@ fn finalize_window(
         wall_time: started.elapsed(),
         telemetry,
         rejuvenation: None,
-    }
+    })
 }
 
 /// One proposed parameter tuple, optionally anchored to an ancestor
@@ -866,9 +908,8 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
         let ws_stats = Arc::new(WorkspaceStats::default());
         // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
         let grid_started = std::time::Instant::now();
-        let candidates = simulate_grid(
+        let grid = Grid::new(
             self.simulator,
-            runner,
             cfg.n_replicates,
             &proposals,
             None,
@@ -876,8 +917,8 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
             window,
             sim_key,
             bias_key,
-            &ws_stats,
         )?;
+        let cells = simulate_grid(&grid, runner, &ws_stats, drop_margin(cfg, grid.cells()))?;
         let grid_nanos = grid_started.elapsed().as_nanos() as u64;
         // The driver's pre-built pool is charged to the first window that
         // uses it — later runs on the same driver report 0.
@@ -888,9 +929,9 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
             stream_setup_nanos,
             grid_nanos,
         };
-        Ok(finalize_window(
-            window, candidates, cfg, &mut rng, runner, started, acct, &ws_stats,
-        ))
+        finalize_window(
+            &grid, cells, cfg, &mut rng, runner, started, acct, &ws_stats,
+        )
     }
 }
 
@@ -1466,9 +1507,8 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                 .absorb(TAG_BIAS)
                 .absorb(window_index as u64)
                 .absorb(iteration as u64);
-            let candidates = simulate_grid(
+            let grid = Grid::new(
                 self.simulator,
-                runner,
                 cfg.n_replicates,
                 &proposals,
                 ancestors,
@@ -1476,8 +1516,9 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                 window,
                 sim_key,
                 bias_key,
-                &ws_stats,
             )?;
+            let candidates =
+                simulate_grid(&grid, runner, &ws_stats, drop_margin(cfg, grid.cells()))?;
             grid_nanos += grid_started.elapsed().as_nanos() as u64;
             iteration += 1;
             // The calibration-level pool build is never re-charged to a
@@ -1492,9 +1533,9 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
 
             let adaptive = match &self.adaptive {
                 None => {
-                    return Ok(finalize_window(
-                        window, candidates, cfg, &mut rng, runner, started, acct, &ws_stats,
-                    ))
+                    return finalize_window(
+                        &grid, candidates, cfg, &mut rng, runner, started, acct, &ws_stats,
+                    )
                 }
                 Some(a) => a,
             };
@@ -1504,9 +1545,9 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             if iteration >= adaptive.max_iterations
                 || current_ess >= adaptive.target_ess_fraction * candidates.len() as f64
             {
-                return Ok(finalize_window(
-                    window, candidates, cfg, &mut rng, runner, started, acct, &ws_stats,
-                ));
+                return finalize_window(
+                    &grid, candidates, cfg, &mut rng, runner, started, acct, &ws_stats,
+                );
             }
 
             // Re-propose around the weighted candidates with shrunken
@@ -1547,80 +1588,201 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
     }
 }
 
-/// Run and score the `(proposal, replicate)` grid of one window: fresh
-/// day-0 runs when `ancestors` is `None`, checkpoint continuations
-/// otherwise. Cell `(i, r)` simulates on seed `sim_key.derive(r)` — the
-/// replicate index alone, so common random numbers across proposals hold
-/// by construction — and thins on `bias_key.derive2(i, r)`.
-#[allow(clippy::too_many_arguments)]
-fn simulate_grid<S: TrajectorySimulator>(
-    simulator: &S,
-    runner: &ParallelRunner,
+/// One window's `(proposal, replicate)` grid: everything a cell's run
+/// and score depend on. Cell `(i, r)` runs fresh from day 0 when
+/// `ancestors` is `None` and continues its proposal's ancestor otherwise,
+/// simulates on seed `sim_key.derive(r)` — the replicate index alone, so
+/// common random numbers across proposals hold by construction — and
+/// thins on `bias_key.derive2(i, r)`. Every stream a cell draws derives
+/// from its coordinates, so any cell can be run again bit for bit.
+struct Grid<'a, S: TrajectorySimulator> {
+    simulator: &'a S,
     n_replicates: usize,
-    proposals: &[Proposal],
-    ancestors: Option<&ParticleEnsemble>,
-    observed: &ObservedData,
+    proposals: &'a [Proposal],
+    ancestors: Option<&'a ParticleEnsemble>,
+    observed: &'a ObservedData,
+    /// One observed-side preparation per grid, shared by all workers.
+    prepared: PreparedObserved,
     window: TimeWindow,
     sim_key: StreamKey,
     bias_key: StreamKey,
+}
+
+/// The payload a grid cell may drop: its trajectory, checkpoint and
+/// origin (see [`Particle`]).
+type Payload = (SharedTrajectory, SharedCheckpoint, Option<SharedCheckpoint>);
+
+/// One scored grid cell: a [`Particle`] whose payload is `None` once the
+/// grid dropped it (see [`simulate_grid`]).
+struct Cell {
+    theta: Arc<[f64]>,
+    rho: f64,
+    seed: u64,
+    log_weight: f64,
+    payload: Option<Payload>,
+}
+
+impl Cell {
+    /// The cell's particle.
+    ///
+    /// # Errors
+    /// [`SmcError::Simulation`] if the grid dropped the cell's payload.
+    fn particle(&self) -> Result<Particle, SmcError> {
+        let (trajectory, checkpoint, origin) = self
+            .payload
+            .clone()
+            .ok_or_else(|| SmcError::Simulation("a resampled grid cell was not rebuilt".into()))?;
+        Ok(Particle {
+            theta: Arc::clone(&self.theta),
+            rho: self.rho,
+            seed: self.seed,
+            log_weight: self.log_weight,
+            trajectory,
+            checkpoint,
+            origin,
+        })
+    }
+}
+
+impl<'a, S: TrajectorySimulator> Grid<'a, S> {
+    /// The grid of `proposals` × `n_replicates` cells scored on `window`.
+    ///
+    /// # Errors
+    /// [`SmcError::Observation`] if the observed data do not cover the
+    /// window (see [`PreparedObserved::build`]).
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        simulator: &'a S,
+        n_replicates: usize,
+        proposals: &'a [Proposal],
+        ancestors: Option<&'a ParticleEnsemble>,
+        observed: &'a ObservedData,
+        window: TimeWindow,
+        sim_key: StreamKey,
+        bias_key: StreamKey,
+    ) -> Result<Self, SmcError> {
+        Ok(Self {
+            simulator,
+            n_replicates,
+            proposals,
+            ancestors,
+            observed,
+            prepared: PreparedObserved::build(observed, window)?,
+            window,
+            sim_key,
+            bias_key,
+        })
+    }
+
+    /// Cells in the grid.
+    fn cells(&self) -> usize {
+        self.proposals.len() * self.n_replicates
+    }
+
+    /// Run and score cell `k` (row-major: proposal `k / n_replicates`,
+    /// replicate `k % n_replicates`) on `ws` — the one cell function the
+    /// grid pass and [`finalize_window`]'s rebuild share.
+    fn cell(&self, ws: &mut PooledWorkspace, k: usize) -> Result<Cell, SmcError> {
+        let (i, r) = (k / self.n_replicates, k % self.n_replicates);
+        let prop = &self.proposals[i];
+        let (sim, scratch) = ws.parts();
+        let sim_seed = self.sim_key.derive(r as u64);
+        let (trajectory, checkpoint, origin) = match self.ancestors {
+            None => {
+                let (t, ck) =
+                    self.simulator
+                        .run_fresh_in(sim, &prop.theta, sim_seed, self.window.end)?;
+                (SharedTrajectory::root(t), ckpool::share(ck), None)
+            }
+            Some(anc_set) => {
+                let anc = &anc_set.particles()[prop.ancestor];
+                let (tail, ck) = self.simulator.run_from_in(
+                    sim,
+                    &anc.checkpoint,
+                    &prop.theta,
+                    sim_seed,
+                    self.window.end,
+                )?;
+                // O(window), not O(history): the ancestor's past —
+                // trajectory *and* origin checkpoint — is shared
+                // structurally, never copied.
+                (
+                    anc.trajectory.append(tail),
+                    ckpool::share(ck),
+                    Some(Arc::clone(&anc.checkpoint)),
+                )
+            }
+        };
+        let bias_seed = self.bias_key.derive2(i as u64, r as u64);
+        // Incremental likelihood: only this window's data.
+        // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
+        let score_started = std::time::Instant::now();
+        let log_weight = score_window(
+            &trajectory,
+            prop.rho,
+            bias_seed,
+            self.observed,
+            &self.prepared,
+            scratch,
+        )?;
+        ws.add_score_nanos(score_started.elapsed().as_nanos() as u64);
+        Ok(Cell {
+            theta: Arc::clone(&prop.theta),
+            rho: prop.rho,
+            seed: sim_seed,
+            log_weight,
+            payload: Some((trajectory, checkpoint, origin)),
+        })
+    }
+}
+
+/// How far, in log weight, a grid cell may fall below the best its worker
+/// has scored before [`simulate_grid`] drops its payload:
+/// `ln(cells · resample_size) + 28`, or `+∞` — keep every payload — when
+/// the configuration keeps the prior ensemble.
+///
+/// A dropped cell's normalized weight is below `e^-margin`, and each
+/// resampler draws a cell with probability at most `resample_size`
+/// times its weight, so the chance that resampling draws any dropped
+/// cell of the window is below `e^-28 ≈ 7·10⁻¹³`. A drawn one is rebuilt
+/// (see [`finalize_window`]), so the margin decides only memory and the
+/// odds of a rebuild, never a result.
+fn drop_margin(config: &CalibrationConfig, cells: usize) -> f64 {
+    if config.keep_prior_ensemble {
+        f64::INFINITY
+    } else {
+        (cells as f64 * config.resample_size as f64).ln() + 28.0
+    }
+}
+
+/// Run and score every cell of `grid`. Each worker tracks the best log
+/// weight it has scored in the grid and drops the payload of a cell
+/// whose log weight lies more than `margin` below that best as soon as
+/// the cell is scored, so the grid holds the trajectories and
+/// checkpoints of the cells resampling can draw, not of every cell (see
+/// [`drop_margin`]). θ, ρ, seed and log weight stay for every cell.
+fn simulate_grid<S: TrajectorySimulator>(
+    grid: &Grid<'_, S>,
+    runner: &ParallelRunner,
     ws_stats: &Arc<WorkspaceStats>,
-) -> Result<Vec<Particle>, SmcError> {
-    // One observed-side preparation per grid, shared by all workers.
-    let prepared = PreparedObserved::build(observed, window)?;
-    let results: Vec<Result<Particle, SmcError>> = runner.run_grid_pooled(
-        proposals.len(),
-        n_replicates,
-        || PooledWorkspace::new(Arc::clone(ws_stats)),
-        |ws, i, r| {
-            let prop = &proposals[i];
-            let (sim, scratch) = ws.parts();
-            let sim_seed = sim_key.derive(r as u64);
-            let (trajectory, checkpoint, origin) = match ancestors {
-                None => {
-                    let (t, ck) = simulator.run_fresh_in(sim, &prop.theta, sim_seed, window.end)?;
-                    (SharedTrajectory::root(t), ckpool::share(ck), None)
-                }
-                Some(anc_set) => {
-                    let anc = &anc_set.particles()[prop.ancestor];
-                    let (tail, ck) = simulator.run_from_in(
-                        sim,
-                        &anc.checkpoint,
-                        &prop.theta,
-                        sim_seed,
-                        window.end,
-                    )?;
-                    // O(window), not O(history): the ancestor's past —
-                    // trajectory *and* origin checkpoint — is shared
-                    // structurally, never copied.
-                    (
-                        anc.trajectory.append(tail),
-                        ckpool::share(ck),
-                        Some(Arc::clone(&anc.checkpoint)),
-                    )
-                }
-            };
-            let bias_seed = bias_key.derive2(i as u64, r as u64);
-            // Incremental likelihood: only this window's data.
-            // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-            let score_started = std::time::Instant::now();
-            let log_weight = score_window(
-                &trajectory,
-                prop.rho,
-                bias_seed,
-                observed,
-                &prepared,
-                scratch,
-            )?;
-            ws.add_score_nanos(score_started.elapsed().as_nanos() as u64);
-            Ok(Particle {
-                theta: Arc::clone(&prop.theta),
-                rho: prop.rho,
-                seed: sim_seed,
-                log_weight,
-                trajectory,
-                checkpoint,
-                origin,
-            })
+    margin: f64,
+) -> Result<Vec<Cell>, SmcError> {
+    let results: Vec<Result<Cell, SmcError>> = runner.run_grid_pooled(
+        grid.proposals.len(),
+        grid.n_replicates,
+        || {
+            (
+                PooledWorkspace::new(Arc::clone(ws_stats)),
+                f64::NEG_INFINITY,
+            )
+        },
+        |(ws, best), i, r| {
+            let mut cell = grid.cell(ws, i * grid.n_replicates + r)?;
+            *best = best.max(cell.log_weight);
+            if cell.log_weight < *best - margin {
+                cell.payload = None;
+            }
+            Ok(cell)
         },
     );
     results.into_iter().collect()
@@ -1955,5 +2117,264 @@ mod tests {
             // tails and checkpoints its footprint must count.
             prev = Some(moved.posterior);
         }
+    }
+
+    /// One window of `sim` from `proposals` (continuing `ancestors`, if
+    /// any) through `simulate_grid` and `finalize_window` under drop
+    /// margin `margin`, with the keys and generator a sequential window
+    /// `widx` uses. Returns the result and the `(theta[0] bits, seed)` of
+    /// each cell whose payload the grid dropped.
+    #[allow(clippy::too_many_arguments)]
+    fn grid_window<S: TrajectorySimulator>(
+        sim: &S,
+        config: &CalibrationConfig,
+        runner: &ParallelRunner,
+        observed: &ObservedData,
+        proposals: &[Proposal],
+        ancestors: Option<&ParticleEnsemble>,
+        window: TimeWindow,
+        widx: u64,
+        margin: f64,
+    ) -> Result<(WindowResult, Vec<(u64, u64)>), SmcError> {
+        let key = |tag| {
+            StreamKey::new(config.seed)
+                .absorb(tag)
+                .absorb(widx)
+                .absorb(0)
+        };
+        let grid = Grid::new(
+            sim,
+            config.n_replicates,
+            proposals,
+            ancestors,
+            observed,
+            window,
+            key(TAG_SIM_SEED),
+            key(TAG_BIAS),
+        )?;
+        let stats = Arc::new(WorkspaceStats::default());
+        let cells = simulate_grid(&grid, runner, &stats, margin)?;
+        let dropped = cells
+            .iter()
+            .filter(|c| c.payload.is_none())
+            .map(|c| (c.theta[0].to_bits(), c.seed))
+            .collect();
+        let mut rng = Xoshiro256PlusPlus::from_stream(config.seed, &[TAG_WINDOW, widx]);
+        let acct = WindowAccounting::default();
+        let started = std::time::Instant::now();
+        let result = finalize_window(
+            &grid, cells, config, &mut rng, runner, started, acct, &stats,
+        )?;
+        Ok((result, dropped))
+    }
+
+    /// A small SEIR epidemic observed on days 1–40, scored with a wide
+    /// likelihood so that resampling draws many distinct cells.
+    fn seir_setup() -> (crate::simulator::SeirSimulator, ObservedData) {
+        use crate::simulator::SeirSimulator;
+        use episim::seir::SeirParams;
+        let sim = SeirSimulator::new(SeirParams {
+            population: 20_000,
+            initial_exposed: 40,
+            ..SeirParams::default()
+        })
+        .unwrap();
+        let (truth, _) = sim.run_fresh(&[0.45], 5, 40).unwrap();
+        let cases = truth.series_f64("infections").unwrap();
+        (
+            sim,
+            ObservedData::cases_only_with(cases, BiasMode::Sampled, 4.0),
+        )
+    }
+
+    /// `n` proposals: drawn from a uniform prior when `ancestors` is
+    /// `None`, else jittered around ancestors picked in turn.
+    fn proposals(n: usize, ancestors: Option<&ParticleEnsemble>) -> Vec<Proposal> {
+        use crate::prior::UniformPrior;
+        let mut rng = Xoshiro256PlusPlus::new(77);
+        let kernel = JitterKernel::symmetric(0.05, 0.05, 0.95);
+        (0..n)
+            .map(|i| match ancestors {
+                None => Proposal {
+                    ancestor: 0,
+                    theta: Arc::from(vec![UniformPrior::new(0.1, 0.9).sample(&mut rng)]),
+                    rho: UniformPrior::new(0.6, 1.0).sample(&mut rng),
+                },
+                Some(anc) => {
+                    let a = i % anc.len();
+                    let p = &anc.particles()[a];
+                    Proposal {
+                        ancestor: a,
+                        theta: Arc::from(vec![kernel.sample(p.theta[0], &mut rng)]),
+                        rho: kernel.sample(p.rho, &mut rng),
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Every deterministic output of a window: the posterior's inputs,
+    /// trajectories and checkpoint bytes, the window statistics, and the
+    /// counters a rebuild must leave alone.
+    fn window_bits(w: &WindowResult) -> Vec<u64> {
+        let mut bits = vec![
+            w.log_marginal.to_bits(),
+            w.ess.to_bits(),
+            w.unique_ancestors as u64,
+            w.telemetry.days_simulated,
+            w.telemetry.batched_draws,
+            w.telemetry.fused_scores,
+        ];
+        bits.extend(footprint(&w.telemetry).map(|x| x as u64));
+        let mut bytes = Vec::new();
+        for p in w.posterior.particles() {
+            bits.extend(p.theta.iter().map(|t| t.to_bits()));
+            bits.extend([p.rho.to_bits(), p.seed, p.log_weight.to_bits()]);
+            for (_, row) in p.trajectory.iter_days() {
+                bits.extend(row.iter().copied());
+            }
+            bytes.clear();
+            for ck in std::iter::once(&p.checkpoint).chain(&p.origin) {
+                ckpool::encode_into(ck, &mut bytes);
+            }
+            bits.extend(bytes.iter().map(|&b| u64::from(b)));
+        }
+        bits
+    }
+
+    #[test]
+    fn rebuilt_cells_are_bit_identical_to_kept_ones() {
+        use crate::config::ResampleScheme;
+        let (sim, observed) = seir_setup();
+        let windows = [TimeWindow::new(8, 22), TimeWindow::new(23, 40)];
+        for scheme in [
+            ResampleScheme::Multinomial,
+            ResampleScheme::Systematic,
+            ResampleScheme::Stratified,
+            ResampleScheme::Residual,
+        ] {
+            let config = CalibrationConfig::builder()
+                .n_params(30)
+                .n_replicates(4)
+                .resample_size(200)
+                .resample(scheme)
+                .seed(41)
+                .build();
+            let mut reference: Vec<Vec<u64>> = Vec::new();
+            for threads in [1, 2, 4] {
+                let runner = ParallelRunner::new(Some(threads)).unwrap();
+                let mut ancestors: Option<ParticleEnsemble> = None;
+                for (widx, &window) in windows.iter().enumerate() {
+                    let proposals = proposals(config.n_params, ancestors.as_ref());
+                    let run = |margin| {
+                        grid_window(
+                            &sim,
+                            &config,
+                            &runner,
+                            &observed,
+                            &proposals,
+                            ancestors.as_ref(),
+                            window,
+                            widx as u64,
+                            margin,
+                        )
+                        .unwrap()
+                    };
+                    let (kept, none_dropped) = run(f64::INFINITY);
+                    let (rebuilt, dropped) = run(0.0);
+                    let at = format!("{scheme:?}, {threads} thread(s), window {widx}");
+                    assert!(none_dropped.is_empty(), "{at}");
+                    let drawn_dropped = kept
+                        .posterior
+                        .particles()
+                        .iter()
+                        .filter(|p| dropped.contains(&(p.theta[0].to_bits(), p.seed)))
+                        .count();
+                    assert!(drawn_dropped > 0, "{at}: no drawn cell was rebuilt");
+                    let bits = window_bits(&kept);
+                    assert!(bits == window_bits(&rebuilt), "{at}: rebuild changed a bit");
+                    match reference.get(widx) {
+                        Some(r) => assert!(*r == bits, "{at}: thread count changed a bit"),
+                        None => reference.push(bits),
+                    }
+                    ancestors = Some(kept.posterior);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_simulator_that_does_not_reproduce_a_run_is_refused() {
+        use crate::simulator::SeirSimulator;
+        use episim::checkpoint::SimCheckpoint;
+        use episim::output::DailySeries;
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        /// SEIR whose every run draws on its seed plus the number of
+        /// runs made before it: no two runs of one cell agree.
+        struct CallCounted {
+            inner: SeirSimulator,
+            calls: AtomicU64,
+        }
+        impl CallCounted {
+            fn seed(&self, seed: u64) -> u64 {
+                seed.wrapping_add(self.calls.fetch_add(1, Ordering::Relaxed))
+            }
+        }
+        impl TrajectorySimulator for CallCounted {
+            fn theta_dim(&self) -> usize {
+                self.inner.theta_dim()
+            }
+            fn output_names(&self) -> Vec<String> {
+                self.inner.output_names()
+            }
+            fn run_fresh(
+                &self,
+                theta: &[f64],
+                seed: u64,
+                end_day: u32,
+            ) -> Result<(DailySeries, SimCheckpoint), SmcError> {
+                self.inner.run_fresh(theta, self.seed(seed), end_day)
+            }
+            fn run_from(
+                &self,
+                ck: &SimCheckpoint,
+                theta: &[f64],
+                seed: u64,
+                end_day: u32,
+            ) -> Result<(DailySeries, SimCheckpoint), SmcError> {
+                self.inner.run_from(ck, theta, self.seed(seed), end_day)
+            }
+        }
+
+        let (inner, observed) = seir_setup();
+        let sim = CallCounted {
+            inner,
+            calls: AtomicU64::new(0),
+        };
+        let config = CalibrationConfig::builder()
+            .n_params(30)
+            .n_replicates(4)
+            .resample_size(200)
+            .seed(41)
+            .build();
+        let runner = ParallelRunner::new(Some(1)).unwrap();
+        let window = TimeWindow::new(8, 22);
+        let proposals = proposals(config.n_params, None);
+        let run = |margin| {
+            grid_window(
+                &sim, &config, &runner, &observed, &proposals, None, window, 0, margin,
+            )
+        };
+        // Run once, the simulator's impurity goes unseen.
+        let (first, _) = run(f64::INFINITY).unwrap();
+        let calls = sim.calls.load(Ordering::Relaxed);
+        assert_eq!(calls, 120);
+        // Run again for a drawn cell, it is refused.
+        let err = run(0.0).unwrap_err();
+        assert!(matches!(err, SmcError::Simulation(_)), "{err}");
+        assert!(err.to_string().contains("not pure functions"), "{err}");
+        assert!(sim.calls.load(Ordering::Relaxed) > 2 * calls);
+        assert!(first.unique_ancestors > 1);
     }
 }

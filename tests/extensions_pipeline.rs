@@ -33,7 +33,7 @@ fn forecast_from_calibrated_posterior_is_sane() {
         .run(&Priors::paper(), &observed, window)
         .unwrap();
 
-    let forecast = Forecaster::new(&simulator)
+    let forecast = Forecaster::new(&simulator, None)
         .unwrap()
         .forecast(&result.posterior, 20, 60, 7, &["infections", "deaths"])
         .unwrap();
@@ -55,7 +55,7 @@ fn forecast_from_calibrated_posterior_is_sane() {
     // CRPS of the calibrated forecast beats a deliberately wrong one.
     let future: Vec<f64> = truth.true_cases[47..67].to_vec();
     let good = forecast.mean_crps("infections", &future);
-    let bad = Forecaster::new(&simulator)
+    let bad = Forecaster::new(&simulator, None)
         .unwrap()
         .forecast_with(&result.posterior, 20, 60, 7, &["infections"], |_| {
             vec![0.05]
