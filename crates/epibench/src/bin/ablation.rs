@@ -10,16 +10,16 @@
 //!    refinement on the paper's hard fourth window (the day-62
 //!    transmission jump).
 
+use epibench::runspec::{JitterSpec, RunSpec};
 use epibench::{row, section, Args};
 use epidata::{generate_ground_truth, io::Table};
 use epismc_core::adaptive::AdaptiveConfig;
 use epismc_core::diagnostics::PosteriorSummary;
 use epismc_core::observation::BiasMode;
-use epismc_core::prior::JitterKernel;
 use epismc_core::resample::{Multinomial, Resampler, Residual, Stratified, Systematic};
 use epismc_core::simulator::CovidSimulator;
-use epismc_core::sis::{ObservedData, Priors, SequentialCalibrator, SingleWindowIs};
-use epismc_core::window::{TimeWindow, WindowPlan};
+use epismc_core::sis::{ObservedData, Priors, SingleWindowIs};
+use epismc_core::window::TimeWindow;
 use epistats::rng::Xoshiro256PlusPlus;
 use epistats::summary::{mean, variance, weighted_mean};
 
@@ -130,12 +130,11 @@ fn main() {
 
     // ------------------------------------------------------------------
     section("3. adaptive refinement on the day-62 jump window");
-    let plan = WindowPlan::paper(scenario.horizon);
-    let kernels = || {
-        (
-            vec![JitterKernel::symmetric(0.06, 0.05, 0.8)],
-            JitterKernel::asymmetric(0.05, 0.08, 0.05, 1.0),
-        )
+    // A theta kernel too narrow to reach the day-62 jump in one window.
+    let narrow = JitterSpec {
+        theta_half: 0.06,
+        rho_down: 0.05,
+        rho_up: 0.08,
     };
     let true_last = truth.theta_truth[61];
     let widths = [10, 10, 10, 8, 7];
@@ -158,14 +157,14 @@ fn main() {
             }),
         ),
     ] {
-        let (kt, kr) = kernels();
-        let mut cal = SequentialCalibrator::new(&simulator, args.config(), kt, kr);
-        if let Some(a) = adaptive {
-            cal = cal.with_adaptive(a);
-        }
-        let res = cal
-            .run(&Priors::paper(), &observed, &plan)
-            .expect("calibration");
+        let spec = RunSpec {
+            scale: args.scale.clone(),
+            calibration: args.config(),
+            jitter: narrow,
+            adaptive,
+            ..RunSpec::default()
+        };
+        let res = spec.run(&truth).expect("calibration");
         let last = res.windows.last().expect("windows");
         let th = PosteriorSummary::of_theta(&last.posterior, 0);
         let ess_pct = 100.0 * last.ess / (args.n_params * args.n_replicates) as f64;

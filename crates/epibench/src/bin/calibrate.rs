@@ -1,155 +1,119 @@
-//! Config-driven calibration CLI: the operational entry point.
+//! Config-driven calibration CLI: the operational entry point, and the
+//! one path for the paper's sequential figures.
 //!
 //! ```bash
-//! calibrate                      # built-in defaults (paper windows, small scale)
-//! calibrate my_campaign.json    # declarative RunSpec
-//! calibrate --print-spec        # emit the default spec as JSON and exit
+//! calibrate specs/fig4.json                  # Fig 4: cases only
+//! calibrate specs/fig4.json specs/fig5.json  # Figs 4 and 5, then Fig 5's comparison
+//! calibrate specs/fig4.json --full           # at the paper's scale
+//! calibrate specs/fig5.json --print-spec     # emit the resolved spec as JSON and exit
 //! ```
 //!
-//! Runs the sequential calibration described by the spec, prints the
-//! per-window posterior summary, and writes the parameter trace,
-//! posterior samples, and credible ribbons under the spec's `out_dir`.
+//! Runs each spec's sequential calibration ([`RunSpec::run`]), prints
+//! its report ([`epibench::report`]) and writes the report's CSVs under
+//! the spec's `out_dir`. Given two specs, which must share their
+//! windows, it then compares the second with the first: the per-window
+//! θ sd ratio and the reported-ribbon width ratio.
+//!
+//! `--full` ([`epibench::FULL`]), `--seed N` and `--threads N` override
+//! the matching fields of every spec. Bad input — an unreadable or
+//! invalid spec, an unknown flag, a flag without its value, two specs on
+//! different windows — prints `calibrate: <reason>` on stderr and exits
+//! with status 2; a calibration that fails exits with status 1.
 
-use epibench::runspec::{RunSpec, SourceSpec};
-use epibench::{done_in, row, section};
-use epidata::{generate_ground_truth, io::Table};
-use epismc_core::diagnostics::{PosteriorSummary, Ribbon};
-use epismc_core::observation::BiasMode;
-use epismc_core::simulator::CovidSimulator;
-use epismc_core::sis::{ObservedData, Priors, SequentialCalibrator};
+use epibench::report::Report;
+use epibench::runspec::RunSpec;
+use epibench::{done_in, flag_value, FULL};
+use epidata::generate_ground_truth;
+
+/// Parse the command line into the specs to run (path, resolved spec)
+/// and whether to print them instead.
+fn parse(argv: Vec<String>) -> Result<(Vec<(String, RunSpec)>, bool), String> {
+    let (mut specs, mut print_spec, mut full) = (Vec::new(), false, false);
+    let (mut seed, mut threads) = (None, None);
+    let mut it = argv.into_iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--print-spec" => print_spec = true,
+            "--full" => full = true,
+            "--seed" => seed = Some(flag_value(&mut it, &arg)?),
+            "--threads" => threads = Some(flag_value(&mut it, &arg)?),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag '{flag}'")),
+            path => {
+                let json = std::fs::read_to_string(path);
+                let json = json.map_err(|e| format!("cannot read {path}: {e}"))?;
+                let spec = RunSpec::from_json(&json).map_err(|e| format!("{path}: {e}"))?;
+                specs.push((arg, spec));
+            }
+        }
+    }
+    if !(1..=2).contains(&specs.len()) {
+        return Err(format!(
+            "expected one or two spec paths, got {}",
+            specs.len()
+        ));
+    }
+    for (path, spec) in &mut specs {
+        if full {
+            let (scale, n_params, n_replicates, resample_size) = FULL;
+            let c = &mut spec.calibration;
+            spec.scale = scale.into();
+            (c.n_params, c.n_replicates, c.resample_size) = (n_params, n_replicates, resample_size);
+        }
+        spec.calibration.seed = seed.unwrap_or(spec.calibration.seed);
+        spec.calibration.threads = threads.or(spec.calibration.threads);
+        spec.validate().map_err(|e| format!("{path}: {e}"))?;
+    }
+    if let [(a, first), (b, second)] = specs.as_slice() {
+        if first.windows != second.windows {
+            return Err(format!("{a} and {b} have different windows"));
+        }
+    }
+    Ok((specs, print_spec))
+}
+
+/// Run every spec, print its report and write its CSVs, then compare
+/// the second report with the first.
+fn run(specs: &[(String, RunSpec)]) -> Result<(), String> {
+    let mut reports = Vec::with_capacity(specs.len());
+    for (path, spec) in specs {
+        let scenario = epibench::scenario(&spec.scale)?;
+        let (c, name, sources) = (&spec.calibration, &scenario.name, spec.sources);
+        let (p, r, n) = (c.n_params, c.n_replicates, c.resample_size);
+        println!("calibrate: {path} | '{name}' | {p} x {r}, resample {n} | {sources:?}");
+        let truth = generate_ground_truth(&scenario, scenario.truth_seed);
+        let started = std::time::Instant::now();
+        let result = spec.run(&truth).map_err(|e| format!("{path}: {e}"))?;
+        println!("{}", done_in(started));
+
+        let report = Report::new(spec, &truth, &result)?;
+        report.print();
+        let out = std::path::Path::new(&spec.out_dir);
+        let written = report.write_csv(&result, out);
+        written.map_err(|e| format!("writing under {}: {e}", out.display()))?;
+        println!("\nwrote the report's CSVs under {}", out.display());
+        reports.push((path, report));
+    }
+    if let [(a, first), (b, second)] = reports.as_slice() {
+        second.print_against(first, (b, a));
+    }
+    Ok(())
+}
+
+/// Print `calibrate: <reason>` on stderr and exit with `status`.
+fn fail(status: i32, reason: impl std::fmt::Display) -> ! {
+    eprintln!("calibrate: {reason}");
+    std::process::exit(status)
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--print-spec") {
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&RunSpec::default()).expect("serialize")
-        );
-        return;
-    }
-    let spec = match args.first() {
-        None => RunSpec::default(),
-        Some(path) => {
-            let json =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            RunSpec::from_json(&json).unwrap_or_else(|e| panic!("invalid spec: {e}"))
+    let parsed = parse(std::env::args().skip(1).collect());
+    let (specs, print_spec) = parsed.unwrap_or_else(|e| fail(2, e));
+    if print_spec {
+        for (_, spec) in &specs {
+            let json = serde_json::to_string_pretty(spec).unwrap_or_else(|e| fail(1, e));
+            println!("{json}");
         }
-    };
-    spec.validate().expect("spec validated at parse");
-    let scenario = spec.scenario().expect("validated");
-    println!(
-        "calibrate: scenario '{}' | {} windows | {} x {} trajectories | sources: {:?}{}",
-        scenario.name,
-        spec.windows.len(),
-        spec.calibration.n_params,
-        spec.calibration.n_replicates,
-        spec.sources,
-        if spec.adaptive.is_some() {
-            " | adaptive"
-        } else {
-            ""
-        }
-    );
-
-    let truth = generate_ground_truth(&scenario, scenario.truth_seed);
-    let simulator = CovidSimulator::new(scenario.base_params.clone()).expect("params");
-    let observed = match spec.sources {
-        SourceSpec::Cases => ObservedData::cases_only_with(
-            truth.observed_cases.clone(),
-            BiasMode::Sampled,
-            spec.sigma,
-        ),
-        SourceSpec::CasesDeaths => ObservedData::cases_and_deaths_with(
-            truth.observed_cases.clone(),
-            truth.deaths.clone(),
-            BiasMode::Sampled,
-            spec.sigma,
-        ),
-    };
-    let (kt, kr) = spec.kernels();
-    let mut calibrator = SequentialCalibrator::new(&simulator, spec.calibration.clone(), kt, kr);
-    if let Some(a) = spec.adaptive {
-        calibrator = calibrator.with_adaptive(a);
+    } else if let Err(e) = run(&specs) {
+        fail(1, e);
     }
-    let plan = spec.window_plan();
-    let started = std::time::Instant::now();
-    let result = calibrator
-        .run(&Priors::paper(), &observed, &plan)
-        .expect("calibration");
-    println!("{}", done_in(started));
-
-    section("per-window posterior");
-    let widths = [10, 9, 9, 9, 9, 6, 6];
-    println!(
-        "{}",
-        row(
-            &["window", "th_mean", "th_sd", "rho_mean", "rho_sd", "ESS%", "iters"]
-                .map(String::from),
-            &widths
-        )
-    );
-    let mut trace: Vec<[f64; 5]> = Vec::new();
-    for w in &result.windows {
-        let th = PosteriorSummary::of_theta(&w.posterior, 0);
-        let rh = PosteriorSummary::of_rho(&w.posterior);
-        let ess_pct =
-            100.0 * w.ess / (spec.calibration.n_params * spec.calibration.n_replicates) as f64;
-        println!(
-            "{}",
-            row(
-                &[
-                    format!("[{},{}]", w.window.start, w.window.end),
-                    format!("{:.3}", th.mean),
-                    format!("{:.3}", th.sd),
-                    format!("{:.3}", rh.mean),
-                    format!("{:.3}", rh.sd),
-                    format!("{ess_pct:.0}"),
-                    format!("{}", w.iterations),
-                ],
-                &widths
-            )
-        );
-        trace.push([w.window.start as f64, th.mean, th.sd, rh.mean, rh.sd]);
-    }
-
-    // Artifacts.
-    let out = std::path::PathBuf::from(&spec.out_dir);
-    let trace_table = Table::from_pairs(vec![
-        ("window_start", trace.iter().map(|r| r[0]).collect()),
-        ("theta_mean", trace.iter().map(|r| r[1]).collect()),
-        ("theta_sd", trace.iter().map(|r| r[2]).collect()),
-        ("rho_mean", trace.iter().map(|r| r[3]).collect()),
-        ("rho_sd", trace.iter().map(|r| r[4]).collect()),
-    ]);
-    trace_table
-        .write_csv(&out.join("parameter_trace.csv"))
-        .expect("write trace");
-
-    let final_post = result.final_posterior();
-    let samples = Table::from_pairs(vec![
-        ("theta", final_post.thetas(0)),
-        ("rho", final_post.rhos()),
-    ]);
-    samples
-        .write_csv(&out.join("posterior_samples.csv"))
-        .expect("write samples");
-
-    let lo = plan.windows()[0].start;
-    let hi = plan.horizon();
-    let reported =
-        Ribbon::from_ensemble_reported(final_post, "infections", lo, hi).expect("ribbon");
-    let days: Vec<f64> = (lo..=hi).map(|d| d as f64).collect();
-    let rib = Table::from_pairs(vec![
-        ("day", days),
-        ("q05", reported.q05),
-        ("q50", reported.q50),
-        ("q95", reported.q95),
-    ]);
-    rib.write_csv(&out.join("reported_ribbon.csv"))
-        .expect("write ribbon");
-
-    println!(
-        "\nwrote parameter_trace.csv, posterior_samples.csv, reported_ribbon.csv under {}",
-        out.display()
-    );
 }

@@ -2,21 +2,22 @@
 
 //! # epibench — figure regeneration and benchmarking harness
 //!
-//! One binary per paper figure (see DESIGN.md's experiment index):
+//! One binary per paper figure (see DESIGN.md's experiment index), and
+//! one runspec per sequential figure:
 //!
 //! | binary | reproduces |
 //! |---|---|
 //! | `fig2_ground_truth` | Fig 2 — simulated ground truth |
 //! | `fig3_single_window` | Fig 3 — single-window IS on case counts |
-//! | `fig4_sequential_cases` | Fig 4a/4b — sequential calibration, cases only |
-//! | `fig5_cases_deaths` | Fig 5a/5b — cases + deaths, and the CI-width comparison vs Fig 4 |
+//! | `calibrate specs/fig4.json specs/fig5.json` | Figs 4 and 5 — sequential calibration on cases, then on cases and deaths, and Fig 5's comparison (see [`report`]) |
 //! | `scaling` | the HPC claims — thread scaling and checkpoint-restart savings |
 //! | `ablation` | resampling schemes, bias modes, adaptive refinement |
-//! | `calibrate` | config-driven CLI (JSON [`runspec::RunSpec`]) |
+//! | `forecast` | operational day-61 forecast across the day-62 jump |
+//! | `sbc` | simulation-based calibration rank histograms |
 //!
 //! Each prints the series/rows behind the figure and writes CSVs under
 //! `results/`. Default scale is laptop-friendly; pass `--full` for the
-//! paper's 25,000 x 20 ensemble (HPC-sized).
+//! paper's 25,000 x 20 ensemble (HPC-sized, [`FULL`]).
 //!
 //! Two more binaries are performance gates that time their own runs and
 //! answer through their exit status (see [`gate`]): `check_scaling`
@@ -25,11 +26,20 @@
 //! synchronously written one).
 
 pub mod gate;
+pub mod report;
 pub mod runspec;
 
 use epidata::Scenario;
 use epismc_core::config::CalibrationConfig;
 use epismc_core::observation::BiasMode;
+use std::str::FromStr;
+
+/// What `--full` selects, as `(scale, n_params, n_replicates,
+/// resample_size)`: the paper's configuration (Section V-B), 25,000 θ ×
+/// 20 replicates = 500,000 trajectories per window on the 2.7M-person
+/// scenario, resampled to 10,000. [`Args`] and `calibrate`'s runspec
+/// override share it.
+pub const FULL: (&str, usize, usize, usize) = ("full", 25_000, 20, 10_000);
 
 /// Parsed command-line options shared by the figure binaries.
 #[derive(Clone, Debug)]
@@ -82,41 +92,27 @@ impl Args {
         let mut args = Self::default();
         let mut it = argv.into_iter();
         while let Some(flag) = it.next() {
-            let mut take = |name: &str| {
-                it.next()
-                    .unwrap_or_else(|| panic!("{name} requires a value"))
-            };
             match flag.as_str() {
                 "--full" => {
-                    // Paper scale: 25,000 x 20 = 500,000 trajectories,
-                    // resample 10,000 (Section V-B) on the 2.7M scenario.
-                    args.scale = "full".into();
-                    args.n_params = 25_000;
-                    args.n_replicates = 20;
-                    args.resample_size = 10_000;
+                    let (scale, n_params, n_replicates, resample_size) = FULL;
+                    args.scale = scale.into();
+                    (args.n_params, args.n_replicates, args.resample_size) =
+                        (n_params, n_replicates, resample_size);
                 }
-                "--scale" => args.scale = take("--scale"),
-                "--n-params" => {
-                    args.n_params = take("--n-params").parse().expect("--n-params: integer")
-                }
-                "--n-reps" => {
-                    args.n_replicates = take("--n-reps").parse().expect("--n-reps: integer")
-                }
-                "--resample" => {
-                    args.resample_size = take("--resample").parse().expect("--resample: integer")
-                }
-                "--seed" => args.seed = take("--seed").parse().expect("--seed: integer"),
-                "--threads" => {
-                    args.threads = Some(take("--threads").parse().expect("--threads: integer"))
-                }
+                "--scale" => args.scale = value(&mut it, &flag),
+                "--n-params" => args.n_params = value(&mut it, &flag),
+                "--n-reps" => args.n_replicates = value(&mut it, &flag),
+                "--resample" => args.resample_size = value(&mut it, &flag),
+                "--seed" => args.seed = value(&mut it, &flag),
+                "--threads" => args.threads = Some(value(&mut it, &flag)),
                 "--bias-mode" => {
-                    args.bias_mode = match take("--bias-mode").as_str() {
+                    args.bias_mode = match value::<String>(&mut it, &flag).as_str() {
                         "sampled" => BiasMode::Sampled,
                         "mean" => BiasMode::Mean,
                         other => panic!("--bias-mode: 'sampled' or 'mean', got '{other}'"),
                     }
                 }
-                "--out" => args.out_dir = take("--out").into(),
+                "--out" => args.out_dir = value::<String>(&mut it, &flag).into(),
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --full | --scale tiny|small|full | --n-params N | \
@@ -136,12 +132,7 @@ impl Args {
     /// # Panics
     /// Panics on an unknown scale name.
     pub fn scenario(&self) -> Scenario {
-        match self.scale.as_str() {
-            "tiny" => Scenario::paper_tiny(),
-            "small" => Scenario::paper_small(),
-            "full" => Scenario::paper_full(),
-            other => panic!("unknown scale '{other}' (tiny|small|full)"),
-        }
+        scenario(&self.scale).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Build the calibration config for these arguments.
@@ -155,6 +146,39 @@ impl Args {
             b = b.threads(t);
         }
         b.build()
+    }
+}
+
+/// The value after `flag` in `it`, parsed.
+///
+/// # Errors
+/// Names the flag when the value is missing or does not parse.
+pub fn flag_value<T: FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    let v = it
+        .next()
+        .ok_or_else(|| format!("{flag} requires a value"))?;
+    v.parse()
+        .map_err(|_| format!("{flag}: expected a non-negative integer, got '{v}'"))
+}
+
+/// [`flag_value`], panicking with its message.
+fn value<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    flag_value(it, flag).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The paper scenario at `scale`: `tiny`, `small` or `full`.
+///
+/// # Errors
+/// Names an unknown scale.
+pub fn scenario(scale: &str) -> Result<Scenario, String> {
+    match scale {
+        "tiny" => Ok(Scenario::paper_tiny()),
+        "small" => Ok(Scenario::paper_small()),
+        "full" => Ok(Scenario::paper_full()),
+        other => Err(format!("unknown scale '{other}' (tiny|small|full)")),
     }
 }
 
@@ -231,27 +255,9 @@ mod tests {
 
     #[test]
     fn individual_flags_override() {
-        let a = Args::parse_from(
-            [
-                "--scale",
-                "tiny",
-                "--n-params",
-                "10",
-                "--n-reps",
-                "2",
-                "--seed",
-                "9",
-                "--threads",
-                "3",
-                "--bias-mode",
-                "mean",
-                "--resample",
-                "44",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-        );
+        let argv = "--scale tiny --n-params 10 --n-reps 2 --seed 9 --threads 3 --bias-mode mean";
+        let argv = format!("{argv} --resample 44");
+        let a = Args::parse_from(argv.split(' ').map(String::from).collect());
         assert_eq!(a.scenario().name, "paper-tiny");
         assert_eq!(a.n_params, 10);
         assert_eq!(a.n_replicates, 2);

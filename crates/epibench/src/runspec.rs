@@ -3,12 +3,18 @@
 //! A JSON file fully describes a calibration campaign — scenario,
 //! ensemble sizes, windows, data sources, jitter kernels, optional
 //! adaptive refinement — so operational re-runs ("new week of data
-//! arrived") are a config edit, not a code change.
+//! arrived") are a config edit, not a code change. The sequential
+//! figures are committed specs: `specs/fig4.json` (cases) and
+//! `specs/fig5.json` (cases and deaths); [`RunSpec::run`] runs one.
 
-use epidata::Scenario;
+use epidata::GroundTruth;
 use epismc_core::adaptive::AdaptiveConfig;
 use epismc_core::config::CalibrationConfig;
+use epismc_core::error::SmcError;
+use epismc_core::observation::BiasMode;
 use epismc_core::prior::JitterKernel;
+use epismc_core::simulator::CovidSimulator;
+use epismc_core::sis::{CalibrationResult, ObservedData, Priors, SequentialCalibrator};
 use epismc_core::window::{TimeWindow, WindowPlan};
 use serde::{Deserialize, Serialize};
 
@@ -137,7 +143,7 @@ impl RunSpec {
                 return Err("runspec: windows must be strictly ordered".into());
             }
         }
-        let scen = self.scenario()?;
+        let scen = crate::scenario(&self.scale)?;
         if self.windows.last().expect("non-empty").1 > scen.horizon {
             return Err("runspec: window beyond scenario horizon".into());
         }
@@ -149,19 +155,6 @@ impl RunSpec {
             a.validate()?;
         }
         Ok(())
-    }
-
-    /// Resolve the scenario.
-    ///
-    /// # Errors
-    /// Returns an error for unknown scale names.
-    pub fn scenario(&self) -> Result<Scenario, String> {
-        match self.scale.as_str() {
-            "tiny" => Ok(Scenario::paper_tiny()),
-            "small" => Ok(Scenario::paper_small()),
-            "full" => Ok(Scenario::paper_full()),
-            other => Err(format!("unknown scale '{other}'")),
-        }
     }
 
     /// Build the window plan.
@@ -180,6 +173,36 @@ impl RunSpec {
             vec![JitterKernel::symmetric(self.jitter.theta_half, 0.05, 0.8)],
             JitterKernel::asymmetric(self.jitter.rho_down, self.jitter.rho_up, 0.05, 1.0),
         )
+    }
+
+    /// Run the sequential calibration this spec describes against
+    /// `truth`, its scenario's ground truth: the scenario's simulator,
+    /// the paper's priors, and the spec's kernels, adaptive refinement
+    /// and plan, scoring `truth`'s reported cases (plus its deaths under
+    /// [`SourceSpec::CasesDeaths`]) under sampled binomial bias and the
+    /// spec's σ.
+    ///
+    /// # Errors
+    /// [`SmcError::Config`] for a spec that does not validate, else
+    /// what [`SequentialCalibrator::run`] returns.
+    pub fn run(&self, truth: &GroundTruth) -> Result<CalibrationResult, SmcError> {
+        self.validate().map_err(SmcError::Config)?;
+        let scenario = crate::scenario(&self.scale).map_err(SmcError::Config)?;
+        let simulator = CovidSimulator::new(scenario.base_params)?;
+        let (kt, kr) = self.kernels();
+        let mut calibrator =
+            SequentialCalibrator::try_new(&simulator, self.calibration.clone(), kt, kr)?;
+        if let Some(adaptive) = self.adaptive {
+            calibrator = calibrator.try_with_adaptive(adaptive)?;
+        }
+        let (cases, bias) = (truth.observed_cases.clone(), BiasMode::Sampled);
+        let observed = match self.sources {
+            SourceSpec::Cases => ObservedData::cases_only_with(cases, bias, self.sigma),
+            SourceSpec::CasesDeaths => {
+                ObservedData::cases_and_deaths_with(cases, truth.deaths.clone(), bias, self.sigma)
+            }
+        };
+        calibrator.run(&Priors::paper(), &observed, &self.window_plan())
     }
 }
 

@@ -202,10 +202,8 @@ pub struct JointDensity {
     pub level90: f64,
 }
 
-/// Compute the weighted joint KDE of `(theta[k], rho)` over a grid.
-///
-/// The grid rectangle defaults to the sample range padded by 10%; pass
-/// `bounds` to pin it (e.g. to the prior support for window-by-window
+/// Compute the weighted joint KDE of `(theta[k], rho)` over the grid
+/// rectangle `bounds` (e.g. the prior support, for window-by-window
 /// comparability).
 ///
 /// # Panics
@@ -213,30 +211,14 @@ pub struct JointDensity {
 pub fn joint_density(
     ensemble: &ParticleEnsemble,
     k: usize,
-    bounds: Option<((f64, f64), (f64, f64))>,
+    bounds: ((f64, f64), (f64, f64)),
     resolution: usize,
 ) -> JointDensity {
     assert!(!ensemble.is_empty(), "joint_density: empty ensemble");
     let xs = ensemble.thetas(k);
     let ys = ensemble.rhos();
     let ws = ensemble.normalized_weights();
-    let ((x_lo, x_hi), (y_lo, y_hi)) = bounds.unwrap_or_else(|| {
-        let pad = |lo: f64, hi: f64| {
-            let span = (hi - lo).max(1e-6);
-            (lo - 0.1 * span, hi + 0.1 * span)
-        };
-        let (xmin, xmax) = xs
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| {
-                (a.min(v), b.max(v))
-            });
-        let (ymin, ymax) = ys
-            .iter()
-            .fold((f64::INFINITY, f64::NEG_INFINITY), |(a, b), &v| {
-                (a.min(v), b.max(v))
-            });
-        (pad(xmin, xmax), pad(ymin, ymax))
-    });
+    let ((x_lo, x_hi), (y_lo, y_hi)) = bounds;
     let grid =
         Kde2d::new(&xs, &ys, Some(&ws)).grid((x_lo, x_hi), (y_lo, y_hi), resolution, resolution);
     let level50 = grid.hdr_level(0.5);
@@ -364,7 +346,7 @@ mod tests {
     fn joint_density_mode_near_heavy_particle() {
         let mut e = ensemble();
         e.particles_mut()[1].log_weight = 8.0;
-        let jd = joint_density(&e, 0, None, 50);
+        let jd = joint_density(&e, 0, ((0.0, 4.0), (0.0, 1.0)), 50);
         let (mx, my) = jd.grid.mode();
         assert!((mx - 2.0).abs() < 0.5, "mode theta = {mx}");
         assert!((my - 0.6).abs() < 0.1, "mode rho = {my}");

@@ -8,6 +8,7 @@
 //! (the Discussion's targeted interventions) is a parameter transform
 //! applied at the branch point.
 
+use episim::workspace::SimWorkspace;
 use epistats::rng::derive_stream;
 use epistats::summary::quantile;
 
@@ -196,16 +197,24 @@ impl<'a, S: TrajectorySimulator> Forecaster<'a, S> {
         let weights = ensemble.normalized_weights();
         let picks = Multinomial.resample(&weights, n_members, &mut rng);
 
+        // One workspace per worker, reused across its members, as the
+        // grid does: the model compiles once per worker, not per member.
+        let end_day = horizon + days;
         let runs: Vec<Result<episim::output::DailySeries, SmcError>> =
-            self.runner.run_indexed(n_members, |m| {
-                let p = &ensemble.particles()[picks[m]];
-                let theta = transform(&p.theta);
-                let member_seed = derive_stream(seed, &[0x00F0_CA57_u64, m as u64]);
-                let (tail, _) =
-                    self.simulator
-                        .run_from(&p.checkpoint, &theta, member_seed, horizon + days)?;
-                Ok(tail)
-            });
+            self.runner
+                .run_grid_pooled(n_members, 1, SimWorkspace::new, |ws, m, _| {
+                    let p = &ensemble.particles()[picks[m]];
+                    let theta = transform(&p.theta);
+                    let member_seed = derive_stream(seed, &[0x00F0_CA57_u64, m as u64]);
+                    let (tail, _) = self.simulator.run_from_in(
+                        ws,
+                        &p.checkpoint,
+                        &theta,
+                        member_seed,
+                        end_day,
+                    )?;
+                    Ok(tail)
+                });
         let runs: Vec<episim::output::DailySeries> = runs.into_iter().collect::<Result<_, _>>()?;
 
         let mut series = Vec::with_capacity(series_names.len());

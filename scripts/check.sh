@@ -54,6 +54,11 @@ cargo build --release --offline --manifest-path perfbench/Cargo.toml
 echo "==> cargo test --offline --manifest-path perfbench/Cargo.toml"
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
+# Figs 4 and 5 from their committed runspecs, end to end (about 5 s in
+# release on 2 vCPUs): fails on a nonzero exit.
+echo "==> cargo run --release -p epibench --bin calibrate -- specs/fig4.json specs/fig5.json"
+cargo run --release -p epibench --bin calibrate -- specs/fig4.json specs/fig5.json
+
 # Strong-scaling gate: times one 500k-cell window at 1, 2 and 4
 # threads and asserts the efficiency floor; on hosts with < 4 cores it
 # exits 77 before timing anything and the script reports SKIPPED.

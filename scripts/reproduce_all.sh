@@ -2,25 +2,28 @@
 # Regenerate every experiment artifact under results/ (see EXPERIMENTS.md).
 #
 # Usage:
-#   scripts/reproduce_all.sh            # laptop scale (defaults)
-#   scripts/reproduce_all.sh --full     # paper scale: 500k trajectories, 2.7M population
+#   scripts/reproduce_all.sh                      # laptop scale (defaults)
+#   scripts/reproduce_all.sh --full               # paper scale: 500k trajectories, 2.7M population
+#   scripts/reproduce_all.sh --threads 8 --seed 1
 #
-# Extra flags are forwarded to every binary (e.g. --threads 8 --seed 1).
+# The flags are forwarded to every binary. `calibrate`, which runs
+# Figs 4 and 5 from their runspecs, accepts only --full, --seed N and
+# --threads N, so those are the flags this script takes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release -p epibench --bins
 mkdir -p results
 
-for bin in fig2_ground_truth fig3_single_window fig4_sequential_cases \
-           fig5_cases_deaths scaling ablation forecast sbc; do
+for bin in fig2_ground_truth fig3_single_window scaling ablation forecast sbc; do
   echo "=== $bin $* ==="
   ./target/release/$bin "$@" | tee "results/${bin}_log.txt"
   echo
 done
 
-# The config-driven CLI with its built-in default campaign.
-./target/release/calibrate | tee results/calibrate_log.txt
+# Figs 4 and 5: both runspecs, then Fig 5's comparison against Fig 4.
+echo "=== calibrate specs/fig4.json specs/fig5.json $* ==="
+./target/release/calibrate specs/fig4.json specs/fig5.json "$@" | tee results/calibrate_log.txt
 
 # Each run's cost: its `done in` footer (wall time and peak RSS).
 grep -H "done in" results/*_log.txt | tee results/costs.txt
