@@ -6,14 +6,14 @@
 //! 2. **Bias mode** — sampled binomial thinning (the paper's generative
 //!    model) vs conditional-mean thinning: effect on the posteriors of
 //!    `rho` and `theta`.
-//! 3. **Adaptive refinement** — plain SIS vs ESS-triggered iterated
-//!    refinement on the paper's hard fourth window (the day-62
-//!    transmission jump).
+//! 3. **Window length** — the paper's four-window plan vs the same plan
+//!    with its hard fourth window (the day-62 transmission jump) split
+//!    into four weekly windows, under a θ kernel too narrow to reach the
+//!    jump in one window: final-window error, spread and simulated days.
 
 use epibench::runspec::{JitterSpec, RunSpec};
 use epibench::{row, section, Args};
 use epidata::{generate_ground_truth, io::Table};
-use epismc_core::adaptive::AdaptiveConfig;
 use epismc_core::diagnostics::PosteriorSummary;
 use epismc_core::observation::BiasMode;
 use epismc_core::resample::{Multinomial, Resampler, Residual, Stratified, Systematic};
@@ -24,12 +24,13 @@ use epistats::rng::Xoshiro256PlusPlus;
 use epistats::summary::{mean, variance, weighted_mean};
 
 fn main() {
-    let mut args = Args::parse();
-    if args.n_params == Args::default().n_params {
-        args.n_params = 400;
-        args.n_replicates = 8;
-        args.resample_size = 800;
-    }
+    let defaults = Args {
+        n_params: 400,
+        n_replicates: 8,
+        resample_size: 800,
+        ..Args::default()
+    };
+    let args = Args::parse("ablation", defaults);
     let scenario = args.scenario();
     let truth = generate_ground_truth(&scenario, scenario.truth_seed);
     let simulator = CovidSimulator::new(scenario.base_params.clone()).expect("params");
@@ -129,67 +130,59 @@ fn main() {
     println!("(sampled thinning folds reporting noise into the weights, per the paper; both modes recover theta)");
 
     // ------------------------------------------------------------------
-    section("3. adaptive refinement on the day-62 jump window");
+    section("3. window length on the day-62 jump");
     // A theta kernel too narrow to reach the day-62 jump in one window.
     let narrow = JitterSpec {
         theta_half: 0.06,
         rho_down: 0.05,
         rho_up: 0.08,
     };
+    let paper = RunSpec::default().windows;
+    let weekly = [&paper[..3], &[(62, 68), (69, 75), (76, 82), (83, 90)]].concat();
     let true_last = truth.theta_truth[61];
-    let widths = [10, 10, 10, 8, 7];
-    println!(
-        "{}",
-        row(
-            &["variant", "th_w4", "abs_err", "ESS%", "iters"].map(String::from),
-            &widths
-        )
-    );
-    let mut adapt_rows: Vec<(String, f64, f64, f64, f64)> = Vec::new();
-    for (label, adaptive) in [
-        ("plain", None),
-        (
-            "adaptive",
-            Some(AdaptiveConfig {
-                max_iterations: 3,
-                target_ess_fraction: 0.05,
-                jitter_decay: 0.7,
-            }),
-        ),
-    ] {
+    let widths = [8, 9, 8, 8, 8, 6, 6, 9];
+    let header = [
+        "plan", "th_final", "th_sd", "abs_err", "rho", "ESS%", "uniq", "sim_days",
+    ];
+    println!("{}", row(&header.map(String::from), &widths));
+    let mut window_errs = Vec::new();
+    for (label, windows) in [("paper", paper), ("weekly", weekly)] {
         let spec = RunSpec {
             scale: args.scale.clone(),
             calibration: args.config(),
+            windows,
             jitter: narrow,
-            adaptive,
             ..RunSpec::default()
         };
         let res = spec.run(&truth).expect("calibration");
         let last = res.windows.last().expect("windows");
         let th = PosteriorSummary::of_theta(&last.posterior, 0);
+        let rho = PosteriorSummary::of_rho(&last.posterior);
+        let err = (th.mean - true_last).abs();
         let ess_pct = 100.0 * last.ess / (args.n_params * args.n_replicates) as f64;
+        let days: u64 = res.windows.iter().map(|w| w.telemetry.days_simulated).sum();
         println!(
             "{}",
             row(
                 &[
                     label.to_string(),
                     format!("{:.3}", th.mean),
-                    format!("{:.3}", (th.mean - true_last).abs()),
+                    format!("{:.3}", th.sd),
+                    format!("{err:.3}"),
+                    format!("{:.3}", rho.mean),
                     format!("{ess_pct:.1}"),
-                    format!("{}", last.iterations),
+                    format!("{}", last.unique_ancestors),
+                    format!("{days}"),
                 ],
                 &widths
             )
         );
-        adapt_rows.push((
-            label.to_string(),
-            th.mean,
-            (th.mean - true_last).abs(),
-            ess_pct,
-            last.iterations as f64,
-        ));
+        window_errs.push(err);
     }
-    println!("(truth in the final window: theta = {true_last:.2})");
+    println!(
+        "(truth in the final window: theta = {true_last:.2}; \
+         the weekly plan splits [62, 90] into [62,68], [69,75], [76,82], [83,90])"
+    );
 
     // CSV artifact.
     let table = Table::from_pairs(vec![
@@ -197,10 +190,10 @@ fn main() {
         ("scheme_var", scheme_rows.iter().map(|r| r.2).collect()),
         ("scheme_uniq", scheme_rows.iter().map(|r| r.3).collect()),
         (
-            "adaptive_err",
-            adapt_rows
+            "window_err",
+            window_errs
                 .iter()
-                .map(|r| r.2)
+                .copied()
                 .chain(std::iter::repeat(0.0))
                 .take(4)
                 .collect(),

@@ -22,7 +22,7 @@
 
 use epibench::report::Report;
 use epibench::runspec::RunSpec;
-use epibench::{done_in, flag_value, FULL};
+use epibench::{done_in, fail, flag_value, FULL};
 use epidata::generate_ground_truth;
 
 /// Parse the command line into the specs to run (path, resolved spec)
@@ -99,21 +99,16 @@ fn run(specs: &[(String, RunSpec)]) -> Result<(), String> {
     Ok(())
 }
 
-/// Print `calibrate: <reason>` on stderr and exit with `status`.
-fn fail(status: i32, reason: impl std::fmt::Display) -> ! {
-    eprintln!("calibrate: {reason}");
-    std::process::exit(status)
-}
-
 fn main() {
     let parsed = parse(std::env::args().skip(1).collect());
-    let (specs, print_spec) = parsed.unwrap_or_else(|e| fail(2, e));
+    let (specs, print_spec) = parsed.unwrap_or_else(|e| fail("calibrate", 2, e));
     if print_spec {
         for (_, spec) in &specs {
-            let json = serde_json::to_string_pretty(spec).unwrap_or_else(|e| fail(1, e));
+            let json =
+                serde_json::to_string_pretty(spec).unwrap_or_else(|e| fail("calibrate", 1, e));
             println!("{json}");
         }
     } else if let Err(e) = run(&specs) {
-        fail(1, e);
+        fail("calibrate", 1, e);
     }
 }

@@ -10,7 +10,7 @@ use epibench::{row, section, Args};
 use epidata::{generate_ground_truth, io::Table};
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("fig2_ground_truth", Args::default());
     let scenario = args.scenario();
     println!(
         "fig2: scenario '{}' (population {}, horizon {} days, truth seed {})",

@@ -17,7 +17,7 @@ use epismc_core::window::TimeWindow;
 use epistats::summary::Histogram;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("fig3_single_window", Args::default());
     let scenario = args.scenario();
     let mut config = args.config();
     config.keep_prior_ensemble = true;

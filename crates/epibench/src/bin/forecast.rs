@@ -18,7 +18,7 @@ use epismc_core::window::{TimeWindow, WindowPlan};
 use epistats::score::pit_uniformity_statistic;
 
 fn main() {
-    let args = Args::parse();
+    let args = Args::parse("forecast", Args::default());
     let scenario = args.scenario();
     let truth = generate_ground_truth(&scenario, scenario.truth_seed);
     let simulator = CovidSimulator::new(scenario.base_params.clone()).expect("params");

@@ -16,13 +16,18 @@ use epismc_core::window::TimeWindow;
 use epismc_core::CalibrationConfig;
 use epistats::score::pit_uniformity_statistic;
 
-fn main() {
-    let mut args = Args::parse();
-    if args.n_params == Args::default().n_params {
-        args.n_params = 150;
-        args.n_replicates = 4;
-        args.resample_size = 300;
+/// SBC's own ensemble, which the flags override one by one.
+fn defaults() -> Args {
+    Args {
+        n_params: 150,
+        n_replicates: 4,
+        resample_size: 300,
+        ..Args::default()
     }
+}
+
+fn main() {
+    let args = Args::parse("sbc", defaults());
     // SBC replicates many full calibrations; use the cheap SEIR model so
     // the study finishes in seconds.
     let simulator = SeirSimulator::new(episim::seir::SeirParams {
@@ -109,4 +114,14 @@ fn main() {
     let path = args.out_dir.join("sbc_ranks.csv");
     table.write_csv(&path).expect("write csv");
     println!("\nwrote {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_partial_ensemble_flag_keeps_the_other_defaults() {
+        let argv = vec!["--n-reps".into(), "7".into()];
+        let a = super::defaults().parse_from(argv).unwrap();
+        assert_eq!((a.n_params, a.n_replicates, a.resample_size), (150, 7, 300));
+    }
 }

@@ -14,13 +14,14 @@ use epismc_core::window::TimeWindow;
 use std::time::Instant;
 
 fn main() {
-    let mut args = Args::parse();
     // Scaling runs use a smaller grid by default so each point is quick.
-    if args.n_params == Args::default().n_params {
-        args.n_params = 300;
-        args.n_replicates = 8;
-        args.resample_size = 500;
-    }
+    let defaults = Args {
+        n_params: 300,
+        n_replicates: 8,
+        resample_size: 500,
+        ..Args::default()
+    };
+    let args = Args::parse("scaling", defaults);
     let scenario = args.scenario();
     let truth = generate_ground_truth(&scenario, scenario.truth_seed);
     let simulator = CovidSimulator::new(scenario.base_params.clone()).expect("params");

@@ -10,14 +10,16 @@
 //! | `fig2_ground_truth` | Fig 2 — simulated ground truth |
 //! | `fig3_single_window` | Fig 3 — single-window IS on case counts |
 //! | `calibrate specs/fig4.json specs/fig5.json` | Figs 4 and 5 — sequential calibration on cases, then on cases and deaths, and Fig 5's comparison (see [`report`]) |
+//! | `calibrate specs/fig4_weekly.json` | Fig 4 with its last window, [62, 90], split into four weekly windows |
 //! | `scaling` | the HPC claims — thread scaling and checkpoint-restart savings |
-//! | `ablation` | resampling schemes, bias modes, adaptive refinement |
+//! | `ablation` | resampling schemes, bias modes, window length on the day-62 jump |
 //! | `forecast` | operational day-61 forecast across the day-62 jump |
 //! | `sbc` | simulation-based calibration rank histograms |
 //!
 //! Each prints the series/rows behind the figure and writes CSVs under
 //! `results/`. Default scale is laptop-friendly; pass `--full` for the
-//! paper's 25,000 x 20 ensemble (HPC-sized, [`FULL`]).
+//! paper's 25,000 x 20 ensemble (HPC-sized, [`FULL`]). Bad flags print
+//! `<bin>: <reason>` on stderr and exit with status 2 ([`fail`]).
 //!
 //! Two more binaries are performance gates that time their own runs and
 //! answer through their exit status (see [`gate`]): `check_scaling`
@@ -79,40 +81,47 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parse from `std::env::args`, panicking with usage text on errors.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1).collect())
+    /// The flags this process was started with, applied over `defaults`
+    /// (each binary passes its own ensemble). Bad input prints
+    /// `<bin>: <reason>` on stderr and exits with status 2 ([`fail`]).
+    pub fn parse(bin: &str, defaults: Self) -> Self {
+        let parsed = defaults.parse_from(std::env::args().skip(1).collect());
+        parsed.unwrap_or_else(|e| fail(bin, 2, e))
     }
 
-    /// Parse from an explicit argument vector.
+    /// Apply the flags in `argv` over `self`.
     ///
-    /// # Panics
-    /// Panics with a usage message on unknown flags or malformed values.
-    pub fn parse_from(argv: Vec<String>) -> Self {
-        let mut args = Self::default();
+    /// # Errors
+    /// Names the flag: an unknown one, a missing or malformed value, an
+    /// unknown bias mode or scale, or an ensemble that does not
+    /// validate.
+    pub fn parse_from(mut self, argv: Vec<String>) -> Result<Self, String> {
         let mut it = argv.into_iter();
         while let Some(flag) = it.next() {
             match flag.as_str() {
                 "--full" => {
                     let (scale, n_params, n_replicates, resample_size) = FULL;
-                    args.scale = scale.into();
-                    (args.n_params, args.n_replicates, args.resample_size) =
+                    self.scale = scale.into();
+                    (self.n_params, self.n_replicates, self.resample_size) =
                         (n_params, n_replicates, resample_size);
                 }
-                "--scale" => args.scale = value(&mut it, &flag),
-                "--n-params" => args.n_params = value(&mut it, &flag),
-                "--n-reps" => args.n_replicates = value(&mut it, &flag),
-                "--resample" => args.resample_size = value(&mut it, &flag),
-                "--seed" => args.seed = value(&mut it, &flag),
-                "--threads" => args.threads = Some(value(&mut it, &flag)),
+                "--scale" => {
+                    self.scale = flag_value(&mut it, &flag)?;
+                    scenario(&self.scale).map_err(|e| format!("{flag}: {e}"))?;
+                }
+                "--n-params" => self.n_params = flag_value(&mut it, &flag)?,
+                "--n-reps" => self.n_replicates = flag_value(&mut it, &flag)?,
+                "--resample" => self.resample_size = flag_value(&mut it, &flag)?,
+                "--seed" => self.seed = flag_value(&mut it, &flag)?,
+                "--threads" => self.threads = Some(flag_value(&mut it, &flag)?),
                 "--bias-mode" => {
-                    args.bias_mode = match value::<String>(&mut it, &flag).as_str() {
+                    self.bias_mode = match flag_value::<String>(&mut it, &flag)?.as_str() {
                         "sampled" => BiasMode::Sampled,
                         "mean" => BiasMode::Mean,
-                        other => panic!("--bias-mode: 'sampled' or 'mean', got '{other}'"),
+                        other => return Err(format!("{flag}: 'sampled' or 'mean', got '{other}'")),
                     }
                 }
-                "--out" => args.out_dir = value::<String>(&mut it, &flag).into(),
+                "--out" => self.out_dir = flag_value::<String>(&mut it, &flag)?.into(),
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --full | --scale tiny|small|full | --n-params N | \
@@ -121,31 +130,33 @@ impl Args {
                     );
                     std::process::exit(0);
                 }
-                other => panic!("unknown flag '{other}' (try --help)"),
+                other => return Err(format!("unknown flag '{other}' (try --help)")),
             }
         }
-        args
+        self.config().validate()?;
+        Ok(self)
     }
 
     /// Build the scenario for the chosen scale.
     ///
     /// # Panics
-    /// Panics on an unknown scale name.
+    /// Panics on an unknown scale name, which [`Self::parse_from`]
+    /// refuses.
     pub fn scenario(&self) -> Scenario {
         scenario(&self.scale).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Build the calibration config for these arguments.
+    /// The calibration config for these arguments, which
+    /// [`Self::parse_from`] has checked.
     pub fn config(&self) -> CalibrationConfig {
-        let mut b = CalibrationConfig::builder()
-            .n_params(self.n_params)
-            .n_replicates(self.n_replicates)
-            .resample_size(self.resample_size)
-            .seed(self.seed);
-        if let Some(t) = self.threads {
-            b = b.threads(t);
+        CalibrationConfig {
+            n_params: self.n_params,
+            n_replicates: self.n_replicates,
+            resample_size: self.resample_size,
+            seed: self.seed,
+            threads: self.threads,
+            ..CalibrationConfig::default()
         }
-        b.build()
     }
 }
 
@@ -164,11 +175,6 @@ pub fn flag_value<T: FromStr>(
         .map_err(|_| format!("{flag}: expected a non-negative integer, got '{v}'"))
 }
 
-/// [`flag_value`], panicking with its message.
-fn value<T: FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
-    flag_value(it, flag).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// The paper scenario at `scale`: `tiny`, `small` or `full`.
 ///
 /// # Errors
@@ -180,6 +186,13 @@ pub fn scenario(scale: &str) -> Result<Scenario, String> {
         "full" => Ok(Scenario::paper_full()),
         other => Err(format!("unknown scale '{other}' (tiny|small|full)")),
     }
+}
+
+/// Print `<bin>: <reason>` on stderr and exit with `status`: 2 for bad
+/// input, 1 for a run that failed.
+pub fn fail(bin: &str, status: i32, reason: impl std::fmt::Display) -> ! {
+    eprintln!("{bin}: {reason}");
+    std::process::exit(status)
 }
 
 /// Peak resident set size of this process in MiB: `VmHWM` from
@@ -244,9 +257,14 @@ mod tests {
         assert_eq!(a.scenario().name, "paper-small");
     }
 
+    /// `argv` split on spaces, applied over the default arguments.
+    fn parse(argv: &str) -> Result<Args, String> {
+        Args::default().parse_from(argv.split(' ').map(String::from).collect())
+    }
+
     #[test]
     fn full_flag_sets_paper_scale() {
-        let a = Args::parse_from(vec!["--full".into()]);
+        let a = parse("--full").unwrap();
         assert_eq!(a.n_params, 25_000);
         assert_eq!(a.n_replicates, 20);
         assert_eq!(a.resample_size, 10_000);
@@ -256,8 +274,7 @@ mod tests {
     #[test]
     fn individual_flags_override() {
         let argv = "--scale tiny --n-params 10 --n-reps 2 --seed 9 --threads 3 --bias-mode mean";
-        let argv = format!("{argv} --resample 44");
-        let a = Args::parse_from(argv.split(' ').map(String::from).collect());
+        let a = parse(&format!("{argv} --resample 44")).unwrap();
         assert_eq!(a.scenario().name, "paper-tiny");
         assert_eq!(a.n_params, 10);
         assert_eq!(a.n_replicates, 2);
@@ -268,14 +285,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn unknown_flag_panics() {
-        Args::parse_from(vec!["--bogus".into()]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn bad_bias_mode_panics() {
-        Args::parse_from(vec!["--bias-mode".into(), "magic".into()]);
+    fn bad_flags_are_errors_naming_the_flag() {
+        for (argv, reason) in [
+            ("--bogus", "unknown flag '--bogus'"),
+            (
+                "--bias-mode magic",
+                "--bias-mode: 'sampled' or 'mean', got 'magic'",
+            ),
+            ("--scale galactic", "--scale: unknown scale 'galactic'"),
+            ("--n-reps x", "--n-reps: expected"),
+            ("--seed", "--seed requires a value"),
+            ("--threads 0", "threads must be >= 1"),
+        ] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.contains(reason), "{argv}: {err}");
+        }
     }
 }

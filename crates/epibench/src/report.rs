@@ -46,9 +46,6 @@ pub struct WindowReport {
     pub ess_fraction: f64,
     /// Distinct candidates the resample drew.
     pub unique_ancestors: usize,
-    /// Proposal rounds the window ran (above 1 only under adaptive
-    /// refinement).
-    pub iterations: usize,
     /// Mode `(θ, ρ)` of the joint KDE over the prior support.
     pub kde_mode: (f64, f64),
     /// Density levels enclosing 50% and 90% of the posterior mass.
@@ -148,7 +145,6 @@ impl Report {
                 rho_truth: truth.rho_truth[day1],
                 ess_fraction: w.ess / candidates,
                 unique_ancestors: w.unique_ancestors,
-                iterations: w.iterations,
                 kde_mode: jd.grid.mode(),
                 kde_levels: (jd.level50, jd.level90),
                 corr: post.corr_theta_rho(0),
@@ -184,19 +180,16 @@ impl Report {
     /// Print the report's tables to stdout.
     pub fn print(&self) {
         section("per-window posterior vs truth (filtering; ESS% of the n_params x n_replicates candidates)");
-        println!(
-            "   window  th_mean    th_sd  th_true rho_mean   rho_sd rho_true  ESS%  uniq iters"
-        );
+        println!("   window  th_mean    th_sd  th_true rho_mean   rho_sd rho_true  ESS%  uniq");
         for w in &self.windows {
             let (t, r) = (&w.theta, &w.rho);
             let values = [t.mean, t.sd, w.theta_truth, r.mean, r.sd, w.rho_truth];
             println!(
-                "{:>9}{}{:>6.0}{:>6}{:>6}",
+                "{:>9}{}{:>6.0}{:>6}",
                 label(w.window),
                 cols(&values, 3),
                 100.0 * w.ess_fraction,
-                w.unique_ancestors,
-                w.iterations
+                w.unique_ancestors
             );
         }
 

@@ -1,14 +1,14 @@
 //! Declarative run specifications for the `calibrate` CLI binary.
 //!
 //! A JSON file fully describes a calibration campaign — scenario,
-//! ensemble sizes, windows, data sources, jitter kernels, optional
-//! adaptive refinement — so operational re-runs ("new week of data
-//! arrived") are a config edit, not a code change. The sequential
-//! figures are committed specs: `specs/fig4.json` (cases) and
-//! `specs/fig5.json` (cases and deaths); [`RunSpec::run`] runs one.
+//! ensemble sizes, windows, data sources, jitter kernels — so
+//! operational re-runs ("new week of data arrived") are a config edit,
+//! not a code change. The sequential figures are committed specs:
+//! `specs/fig4.json` (cases) and `specs/fig5.json` (cases and deaths);
+//! `specs/fig4_weekly.json` is Fig 4 with its last window split into
+//! weeks. [`RunSpec::run`] runs one.
 
 use epidata::GroundTruth;
-use epismc_core::adaptive::AdaptiveConfig;
 use epismc_core::config::CalibrationConfig;
 use epismc_core::error::SmcError;
 use epismc_core::observation::BiasMode;
@@ -71,9 +71,6 @@ pub struct RunSpec {
     /// Proposal jitter settings.
     #[serde(default)]
     pub jitter: JitterSpec,
-    /// Optional adaptive ESS-triggered refinement.
-    #[serde(default)]
-    pub adaptive: Option<AdaptiveConfig>,
     /// Output directory for CSV artifacts.
     #[serde(default = "default_out")]
     pub out_dir: String,
@@ -104,7 +101,6 @@ impl Default for RunSpec {
             sources: default_sources(),
             sigma: default_sigma(),
             jitter: JitterSpec::default(),
-            adaptive: None,
             out_dir: default_out(),
         }
     }
@@ -151,9 +147,6 @@ impl RunSpec {
         {
             return Err("runspec: jitter half-widths must be positive".into());
         }
-        if let Some(a) = &self.adaptive {
-            a.validate()?;
-        }
         Ok(())
     }
 
@@ -177,8 +170,8 @@ impl RunSpec {
 
     /// Run the sequential calibration this spec describes against
     /// `truth`, its scenario's ground truth: the scenario's simulator,
-    /// the paper's priors, and the spec's kernels, adaptive refinement
-    /// and plan, scoring `truth`'s reported cases (plus its deaths under
+    /// the paper's priors, and the spec's kernels and plan, scoring
+    /// `truth`'s reported cases (plus its deaths under
     /// [`SourceSpec::CasesDeaths`]) under sampled binomial bias and the
     /// spec's σ.
     ///
@@ -190,11 +183,8 @@ impl RunSpec {
         let scenario = crate::scenario(&self.scale).map_err(SmcError::Config)?;
         let simulator = CovidSimulator::new(scenario.base_params)?;
         let (kt, kr) = self.kernels();
-        let mut calibrator =
+        let calibrator =
             SequentialCalibrator::try_new(&simulator, self.calibration.clone(), kt, kr)?;
-        if let Some(adaptive) = self.adaptive {
-            calibrator = calibrator.try_with_adaptive(adaptive)?;
-        }
         let (cases, bias) = (truth.observed_cases.clone(), BiasMode::Sampled);
         let observed = match self.sources {
             SourceSpec::Cases => ObservedData::cases_only_with(cases, bias, self.sigma),
@@ -234,10 +224,6 @@ mod tests {
                     "n_params": 50, "n_replicates": 2, "resample_size": 100,
                     "seed": 5, "threads": null,
                     "keep_prior_ensemble": false
-                },
-                "adaptive": {
-                    "max_iterations": 2, "target_ess_fraction": 0.1,
-                    "jitter_decay": 0.8
                 }
             }"#,
         )
@@ -246,7 +232,6 @@ mod tests {
         assert_eq!(spec.sources, SourceSpec::CasesDeaths);
         assert_eq!(spec.calibration.n_params, 50);
         assert_eq!(spec.sigma, 1.5);
-        assert!(spec.adaptive.is_some());
         // Full serde round trip.
         let json = serde_json::to_string(&spec).unwrap();
         let back = RunSpec::from_json(&json).unwrap();
@@ -255,11 +240,13 @@ mod tests {
 
     #[test]
     fn rejects_keys_that_name_no_field() {
-        // A parent-era runspec carrying σ inside `calibration` (since
-        // moved to the top level), and a misspelled top-level key: both
-        // fail, naming the key, instead of running on defaults.
+        // A runspec carrying σ inside `calibration` (since moved to the
+        // top level), one setting the retired `adaptive` refinement, and
+        // a misspelled top-level key: each fails, naming the key,
+        // instead of running without it.
         for (json, key) in [
             (r#"{"calibration": {"sigma": 2.0}}"#, "sigma"),
+            (r#"{"adaptive": {"jitter_decay": 0.7}}"#, "adaptive"),
             (r#"{"windws": [[10, 20]]}"#, "windws"),
         ] {
             let err = RunSpec::from_json(json).unwrap_err();

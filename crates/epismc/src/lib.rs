@@ -32,14 +32,14 @@
 //!   pool, with deterministic common-random-number streams.
 //! * [`sis`] — Algorithm 1 ([`sis::SingleWindowIs`]) and the windowed
 //!   outer loop ([`sis::SequentialCalibrator`]) with checkpoint
-//!   propagation and incremental-likelihood weighting.
+//!   propagation and incremental-likelihood weighting: each window is
+//!   one grid pass, then resampling.
 //! * [`persist`] — the durable run store: versioned, checksummed
 //!   per-window snapshots behind [`persist::RunStore`], crash recovery
 //!   (`resume_from`), and deterministic fault injection for tests.
 //! * [`diagnostics`] — weighted ribbons, posterior summaries, KDE contour
 //!   data for the paper's figures.
 
-pub mod adaptive;
 pub mod ckpool;
 pub mod config;
 pub mod diagnostics;
@@ -59,7 +59,6 @@ pub mod stream;
 pub mod validate;
 pub mod window;
 
-pub use adaptive::AdaptiveConfig;
 pub use ckpool::SharedCheckpoint;
 pub use config::{
     CalibrationConfig, CheckpointPolicy, PmmhConfig, RejuvenationKernel, ResampleScheme,

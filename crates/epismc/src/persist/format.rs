@@ -406,7 +406,7 @@ pub fn encode_record(snap: &RunSnapshot) -> Vec<u8> {
     put_f64(&mut out, snap.ess);
     put_f64(&mut out, snap.log_marginal);
     put_u64(&mut out, snap.unique_ancestors);
-    put_u64(&mut out, snap.iterations);
+    put_u64(&mut out, 1); // reserved: always 1 (DESIGN §10)
     put_u64(&mut out, snap.wall_nanos);
     write_telemetry(&mut out, &snap.telemetry);
     write_ensemble(&mut out, &snap.posterior);
@@ -729,7 +729,7 @@ pub fn decode_record(data: &[u8]) -> Result<RunSnapshot, SmcError> {
     let ess = r.f64("ess")?;
     let log_marginal = r.f64("log marginal")?;
     let unique_ancestors = r.u64("unique ancestors")?;
-    let iterations = r.u64("iterations")?;
+    r.u64("reserved word")?;
     let wall_nanos = r.u64("wall nanos")?;
     let telemetry = read_telemetry(&mut r)?;
     let posterior = read_ensemble(&mut r)?;
@@ -748,7 +748,6 @@ pub fn decode_record(data: &[u8]) -> Result<RunSnapshot, SmcError> {
         ess,
         log_marginal,
         unique_ancestors,
-        iterations,
         wall_nanos,
         observed_fingerprint,
         telemetry,

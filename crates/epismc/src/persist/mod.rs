@@ -98,8 +98,6 @@ pub struct RunSnapshot {
     pub log_marginal: f64,
     /// Distinct candidates surviving the resampling step.
     pub unique_ancestors: u64,
-    /// Importance-sampling iterations spent.
-    pub iterations: u64,
     /// Wall-clock nanoseconds of the window (diagnostics only).
     pub wall_nanos: u64,
     /// Fingerprint of the observed data slice this window was scored

@@ -205,8 +205,8 @@ pub struct TrajectoryTelemetry {
     /// window loop, so this is 0 for every window it emits.
     pub pool_builds: usize,
     /// Days simulated across the window's whole `(parameter, replicate)`
-    /// grid (all adaptive iterations included). Deterministic for a
-    /// given configuration, regardless of thread count.
+    /// grid. Deterministic for a given configuration, regardless of
+    /// thread count.
     pub days_simulated: u64,
     /// Wall-clock nanoseconds spent inside simulation day loops, summed
     /// across workers (can exceed the window's elapsed time; inherently
@@ -236,10 +236,9 @@ pub struct TrajectoryTelemetry {
     /// Wall-clock nanoseconds spent generating resampling indices and
     /// assembling the posterior ensemble (diagnostics only).
     pub resample_nanos: u64,
-    /// Scheduling chunks the window's simulation grids were split into
-    /// (summed over adaptive iterations). Depends on worker count and
-    /// chunk policy — diagnostics only, must never feed deterministic
-    /// fingerprints.
+    /// Scheduling chunks the window's simulation grid was split into.
+    /// Depends on worker count and chunk policy — diagnostics only, must
+    /// never feed deterministic fingerprints.
     pub grid_chunks: u64,
     /// Wall-clock nanoseconds the window loop was *blocked* on
     /// durability for this window. In a batch run that is only the
@@ -272,9 +271,8 @@ pub struct TrajectoryTelemetry {
     pub serial_nanos: u64,
     /// Per-source scoring passes through the fused day loop (per-day
     /// bias + likelihood term, no materialized observation buffer): one
-    /// per source per scored cell, adaptive iterations included.
-    /// Deterministic for a given configuration, never dependent on
-    /// scheduling.
+    /// per source per scored cell. Deterministic for a given
+    /// configuration, never dependent on scheduling.
     pub fused_scores: u64,
     /// Binomial stage-exit draws the chain stepper issued through
     /// `HazardSampler::draw_many` across the window's grid.
@@ -295,17 +293,15 @@ pub struct TrajectoryTelemetry {
 /// candidate ensemble itself.
 #[derive(Clone, Copy, Debug, Default)]
 struct WindowAccounting {
-    /// Importance-sampling iterations spent (1 unless adaptive).
-    iterations: usize,
     /// Dedicated pools charged to this window (see
     /// [`crate::runner::ParallelRunner::take_build_charge`]).
     pool_builds: usize,
-    /// Scheduling chunks across the window's simulation grids.
+    /// Scheduling chunks across the window's simulation grid.
     grid_chunks: u64,
     /// Serial stream/proposal setup span (see
     /// [`TrajectoryTelemetry::stream_setup_nanos`]).
     stream_setup_nanos: u64,
-    /// Wall-clock spent inside parallel grid passes; subtracted from the
+    /// Wall-clock spent inside the parallel grid pass; subtracted from the
     /// window wall to yield [`TrajectoryTelemetry::serial_nanos`].
     grid_nanos: u64,
 }
@@ -385,9 +381,6 @@ pub struct WindowResult {
     pub log_marginal: f64,
     /// Number of distinct candidates surviving the resampling step.
     pub unique_ancestors: usize,
-    /// Importance-sampling iterations spent on this window (1 unless
-    /// adaptive refinement re-proposed; see [`crate::adaptive`]).
-    pub iterations: usize,
     /// Wall-clock time of the window (simulation + weighting + resampling).
     pub wall_time: Duration,
     /// Trajectory-memory and pool telemetry of the posterior ensemble.
@@ -803,7 +796,6 @@ fn finalize_window<S: TrajectorySimulator>(
         ess: window_ess,
         log_marginal,
         unique_ancestors,
-        iterations: acct.iterations,
         wall_time: started.elapsed(),
         telemetry,
         rejuvenation: None,
@@ -923,7 +915,6 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
         // The driver's pre-built pool is charged to the first window that
         // uses it — later runs on the same driver report 0.
         let acct = WindowAccounting {
-            iterations: 1,
             pool_builds: runner.take_build_charge(),
             grid_chunks: runner.chunk_count(cfg.n_params * cfg.n_replicates) as u64,
             stream_setup_nanos,
@@ -943,7 +934,6 @@ pub struct SequentialCalibrator<'a, S: TrajectorySimulator> {
     config: CalibrationConfig,
     jitter_theta: Vec<JitterKernel>,
     jitter_rho: JitterKernel,
-    adaptive: Option<crate::adaptive::AdaptiveConfig>,
 }
 
 /// Result of a sequential calibration: one [`WindowResult`] per window.
@@ -1035,37 +1025,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             config,
             jitter_theta,
             jitter_rho,
-            adaptive: None,
         })
-    }
-
-    /// Enable adaptive ESS-triggered refinement: when a window's
-    /// importance weights degenerate (e.g. the truth jumped beyond the
-    /// jitter kernel's reach), re-propose around the current weighted
-    /// candidates with shrinking kernels and re-simulate, up to the
-    /// configured iteration budget. See [`crate::adaptive`].
-    ///
-    /// # Panics
-    /// Panics if the adaptive configuration is invalid; use
-    /// [`Self::try_with_adaptive`] to handle that case without panicking.
-    pub fn with_adaptive(self, adaptive: crate::adaptive::AdaptiveConfig) -> Self {
-        let built = self.try_with_adaptive(adaptive);
-        // epilint: allow(panic-unwrap) — documented panicking convenience wrapper over the fallible path
-        built.expect("invalid AdaptiveConfig")
-    }
-
-    /// Fallible variant of [`Self::with_adaptive`].
-    ///
-    /// # Errors
-    /// Returns [`SmcError::Config`] if the adaptive configuration is
-    /// invalid.
-    pub fn try_with_adaptive(
-        mut self,
-        adaptive: crate::adaptive::AdaptiveConfig,
-    ) -> Result<Self, SmcError> {
-        adaptive.validate().map_err(SmcError::Config)?;
-        self.adaptive = Some(adaptive);
-        Ok(self)
     }
 
     /// Run the full windowed calibration.
@@ -1207,7 +1167,6 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             ess: snap.ess,
             log_marginal: snap.log_marginal,
             unique_ancestors: snap.unique_ancestors as usize,
-            iterations: snap.iterations as usize,
             wall_time: Duration::from_nanos(snap.wall_nanos),
             telemetry: snap.telemetry,
             rejuvenation: None,
@@ -1248,7 +1207,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
 
     /// Compute one window of the SIS pass: propose (from the priors for
     /// the first window, by jittering `prev` otherwise), simulate and
-    /// weight with adaptive refinement, resample, and — when the
+    /// weight the window's grid in one pass, resample, and — when the
     /// configuration selects it — run the PMMH rejuvenation pass on the
     /// posterior.
     ///
@@ -1260,6 +1219,8 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
     /// windows the surrounding run intends to compute or on which
     /// process computed the previous ones. That purity is what makes
     /// streaming-equals-batch an identity rather than an approximation.
+    /// The runner (and its pool) is pre-built by the caller, so windows
+    /// report `pool_builds == 0`.
     pub(crate) fn compute_window(
         &self,
         runner: &ParallelRunner,
@@ -1271,36 +1232,20 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
     ) -> Result<WindowResult, SmcError> {
         // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
         let setup_started = std::time::Instant::now();
-        let mut result = match prev {
-            None => {
-                // Window 1: Algorithm 1 from the prior (with optional
-                // adaptive refinement over fresh runs).
-                let mut rng =
-                    Xoshiro256PlusPlus::from_stream(self.config.seed, &[TAG_WINDOW, widx as u64]);
-                let proposals: Vec<Proposal> = (0..self.config.n_params)
-                    .map(|_| Proposal {
-                        ancestor: 0,
-                        theta: priors.theta.iter().map(|p| p.sample(&mut rng)).collect(),
-                        rho: priors.rho.sample(&mut rng),
-                    })
-                    .collect();
-                let setup_nanos = setup_started.elapsed().as_nanos() as u64;
-                self.adaptive_window(
-                    runner,
-                    observed,
-                    window,
-                    widx,
-                    None,
-                    proposals,
-                    rng,
-                    setup_nanos,
-                )?
-            }
+        let cfg = &self.config;
+        let mut rng = Xoshiro256PlusPlus::from_stream(cfg.seed, &[TAG_WINDOW, widx as u64]);
+        let proposals: Vec<Proposal> = match prev {
+            // Window 1: Algorithm 1 from the prior.
+            None => (0..cfg.n_params)
+                .map(|_| Proposal {
+                    ancestor: 0,
+                    theta: priors.theta.iter().map(|p| p.sample(&mut rng)).collect(),
+                    rho: priors.rho.sample(&mut rng),
+                })
+                .collect(),
             Some(ancestors) => {
-                let mut rng =
-                    Xoshiro256PlusPlus::from_stream(self.config.seed, &[TAG_WINDOW, widx as u64]);
                 let n_anc = ancestors.len() as u64;
-                let proposals: Vec<Proposal> = (0..self.config.n_params)
+                (0..cfg.n_params)
                     .map(|_| {
                         let a = rng.next_bounded(n_anc) as usize;
                         let anc = &ancestors.particles()[a];
@@ -1315,21 +1260,46 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                             rho: self.jitter_rho.sample(anc.rho, &mut rng),
                         }
                     })
-                    .collect();
-                let setup_nanos = setup_started.elapsed().as_nanos() as u64;
-                self.adaptive_window(
-                    runner,
-                    observed,
-                    window,
-                    widx,
-                    Some(ancestors),
-                    proposals,
-                    rng,
-                    setup_nanos,
-                )?
+                    .collect()
             }
         };
-        if let crate::config::RejuvenationKernel::Pmmh(pmmh) = &self.config.rejuvenation {
+        // Counter-mode keys with the window prefix absorbed once; every
+        // worker derives its cell's seeds in O(1). The `0` after the
+        // window index is a fixed slot of the stream layout (DESIGN §11).
+        let sim_key = StreamKey::new(cfg.seed)
+            .absorb(TAG_SIM_SEED)
+            .absorb(widx as u64)
+            .absorb(0);
+        let bias_key = StreamKey::new(cfg.seed)
+            .absorb(TAG_BIAS)
+            .absorb(widx as u64)
+            .absorb(0);
+        let stream_setup_nanos = setup_started.elapsed().as_nanos() as u64;
+
+        // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
+        let started = std::time::Instant::now();
+        let ws_stats = Arc::new(WorkspaceStats::default());
+        let grid = Grid::new(
+            self.simulator,
+            cfg.n_replicates,
+            &proposals,
+            prev,
+            observed,
+            window,
+            sim_key,
+            bias_key,
+        )?;
+        let cells = simulate_grid(&grid, runner, &ws_stats, drop_margin(cfg, grid.cells()))?;
+        let acct = WindowAccounting {
+            pool_builds: 0,
+            grid_chunks: runner.chunk_count(grid.cells()) as u64,
+            stream_setup_nanos,
+            grid_nanos: started.elapsed().as_nanos() as u64,
+        };
+        let mut result = finalize_window(
+            &grid, cells, cfg, &mut rng, runner, started, acct, &ws_stats,
+        )?;
+        if let crate::config::RejuvenationKernel::Pmmh(pmmh) = &cfg.rejuvenation {
             let stats = crate::rejuvenate::pmmh_rejuvenate_window(
                 self.simulator,
                 &mut result.posterior,
@@ -1338,7 +1308,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                 pmmh,
                 &self.jitter_theta,
                 &self.jitter_rho,
-                self.config.seed,
+                cfg.seed,
                 widx,
                 runner,
             )?;
@@ -1369,7 +1339,6 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             ess: result.ess,
             log_marginal: result.log_marginal,
             unique_ancestors: result.unique_ancestors as u64,
-            iterations: result.iterations as u64,
             wall_nanos: result.wall_time.as_nanos() as u64,
             observed_fingerprint: persist::observed_fingerprint(observed, result.window)
                 .unwrap_or(0),
@@ -1393,8 +1362,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
     ) -> Result<CalibrationResult, SmcError> {
         self.validate_dims(priors)?;
         // One runner — and therefore one worker pool — for the whole
-        // calibration run, hoisted out of the per-window (and
-        // per-adaptive-iteration) batch loop.
+        // calibration run, hoisted out of the per-window batch loop.
         let runner = ParallelRunner::new(self.config.threads)?;
         let fingerprint = self.fingerprint();
         let mut windows: Vec<WindowResult> = Vec::with_capacity(plan.len());
@@ -1464,127 +1432,6 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             }
             Ok(CalibrationResult { windows, resume })
         })
-    }
-
-    /// Simulate/weight one window, re-proposing with shrinking kernels
-    /// while the adaptive criterion demands it, then finalize. The runner
-    /// (and its pool) is pre-built by [`Self::run`], so every batch —
-    /// across windows *and* adaptive iterations — reuses it; windows
-    /// therefore report `pool_builds == 0`.
-    #[allow(clippy::too_many_arguments)]
-    fn adaptive_window(
-        &self,
-        runner: &ParallelRunner,
-        observed: &ObservedData,
-        window: TimeWindow,
-        window_index: usize,
-        ancestors: Option<&ParticleEnsemble>,
-        mut proposals: Vec<Proposal>,
-        mut rng: Xoshiro256PlusPlus,
-        mut stream_setup_nanos: u64,
-    ) -> Result<WindowResult, SmcError> {
-        // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-        let started = std::time::Instant::now();
-        let cfg = &self.config;
-        // One stats sink for all iterations of this window: adaptive
-        // re-proposals accumulate into the same telemetry.
-        let ws_stats = Arc::new(WorkspaceStats::default());
-        let mut iteration = 0usize;
-        let mut grid_chunks = 0u64;
-        let mut grid_nanos = 0u64;
-        loop {
-            grid_chunks += runner.chunk_count(proposals.len() * cfg.n_replicates) as u64;
-            // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-            let grid_started = std::time::Instant::now();
-            // Counter-mode keys with the `(window, iteration)` prefix
-            // absorbed once; every worker derives its cell's seeds in
-            // O(1).
-            let sim_key = StreamKey::new(cfg.seed)
-                .absorb(TAG_SIM_SEED)
-                .absorb(window_index as u64)
-                .absorb(iteration as u64);
-            let bias_key = StreamKey::new(cfg.seed)
-                .absorb(TAG_BIAS)
-                .absorb(window_index as u64)
-                .absorb(iteration as u64);
-            let grid = Grid::new(
-                self.simulator,
-                cfg.n_replicates,
-                &proposals,
-                ancestors,
-                observed,
-                window,
-                sim_key,
-                bias_key,
-            )?;
-            let candidates =
-                simulate_grid(&grid, runner, &ws_stats, drop_margin(cfg, grid.cells()))?;
-            grid_nanos += grid_started.elapsed().as_nanos() as u64;
-            iteration += 1;
-            // The calibration-level pool build is never re-charged to a
-            // window: `run` pre-builds the runner, so windows report 0.
-            let acct = WindowAccounting {
-                iterations: iteration,
-                pool_builds: 0,
-                grid_chunks,
-                stream_setup_nanos,
-                grid_nanos,
-            };
-
-            let adaptive = match &self.adaptive {
-                None => {
-                    return finalize_window(
-                        &grid, candidates, cfg, &mut rng, runner, started, acct, &ws_stats,
-                    )
-                }
-                Some(a) => a,
-            };
-            let log_w: Vec<f64> = candidates.iter().map(|p| p.log_weight).collect();
-            let weights = epistats::logweight::normalize_log_weights(&log_w);
-            let current_ess = ess(&weights);
-            if iteration >= adaptive.max_iterations
-                || current_ess >= adaptive.target_ess_fraction * candidates.len() as f64
-            {
-                return finalize_window(
-                    &grid, candidates, cfg, &mut rng, runner, started, acct, &ws_stats,
-                );
-            }
-
-            // Re-propose around the weighted candidates with shrunken
-            // kernels, inheriting each chosen candidate's ancestor.
-            // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-            let repropose_started = std::time::Instant::now();
-            let decay = adaptive.jitter_decay.powi(iteration as i32);
-            let shrink = |k: &JitterKernel| JitterKernel {
-                down: (k.down * decay).max(1e-6),
-                up: (k.up * decay).max(1e-6),
-                ..*k
-            };
-            let theta_kernels: Vec<JitterKernel> = self.jitter_theta.iter().map(shrink).collect();
-            let rho_kernel = shrink(&self.jitter_rho);
-            let picks = cfg
-                .resample
-                .resampler()
-                .resample(&weights, cfg.n_params, &mut rng);
-            proposals = picks
-                .into_iter()
-                .map(|ci| {
-                    let cand = &candidates[ci];
-                    let parent = proposals[ci / cfg.n_replicates].ancestor;
-                    Proposal {
-                        ancestor: parent,
-                        theta: cand
-                            .theta
-                            .iter()
-                            .zip(&theta_kernels)
-                            .map(|(&t, k)| k.sample(t, &mut rng))
-                            .collect(),
-                        rho: rho_kernel.sample(cand.rho, &mut rng),
-                    }
-                })
-                .collect();
-            stream_setup_nanos += repropose_started.elapsed().as_nanos() as u64;
-        }
     }
 }
 

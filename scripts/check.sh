@@ -55,9 +55,12 @@ echo "==> cargo test --offline --manifest-path perfbench/Cargo.toml"
 cargo test --offline --manifest-path perfbench/Cargo.toml
 
 # Figs 4 and 5 from their committed runspecs, end to end (about 5 s in
-# release on 2 vCPUs): fails on a nonzero exit.
+# release on 2 vCPUs), then Fig 4 with its last window split into weeks
+# (about 2 s): each fails on a nonzero exit.
 echo "==> cargo run --release -p epibench --bin calibrate -- specs/fig4.json specs/fig5.json"
 cargo run --release -p epibench --bin calibrate -- specs/fig4.json specs/fig5.json
+echo "==> cargo run --release -p epibench --bin calibrate -- specs/fig4_weekly.json"
+cargo run --release -p epibench --bin calibrate -- specs/fig4_weekly.json
 
 # Strong-scaling gate: times one 500k-cell window at 1, 2 and 4
 # threads and asserts the efficiency floor; on hosts with < 4 cores it

@@ -25,6 +25,11 @@ done
 echo "=== calibrate specs/fig4.json specs/fig5.json $* ==="
 ./target/release/calibrate specs/fig4.json specs/fig5.json "$@" | tee results/calibrate_log.txt
 
+# Fig 4 with [62, 90] split into four weekly windows (EXPERIMENTS.md,
+# Fig 4).
+echo "=== calibrate specs/fig4_weekly.json $* ==="
+./target/release/calibrate specs/fig4_weekly.json "$@" | tee results/calibrate_weekly_log.txt
+
 # Each run's cost: its `done in` footer (wall time and peak RSS).
 grep -H "done in" results/*_log.txt | tee results/costs.txt
 

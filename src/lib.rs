@@ -78,7 +78,6 @@ pub mod prelude {
         Simulation,
     };
     pub use crate::smc::{
-        adaptive::AdaptiveConfig,
         config::{
             CalibrationConfig, CheckpointPolicy, PmmhConfig, RejuvenationKernel, ResampleScheme,
         },

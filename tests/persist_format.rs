@@ -97,7 +97,6 @@ fn golden_snapshot() -> RunSnapshot {
         ess: 31.5,
         log_marginal: -102.75,
         unique_ancestors: 17,
-        iterations: 1,
         wall_nanos: 123_456_789,
         observed_fingerprint: 0x0B5E_4FD5_0BF1_4CED,
         telemetry: TrajectoryTelemetry {
@@ -279,7 +278,6 @@ fn arbitrary_snapshot(parts: Vec<(f64, f64, u64, f64, Vec<u64>)>) -> RunSnapshot
         ess: 1.5,
         log_marginal: -8.25,
         unique_ancestors: 2,
-        iterations: 1,
         wall_nanos: 0,
         observed_fingerprint: 0xF00D,
         telemetry: TrajectoryTelemetry::default(),
