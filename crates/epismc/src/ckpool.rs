@@ -15,8 +15,8 @@
 //! enforced by the `checkpoint-clone` epilint rule); everything else
 //! goes through [`SharedCheckpoint`].
 
+use crate::ptr_index::PtrIndex;
 use episim::checkpoint::SimCheckpoint;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// A structurally shared, immutable simulator checkpoint. Cloning is an
@@ -72,10 +72,11 @@ pub fn sharing<'a, I>(refs: I) -> CheckpointSharing
 where
     I: IntoIterator<Item = (&'a SharedCheckpoint, usize)>,
 {
-    let mut ids = BTreeSet::new();
+    let refs = refs.into_iter();
+    let mut ids = PtrIndex::with_capacity(refs.size_hint().0);
     let mut total = 0usize;
     for (ck, n) in refs {
-        ids.insert(Arc::as_ptr(ck) as usize);
+        ids.intern(Arc::as_ptr(ck) as usize);
         total += n;
     }
     CheckpointSharing {

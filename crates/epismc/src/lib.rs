@@ -50,6 +50,7 @@ pub mod observation;
 pub mod particle;
 pub mod persist;
 pub mod prior;
+mod ptr_index;
 pub mod rejuvenate;
 pub mod resample;
 pub mod runner;

@@ -47,17 +47,27 @@ pub struct Particle {
 
 /// A collection of particles with weight-aware summaries.
 ///
-/// The particles sit behind one [`Arc`], so cloning an ensemble is a
+/// A resampled posterior draws a few hundred distinct candidates into
+/// thousands of slots, so the ensemble holds each distinct particle once
+/// ([`Self::distinct`]) plus one `u32` per slot naming the distinct
+/// particle that slot holds, in resample order ([`Self::slots`]). Every
+/// reader sees the slot sequence through [`Self::particles`], exactly as
+/// if each slot owned its particle, while passes over the posterior's
+/// storage (footprint telemetry, snapshot pools, PMMH moves) cost its
+/// distinct particles, not its slots. [`Self::from_vec`] builds the
+/// one-particle-per-slot form.
+///
+/// Both sit behind one [`Arc`], so cloning an ensemble is a
 /// reference-count bump whatever its size: the snapshot a persisted
 /// window hands to the writer, the [`crate::sis::WindowResult`] a
 /// streaming append returns and the ensemble the stream keeps all share
-/// one particle vector. Mutation is copy-on-write: [`Self::push`],
+/// one allocation. Mutation is copy-on-write: [`Self::push`],
 /// [`Self::particles_mut`] and [`Self::set_uniform_weights`] copy the
-/// vector first if another clone still shares it, so no clone ever
+/// storage first if another clone still shares it, so no clone ever
 /// sees another's changes.
 #[derive(Clone, Debug, Default)]
 pub struct ParticleEnsemble {
-    particles: Arc<Vec<Particle>>,
+    particles: Arc<Particles>,
 }
 
 impl ParticleEnsemble {
@@ -66,44 +76,80 @@ impl ParticleEnsemble {
         Self::default()
     }
 
-    /// Wrap an existing particle vector.
+    /// Wrap an existing particle vector, one particle per slot.
     pub fn from_vec(particles: Vec<Particle>) -> Self {
+        let slots = (0..particles.len() as u32).collect();
+        Self::from_slots(particles, slots)
+    }
+
+    /// An ensemble whose slot `j` holds `distinct[slots[j]]`.
+    ///
+    /// Every slot index must name a particle of `distinct`; the
+    /// crate's constructors (resampling, snapshot decoding, the PMMH
+    /// pass) guarantee it.
+    pub(crate) fn from_slots(distinct: Vec<Particle>, slots: Vec<u32>) -> Self {
         Self {
-            particles: Arc::new(particles),
+            particles: Arc::new(Particles { distinct, slots }),
         }
     }
 
-    /// Number of particles.
+    /// Number of particles (slots).
     pub fn len(&self) -> usize {
-        self.particles.len()
+        self.particles.slots.len()
     }
 
     /// Whether the ensemble is empty.
     pub fn is_empty(&self) -> bool {
-        self.particles.is_empty()
+        self.particles.slots.is_empty()
     }
 
-    /// Append a particle (copy-on-write, see the type docs).
+    /// Append a particle in a slot of its own (copy-on-write, see the
+    /// type docs).
     pub fn push(&mut self, p: Particle) {
-        Arc::make_mut(&mut self.particles).push(p);
+        let all = Arc::make_mut(&mut self.particles);
+        all.slots.push(all.distinct.len() as u32);
+        all.distinct.push(p);
     }
 
-    /// The particles.
-    pub fn particles(&self) -> &[Particle] {
+    /// The particles in slot order: one entry per slot, a particle drawn
+    /// several times appearing once per draw.
+    pub fn particles(&self) -> &Particles {
         &self.particles
     }
 
-    /// Mutable access to the particles (copy-on-write, see the type
-    /// docs).
+    /// Each distinct particle once. A slot holds
+    /// `distinct()[slots()[slot]]`; every distinct particle is held by
+    /// at least one slot.
+    pub fn distinct(&self) -> &[Particle] {
+        &self.particles.distinct
+    }
+
+    /// The index into [`Self::distinct`] of each slot's particle, in
+    /// slot order.
+    pub fn slots(&self) -> &[u32] {
+        &self.particles.slots
+    }
+
+    /// Mutable access to the particles, one per slot (copy-on-write, see
+    /// the type docs). Slots that share a particle are first given a
+    /// copy each — the one-particle-per-slot form of
+    /// [`Self::from_vec`] — so a change to one slot never shows in
+    /// another.
     pub fn particles_mut(&mut self) -> &mut [Particle] {
-        Arc::make_mut(&mut self.particles).as_mut_slice()
+        let m = &self.particles;
+        let per_slot = m.distinct.len() == m.slots.len()
+            && m.slots.iter().enumerate().all(|(j, &s)| s as usize == j);
+        if !per_slot {
+            *self = Self::from_vec(self.particles().to_vec());
+        }
+        Arc::make_mut(&mut self.particles).distinct.as_mut_slice()
     }
 
     /// Normalized linear-space weights (uniform fallback if all log
     /// weights are negative infinity; see
     /// [`epistats::logweight::normalize_log_weights`]).
     pub fn normalized_weights(&self) -> Vec<f64> {
-        let lw: Vec<f64> = self.particles.iter().map(|p| p.log_weight).collect();
+        let lw: Vec<f64> = self.particles().iter().map(|p| p.log_weight).collect();
         normalize_log_weights(&lw)
     }
 
@@ -113,9 +159,9 @@ impl ParticleEnsemble {
     }
 
     /// Reset every particle to uniform weight (log 0) — done after
-    /// resampling.
+    /// resampling. Costs the distinct particles, not the slots.
     pub fn set_uniform_weights(&mut self) {
-        for p in self.particles_mut() {
+        for p in &mut Arc::make_mut(&mut self.particles).distinct {
             p.log_weight = 0.0;
         }
     }
@@ -125,12 +171,12 @@ impl ParticleEnsemble {
     /// # Panics
     /// Panics if `k` is out of range for any particle.
     pub fn thetas(&self, k: usize) -> Vec<f64> {
-        self.particles.iter().map(|p| p.theta[k]).collect()
+        self.particles().iter().map(|p| p.theta[k]).collect()
     }
 
     /// Every particle's reporting probability.
     pub fn rhos(&self) -> Vec<f64> {
-        self.particles.iter().map(|p| p.rho).collect()
+        self.particles().iter().map(|p| p.rho).collect()
     }
 
     /// Weighted posterior mean of `theta[k]`.
@@ -171,7 +217,7 @@ impl ParticleEnsemble {
     /// concentrating on few draws).
     pub fn unique_inputs(&self) -> usize {
         let mut keys: Vec<(u64, Vec<u64>)> = self
-            .particles
+            .particles()
             .iter()
             .map(|p| {
                 (
@@ -183,6 +229,76 @@ impl ParticleEnsemble {
         keys.sort();
         keys.dedup();
         keys.len()
+    }
+}
+
+/// The particles of a [`ParticleEnsemble`] in slot order (see
+/// [`ParticleEnsemble::particles`]): indexing, iteration and length
+/// behave as on a `[Particle]` holding one particle per slot.
+#[derive(Clone, Debug, Default)]
+pub struct Particles {
+    distinct: Vec<Particle>,
+    slots: Vec<u32>,
+}
+
+impl Particles {
+    /// Number of slots.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether there are no slots.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// The particles in slot order.
+    pub fn iter(&self) -> SlotIter<'_> {
+        SlotIter {
+            distinct: &self.distinct,
+            slots: self.slots.iter(),
+        }
+    }
+
+    /// One owned particle per slot (clones share every allocation).
+    pub fn to_vec(&self) -> Vec<Particle> {
+        self.iter().cloned().collect()
+    }
+}
+
+impl std::ops::Index<usize> for Particles {
+    type Output = Particle;
+
+    fn index(&self, slot: usize) -> &Particle {
+        &self.distinct[self.slots[slot] as usize]
+    }
+}
+
+impl<'a> IntoIterator for &'a Particles {
+    type Item = &'a Particle;
+    type IntoIter = SlotIter<'a>;
+
+    fn into_iter(self) -> SlotIter<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over [`Particles`] in slot order.
+#[derive(Clone, Debug)]
+pub struct SlotIter<'a> {
+    distinct: &'a [Particle],
+    slots: std::slice::Iter<'a, u32>,
+}
+
+impl<'a> Iterator for SlotIter<'a> {
+    type Item = &'a Particle;
+
+    fn next(&mut self) -> Option<&'a Particle> {
+        self.slots.next().map(|&s| &self.distinct[s as usize])
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.slots.size_hint()
     }
 }
 
@@ -317,9 +433,9 @@ mod tests {
     fn clones_share_storage_until_one_is_mutated() {
         let mut a = ensemble();
         let b = a.clone();
-        assert!(std::ptr::eq(a.particles(), b.particles()));
+        assert!(std::ptr::eq(a.distinct(), b.distinct()));
         a.particles_mut()[0].log_weight = 7.0;
-        assert!(!std::ptr::eq(a.particles(), b.particles()));
+        assert!(!std::ptr::eq(a.distinct(), b.distinct()));
         assert_eq!(b.particles()[0].log_weight, -1.0);
         assert_eq!(a.particles()[0].log_weight, 7.0);
         // The copy shares each particle's trajectory and checkpoint.
@@ -328,15 +444,58 @@ mod tests {
             &b.particles()[1].checkpoint
         ));
         // A sole owner mutates in place.
-        let before = a.particles().as_ptr();
+        let before = a.distinct().as_ptr();
         a.set_uniform_weights();
-        assert_eq!(a.particles().as_ptr(), before);
+        assert_eq!(a.distinct().as_ptr(), before);
         a.particles_mut()[2].rho = 0.1;
-        assert_eq!(a.particles().as_ptr(), before);
+        assert_eq!(a.distinct().as_ptr(), before);
         let mut c = b.clone();
         c.push(dummy_particle(0.9, 0.9, 9, 0.0));
         c.set_uniform_weights();
         assert_eq!((b.len(), c.len()), (3, 4));
         assert_eq!(b.particles()[2].log_weight, f64::NEG_INFINITY);
+    }
+
+    /// Slots `[2, 0, 2, 2, 1]` over the three particles of [`ensemble`].
+    fn shared() -> ParticleEnsemble {
+        let distinct = ensemble().particles().to_vec();
+        ParticleEnsemble::from_slots(distinct, vec![2, 0, 2, 2, 1])
+    }
+
+    #[test]
+    fn the_slot_view_reads_like_a_slice_of_one_particle_per_slot() {
+        let e = shared();
+        let seeds = |v: &[Particle]| v.iter().map(|p| p.seed).collect::<Vec<_>>();
+        let view = e.particles();
+        assert_eq!((view.len(), e.len(), e.distinct().len()), (5, 5, 3));
+        assert_eq!(seeds(&view.to_vec()), [3, 1, 3, 3, 2]);
+        assert_eq!(view[3].seed, 3);
+        assert!(std::ptr::eq(&view[0], &view[2]));
+        let mut n = 0;
+        for p in view {
+            n += usize::from(p.seed == 3);
+        }
+        assert_eq!(n, 3);
+        // Slot-order summaries weight each particle by its slots.
+        assert_eq!(e.thetas(0), [0.4, 0.2, 0.4, 0.4, 0.3]);
+        assert_eq!(e.unique_inputs(), 3);
+    }
+
+    #[test]
+    fn mutating_a_shared_slot_leaves_the_other_slots_unchanged() {
+        let mut e = shared();
+        let keep = e.clone();
+        e.particles_mut()[2].rho = 0.05;
+        assert_eq!(e.rhos(), [0.7, 0.5, 0.05, 0.7, 0.6]);
+        assert_eq!(e.distinct().len(), 5);
+        assert_eq!(keep.rhos(), [0.7, 0.5, 0.7, 0.7, 0.6]);
+        // A weight reset costs the distinct particles and keeps the slots.
+        let mut w = shared();
+        w.set_uniform_weights();
+        assert_eq!((w.distinct().len(), w.slots()), (3, &[2, 0, 2, 2, 1][..]));
+        assert!(w.particles().iter().all(|p| p.log_weight == 0.0));
+        // `push` gives the new particle a slot of its own.
+        w.push(dummy_particle(0.9, 0.9, 9, 0.0));
+        assert_eq!(w.slots(), [2, 0, 2, 2, 1, 3]);
     }
 }

@@ -20,7 +20,10 @@
 //! are pooled by allocation identity at encode time (each distinct
 //! segment/checkpoint/theta serializes once, however many particles
 //! reference it) and re-interned at decode time, so a resumed ensemble
-//! has the same structural-sharing telemetry as the original.
+//! has the same structural-sharing telemetry as the original. Particle
+//! rows are written one per slot, and decoding folds identical rows
+//! back into one particle, so a resampled posterior comes back holding
+//! each distinct particle once (see [`ParticleEnsemble`]).
 
 use std::sync::Arc;
 
@@ -29,6 +32,7 @@ use episim::output::{DailySeries, SharedTrajectory};
 use crate::ckpool;
 use crate::error::SmcError;
 use crate::particle::{Particle, ParticleEnsemble};
+use crate::ptr_index::PtrIndex;
 use crate::sis::TrajectoryTelemetry;
 use crate::window::TimeWindow;
 
@@ -57,13 +61,13 @@ const PARTICLE_LEN: usize = 4 * 4 + 3 * 8;
 
 const CRC_POLY: u32 = 0xEDB8_8320;
 
-/// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte-at-a-
+/// Slice-by-16 lookup tables: `CRC_TABLES[0]` is the classic byte-at-a-
 /// time table; table `j` advances a byte's contribution `j` positions
-/// further through the register, so eight bytes fold in one step.
-const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+/// further through the register, so sixteen bytes fold in one step.
+const CRC_TABLES: [[u32; 256]; 16] = crc_tables();
 
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0usize;
     while i < 256 {
         let mut c = i as u32;
@@ -83,7 +87,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     while i < 256 {
         let mut c = tables[0][i];
         let mut j = 1;
-        while j < 8 {
+        while j < 16 {
             c = tables[0][(c & 0xFF) as usize] ^ (c >> 8);
             tables[j][i] = c;
             j += 1;
@@ -93,24 +97,30 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// CRC-32 (IEEE 802.3) over `data`, folding eight bytes per step
-/// (slice-by-8). Bit-identical to the byte-at-a-time definition — the
-/// known-vector test pins it — but ~4x faster, which matters because
-/// every persisted snapshot is checksummed on the encode hot path.
+/// The table lookups of one 4-byte little-endian word of a 16-byte
+/// step, `lag` (0, 4, 8 or 12) bytes before the step's last word: the
+/// step's byte `15 - j` takes table `j`.
+fn crc_word(w: u32, lag: usize) -> u32 {
+    CRC_TABLES[lag + 3][(w & 0xFF) as usize]
+        ^ CRC_TABLES[lag + 2][((w >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[lag + 1][((w >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[lag][(w >> 24) as usize]
+}
+
+/// CRC-32 (IEEE 802.3) over `data`, folding sixteen bytes per step
+/// (slice-by-16). Bit-identical to the byte-at-a-time definition — the
+/// tests pin it against a bytewise reference — and several times
+/// faster, which matters because every persisted snapshot is
+/// checksummed on the encode hot path and again on every decode.
 pub fn crc32(data: &[u8]) -> u32 {
+    let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
     let mut c = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
+    let mut chunks = data.chunks_exact(16);
     for ch in &mut chunks {
-        c ^= u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
-        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
-        c = CRC_TABLES[7][(c & 0xFF) as usize]
-            ^ CRC_TABLES[6][((c >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[5][((c >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[4][((c >> 24) & 0xFF) as usize]
-            ^ CRC_TABLES[3][(hi & 0xFF) as usize]
-            ^ CRC_TABLES[2][((hi >> 8) & 0xFF) as usize]
-            ^ CRC_TABLES[1][((hi >> 16) & 0xFF) as usize]
-            ^ CRC_TABLES[0][((hi >> 24) & 0xFF) as usize];
+        c = crc_word(c ^ word(&ch[0..4]), 12)
+            ^ crc_word(word(&ch[4..8]), 8)
+            ^ crc_word(word(&ch[8..12]), 4)
+            ^ crc_word(word(&ch[12..16]), 0);
     }
     for &b in chunks.remainder() {
         c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
@@ -125,86 +135,6 @@ fn corrupt(msg: impl Into<String>) -> SmcError {
 // ---------------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------------
-
-/// Interning index from allocation identity (a pointer rendered as
-/// `usize`) to pool slot. Encoding a large resampled posterior performs
-/// several lookups per particle against pools of only ~`n_params`
-/// distinct entries, so this is a flat linear-probing table with a
-/// multiply-shift hash instead of an ordered map — the lookups sit on
-/// the background writer's critical path, and on a saturated host every
-/// microsecond the writer spends here is a microsecond the window loop
-/// cannot overlap with I/O. The map is only ever queried and inserted,
-/// never iterated, so pool order (first-encounter) is unaffected.
-struct PtrIndex {
-    /// `(key + 1, value)` pairs; key 0 marks an empty slot, which is
-    /// safe because keys are addresses of live allocations, never null.
-    slots: Vec<(usize, u32)>,
-    mask: usize,
-    len: usize,
-}
-
-impl PtrIndex {
-    fn with_capacity(n: usize) -> Self {
-        // Keep load factor under 1/2 so probe chains stay short.
-        let cap = (n.max(8) * 2).next_power_of_two();
-        Self {
-            slots: vec![(0, 0); cap],
-            mask: cap - 1,
-            len: 0,
-        }
-    }
-
-    fn slot_of(&self, key: usize) -> usize {
-        // Fibonacci multiply-shift: spreads the low entropy of aligned
-        // heap addresses across the table without a full hasher.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & self.mask
-    }
-
-    fn get(&self, key: usize) -> Option<u32> {
-        let tagged = key + 1;
-        let mut i = self.slot_of(key);
-        loop {
-            let (k, v) = self.slots[i];
-            if k == tagged {
-                return Some(v);
-            }
-            if k == 0 {
-                return None;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// Insert `key -> value`; the caller checks `get` first, so keys are
-    /// always fresh.
-    fn insert(&mut self, key: usize, value: u32) {
-        if self.len * 2 >= self.slots.len() {
-            self.grow();
-        }
-        let tagged = key + 1;
-        let mut i = self.slot_of(key);
-        while self.slots[i].0 != 0 {
-            i = (i + 1) & self.mask;
-        }
-        self.slots[i] = (tagged, value);
-        self.len += 1;
-    }
-
-    fn grow(&mut self) {
-        let doubled = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, vec![(0, 0); doubled]);
-        self.mask = self.slots.len() - 1;
-        for (tagged, v) in old {
-            if tagged != 0 {
-                let mut i = self.slot_of(tagged - 1);
-                while self.slots[i].0 != 0 {
-                    i = (i + 1) & self.mask;
-                }
-                self.slots[i] = (tagged, v);
-            }
-        }
-    }
-}
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -280,13 +210,27 @@ fn write_telemetry(out: &mut Vec<u8>, t: &TrajectoryTelemetry) {
 }
 
 /// Write the ensemble: the column names, then the segment, theta and
-/// checkpoint pools, then the particles, each pool's count patched in
+/// checkpoint pools, then one row per slot, each pool's count patched in
 /// once its walk is done.
+///
+/// The wire form has a row per slot, as if each slot owned its particle,
+/// but the work follows the ensemble's distinct particles (see
+/// [`ParticleEnsemble`]): the pools are walked once per distinct
+/// particle, in the order of each one's first slot — the order a walk
+/// over every slot would intern them in, since a repeated particle adds
+/// nothing new to any pool — and each slot copies its particle's
+/// 40-byte row.
 fn write_ensemble(out: &mut Vec<u8>, ensemble: &ParticleEnsemble) {
-    let particles = ensemble.particles();
+    let (distinct, slots) = (ensemble.distinct(), ensemble.slots());
+    let mut first_seen = vec![false; distinct.len()];
+    let order: Vec<&Particle> = slots
+        .iter()
+        .filter(|&&s| !std::mem::replace(&mut first_seen[s as usize], true))
+        .map(|&s| &distinct[s as usize])
+        .collect();
 
     // Global column-name table (one output schema per ensemble).
-    let names = particles.first().map_or(&[][..], |p| p.trajectory.names());
+    let names = order.first().map_or(&[][..], |p| p.trajectory.names());
     put_u32(out, names.len() as u32);
     for n in names {
         put_str(out, n);
@@ -297,20 +241,16 @@ fn write_ensemble(out: &mut Vec<u8>, ensemble: &ParticleEnsemble) {
     // topological order, so a segment's parent always precedes it.
     // Interned segments always form a root-side prefix of a chain (a
     // chain is interned together with its ancestors), so the walk stops
-    // at the first interned one: resampled duplicates — the bulk of a
-    // posterior — cost one lookup of their head.
+    // at the first interned one.
     let seg_count_at = reserve_u32(out);
-    let mut seg_index = PtrIndex::with_capacity(particles.len() / 4);
-    let mut n_segs = 0u32;
-    for p in particles {
+    let mut seg_index = PtrIndex::with_capacity(4 * order.len());
+    for p in &order {
         let (fresh, stop) = p
             .trajectory
             .unknown_segments(|id| seg_index.get(id).is_some());
         let mut parent_idx = stop.and_then(|id| seg_index.get(id)).unwrap_or(NONE_IDX);
         for (id, series) in fresh {
-            let idx = n_segs;
-            seg_index.insert(id, idx);
-            n_segs += 1;
+            let (idx, _) = seg_index.intern(id);
             put_u32(out, parent_idx);
             put_u32(out, series.start_day());
             put_u32(out, series.len() as u32);
@@ -320,67 +260,64 @@ fn write_ensemble(out: &mut Vec<u8>, ensemble: &ParticleEnsemble) {
             parent_idx = idx;
         }
     }
-    patch_u32(out, seg_count_at, n_segs);
+    patch_u32(out, seg_count_at, seg_index.len() as u32);
 
     // Theta pool: one vector per proposal, shared by its replicates.
     let theta_count_at = reserve_u32(out);
-    put_u32(out, particles.first().map_or(0, |p| p.theta.len()) as u32);
-    let mut theta_index = PtrIndex::with_capacity(particles.len() / 4);
-    let mut n_thetas = 0u32;
-    for p in particles {
+    put_u32(out, order.first().map_or(0, |p| p.theta.len()) as u32);
+    let mut theta_index = PtrIndex::with_capacity(order.len());
+    for p in &order {
         let id = Arc::as_ptr(&p.theta) as *const f64 as usize;
-        if theta_index.get(id).is_some() {
-            continue;
-        }
-        theta_index.insert(id, n_thetas);
-        n_thetas += 1;
-        for &v in p.theta.iter() {
-            put_f64(out, v);
+        if theta_index.intern(id).1 {
+            for &v in p.theta.iter() {
+                put_f64(out, v);
+            }
         }
     }
-    patch_u32(out, theta_count_at, n_thetas);
+    patch_u32(out, theta_count_at, theta_index.len() as u32);
 
     // Checkpoint pool: each distinct allocation (current state and
     // origin alike) serializes once, appended in place via the
     // interning module's sanctioned byte path behind its length.
     let ck_count_at = reserve_u32(out);
-    let mut ck_index = PtrIndex::with_capacity(particles.len() / 4);
-    let mut n_cks = 0u32;
-    for p in particles {
+    let mut ck_index = PtrIndex::with_capacity(2 * order.len());
+    for p in &order {
         for ck in std::iter::once(&p.checkpoint).chain(p.origin.as_ref()) {
-            let id = Arc::as_ptr(ck) as usize;
-            if ck_index.get(id).is_some() {
-                continue;
+            if ck_index.intern(Arc::as_ptr(ck) as usize).1 {
+                let len_at = reserve_u32(out);
+                ckpool::encode_into(ck, out);
+                let len = out.len() - len_at - 4;
+                patch_u32(out, len_at, len as u32);
             }
-            ck_index.insert(id, n_cks);
-            n_cks += 1;
-            let len_at = reserve_u32(out);
-            ckpool::encode_into(ck, out);
-            let len = out.len() - len_at - 4;
-            patch_u32(out, len_at, len as u32);
         }
     }
-    patch_u32(out, ck_count_at, n_cks);
+    patch_u32(out, ck_count_at, ck_index.len() as u32);
 
-    // Particles: pool references plus per-particle scalars.
-    put_u32(out, particles.len() as u32);
-    out.reserve(PARTICLE_LEN * particles.len());
-    for p in particles {
+    // Rows: pool references plus per-particle scalars, written once per
+    // distinct particle and copied into every slot that holds it.
+    let mut rows = Vec::with_capacity(PARTICLE_LEN * distinct.len());
+    for p in distinct {
         let theta_id = Arc::as_ptr(&p.theta) as *const f64 as usize;
+        put_u32(&mut rows, theta_index.get(theta_id).unwrap_or(NONE_IDX));
+        put_f64(&mut rows, p.rho);
+        put_u64(&mut rows, p.seed);
+        put_f64(&mut rows, p.log_weight);
         let head_id = p.trajectory.head_id();
-        put_u32(out, theta_index.get(theta_id).unwrap_or(NONE_IDX));
-        put_f64(out, p.rho);
-        put_u64(out, p.seed);
-        put_f64(out, p.log_weight);
-        put_u32(out, seg_index.get(head_id).unwrap_or(NONE_IDX));
+        put_u32(&mut rows, seg_index.get(head_id).unwrap_or(NONE_IDX));
         let ck_id = Arc::as_ptr(&p.checkpoint) as usize;
-        put_u32(out, ck_index.get(ck_id).unwrap_or(NONE_IDX));
+        put_u32(&mut rows, ck_index.get(ck_id).unwrap_or(NONE_IDX));
         let origin_idx = p
             .origin
             .as_ref()
             .and_then(|o| ck_index.get(Arc::as_ptr(o) as usize))
             .unwrap_or(NONE_IDX);
-        put_u32(out, origin_idx);
+        put_u32(&mut rows, origin_idx);
+    }
+    put_u32(out, slots.len() as u32);
+    out.reserve(PARTICLE_LEN * slots.len());
+    for &s in slots {
+        let at = s as usize * PARTICLE_LEN;
+        out.extend_from_slice(&rows[at..at + PARTICLE_LEN]);
     }
 }
 
@@ -606,52 +543,93 @@ fn read_ensemble(r: &mut Reader<'_>) -> Result<ParticleEnsemble, SmcError> {
         ck_pool.push(ckpool::share(ck));
     }
 
+    // Rows: a slot whose row repeats an earlier one byte for byte holds
+    // the same particle, so identical rows fold back into one distinct
+    // particle. Rows are found by a hash of their bytes and confirmed by
+    // comparing them; a (vanishingly rare) hash collision only leaves
+    // two equal rows unfolded.
     let n_particles = r.u32("particle count")? as usize;
     r.expect_items(n_particles, PARTICLE_LEN, "particles")?;
-    let mut particles = Vec::with_capacity(n_particles);
+    let mut distinct: Vec<(&[u8], Particle)> = Vec::new();
+    let mut by_row = PtrIndex::with_capacity(n_particles / 4);
+    let mut slots = Vec::with_capacity(n_particles);
     for i in 0..n_particles {
-        let theta_idx = r.u32("particle theta index")? as usize;
-        let rho = r.f64("particle rho")?;
-        let seed = r.u64("particle seed")?;
-        let log_weight = r.f64("particle log weight")?;
-        let head_idx = r.u32("particle trajectory head")? as usize;
-        let ck_idx = r.u32("particle checkpoint index")? as usize;
-        let origin_raw = r.u32("particle origin index")?;
-        let theta = theta_pool
-            .get(theta_idx)
-            .ok_or_else(|| corrupt(format!("particle {i}: theta index {theta_idx} out of pool")))?;
-        let trajectory = traj_pool.get(head_idx).ok_or_else(|| {
-            corrupt(format!(
-                "particle {i}: trajectory head {head_idx} out of pool"
-            ))
-        })?;
-        let checkpoint = ck_pool.get(ck_idx).ok_or_else(|| {
-            corrupt(format!(
-                "particle {i}: checkpoint index {ck_idx} out of pool"
-            ))
-        })?;
-        let origin = if origin_raw == NONE_IDX {
-            None
-        } else {
-            Some(Arc::clone(ck_pool.get(origin_raw as usize).ok_or_else(
-                || {
-                    corrupt(format!(
-                        "particle {i}: origin index {origin_raw} out of pool"
-                    ))
-                },
-            )?))
-        };
-        particles.push(Particle {
-            theta: Arc::clone(theta),
-            rho,
-            seed,
-            log_weight,
-            trajectory: trajectory.clone(),
-            checkpoint: Arc::clone(checkpoint),
-            origin,
-        });
+        let raw = r.take(PARTICLE_LEN, "particle")?;
+        let key = row_key(raw);
+        let known = by_row.get(key);
+        if let Some(d) = known.filter(|&d| distinct[d as usize].0 == raw) {
+            slots.push(d);
+            continue;
+        }
+        let d = distinct.len() as u32;
+        if known.is_none() {
+            by_row.insert(key, d);
+        }
+        let particle = read_particle(&mut Reader::new(raw), i, &theta_pool, &traj_pool, &ck_pool)?;
+        distinct.push((raw, particle));
+        slots.push(d);
     }
-    Ok(ParticleEnsemble::from_vec(particles))
+    let distinct = distinct.into_iter().map(|(_, p)| p).collect();
+    Ok(ParticleEnsemble::from_slots(distinct, slots))
+}
+
+/// A particle row's fold key: a multiply-xor hash of its bytes, kept
+/// below `usize::MAX` as [`PtrIndex`] keys must be.
+fn row_key(row: &[u8]) -> usize {
+    let h = row.chunks_exact(8).fold(0u64, |h, w| {
+        (h.rotate_left(23) ^ le_u64(w)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    });
+    (h >> 1) as usize
+}
+
+/// Decode slot `i`'s particle row against the decoded pools.
+fn read_particle(
+    r: &mut Reader<'_>,
+    i: usize,
+    theta_pool: &[Arc<[f64]>],
+    traj_pool: &[SharedTrajectory],
+    ck_pool: &[ckpool::SharedCheckpoint],
+) -> Result<Particle, SmcError> {
+    let theta_idx = r.u32("particle theta index")? as usize;
+    let rho = r.f64("particle rho")?;
+    let seed = r.u64("particle seed")?;
+    let log_weight = r.f64("particle log weight")?;
+    let head_idx = r.u32("particle trajectory head")? as usize;
+    let ck_idx = r.u32("particle checkpoint index")? as usize;
+    let origin_raw = r.u32("particle origin index")?;
+    let theta = theta_pool
+        .get(theta_idx)
+        .ok_or_else(|| corrupt(format!("particle {i}: theta index {theta_idx} out of pool")))?;
+    let trajectory = traj_pool.get(head_idx).ok_or_else(|| {
+        corrupt(format!(
+            "particle {i}: trajectory head {head_idx} out of pool"
+        ))
+    })?;
+    let checkpoint = ck_pool.get(ck_idx).ok_or_else(|| {
+        corrupt(format!(
+            "particle {i}: checkpoint index {ck_idx} out of pool"
+        ))
+    })?;
+    let origin = if origin_raw == NONE_IDX {
+        None
+    } else {
+        Some(Arc::clone(ck_pool.get(origin_raw as usize).ok_or_else(
+            || {
+                corrupt(format!(
+                    "particle {i}: origin index {origin_raw} out of pool"
+                ))
+            },
+        )?))
+    };
+    Ok(Particle {
+        theta: Arc::clone(theta),
+        rho,
+        seed,
+        log_weight,
+        trajectory: trajectory.clone(),
+        checkpoint: Arc::clone(checkpoint),
+        origin,
+    })
 }
 
 /// Decode one framed record back into a [`RunSnapshot`].
@@ -759,28 +737,61 @@ pub fn decode_record(data: &[u8]) -> Result<RunSnapshot, SmcError> {
 mod tests {
     use super::*;
 
+    /// CRC-32 one bit at a time: the definition the table-driven
+    /// [`crc32`] must reproduce.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= u32::from(b);
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    CRC_POLY ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// `n` pseudo-random bytes (splitmix64).
+    fn noise(n: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
     }
 
     #[test]
-    fn ptr_index_survives_growth_and_collisions() {
-        // Aligned-address-like keys (multiples of 8 and 4096) stress the
-        // hash's low-entropy input; inserting past the initial capacity
-        // forces at least one grow + rehash.
-        let mut idx = PtrIndex::with_capacity(4);
-        let keys: Vec<usize> = (1..200).map(|i| i * 4096 + 8).collect();
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(idx.get(k), None);
-            idx.insert(k, i as u32);
+    fn crc32_matches_the_bitwise_definition() {
+        // Every length through four 16-byte steps plus every remainder,
+        // at every alignment of a longer buffer.
+        let bytes = noise(80, 1);
+        for len in 0..=64 {
+            for start in 0..16 {
+                let data = &bytes[start..start + len];
+                assert_eq!(crc32(data), crc32_bitwise(data), "len {len} at {start}");
+            }
         }
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(idx.get(k), Some(i as u32));
+        // Record-sized buffers, one of them not a multiple of 16.
+        for (seed, len) in [(2, 330_000), (3, 330_017)] {
+            let data = noise(len, seed);
+            assert_eq!(crc32(&data), crc32_bitwise(&data), "{len} bytes");
         }
-        assert_eq!(idx.get(7), None);
     }
 
     #[test]

@@ -122,8 +122,10 @@ const TAG_PMMH_BIAS: u64 = 0x4E13;
 /// Particles simulated fresh from day 0 (`origin == None`) are re-run
 /// from day 0; continued particles re-run from their stored origin
 /// checkpoint. Trajectories, end checkpoints, and parameters update on
-/// acceptance; seeds never change. Particles move in parallel on owned
-/// copies, written back in index order. Like the calibration grid, the
+/// acceptance; seeds never change. Slots move in parallel, each from the
+/// particle it holds; a slot with an accepted move becomes a new
+/// distinct particle of the ensemble, and the others keep sharing
+/// theirs (see [`ParticleEnsemble`]). Like the calibration grid, the
 /// pass runs on pooled per-worker workspaces (one `SimState` and one
 /// score scratch per worker) with the observed-side likelihood
 /// preparation built once, and each particle's streams derive in O(1)
@@ -214,13 +216,17 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
     let (rho_lo, rho_hi) = (jitter_rho.lo.max(1e-9), jitter_rho.hi.min(1.0));
     let zeros = vec![0.0f64; d];
     let ws_stats = Arc::new(WorkspaceStats::default());
-    let particles: Vec<_> = ensemble.particles().to_vec();
-    let moved: Vec<Result<(Particle, RejuvenationStats), SmcError>> = runner.run_grid_pooled(
+    let particles = ensemble.particles();
+    // Each slot moves on its own streams from the particle it holds, and
+    // copies it only once a move is accepted: a slot whose moves are all
+    // rejected keeps sharing it.
+    let moved = runner.run_grid_pooled(
         particles.len(),
         1,
         || PooledWorkspace::new(Arc::clone(&ws_stats)),
-        |ws, i, _| {
-            let mut p = particles[i].clone();
+        |ws, i, _| -> Result<_, SmcError> {
+            let start = &particles[i];
+            let mut moved: Option<Particle> = None;
             let mut rng = move_key.rng(i as u64);
             let bias_seed = bias_key.derive(i as u64);
             let (sim, scratch) = ws.parts();
@@ -228,8 +234,8 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
             // current and proposed states so the comparison is exact in
             // the parameters).
             let mut current_ll = score_window(
-                &p.trajectory,
-                p.rho,
+                &start.trajectory,
+                start.rho,
                 bias_seed,
                 observed,
                 &prepared,
@@ -238,6 +244,7 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
             let mut counts = RejuvenationStats::default();
 
             for _ in 0..config.moves {
+                let p = moved.as_ref().unwrap_or(start);
                 // One correlated Gaussian step for all of (θ, ρ): exactly
                 // d standard-normal draws regardless of covariance, so
                 // the stream layout is shape-independent.
@@ -281,10 +288,9 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
                     }
                     ControlFlow::Continue(())
                 };
-                let origin = p.origin.as_deref();
                 let run = simulator.run_scored_in(
                     sim,
-                    origin,
+                    p.origin.as_deref(),
                     &theta_new,
                     p.seed,
                     window.end,
@@ -306,20 +312,24 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
                 }
                 let proposed_ll = scratch.total();
                 if accepts(proposed_ll, current_ll, || rng.next_f64()) {
-                    p.theta = theta_new.into();
-                    p.rho = rho_new;
-                    p.trajectory = match kept {
-                        None => SharedTrajectory::root(tail),
-                        // Share the (unchanged) pre-window history: only
-                        // the re-simulated segment is fresh storage.
-                        Some((_, history)) => history.append(tail),
-                    };
-                    p.checkpoint = crate::ckpool::share(checkpoint_new);
+                    moved = Some(Particle {
+                        theta: theta_new.into(),
+                        rho: rho_new,
+                        trajectory: match kept {
+                            None => SharedTrajectory::root(tail),
+                            // Share the (unchanged) pre-window history:
+                            // only the re-simulated segment is fresh
+                            // storage.
+                            Some((_, history)) => history.append(tail),
+                        },
+                        checkpoint: crate::ckpool::share(checkpoint_new),
+                        ..p.clone()
+                    });
                     current_ll = proposed_ll;
                     counts.accepted += 1;
                 }
             }
-            Ok((p, counts))
+            Ok((moved, counts))
         },
     );
 
@@ -327,13 +337,30 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
         proposed: config.moves * particles.len(),
         ..RejuvenationStats::default()
     };
-    for (slot, item) in ensemble.particles_mut().iter_mut().zip(moved) {
+    // Unmoved slots keep sharing their particle and each moved slot holds
+    // a new one; a particle no slot holds any more is dropped.
+    let old = ensemble.distinct();
+    let mut placed = vec![u32::MAX; old.len()];
+    let mut distinct = Vec::with_capacity(old.len());
+    let mut slots = Vec::with_capacity(particles.len());
+    for (&s, item) in ensemble.slots().iter().zip(moved) {
         let (p, counts) = item?;
-        *slot = p;
+        let s = s as usize;
+        if let Some(p) = p {
+            slots.push(distinct.len() as u32);
+            distinct.push(p);
+        } else {
+            if placed[s] == u32::MAX {
+                placed[s] = distinct.len() as u32;
+                distinct.push(old[s].clone());
+            }
+            slots.push(placed[s]);
+        }
         stats.accepted += counts.accepted;
         stats.decided_early += counts.decided_early;
         stats.decision_days += counts.decision_days;
     }
+    *ensemble = ParticleEnsemble::from_slots(distinct, slots);
     Ok(stats)
 }
 

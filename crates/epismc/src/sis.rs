@@ -30,6 +30,7 @@ use crate::observation::{BiasMode, BiasModel, BinomialBias, IdentityBias};
 use crate::particle::{normalized_weights_par, Particle, ParticleEnsemble};
 use crate::persist::{self, ResumeReport, RunSnapshot, RunStore, SnapshotWriter};
 use crate::prior::{JitterKernel, Prior};
+use crate::ptr_index::PtrIndex;
 use crate::runner::ParallelRunner;
 use crate::simulator::{PooledWorkspace, TrajectorySimulator, WorkspaceStats};
 use crate::window::{TimeWindow, WindowPlan};
@@ -260,14 +261,13 @@ pub struct TrajectoryTelemetry {
     /// diagnostics only).
     pub stream_setup_nanos: u64,
     /// Wall-clock nanoseconds of the window spent outside *any* parallel
-    /// phase — neither the simulation grid nor the parallelized
-    /// between-window finalize passes (weight exponentiation, posterior
-    /// assembly). What remains is the genuinely serial fraction (setup,
-    /// log-sum-exp reduction, resampling-index generation and counting,
-    /// and the telemetry footprint pass over the distinct resampled
-    /// candidates, which no field times on its own) that Amdahl's law
-    /// bounds strong scaling by; inherently nondeterministic —
-    /// diagnostics only.
+    /// phase — neither the simulation grid nor the parallelized weight
+    /// exponentiation. What remains is the genuinely serial fraction
+    /// (setup, log-sum-exp reduction, resampling-index generation and
+    /// counting, posterior assembly over the distinct resampled
+    /// candidates, and the telemetry footprint pass over them, which no
+    /// field times on its own) that Amdahl's law bounds strong scaling
+    /// by; inherently nondeterministic — diagnostics only.
     pub serial_nanos: u64,
     /// Per-source scoring passes through the fused day loop (per-day
     /// bias + likelihood term, no materialized observation buffer): one
@@ -310,18 +310,17 @@ struct WindowAccounting {
 /// by deduplicating on allocation identity, folding in the window's
 /// workspace-pool counters and phase timings.
 ///
-/// The posterior is the resample that `drawn` describes: each distinct
-/// drawn candidate with the number of times it was drawn. Duplicates
-/// share every allocation with their candidate, so one serial pass over
-/// the distinct candidates sees every segment and checkpoint the
-/// posterior holds, and the per-reference totals (`flat_bytes`,
-/// `segment_refs`, `checkpoint_refs`) weight each candidate by its
-/// count. Each chain is walked only until the first segment already
-/// seen, so the pass costs the distinct candidates plus their distinct
-/// segments, however large the resample; `segment_refs` comes from the
-/// chain depth each segment records.
+/// The posterior holds each distinct drawn candidate once, with the
+/// slots that drew it. Slots share every allocation with their
+/// candidate, so one serial pass over the distinct particles sees every
+/// segment and checkpoint the posterior holds, and the per-reference
+/// totals (`flat_bytes`, `segment_refs`, `checkpoint_refs`) weight each
+/// particle by its slot count. Each chain is walked only until the first
+/// segment already seen, so the pass costs the distinct particles plus
+/// their distinct segments, however large the resample; `segment_refs`
+/// comes from the chain depth each segment records.
 fn measure_telemetry(
-    drawn: &[(Particle, usize)],
+    posterior: &ParticleEnsemble,
     acct: WindowAccounting,
     resample_nanos: u64,
     ws_stats: &WorkspaceStats,
@@ -340,18 +339,23 @@ fn measure_telemetry(
         batched_draws: ws_stats.batched_draws(),
         ..Default::default()
     };
-    let mut seen = std::collections::BTreeSet::new();
-    for (p, n) in drawn {
+    let distinct = posterior.distinct();
+    let mut counts = vec![0usize; distinct.len()];
+    for &s in posterior.slots() {
+        counts[s as usize] += 1;
+    }
+    let mut seen = PtrIndex::with_capacity(4 * distinct.len());
+    for (p, &n) in distinct.iter().zip(&counts) {
         t.flat_bytes += n * p.trajectory.flat_bytes();
         t.segment_refs += n * p.trajectory.segment_count();
-        let (fresh, _) = p.trajectory.unknown_segments(|id| seen.contains(&id));
+        let (fresh, _) = p.trajectory.unknown_segments(|id| seen.get(id).is_some());
         for (id, series) in fresh {
-            seen.insert(id);
+            seen.intern(id);
             t.shared_bytes += series.len() * series.names().len() * std::mem::size_of::<u64>();
         }
     }
     t.unique_segments = seen.len();
-    let sharing = ckpool::sharing(drawn.iter().flat_map(|&(ref p, n)| {
+    let sharing = ckpool::sharing(distinct.iter().zip(&counts).flat_map(|(p, &n)| {
         std::iter::once((&p.checkpoint, n)).chain(p.origin.as_ref().map(|o| (o, n)))
     }));
     t.unique_checkpoints = sharing.unique;
@@ -679,18 +683,18 @@ pub fn score_window(
 /// Weight, resample, and package a grid's scored cells into a
 /// [`WindowResult`].
 ///
-/// The between-window phases run parallel wherever the deterministic
-/// contract allows: weight exponentiation fans out elementwise
-/// ([`normalized_weights_par`]) and posterior duplicate
-/// materialization (pure `Arc` bumps under shared trajectories /
-/// checkpoints / thetas) runs on the grid runner. The float *reductions*
-/// (log-sum-exp, whose summation order is part of the contract),
-/// resampling-index generation (a single sequential RNG stream at O(1)
-/// alias work per draw) and the telemetry footprint measurement (one
-/// early-stop walk over the distinct drawn candidates, costing them plus
-/// their distinct segments) stay serial — `resample_nanos` keeps the
-/// resampling cost visible, and the parallel spans are subtracted from
-/// `serial_nanos` so the telemetry reports the true Amdahl fraction.
+/// Weight exponentiation fans out elementwise on the grid runner
+/// ([`normalized_weights_par`]). The float *reductions* (log-sum-exp,
+/// whose summation order is part of the contract), resampling-index
+/// generation (a single sequential RNG stream at O(1) alias work per
+/// draw), the posterior's assembly and the telemetry footprint
+/// measurement stay serial. The posterior holds each distinct drawn
+/// candidate once plus a `u32` per slot (see [`ParticleEnsemble`]), so
+/// assembling it clones one particle per distinct candidate, and the
+/// footprint walk costs those candidates plus their distinct segments.
+/// `resample_nanos` keeps the resampling cost visible, and the parallel
+/// span is subtracted from `serial_nanos` so the telemetry reports the
+/// true Amdahl fraction.
 ///
 /// A drawn cell whose payload the grid dropped is rebuilt first: run
 /// again through [`Grid::cell`] on the same streams and ancestor
@@ -710,11 +714,10 @@ fn finalize_window<S: TrajectorySimulator>(
     ws_stats: &WorkspaceStats,
 ) -> Result<WindowResult, SmcError> {
     let log_w: Vec<f64> = cells.iter().map(|c| c.log_weight).collect();
-    let mut parallel_nanos = 0u64;
     // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
     let weights_started = std::time::Instant::now();
     let weights = normalized_weights_par(&log_w, runner);
-    parallel_nanos += weights_started.elapsed().as_nanos() as u64;
+    let parallel_nanos = weights_started.elapsed().as_nanos() as u64;
     let window_ess = ess(&weights);
     let log_marginal = log_mean_exp(&log_w);
 
@@ -724,18 +727,17 @@ fn finalize_window<S: TrajectorySimulator>(
         .resample
         .resampler()
         .resample(&weights, config.resample_size, rng);
-    let mut sorted = idx.clone();
-    sorted.sort_unstable();
-    // Each distinct drawn candidate with its draw count.
-    let drawn: Vec<(usize, usize)> = sorted
-        .chunk_by(|a, b| a == b)
-        .map(|run| (run[0], run.len()))
-        .collect();
+    // Each distinct drawn candidate, in candidate order.
+    let mut draws = vec![0u32; cells.len()];
+    for &k in &idx {
+        draws[k] += 1;
+    }
+    let drawn: Vec<usize> = (0..cells.len()).filter(|&k| draws[k] > 0).collect();
     let unique_ancestors = drawn.len();
 
     let lost: Vec<usize> = drawn
         .iter()
-        .map(|&(k, _)| k)
+        .copied()
         .filter(|&k| cells[k].payload.is_none())
         .collect();
     if !lost.is_empty() {
@@ -760,24 +762,20 @@ fn finalize_window<S: TrajectorySimulator>(
         }
     }
 
-    let distinct = drawn
-        .iter()
-        .map(|&(k, n)| Ok((cells[k].particle()?, n)))
-        .collect::<Result<Vec<_>, SmcError>>()?;
-    // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-    let build_started = std::time::Instant::now();
-    let mut posterior = ParticleEnsemble::from_vec(runner.run_indexed(idx.len(), |j| {
-        // `drawn` is sorted by candidate and holds every drawn one.
-        distinct[drawn.partition_point(|&(k, _)| k < idx[j])]
-            .0
-            .clone()
-    }));
-    parallel_nanos += build_started.elapsed().as_nanos() as u64;
+    // The posterior: each drawn candidate once, and each slot the index
+    // of its candidate among them (`draws` is reused as that map).
+    let mut distinct = Vec::with_capacity(drawn.len());
+    for (d, &k) in drawn.iter().enumerate() {
+        draws[k] = d as u32;
+        distinct.push(cells[k].particle()?);
+    }
+    let slots = idx.iter().map(|&k| draws[k]).collect();
+    let mut posterior = ParticleEnsemble::from_slots(distinct, slots);
     posterior.set_uniform_weights();
     let resample_nanos = resample_started.elapsed().as_nanos() as u64;
-    let mut telemetry = measure_telemetry(&distinct, acct, resample_nanos, ws_stats);
+    let mut telemetry = measure_telemetry(&posterior, acct, resample_nanos, ws_stats);
     // Everything the window spent outside its parallel phases — grid
-    // passes and the parallelized finalize spans above — is the serial
+    // passes and the weight exponentiation above — is the serial
     // fraction strong scaling is bounded by.
     telemetry.serial_nanos = (started.elapsed().as_nanos() as u64)
         .saturating_sub(acct.grid_nanos)

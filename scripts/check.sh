@@ -38,13 +38,14 @@ cargo test --workspace -q
 # this explicit pass re-runs them under a two-worker default pool so the
 # kill/resume bit-identity matrices (background writer and inline
 # stream alike), the cross-commit move-pass pin, the streaming
-# constant-cost pin and the early-rejection exactness suite also cover
-# the multi-worker path locally (CI's fault-injection job sweeps 1/2/4
-# threads and there is a dedicated streaming job at
-# RAYON_NUM_THREADS=2), and the pool lifecycle suite checks that a
-# default-sized runner keeps its two workers.
-echo "==> RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden --test stream_constant_cost --test early_rejection --test pool_lifecycle -q"
-RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden --test stream_constant_cost --test early_rejection --test pool_lifecycle -q
+# constant-cost pin, the early-rejection exactness suite and the
+# distinct-posterior suite also cover the multi-worker path locally
+# (CI's fault-injection job sweeps 1/2/4 threads and there is a
+# dedicated streaming job at RAYON_NUM_THREADS=2), and the pool
+# lifecycle suite checks that a default-sized runner keeps its two
+# workers.
+echo "==> RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden --test stream_constant_cost --test early_rejection --test distinct_posterior --test pool_lifecycle -q"
+RAYON_NUM_THREADS=2 cargo test --test durability_resume --test fault_injection --test persist_format --test async_durability --test resampling_menu --test streaming_equivalence --test rejuvenation_kernels --test move_pass_golden --test stream_constant_cost --test early_rejection --test distinct_posterior --test pool_lifecycle -q
 
 # The benchmark (perfbench/) is a workspace of its own that implements
 # the public simulator and store traits and reads window results, so an
