@@ -179,6 +179,8 @@ impl RunSpec {
     /// [`SmcError::Config`] for a spec that does not validate, else
     /// what [`SequentialCalibrator::run`] returns.
     pub fn run(&self, truth: &GroundTruth) -> Result<CalibrationResult, SmcError> {
+        // The calibration's own error first, so it is not wrapped twice.
+        self.calibration.validate()?;
         self.validate().map_err(SmcError::Config)?;
         let scenario = crate::scenario(&self.scale).map_err(SmcError::Config)?;
         let simulator = CovidSimulator::new(scenario.base_params)?;

@@ -19,7 +19,6 @@
 
 use std::ops::ControlFlow;
 use std::sync::Arc;
-use std::time::Instant;
 
 use epistats::rng::Xoshiro256PlusPlus;
 
@@ -30,7 +29,7 @@ use crate::output::DailySeries;
 use crate::state::SimState;
 
 /// A reusable simulation arena: state buffer + stepper scratch + day
-/// buffer, plus reuse telemetry counters.
+/// buffer, plus the days it simulated.
 #[derive(Clone, Debug)]
 pub struct SimWorkspace {
     /// In-place rehydrated run state (allocation reused across runs).
@@ -46,12 +45,8 @@ pub struct SimWorkspace {
     compiled_builds: u64,
     /// Cache-hit count for [`Self::compiled_for`].
     compiled_reuses: u64,
-    /// Runs through this workspace, stopped ones included.
-    runs: u64,
     /// Total days simulated through this workspace.
     days_simulated: u64,
-    /// Wall-clock nanoseconds spent inside day-advance loops.
-    sim_nanos: u64,
 }
 
 impl Default for SimWorkspace {
@@ -75,9 +70,7 @@ impl SimWorkspace {
             compiled_cache: None,
             compiled_builds: 0,
             compiled_reuses: 0,
-            runs: 0,
             days_simulated: 0,
-            sim_nanos: 0,
         }
     }
 
@@ -206,8 +199,6 @@ impl SimWorkspace {
         );
         let n_flows = model.spec.flows.len();
         let mut stopped = None;
-        // epilint: allow(wall-clock) — telemetry only; never feeds results
-        let started = Instant::now();
         while self.state.day < end_day {
             self.day_buf.clear();
             self.day_buf.resize(n_flows, 0);
@@ -220,8 +211,6 @@ impl SimWorkspace {
                 break;
             }
         }
-        self.sim_nanos += started.elapsed().as_nanos() as u64;
-        self.runs += 1;
         match stopped {
             Some(b) => ControlFlow::Break(b),
             None => {
@@ -230,21 +219,9 @@ impl SimWorkspace {
         }
     }
 
-    /// Runs through this workspace, stopped ones included (reuse count
-    /// is `runs().saturating_sub(1)`).
-    pub fn runs(&self) -> u64 {
-        self.runs
-    }
-
     /// Total simulated days across all runs.
     pub fn days_simulated(&self) -> u64 {
         self.days_simulated
-    }
-
-    /// Wall-clock nanoseconds spent inside day-advance loops (telemetry;
-    /// inherently nondeterministic).
-    pub fn sim_nanos(&self) -> u64 {
-        self.sim_nanos
     }
 
     /// Draws issued through the steppers' batched sampling entry points
@@ -331,7 +308,6 @@ mod tests {
 
         assert_eq!(&series, sim.series());
         assert_eq!(ck, sim.checkpoint());
-        assert_eq!(ws.runs(), 2);
         assert_eq!(ws.days_simulated(), 53);
     }
 
@@ -378,8 +354,8 @@ mod tests {
                 .collect();
             assert_eq!(*row, want, "day {day}");
         }
-        // The stopped run counts, with the days it simulated.
-        assert_eq!((ws.runs(), ws.days_simulated()), (2, 42));
+        // The stopped run's days count.
+        assert_eq!(ws.days_simulated(), 42);
     }
 
     #[test]

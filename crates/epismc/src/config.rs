@@ -105,8 +105,8 @@ impl RejuvenationKernel {
     /// Validate the kernel parameters.
     ///
     /// # Errors
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    /// [`SmcError::Config`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), SmcError> {
         match self {
             Self::UniformJitter => Ok(()),
             Self::Pmmh(cfg) => cfg.validate(),
@@ -146,24 +146,29 @@ impl PmmhConfig {
     /// Validate the parameters.
     ///
     /// # Errors
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    /// [`SmcError::Config`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), SmcError> {
         if self.moves == 0 {
-            return Err("pmmh: moves must be >= 1".into());
+            return Err(SmcError::Config("pmmh: moves must be >= 1".into()));
         }
         if let Some(c) = self.scale {
             if !(c.is_finite() && c > 0.0) {
-                return Err(format!("pmmh: scale = {c} must be positive"));
+                return Err(SmcError::Config(format!(
+                    "pmmh: scale = {c} must be positive"
+                )));
             }
         }
         if !(self.shrinkage > 0.0 && self.shrinkage <= 1.0) {
-            return Err(format!(
+            return Err(SmcError::Config(format!(
                 "pmmh: shrinkage = {} must be in (0, 1]",
                 self.shrinkage
-            ));
+            )));
         }
         if !(self.floor.is_finite() && self.floor > 0.0) {
-            return Err(format!("pmmh: floor = {} must be positive", self.floor));
+            return Err(SmcError::Config(format!(
+                "pmmh: floor = {} must be positive",
+                self.floor
+            )));
         }
         Ok(())
     }
@@ -243,16 +248,17 @@ impl CalibrationConfig {
     /// Validate the configuration.
     ///
     /// # Errors
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    /// [`SmcError::Config`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), SmcError> {
         if self.n_params == 0 || self.n_replicates == 0 || self.resample_size == 0 {
-            return Err("n_params, n_replicates, resample_size must be positive".into());
+            return Err(SmcError::Config(
+                "n_params, n_replicates, resample_size must be positive".into(),
+            ));
         }
         if self.threads == Some(0) {
-            return Err("threads must be >= 1 when set".into());
+            return Err(SmcError::Config("threads must be >= 1 when set".into()));
         }
-        self.rejuvenation.validate()?;
-        Ok(())
+        self.rejuvenation.validate()
     }
 }
 
@@ -300,13 +306,13 @@ impl CheckpointPolicy {
     /// Validate the policy.
     ///
     /// # Errors
-    /// Returns a description of the first invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    /// [`SmcError::Config`] naming the first invalid field.
+    pub fn validate(&self) -> Result<(), SmcError> {
         if self.every_windows == 0 {
-            return Err("every_windows must be >= 1".into());
+            return Err(SmcError::Config("every_windows must be >= 1".into()));
         }
         if self.retain == Some(0) {
-            return Err("retain must be >= 1 when set".into());
+            return Err(SmcError::Config("retain must be >= 1 when set".into()));
         }
         Ok(())
     }
@@ -389,7 +395,7 @@ impl CalibrationConfigBuilder {
     /// # Errors
     /// Returns [`SmcError::Config`] if the configuration is invalid.
     pub fn try_build(self) -> Result<CalibrationConfig, SmcError> {
-        self.cfg.validate().map_err(SmcError::Config)?;
+        self.cfg.validate()?;
         Ok(self.cfg)
     }
 }

@@ -20,7 +20,7 @@
 //! are pooled by allocation identity at encode time (each distinct
 //! segment/checkpoint/theta serializes once, however many particles
 //! reference it) and re-interned at decode time, so a resumed ensemble
-//! has the same structural-sharing telemetry as the original. Particle
+//! has the same structural-sharing counters as the original. Particle
 //! rows are written one per slot, and decoding folds identical rows
 //! back into one particle, so a resampled posterior comes back holding
 //! each distinct particle once (see [`ParticleEnsemble`]).
@@ -33,7 +33,7 @@ use crate::ckpool;
 use crate::error::SmcError;
 use crate::particle::{Particle, ParticleEnsemble};
 use crate::ptr_index::PtrIndex;
-use crate::sis::TrajectoryTelemetry;
+use crate::sis::WindowCounters;
 use crate::window::TimeWindow;
 
 use super::RunSnapshot;
@@ -44,7 +44,7 @@ pub const MAGIC: u32 = 0x4E53_5045;
 /// The record format version: the one version this build writes and
 /// reads. Bump on any layout change; decoders reject every other
 /// version as [`SmcError::UnsupportedFormat`].
-pub const FORMAT_VERSION: u16 = 5;
+pub const FORMAT_VERSION: u16 = 6;
 
 /// Fixed header length: magic + version + window index + payload length.
 pub const HEADER_LEN: usize = 4 + 2 + 4 + 8;
@@ -176,37 +176,22 @@ fn patch_u32(out: &mut [u8], at: usize, v: u32) {
     out[at..at + 4].copy_from_slice(&v.to_le_bytes());
 }
 
-/// The telemetry counters in record order. Adding a field to
-/// [`TrajectoryTelemetry`] means adding it here *and* in
-/// [`read_telemetry`] and bumping [`FORMAT_VERSION`].
-fn telemetry_words(t: &TrajectoryTelemetry) -> [u64; 21] {
+/// The window counters in record order. Adding a field to
+/// [`WindowCounters`] means adding it here *and* in [`read_counters`]
+/// and bumping [`FORMAT_VERSION`].
+fn counter_words(t: &WindowCounters) -> [u64; 10] {
     [
         t.shared_bytes as u64,
         t.flat_bytes as u64,
         t.unique_segments as u64,
         t.segment_refs as u64,
-        t.pool_builds as u64,
         t.days_simulated,
-        t.sim_nanos,
-        t.workspaces_built,
-        t.workspace_reuses,
         t.unique_checkpoints as u64,
         t.checkpoint_refs as u64,
-        t.score_nanos,
-        t.resample_nanos,
-        t.grid_chunks,
-        t.persist_nanos,
         t.records_written,
-        t.stream_setup_nanos,
-        t.serial_nanos,
         t.fused_scores,
         t.batched_draws,
-        t.encode_nanos,
     ]
-}
-
-fn write_telemetry(out: &mut Vec<u8>, t: &TrajectoryTelemetry) {
-    put_u64s(out, &telemetry_words(t));
 }
 
 /// Write the ensemble: the column names, then the segment, theta and
@@ -326,7 +311,7 @@ fn write_ensemble(out: &mut Vec<u8>, ensemble: &ParticleEnsemble) {
 /// are written as zeros and patched in place once known, and the CRC
 /// covers the finished bytes.
 pub fn encode_record(snap: &RunSnapshot) -> Vec<u8> {
-    // Seed the buffer with the fixed envelope, scalars and telemetry plus
+    // Seed the buffer with the fixed envelope, scalars and counters plus
     // the per-particle tail; the pools, which depend on how much the
     // posterior shares, grow it from there.
     let capacity = HEADER_LEN + 512 + snap.posterior.len() * PARTICLE_LEN + TRAILER_LEN;
@@ -343,9 +328,7 @@ pub fn encode_record(snap: &RunSnapshot) -> Vec<u8> {
     put_f64(&mut out, snap.ess);
     put_f64(&mut out, snap.log_marginal);
     put_u64(&mut out, snap.unique_ancestors);
-    put_u64(&mut out, 1); // reserved: always 1 (DESIGN §10)
-    put_u64(&mut out, snap.wall_nanos);
-    write_telemetry(&mut out, &snap.telemetry);
+    put_u64s(&mut out, &counter_words(&snap.telemetry));
     write_ensemble(&mut out, &snap.posterior);
     put_u64(&mut out, snap.observed_fingerprint);
     let payload_len = (out.len() - HEADER_LEN) as u64;
@@ -438,29 +421,18 @@ fn le_u64(b: &[u8]) -> u64 {
     u64::from_le_bytes(word)
 }
 
-fn read_telemetry(r: &mut Reader<'_>) -> Result<TrajectoryTelemetry, SmcError> {
-    Ok(TrajectoryTelemetry {
-        shared_bytes: r.u64("telemetry")? as usize,
-        flat_bytes: r.u64("telemetry")? as usize,
-        unique_segments: r.u64("telemetry")? as usize,
-        segment_refs: r.u64("telemetry")? as usize,
-        pool_builds: r.u64("telemetry")? as usize,
-        days_simulated: r.u64("telemetry")?,
-        sim_nanos: r.u64("telemetry")?,
-        workspaces_built: r.u64("telemetry")?,
-        workspace_reuses: r.u64("telemetry")?,
-        unique_checkpoints: r.u64("telemetry")? as usize,
-        checkpoint_refs: r.u64("telemetry")? as usize,
-        score_nanos: r.u64("telemetry")?,
-        resample_nanos: r.u64("telemetry")?,
-        grid_chunks: r.u64("telemetry")?,
-        persist_nanos: r.u64("telemetry")?,
-        records_written: r.u64("telemetry")?,
-        stream_setup_nanos: r.u64("telemetry")?,
-        serial_nanos: r.u64("telemetry")?,
-        fused_scores: r.u64("telemetry")?,
-        batched_draws: r.u64("telemetry")?,
-        encode_nanos: r.u64("telemetry")?,
+fn read_counters(r: &mut Reader<'_>) -> Result<WindowCounters, SmcError> {
+    Ok(WindowCounters {
+        shared_bytes: r.u64("counters")? as usize,
+        flat_bytes: r.u64("counters")? as usize,
+        unique_segments: r.u64("counters")? as usize,
+        segment_refs: r.u64("counters")? as usize,
+        days_simulated: r.u64("counters")?,
+        unique_checkpoints: r.u64("counters")? as usize,
+        checkpoint_refs: r.u64("counters")? as usize,
+        records_written: r.u64("counters")?,
+        fused_scores: r.u64("counters")?,
+        batched_draws: r.u64("counters")?,
     })
 }
 
@@ -707,9 +679,7 @@ pub fn decode_record(data: &[u8]) -> Result<RunSnapshot, SmcError> {
     let ess = r.f64("ess")?;
     let log_marginal = r.f64("log marginal")?;
     let unique_ancestors = r.u64("unique ancestors")?;
-    r.u64("reserved word")?;
-    let wall_nanos = r.u64("wall nanos")?;
-    let telemetry = read_telemetry(&mut r)?;
+    let telemetry = read_counters(&mut r)?;
     let posterior = read_ensemble(&mut r)?;
     let observed_fingerprint = r.u64("observed fingerprint")?;
     if r.remaining() != 0 {
@@ -726,7 +696,6 @@ pub fn decode_record(data: &[u8]) -> Result<RunSnapshot, SmcError> {
         ess,
         log_marginal,
         unique_ancestors,
-        wall_nanos,
         observed_fingerprint,
         telemetry,
         posterior,

@@ -6,8 +6,9 @@
 //! sequential calibrator can snapshot its complete state — the posterior
 //! particle ensemble (thetas, log weights, structurally shared
 //! trajectories and `SimCheckpoint`s), the window scalars, and the
-//! telemetry — into one versioned, checksummed record (see [`mod@format`])
-//! keyed by window index in a [`RunStore`].
+//! window's deterministic counters — into one versioned, checksummed
+//! record (see [`mod@format`]) keyed by window index in a [`RunStore`].
+//! The record holds no timing, so it is a pure function of the run.
 //!
 //! Because every window derives its RNG stream independently from the
 //! master seed (`from_stream(seed, [TAG_WINDOW, widx])`), the posterior
@@ -45,7 +46,7 @@ use crate::config::CalibrationConfig;
 use crate::error::SmcError;
 use crate::particle::ParticleEnsemble;
 use crate::prior::JitterKernel;
-use crate::sis::{ObservedData, TrajectoryTelemetry};
+use crate::sis::{ObservedData, WindowCounters};
 use crate::window::TimeWindow;
 
 /// Keyed record storage for calibration snapshots. Implementations use
@@ -98,8 +99,6 @@ pub struct RunSnapshot {
     pub log_marginal: f64,
     /// Distinct candidates surviving the resampling step.
     pub unique_ancestors: u64,
-    /// Wall-clock nanoseconds of the window (diagnostics only).
-    pub wall_nanos: u64,
     /// Fingerprint of the observed data slice this window was scored
     /// against ([`observed_fingerprint`]); `0` means "not recorded"
     /// (the observed data did not cover the window when the snapshot
@@ -107,11 +106,8 @@ pub struct RunSnapshot {
     /// validate it, so a snapshot cannot silently continue a run
     /// against different surveillance data.
     pub observed_fingerprint: u64,
-    /// The window's telemetry (`persist_nanos` and `encode_nanos`
-    /// zeroed: both are measured around this very write, so the
-    /// persisted copy cannot contain them — and snapshots stay
-    /// byte-reproducible for golden tests).
-    pub telemetry: TrajectoryTelemetry,
+    /// The window's deterministic counters.
+    pub telemetry: WindowCounters,
     /// The resampled posterior ensemble, sharing structure intact.
     pub posterior: ParticleEnsemble,
 }
@@ -130,8 +126,7 @@ pub struct ResumeReport {
 /// then — when `retain` is set — prune with [`apply_retention_after`]
 /// relative to the record just written. The order is what keeps the
 /// newest durable record safe: retention only ever runs after the put
-/// succeeded, and never deletes the record it follows. Returns the
-/// encode (serialize + CRC) time in nanoseconds.
+/// succeeded, and never deletes the record it follows.
 ///
 /// # Errors
 /// [`SmcError::Persist`] on storage failure.
@@ -139,16 +134,12 @@ pub fn persist(
     store: &dyn RunStore,
     snap: &RunSnapshot,
     retain: Option<usize>,
-) -> Result<u64, SmcError> {
-    // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-    let encode_started = std::time::Instant::now();
-    let record = format::encode_record(snap);
-    let encode_nanos = encode_started.elapsed().as_nanos() as u64;
-    store.put(snap.window_index, &record)?;
+) -> Result<(), SmcError> {
+    store.put(snap.window_index, &format::encode_record(snap))?;
     if let Some(keep) = retain {
         apply_retention_after(store, keep, snap.window_index)?;
     }
-    Ok(encode_nanos)
+    Ok(())
 }
 
 /// Read and decode the snapshot for one window (`None` when absent).

@@ -20,7 +20,7 @@
 //!   stalls the loop and every fast one gives nothing back, while one
 //!   extra slot lets a fast write absorb the next slow one. When the
 //!   queue is full, [`SnapshotWriter::submit`] blocks; that wait is the
-//!   *backpressure* component reported as `persist_nanos`.
+//!   *backpressure* component of the window's persist timing.
 //! * **Write order** — snapshots are written in submission order, which
 //!   is window order, so "newest durable snapshot" is always a prefix
 //!   of the completed windows and resume semantics are unchanged.
@@ -40,6 +40,7 @@
 
 use std::sync::mpsc;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use crate::error::SmcError;
 
@@ -49,32 +50,6 @@ use super::{persist, RunSnapshot, RunStore};
 /// write). See the module docs for why 2 and not 1.
 const QUEUE_DEPTH: usize = 2;
 
-/// Acknowledgement of one completed background write.
-#[derive(Clone, Copy, Debug)]
-pub struct WriteReceipt {
-    /// Window index the record was keyed by.
-    pub window_index: u32,
-    /// Nanoseconds the writer spent encoding (serialize + CRC) the
-    /// record, off the critical path. Retro-patched into the window's
-    /// `encode_nanos` telemetry by the calibrator.
-    pub encode_nanos: u64,
-}
-
-/// What one handoff (or the final join) observed.
-#[derive(Clone, Debug, Default)]
-pub struct Handoff {
-    /// Nanoseconds the window loop blocked: waiting for queue capacity
-    /// on submit, or for the writer to finish on the final join.
-    pub blocked_nanos: u64,
-    /// Writes that completed in the background since the last handoff.
-    pub receipts: Vec<WriteReceipt>,
-}
-
-enum Event {
-    Done(WriteReceipt),
-    Failed(SmcError),
-}
-
 /// The window loop's handle to the background writer thread.
 ///
 /// Created inside a [`std::thread::scope`] so the writer can borrow the
@@ -82,7 +57,8 @@ enum Event {
 /// handle closes the queue and the scope joins the thread.
 pub struct SnapshotWriter<'scope> {
     tx: Option<mpsc::SyncSender<RunSnapshot>>,
-    events: mpsc::Receiver<Event>,
+    /// The writer's first write error, if it has failed.
+    failure: mpsc::Receiver<SmcError>,
     handle: Option<thread::ScopedJoinHandle<'scope, ()>>,
 }
 
@@ -95,7 +71,7 @@ impl<'scope> SnapshotWriter<'scope> {
         retain: Option<usize>,
     ) -> Self {
         let (tx, rx) = mpsc::sync_channel::<RunSnapshot>(QUEUE_DEPTH);
-        let (event_tx, events) = mpsc::channel::<Event>();
+        let (failure_tx, failure) = mpsc::channel::<SmcError>();
         let handle = scope.spawn(move || {
             let mut failed = false;
             for snap in rx {
@@ -104,88 +80,72 @@ impl<'scope> SnapshotWriter<'scope> {
                     // dead pipeline) but write nothing further.
                     continue;
                 }
-                let event = match persist(store, &snap, retain) {
-                    Ok(encode_nanos) => Event::Done(WriteReceipt {
-                        window_index: snap.window_index,
-                        encode_nanos,
-                    }),
-                    Err(e) => {
-                        failed = true;
-                        Event::Failed(e)
+                if let Err(e) = persist(store, &snap, retain) {
+                    failed = true;
+                    if failure_tx.send(e).is_err() {
+                        return; // calibrator gone; nothing left to report to
                     }
-                };
-                if event_tx.send(event).is_err() {
-                    return; // calibrator gone; nothing left to report to
                 }
             }
         });
         Self {
             tx: Some(tx),
-            events,
+            failure,
             handle: Some(handle),
         }
     }
 
     /// Hand one snapshot to the writer. Blocks only while the bounded
-    /// queue is full (that wait is returned as `blocked_nanos`), and
-    /// surfaces the first background write error, if any, as `Err`.
+    /// queue is full, and returns that wait; surfaces the first
+    /// background write error, if any, as `Err`.
     ///
     /// # Errors
     /// The writer's first write error ([`SmcError::Persist`] and
     /// friends), or [`SmcError::Persist`] if the writer thread is gone.
-    pub fn submit(&mut self, snap: RunSnapshot) -> Result<Handoff, SmcError> {
-        let receipts = self.drain_events()?;
+    pub fn submit(&mut self, snap: RunSnapshot) -> Result<Duration, SmcError> {
+        self.check_failure()?;
         let Some(tx) = self.tx.as_ref() else {
             return Err(SmcError::Persist("snapshot writer already finished".into()));
         };
         // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-        let submit_started = std::time::Instant::now();
+        let submit_started = Instant::now();
         if tx.send(snap).is_err() {
             // The writer exited early; its parting error (if it managed
             // to send one) explains why.
-            self.drain_events()?;
+            self.check_failure()?;
             return Err(SmcError::Persist(
                 "snapshot writer thread exited before the handoff".into(),
             ));
         }
-        Ok(Handoff {
-            blocked_nanos: submit_started.elapsed().as_nanos() as u64,
-            receipts,
-        })
+        Ok(submit_started.elapsed())
     }
 
-    /// Close the queue, wait for every outstanding write, and report
-    /// the remaining receipts plus the join wait.
+    /// Close the queue, wait for every outstanding write, and return
+    /// the join wait.
     ///
     /// # Errors
     /// The writer's first write error, or [`SmcError::Persist`] if the
     /// writer thread panicked.
-    pub fn finish(mut self) -> Result<Handoff, SmcError> {
+    pub fn finish(mut self) -> Result<Duration, SmcError> {
         drop(self.tx.take());
         // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-        let join_started = std::time::Instant::now();
+        let join_started = Instant::now();
         if let Some(handle) = self.handle.take() {
             if handle.join().is_err() {
                 return Err(SmcError::Persist("snapshot writer thread panicked".into()));
             }
         }
-        let blocked_nanos = join_started.elapsed().as_nanos() as u64;
-        let receipts = self.drain_events()?;
-        Ok(Handoff {
-            blocked_nanos,
-            receipts,
-        })
+        let joined = join_started.elapsed();
+        self.check_failure()?;
+        Ok(joined)
     }
 
-    fn drain_events(&mut self) -> Result<Vec<WriteReceipt>, SmcError> {
-        let mut receipts = Vec::new();
-        for event in self.events.try_iter() {
-            match event {
-                Event::Done(receipt) => receipts.push(receipt),
-                Event::Failed(e) => return Err(e),
-            }
+    /// The writer's first write error, if it has reported one.
+    fn check_failure(&self) -> Result<(), SmcError> {
+        match self.failure.try_recv() {
+            Ok(e) => Err(e),
+            Err(_) => Ok(()),
         }
-        Ok(receipts)
     }
 }
 

@@ -167,7 +167,7 @@ pub(crate) fn pmmh_rejuvenate_window<S: TrajectorySimulator>(
     window_index: usize,
     runner: &ParallelRunner,
 ) -> Result<RejuvenationStats, SmcError> {
-    config.validate().map_err(SmcError::Config)?;
+    config.validate()?;
     if ensemble.is_empty() {
         return Ok(RejuvenationStats::default());
     }

@@ -25,7 +25,7 @@
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
@@ -46,7 +46,6 @@ use crate::error::SmcError;
 #[derive(Clone)]
 pub struct ParallelRunner {
     pool: Arc<Pool>,
-    build_charge: Arc<AtomicBool>,
 }
 
 impl fmt::Debug for ParallelRunner {
@@ -78,19 +77,7 @@ impl ParallelRunner {
         };
         Ok(Self {
             pool: Arc::new(Pool::new(workers)?),
-            build_charge: Arc::new(AtomicBool::new(true)),
         })
-    }
-
-    /// Consume this runner's one-time pool-build charge: returns `1` the
-    /// first time it is called on a runner (or any of its clones), `0`
-    /// afterwards. Lets telemetry attribute the build to the first
-    /// batch that uses the pool instead of re-charging every window.
-    pub fn take_build_charge(&self) -> usize {
-        // ORDER: `Relaxed` suffices: the swap's RMW atomicity alone
-        // hands the `true` to exactly one caller, and the flag publishes
-        // no other data.
-        usize::from(self.build_charge.swap(false, Ordering::Relaxed))
     }
 
     /// Scheduling chunk size (in cells) a grid of `total` cells runs
@@ -100,8 +87,7 @@ impl ParallelRunner {
         adaptive_chunk(total, self.pool.workers)
     }
 
-    /// Number of scheduling chunks a grid of `total` cells splits into
-    /// (telemetry: `grid_chunks`).
+    /// Number of scheduling chunks a grid of `total` cells splits into.
     pub fn chunk_count(&self, total: usize) -> usize {
         total.div_ceil(self.chunk_size(total))
     }
@@ -656,21 +642,6 @@ mod tests {
             let got = runner(threads).run_grid_pooled(6, 5, || (), |(), i, r| f(i, r));
             assert_eq!(baseline, got, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn build_charge_taken_once() {
-        for threads in [Some(2), None] {
-            let runner = ParallelRunner::new(threads).unwrap();
-            assert_eq!(runner.take_build_charge(), 1);
-            assert_eq!(runner.take_build_charge(), 0);
-        }
-        // Clones share the charge: a calibration that clones its runner
-        // still reports the build exactly once.
-        let charged = runner(2);
-        let clone = charged.clone();
-        assert_eq!(clone.take_build_charge(), 1);
-        assert_eq!(charged.take_build_charge(), 0);
     }
 
     #[test]

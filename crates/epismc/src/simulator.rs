@@ -23,78 +23,38 @@ use crate::error::SmcError;
 /// A simulated series and its end-of-run checkpoint.
 type Run = (DailySeries, SimCheckpoint);
 
-/// Shared counters aggregating [`SimWorkspace`] telemetry across all the
+/// Shared counters aggregating [`SimWorkspace`] counters across all the
 /// per-worker workspaces of a parallel grid. Workers flush into these
-/// atomics when their [`PooledWorkspace`] is dropped at chunk end.
-///
-/// `built` (and wall-clock `sim_nanos`) depend on the worker count and
-/// scheduling — they are diagnostics only and must never feed anything
-/// that is supposed to be deterministic (e.g. result fingerprints).
-/// `runs` and `days_simulated` are exact for a given grid regardless of
-/// thread count.
+/// atomics when their [`PooledWorkspace`] is dropped at chunk end. Every
+/// counter is exact for a given grid regardless of thread count.
 #[derive(Debug, Default)]
 pub struct WorkspaceStats {
-    built: AtomicU64,
-    runs: AtomicU64,
     days_simulated: AtomicU64,
-    sim_nanos: AtomicU64,
-    score_nanos: AtomicU64,
     fused_scores: AtomicU64,
     batched_draws: AtomicU64,
 }
 
 impl WorkspaceStats {
-    /// Workspaces constructed (≈ one per worker chunk).
-    pub fn built(&self) -> u64 {
-        self.built.load(Ordering::Relaxed)
-    }
-
-    /// Simulation runs served across all workspaces.
-    pub fn runs(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
-    }
-
-    /// Runs that reused an already-built workspace
-    /// (`runs - built`, saturating).
-    pub fn reuses(&self) -> u64 {
-        self.runs().saturating_sub(self.built())
-    }
-
     /// Total simulated days across all runs.
     pub fn days_simulated(&self) -> u64 {
         self.days_simulated.load(Ordering::Relaxed)
     }
 
-    /// Wall-clock nanoseconds spent inside day-advance loops (summed
-    /// across workers, so it can exceed elapsed time).
-    pub fn sim_nanos(&self) -> u64 {
-        self.sim_nanos.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock nanoseconds spent scoring trajectories against
-    /// observed data (summed across workers, so it can exceed elapsed
-    /// time).
-    pub fn score_nanos(&self) -> u64 {
-        self.score_nanos.load(Ordering::Relaxed)
-    }
-
     /// Per-source scoring passes of [`crate::sis::score_window`] (one
-    /// per source per scored cell). Exact for a given grid regardless of
-    /// thread count.
+    /// per source per scored cell).
     pub fn fused_scores(&self) -> u64 {
         self.fused_scores.load(Ordering::Relaxed)
     }
 
     /// Draws issued through the steppers' batched sampling entry points.
-    /// Exact for a given grid regardless of thread count.
     pub fn batched_draws(&self) -> u64 {
         self.batched_draws.load(Ordering::Relaxed)
     }
 }
 
-/// A per-worker [`SimWorkspace`] that flushes its telemetry counters into
-/// a shared [`WorkspaceStats`] when dropped — the unit the parallel
-/// runner's `run_grid_pooled` builds once per worker chunk.
+/// A per-worker [`SimWorkspace`] that flushes its counters into a shared
+/// [`WorkspaceStats`] when dropped — the unit the parallel runner's
+/// `run_grid_pooled` builds once per worker chunk.
 #[derive(Debug)]
 pub struct PooledWorkspace {
     ws: SimWorkspace,
@@ -105,7 +65,6 @@ pub struct PooledWorkspace {
 impl PooledWorkspace {
     /// Build a fresh workspace reporting into `stats`.
     pub fn new(stats: Arc<WorkspaceStats>) -> Self {
-        stats.built.fetch_add(1, Ordering::Relaxed);
         Self {
             ws: SimWorkspace::new(),
             score: crate::sis::ScoreScratch::new(),
@@ -124,23 +83,13 @@ impl PooledWorkspace {
     pub fn parts(&mut self) -> (&mut SimWorkspace, &mut crate::sis::ScoreScratch) {
         (&mut self.ws, &mut self.score)
     }
-
-    /// Record wall-clock nanoseconds spent scoring (flushed eagerly —
-    /// scoring time is measured per cell, not per workspace lifetime).
-    pub fn add_score_nanos(&self, nanos: u64) {
-        self.stats.score_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
 }
 
 impl Drop for PooledWorkspace {
     fn drop(&mut self) {
-        self.stats.runs.fetch_add(self.ws.runs(), Ordering::Relaxed);
         self.stats
             .days_simulated
             .fetch_add(self.ws.days_simulated(), Ordering::Relaxed);
-        self.stats
-            .sim_nanos
-            .fetch_add(self.ws.sim_nanos(), Ordering::Relaxed);
         self.stats
             .fused_scores
             .fetch_add(self.score.fused_scores(), Ordering::Relaxed);
@@ -811,10 +760,7 @@ mod tests {
             assert_eq!(ws_tail, tail);
             assert_eq!(ws_ck2, ck2);
         }
-        // Drop flushed the counters: 3 runs, 1 build, 10+35+20 days.
-        assert_eq!(stats.built(), 1);
-        assert_eq!(stats.runs(), 3);
-        assert_eq!(stats.reuses(), 2);
+        // Drop flushed the counters: 10+35+20 days.
         assert_eq!(stats.days_simulated(), 65);
     }
 

@@ -16,7 +16,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use epistats::logweight::log_mean_exp;
 use epistats::rng::{StreamKey, Xoshiro256PlusPlus};
@@ -181,12 +181,16 @@ impl Priors {
     }
 }
 
-/// Memory and scheduling telemetry of one calibrated window's posterior
-/// ensemble — the numbers behind the structural-sharing claim: per-window
-/// resident trajectory bytes should stay roughly flat as windows
-/// accumulate, while the flat-equivalent bytes grow linearly.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct TrajectoryTelemetry {
+/// The deterministic counters of one calibrated window: the numbers
+/// behind the structural-sharing claim (per-window resident trajectory
+/// bytes stay roughly flat as windows accumulate, while the
+/// flat-equivalent bytes grow linearly) and the work the window did.
+///
+/// Each counter is a pure function of the run's configuration and data,
+/// whatever the thread count or schedule, so the counters are persisted
+/// in the window's snapshot record and restored with it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WindowCounters {
     /// Trajectory bytes actually resident for the posterior ensemble:
     /// every distinct segment counted once, however many particles share
     /// it.
@@ -200,115 +204,65 @@ pub struct TrajectoryTelemetry {
     /// summed); `segment_refs - unique_segments` references were shared
     /// rather than copied.
     pub segment_refs: usize,
-    /// Worker pools built while computing this window: a runner's one
-    /// pool build is charged to the first window it serves. The
-    /// sequential calibrator builds its pool once per run, before the
-    /// window loop, so this is 0 for every window it emits.
-    pub pool_builds: usize,
     /// Days simulated across the window's whole `(parameter, replicate)`
-    /// grid. Deterministic for a given configuration, regardless of
-    /// thread count.
+    /// grid.
     pub days_simulated: u64,
-    /// Wall-clock nanoseconds spent inside simulation day loops, summed
-    /// across workers (can exceed the window's elapsed time; inherently
-    /// nondeterministic — diagnostics only).
-    pub sim_nanos: u64,
-    /// Per-worker simulation workspaces built for this window (≈ one per
-    /// worker chunk; depends on thread count — diagnostics only, must
-    /// never feed deterministic fingerprints).
-    pub workspaces_built: u64,
-    /// Simulation runs that reused an already-built workspace instead of
-    /// allocating a fresh one.
-    pub workspace_reuses: u64,
     /// Distinct `SimCheckpoint` allocations backing the posterior
-    /// ensemble's `checkpoint`/`origin` references. Deterministic:
-    /// sharing structure depends only on resampling ancestry, never on
-    /// scheduling.
+    /// ensemble's `checkpoint`/`origin` references: sharing structure
+    /// depends only on resampling ancestry, never on scheduling.
     pub unique_checkpoints: usize,
     /// Total checkpoint references across the posterior ensemble
     /// (`checkpoint` plus `origin`); `checkpoint_refs -
     /// unique_checkpoints` references alias a shared allocation instead
     /// of deep-copying it.
     pub checkpoint_refs: usize,
-    /// Wall-clock nanoseconds spent scoring trajectories against the
-    /// observed window, summed across workers (fused into the grid pass,
-    /// so this can exceed elapsed time — diagnostics only).
-    pub score_nanos: u64,
-    /// Wall-clock nanoseconds spent generating resampling indices and
-    /// assembling the posterior ensemble (diagnostics only).
-    pub resample_nanos: u64,
-    /// Scheduling chunks the window's simulation grid was split into.
-    /// Depends on worker count and chunk policy — diagnostics only, must
-    /// never feed deterministic fingerprints.
-    pub grid_chunks: u64,
-    /// Wall-clock nanoseconds the window loop was *blocked* on
-    /// durability for this window. In a batch run that is only the
-    /// backpressure wait at the background writer's handoff, and the
-    /// run's final window additionally absorbs the writer join (whether
-    /// or not that window was itself persisted). A streaming append
-    /// writes inline and reports the full encode + write + retention
-    /// span. Otherwise 0 for unpersisted windows; inherently
-    /// nondeterministic — diagnostics only, zeroed inside the persisted
-    /// record itself so snapshots stay byte-reproducible.
-    pub persist_nanos: u64,
     /// Durability records written for this window (0 or 1 under the
-    /// current policies). Deterministic for a given
-    /// [`crate::config::CheckpointPolicy`].
+    /// current policies), given the [`crate::config::CheckpointPolicy`].
     pub records_written: u64,
-    /// Wall-clock nanoseconds spent in serial per-window stream/proposal
-    /// setup (prior/jitter sampling and stream-key construction) before
-    /// the parallel grid launches (inherently nondeterministic —
-    /// diagnostics only).
-    pub stream_setup_nanos: u64,
-    /// Wall-clock nanoseconds of the window spent outside *any* parallel
-    /// phase — neither the simulation grid nor the parallelized weight
-    /// exponentiation. What remains is the genuinely serial fraction
-    /// (setup, log-sum-exp reduction, resampling-index generation and
-    /// counting, posterior assembly over the distinct resampled
-    /// candidates, and the telemetry footprint pass over them, which no
-    /// field times on its own) that Amdahl's law bounds strong scaling
-    /// by; inherently nondeterministic — diagnostics only.
-    pub serial_nanos: u64,
     /// Per-source scoring passes through the fused day loop (per-day
     /// bias + likelihood term, no materialized observation buffer): one
-    /// per source per scored cell. Deterministic for a given
-    /// configuration, never dependent on scheduling.
+    /// per source per scored cell.
     pub fused_scores: u64,
     /// Binomial stage-exit draws the chain stepper issued through
     /// `HazardSampler::draw_many` across the window's grid.
-    /// Deterministic for a given configuration and model.
     pub batched_draws: u64,
-    /// Wall-clock nanoseconds spent encoding (serialization + CRC) this
-    /// window's snapshot record — on the background writer thread in a
-    /// batch run (where it overlaps the next window's grid instead of
-    /// blocking the loop), inline in a streaming append (where it is
-    /// part of `persist_nanos`). 0 when the window was not persisted;
-    /// inherently nondeterministic — diagnostics only, zeroed inside the
-    /// persisted record.
-    pub encode_nanos: u64,
 }
 
-/// Per-window scheduling/accounting context threaded into
-/// [`finalize_window`] — the counters that are not derivable from the
-/// candidate ensemble itself.
+/// Wall-clock spans of one calibrated window. They vary from run to run
+/// of the same calibration, so they are never persisted: a window
+/// restored from a snapshot reads the default, all zero. The type has no
+/// `PartialEq`, so no equality check can depend on them.
 #[derive(Clone, Copy, Debug, Default)]
-struct WindowAccounting {
-    /// Dedicated pools charged to this window (see
-    /// [`crate::runner::ParallelRunner::take_build_charge`]).
-    pool_builds: usize,
-    /// Scheduling chunks across the window's simulation grid.
-    grid_chunks: u64,
-    /// Serial stream/proposal setup span (see
-    /// [`TrajectoryTelemetry::stream_setup_nanos`]).
-    stream_setup_nanos: u64,
-    /// Wall-clock spent inside the parallel grid pass; subtracted from the
-    /// window wall to yield [`TrajectoryTelemetry::serial_nanos`].
-    grid_nanos: u64,
+pub struct WindowTimings {
+    /// The window's wall time from the grid's launch: simulation,
+    /// weighting and resampling.
+    pub wall: Duration,
+    /// Serial per-window stream/proposal setup (prior/jitter sampling
+    /// and stream-key construction) before the parallel grid launches.
+    pub stream_setup: Duration,
+    /// Generating resampling indices and assembling the posterior
+    /// ensemble.
+    pub resample: Duration,
+    /// The part of [`Self::wall`] outside *any* parallel phase — neither
+    /// the simulation grid nor the parallelized weight exponentiation:
+    /// the log-sum-exp reduction, resampling, posterior assembly over
+    /// the distinct resampled candidates and the footprint pass over
+    /// them (which no field times on its own). Amdahl's law bounds
+    /// strong scaling by it.
+    pub serial: Duration,
+    /// Time the window loop was *blocked* on durability for this window.
+    /// In a batch run that is only the backpressure wait at the
+    /// background writer's handoff, and the run's final window
+    /// additionally absorbs the writer join (whether or not that window
+    /// was itself persisted). A streaming append writes inline and
+    /// reports the full encode + write + retention span. Zero for an
+    /// unpersisted window.
+    pub persist: Duration,
 }
 
 /// Measure the posterior ensemble's trajectory and checkpoint footprint
 /// by deduplicating on allocation identity, folding in the window's
-/// workspace-pool counters and phase timings.
+/// workspace counters.
 ///
 /// The posterior holds each distinct drawn candidate once, with the
 /// slots that drew it. Slots share every allocation with their
@@ -319,22 +273,9 @@ struct WindowAccounting {
 /// segment already seen, so the pass costs the distinct particles plus
 /// their distinct segments, however large the resample; `segment_refs`
 /// comes from the chain depth each segment records.
-fn measure_telemetry(
-    posterior: &ParticleEnsemble,
-    acct: WindowAccounting,
-    resample_nanos: u64,
-    ws_stats: &WorkspaceStats,
-) -> TrajectoryTelemetry {
-    let mut t = TrajectoryTelemetry {
-        pool_builds: acct.pool_builds,
-        grid_chunks: acct.grid_chunks,
-        stream_setup_nanos: acct.stream_setup_nanos,
+fn measure_counters(posterior: &ParticleEnsemble, ws_stats: &WorkspaceStats) -> WindowCounters {
+    let mut t = WindowCounters {
         days_simulated: ws_stats.days_simulated(),
-        sim_nanos: ws_stats.sim_nanos(),
-        score_nanos: ws_stats.score_nanos(),
-        resample_nanos,
-        workspaces_built: ws_stats.built(),
-        workspace_reuses: ws_stats.reuses(),
         fused_scores: ws_stats.fused_scores(),
         batched_draws: ws_stats.batched_draws(),
         ..Default::default()
@@ -385,10 +326,11 @@ pub struct WindowResult {
     pub log_marginal: f64,
     /// Number of distinct candidates surviving the resampling step.
     pub unique_ancestors: usize,
-    /// Wall-clock time of the window (simulation + weighting + resampling).
-    pub wall_time: Duration,
-    /// Trajectory-memory and pool telemetry of the posterior ensemble.
-    pub telemetry: TrajectoryTelemetry,
+    /// The window's deterministic counters, persisted with it.
+    pub telemetry: WindowCounters,
+    /// The window's wall-clock spans; the default on a window restored
+    /// from a snapshot.
+    pub timings: WindowTimings,
     /// Move statistics of the post-resampling rejuvenation pass; `None`
     /// under the default
     /// [`UniformJitter`](crate::config::RejuvenationKernel::UniformJitter)
@@ -687,14 +629,15 @@ pub fn score_window(
 /// ([`normalized_weights_par`]). The float *reductions* (log-sum-exp,
 /// whose summation order is part of the contract), resampling-index
 /// generation (a single sequential RNG stream at O(1) alias work per
-/// draw), the posterior's assembly and the telemetry footprint
-/// measurement stay serial. The posterior holds each distinct drawn
-/// candidate once plus a `u32` per slot (see [`ParticleEnsemble`]), so
-/// assembling it clones one particle per distinct candidate, and the
-/// footprint walk costs those candidates plus their distinct segments.
-/// `resample_nanos` keeps the resampling cost visible, and the parallel
-/// span is subtracted from `serial_nanos` so the telemetry reports the
-/// true Amdahl fraction.
+/// draw), the posterior's assembly and the footprint measurement stay
+/// serial. The posterior holds each distinct drawn candidate once plus a
+/// `u32` per slot (see [`ParticleEnsemble`]), so assembling it clones one
+/// particle per distinct candidate, and the footprint walk costs those
+/// candidates plus their distinct segments. The window's wall time runs
+/// from `started`, the grid's launch, so the grid span is the time to
+/// this call; the resampling span is timed on its own, and the grid span
+/// and the weight exponentiation are subtracted from the wall time, so
+/// [`WindowTimings::serial`] is the true Amdahl fraction.
 ///
 /// A drawn cell whose payload the grid dropped is rebuilt first: run
 /// again through [`Grid::cell`] on the same streams and ancestor
@@ -709,20 +652,21 @@ fn finalize_window<S: TrajectorySimulator>(
     config: &CalibrationConfig,
     rng: &mut Xoshiro256PlusPlus,
     runner: &ParallelRunner,
-    started: std::time::Instant,
-    acct: WindowAccounting,
+    started: Instant,
+    stream_setup: Duration,
     ws_stats: &WorkspaceStats,
 ) -> Result<WindowResult, SmcError> {
+    let grid_span = started.elapsed();
     let log_w: Vec<f64> = cells.iter().map(|c| c.log_weight).collect();
     // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-    let weights_started = std::time::Instant::now();
+    let weights_started = Instant::now();
     let weights = normalized_weights_par(&log_w, runner);
-    let parallel_nanos = weights_started.elapsed().as_nanos() as u64;
+    let weights_span = weights_started.elapsed();
     let window_ess = ess(&weights);
     let log_marginal = log_mean_exp(&log_w);
 
     // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-    let resample_started = std::time::Instant::now();
+    let resample_started = Instant::now();
     let idx = config
         .resample
         .resampler()
@@ -772,14 +716,8 @@ fn finalize_window<S: TrajectorySimulator>(
     let slots = idx.iter().map(|&k| draws[k]).collect();
     let mut posterior = ParticleEnsemble::from_slots(distinct, slots);
     posterior.set_uniform_weights();
-    let resample_nanos = resample_started.elapsed().as_nanos() as u64;
-    let mut telemetry = measure_telemetry(&posterior, acct, resample_nanos, ws_stats);
-    // Everything the window spent outside its parallel phases — grid
-    // passes and the weight exponentiation above — is the serial
-    // fraction strong scaling is bounded by.
-    telemetry.serial_nanos = (started.elapsed().as_nanos() as u64)
-        .saturating_sub(acct.grid_nanos)
-        .saturating_sub(parallel_nanos);
+    let resample = resample_started.elapsed();
+    let telemetry = measure_counters(&posterior, ws_stats);
     let prior_ensemble = if config.keep_prior_ensemble {
         let all = cells.iter().map(Cell::particle).collect::<Result<_, _>>()?;
         Some(ParticleEnsemble::from_vec(all))
@@ -787,6 +725,7 @@ fn finalize_window<S: TrajectorySimulator>(
         None
     };
 
+    let wall = started.elapsed();
     Ok(WindowResult {
         window: grid.window,
         posterior,
@@ -794,8 +733,17 @@ fn finalize_window<S: TrajectorySimulator>(
         ess: window_ess,
         log_marginal,
         unique_ancestors,
-        wall_time: started.elapsed(),
         telemetry,
+        timings: WindowTimings {
+            wall,
+            stream_setup,
+            resample,
+            // Everything the window spent outside its parallel phases —
+            // the grid and the weight exponentiation above — is the
+            // serial fraction strong scaling is bounded by.
+            serial: wall.saturating_sub(grid_span + weights_span),
+            persist: Duration::ZERO,
+        },
         rejuvenation: None,
     })
 }
@@ -835,14 +783,13 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
 
     /// Fallible constructor: validates the configuration and pre-builds
     /// the runner and its worker pool once for the driver's lifetime —
-    /// repeated [`Self::run`] calls reuse it, and only the first charges
-    /// the build to its window's telemetry.
+    /// repeated [`Self::run`] calls reuse it.
     ///
     /// # Errors
     /// Returns [`SmcError::Config`] if the configuration is invalid or a
     /// worker thread cannot be spawned.
     pub fn try_new(simulator: &'a S, config: CalibrationConfig) -> Result<Self, SmcError> {
-        config.validate().map_err(SmcError::Config)?;
+        config.validate()?;
         let runner = ParallelRunner::new(config.threads)?;
         Ok(Self {
             simulator,
@@ -874,7 +821,7 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
             )));
         }
         // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-        let started = std::time::Instant::now();
+        let setup_started = Instant::now();
         let cfg = &self.config;
         let mut rng = Xoshiro256PlusPlus::new(cfg.seed);
 
@@ -892,12 +839,12 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
         // replicate index alone (Section V-B).
         let sim_key = StreamKey::new(cfg.seed).absorb(TAG_SIM_SEED);
         let bias_key = StreamKey::new(cfg.seed).absorb(TAG_BIAS);
-        let stream_setup_nanos = started.elapsed().as_nanos() as u64;
+        let stream_setup = setup_started.elapsed();
 
         let runner = &self.runner;
         let ws_stats = Arc::new(WorkspaceStats::default());
         // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-        let grid_started = std::time::Instant::now();
+        let started = Instant::now();
         let grid = Grid::new(
             self.simulator,
             cfg.n_replicates,
@@ -909,17 +856,15 @@ impl<'a, S: TrajectorySimulator> SingleWindowIs<'a, S> {
             bias_key,
         )?;
         let cells = simulate_grid(&grid, runner, &ws_stats, drop_margin(cfg, grid.cells()))?;
-        let grid_nanos = grid_started.elapsed().as_nanos() as u64;
-        // The driver's pre-built pool is charged to the first window that
-        // uses it — later runs on the same driver report 0.
-        let acct = WindowAccounting {
-            pool_builds: runner.take_build_charge(),
-            grid_chunks: runner.chunk_count(cfg.n_params * cfg.n_replicates) as u64,
-            stream_setup_nanos,
-            grid_nanos,
-        };
         finalize_window(
-            &grid, cells, cfg, &mut rng, runner, started, acct, &ws_stats,
+            &grid,
+            cells,
+            cfg,
+            &mut rng,
+            runner,
+            started,
+            stream_setup,
+            &ws_stats,
         )
     }
 }
@@ -1017,7 +962,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         jitter_theta: Vec<JitterKernel>,
         jitter_rho: JitterKernel,
     ) -> Result<Self, SmcError> {
-        config.validate().map_err(SmcError::Config)?;
+        config.validate()?;
         Ok(Self {
             simulator,
             config,
@@ -1066,7 +1011,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         store: &dyn RunStore,
         policy: &CheckpointPolicy,
     ) -> Result<CalibrationResult, SmcError> {
-        policy.validate().map_err(SmcError::Config)?;
+        policy.validate()?;
         self.run_windows(priors, observed, plan, Some((store, policy)), None, 0)
     }
 
@@ -1094,7 +1039,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         store: &dyn RunStore,
         policy: &CheckpointPolicy,
     ) -> Result<CalibrationResult, SmcError> {
-        policy.validate().map_err(SmcError::Config)?;
+        policy.validate()?;
         let (snap, recoveries) = persist::recover_latest(store)?;
         let Some(snap) = snap else {
             return Err(SmcError::Persist(
@@ -1165,8 +1110,8 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             ess: snap.ess,
             log_marginal: snap.log_marginal,
             unique_ancestors: snap.unique_ancestors as usize,
-            wall_time: Duration::from_nanos(snap.wall_nanos),
             telemetry: snap.telemetry,
+            timings: WindowTimings::default(),
             rejuvenation: None,
         })
     }
@@ -1217,8 +1162,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
     /// windows the surrounding run intends to compute or on which
     /// process computed the previous ones. That purity is what makes
     /// streaming-equals-batch an identity rather than an approximation.
-    /// The runner (and its pool) is pre-built by the caller, so windows
-    /// report `pool_builds == 0`.
+    /// The runner (and its pool) is pre-built by the caller.
     pub(crate) fn compute_window(
         &self,
         runner: &ParallelRunner,
@@ -1229,7 +1173,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         prev: Option<&ParticleEnsemble>,
     ) -> Result<WindowResult, SmcError> {
         // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-        let setup_started = std::time::Instant::now();
+        let setup_started = Instant::now();
         let cfg = &self.config;
         let mut rng = Xoshiro256PlusPlus::from_stream(cfg.seed, &[TAG_WINDOW, widx as u64]);
         let proposals: Vec<Proposal> = match prev {
@@ -1272,10 +1216,10 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             .absorb(TAG_BIAS)
             .absorb(widx as u64)
             .absorb(0);
-        let stream_setup_nanos = setup_started.elapsed().as_nanos() as u64;
+        let stream_setup = setup_started.elapsed();
 
         // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-        let started = std::time::Instant::now();
+        let started = Instant::now();
         let ws_stats = Arc::new(WorkspaceStats::default());
         let grid = Grid::new(
             self.simulator,
@@ -1288,14 +1232,15 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             bias_key,
         )?;
         let cells = simulate_grid(&grid, runner, &ws_stats, drop_margin(cfg, grid.cells()))?;
-        let acct = WindowAccounting {
-            pool_builds: 0,
-            grid_chunks: runner.chunk_count(grid.cells()) as u64,
-            stream_setup_nanos,
-            grid_nanos: started.elapsed().as_nanos() as u64,
-        };
         let mut result = finalize_window(
-            &grid, cells, cfg, &mut rng, runner, started, acct, &ws_stats,
+            &grid,
+            cells,
+            cfg,
+            &mut rng,
+            runner,
+            started,
+            stream_setup,
+            &ws_stats,
         )?;
         if let crate::config::RejuvenationKernel::Pmmh(pmmh) = &cfg.rejuvenation {
             let stats = crate::rejuvenate::pmmh_rejuvenate_window(
@@ -1315,12 +1260,11 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
         Ok(result)
     }
 
-    /// Build the snapshot persisted for window `widx`, marking the
-    /// record in the result's telemetry. The snapshot carries the
-    /// telemetry with `persist_nanos` and `encode_nanos` still 0: both
-    /// are measured around (or after) the write itself, and zeroing
-    /// them keeps records byte-reproducible across runs, and between a
-    /// batch run and a stream.
+    /// Build the snapshot persisted for window `widx`, counting the
+    /// record in the result's counters. The snapshot holds the counters
+    /// and no timing, so its record is a pure function of the run: the
+    /// same bytes across runs, thread counts, and a batch run and a
+    /// stream.
     pub(crate) fn snapshot_for(
         &self,
         fingerprint: u64,
@@ -1337,7 +1281,6 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             ess: result.ess,
             log_marginal: result.log_marginal,
             unique_ancestors: result.unique_ancestors as u64,
-            wall_nanos: result.wall_time.as_nanos() as u64,
             observed_fingerprint: persist::observed_fingerprint(observed, result.window)
                 .unwrap_or(0),
             telemetry: result.telemetry,
@@ -1368,12 +1311,6 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
             resumed_window: *widx as u32,
             recoveries,
         });
-        // Plan index of `windows[0]`: background write receipts arrive
-        // keyed by plan window index and are mapped back through it.
-        let windows_base = match &restored {
-            Some((widx, _)) => *widx,
-            None => 0,
-        };
         let first = match restored {
             Some((widx, result)) => {
                 windows.push(result);
@@ -1404,12 +1341,7 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
                         // the writer thread. Only backpressure blocks the
                         // loop.
                         let snap = self.snapshot_for(fingerprint, observed, widx, &mut result);
-                        let handoff = w.submit(snap)?;
-                        result.telemetry.persist_nanos = handoff.blocked_nanos;
-                        for receipt in handoff.receipts {
-                            let k = receipt.window_index as usize - windows_base;
-                            windows[k].telemetry.encode_nanos = receipt.encode_nanos;
-                        }
+                        result.timings.persist = w.submit(snap)?;
                     }
                 }
                 windows.push(result);
@@ -1417,15 +1349,11 @@ impl<'a, S: TrajectorySimulator> SequentialCalibrator<'a, S> {
 
             // Drain the pipeline: wait for every outstanding background
             // write, surface its first error, and attribute the join wait
-            // (plus late encode receipts) to the windows involved.
+            // to the final window.
             if let Some((w, _)) = writer.take() {
-                let handoff = w.finish()?;
-                for receipt in handoff.receipts {
-                    let k = receipt.window_index as usize - windows_base;
-                    windows[k].telemetry.encode_nanos = receipt.encode_nanos;
-                }
+                let joined = w.finish()?;
                 if let Some(last) = windows.last_mut() {
-                    last.telemetry.persist_nanos += handoff.blocked_nanos;
+                    last.timings.persist += joined;
                 }
             }
             Ok(CalibrationResult { windows, resume })
@@ -1560,8 +1488,6 @@ impl<'a, S: TrajectorySimulator> Grid<'a, S> {
         };
         let bias_seed = self.bias_key.derive2(i as u64, r as u64);
         // Incremental likelihood: only this window's data.
-        // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
-        let score_started = std::time::Instant::now();
         let log_weight = score_window(
             &trajectory,
             prop.rho,
@@ -1570,7 +1496,6 @@ impl<'a, S: TrajectorySimulator> Grid<'a, S> {
             &self.prepared,
             scratch,
         )?;
-        ws.add_score_nanos(score_started.elapsed().as_nanos() as u64);
         Ok(Cell {
             theta: Arc::clone(&prop.theta),
             rho: prop.rho,
@@ -1883,7 +1808,7 @@ mod tests {
         ]
     }
 
-    fn footprint(t: &TrajectoryTelemetry) -> [usize; 6] {
+    fn footprint(t: &WindowCounters) -> [usize; 6] {
         [
             t.segment_refs,
             t.unique_segments,
@@ -2005,10 +1930,15 @@ mod tests {
             .map(|c| (c.theta[0].to_bits(), c.seed))
             .collect();
         let mut rng = Xoshiro256PlusPlus::from_stream(config.seed, &[TAG_WINDOW, widx]);
-        let acct = WindowAccounting::default();
-        let started = std::time::Instant::now();
         let result = finalize_window(
-            &grid, cells, config, &mut rng, runner, started, acct, &stats,
+            &grid,
+            cells,
+            config,
+            &mut rng,
+            runner,
+            Instant::now(),
+            Duration::ZERO,
+            &stats,
         )?;
         Ok((result, dropped))
     }

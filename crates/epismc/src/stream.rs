@@ -14,9 +14,11 @@
 //!
 //! Streaming `N` windows one at a time is **bit-identical** to a batch
 //! [`SequentialCalibrator::run_persisted`] over the same `N`-window
-//! plan: same posterior ensembles, same log marginals, same decoded
-//! store records — for every resampling scheme, every thread shape, and
-//! every kill-point between appends. This is an identity, not an
+//! plan: same posterior ensembles, same log marginals, same counters,
+//! and store records that are byte for byte the same — for every
+//! resampling scheme, every thread shape, and every kill-point between
+//! appends. A record holds no timing, so it is a pure function of the
+//! run, not just equal after decoding. This is an identity, not an
 //! approximation, because every window's RNG stream derives
 //! independently from the master seed and the window index
 //! (`from_stream(seed, [TAG_WINDOW, widx])`), so the posterior ensemble
@@ -124,7 +126,7 @@ impl<'a, S: TrajectorySimulator> StreamingCalibrator<'a, S> {
         store: &'a dyn RunStore,
         policy: CheckpointPolicy,
     ) -> Result<Self, SmcError> {
-        policy.validate().map_err(SmcError::Config)?;
+        policy.validate()?;
         calibrator.validate_dims(&priors)?;
         // One runner — and one worker pool — for the life of the stream,
         // exactly like the batch loop's hoisted runner: every appended
@@ -385,8 +387,8 @@ fn last_day(series: &ObservedSeries) -> Result<u32, SmcError> {
 }
 
 /// Persist one window's snapshot inline through [`persist::persist`]
-/// (encode, put, then retention relative to the new record) — see the
-/// module docs.
+/// (encode, put, then retention relative to the new record), timing the
+/// whole write as the window's persist span — see the module docs.
 fn persist_one<S: TrajectorySimulator>(
     calibrator: &SequentialCalibrator<'_, S>,
     fingerprint: u64,
@@ -399,7 +401,7 @@ fn persist_one<S: TrajectorySimulator>(
     // epilint: allow(wall-clock) — telemetry timing only; never feeds simulation state
     let persist_started = std::time::Instant::now();
     let snap = calibrator.snapshot_for(fingerprint, observed, widx, result);
-    result.telemetry.encode_nanos = persist::persist(store, &snap, policy.retain)?;
-    result.telemetry.persist_nanos = persist_started.elapsed().as_nanos() as u64;
+    persist::persist(store, &snap, policy.retain)?;
+    result.timings.persist = persist_started.elapsed();
     Ok(())
 }

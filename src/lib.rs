@@ -100,8 +100,8 @@ pub mod prelude {
         },
         sis::{
             score_window, CalibrationResult, ObservedData, ObservedSeries, PreparedObserved,
-            Priors, ScoreScratch, SequentialCalibrator, SingleWindowIs, TrajectoryTelemetry,
-            WindowResult,
+            Priors, ScoreScratch, SequentialCalibrator, SingleWindowIs, WindowCounters,
+            WindowResult, WindowTimings,
         },
         stream::StreamingCalibrator,
         window::{TimeWindow, WindowPlan},

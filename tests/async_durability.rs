@@ -12,7 +12,6 @@
 //! be indistinguishable.
 
 use epismc::prelude::*;
-use epismc::smc::persist::format;
 use epismc::smc::sis::WindowResult;
 
 fn setup() -> (GroundTruth, CovidSimulator) {
@@ -74,9 +73,9 @@ fn inline_stream(
 }
 
 /// Bit-level equality of everything a window result determines (scalars,
-/// every particle field, deterministic telemetry). Wall-clock telemetry
-/// is excluded by design: pipelining changes *when* work happens, never
-/// *what* is computed.
+/// every particle field, the counters). The timings are excluded by
+/// design: pipelining changes *when* work happens, never *what* is
+/// computed.
 fn assert_windows_equal(got: &WindowResult, want: &WindowResult, ctx: &str) {
     assert_eq!(got.window, want.window, "{ctx}: window");
     assert_eq!(got.ess.to_bits(), want.ess.to_bits(), "{ctx}: ess");
@@ -107,38 +106,7 @@ fn assert_windows_equal(got: &WindowResult, want: &WindowResult, ctx: &str) {
             "{ctx}: particle {i} checkpoint"
         );
     }
-    let (gt, wt) = (&got.telemetry, &want.telemetry);
-    for (field, a, b) in [
-        (
-            "shared_bytes",
-            gt.shared_bytes as u64,
-            wt.shared_bytes as u64,
-        ),
-        ("flat_bytes", gt.flat_bytes as u64, wt.flat_bytes as u64),
-        (
-            "unique_segments",
-            gt.unique_segments as u64,
-            wt.unique_segments as u64,
-        ),
-        (
-            "segment_refs",
-            gt.segment_refs as u64,
-            wt.segment_refs as u64,
-        ),
-        ("days_simulated", gt.days_simulated, wt.days_simulated),
-        (
-            "unique_checkpoints",
-            gt.unique_checkpoints as u64,
-            wt.unique_checkpoints as u64,
-        ),
-        (
-            "checkpoint_refs",
-            gt.checkpoint_refs as u64,
-            wt.checkpoint_refs as u64,
-        ),
-    ] {
-        assert_eq!(a, b, "{ctx}: telemetry {field}");
-    }
+    assert_eq!(got.telemetry, want.telemetry, "{ctx}: counters");
 }
 
 #[test]
@@ -183,30 +151,12 @@ fn pipelined_matches_sync_bit_for_bit_across_thread_shapes() {
             for (got, want) in windows.iter().zip(&reference) {
                 assert_windows_equal(got, want, &ctx);
             }
-            // The stores hold the same windows with the same durable
-            // content (record *bytes* differ only in wall-clock words).
+            // The stores hold the same records, byte for byte: a record
+            // is a pure function of its run, however it was written.
             assert_eq!(store.list().unwrap(), ref_store.list().unwrap(), "{ctx}");
             for w in store.list().unwrap() {
-                let got = format::decode_record(&store.get(w).unwrap().unwrap()).unwrap();
-                let want = format::decode_record(&ref_store.get(w).unwrap().unwrap()).unwrap();
-                assert_eq!(got.fingerprint, want.fingerprint, "{ctx}: window {w}");
-                assert_eq!(got.window_index, want.window_index, "{ctx}: window {w}");
-                assert_eq!(
-                    got.log_marginal.to_bits(),
-                    want.log_marginal.to_bits(),
-                    "{ctx}: window {w}"
-                );
-                let fp = |e: &ParticleEnsemble| {
-                    e.particles()
-                        .iter()
-                        .map(|p| (p.theta[0].to_bits(), p.rho.to_bits(), p.seed))
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(
-                    fp(&got.posterior),
-                    fp(&want.posterior),
-                    "{ctx}: window {w} persisted posterior"
-                );
+                let (got, want) = (store.get(w).unwrap(), ref_store.get(w).unwrap());
+                assert!(got.is_some() && got == want, "{ctx}: record {w}");
             }
         }
     }
@@ -348,53 +298,4 @@ fn pipelined_retention_prunes_like_sync() {
     let newest = vec![plan.len() as u32 - 1];
     assert_eq!(inline.list().unwrap(), newest, "inline");
     assert_eq!(piped.list().unwrap(), newest, "pipelined");
-}
-
-#[test]
-fn pipelined_telemetry_splits_encode_from_blocking_wait() {
-    // Written inline, every persisted window reports the encode span
-    // inside the full blocking span; through the background writer the
-    // loop only ever waits for handoff backpressure, and the encode cost
-    // is reported from the writer's receipt — both fields must be
-    // populated either way.
-    let (truth, simulator) = setup();
-    let observed = ObservedData::cases_only(truth.observed_cases.clone());
-    let plan = plan();
-    let policy = CheckpointPolicy::every_window();
-
-    let piped = calibrator(&simulator, None)
-        .run_persisted(
-            &Priors::paper(),
-            &observed,
-            &plan,
-            &MemStore::new(),
-            &policy,
-        )
-        .unwrap();
-    for (w, win) in piped.windows.iter().enumerate() {
-        assert_eq!(win.telemetry.records_written, 1, "pipelined window {w}");
-        assert!(
-            win.telemetry.encode_nanos > 0,
-            "pipelined window {w}: encode span missing"
-        );
-    }
-    let inline = inline_stream(
-        &simulator,
-        None,
-        &truth.observed_cases,
-        &plan,
-        &MemStore::new(),
-        policy,
-    );
-    for (w, win) in inline.iter().enumerate() {
-        assert_eq!(win.telemetry.records_written, 1, "inline window {w}");
-        assert!(
-            win.telemetry.encode_nanos > 0,
-            "inline window {w}: encode span missing"
-        );
-        assert!(
-            win.telemetry.persist_nanos >= win.telemetry.encode_nanos,
-            "inline window {w}: blocking span contains the encode"
-        );
-    }
 }

@@ -91,11 +91,11 @@ fn paper_scale_window_completes_with_exact_accounting() {
     // recorded in the scheduled job's log for trend-watching.
     eprintln!(
         "paper-scale smoke: days_simulated={} unique_checkpoints={} \
-         stream_setup_nanos={} serial_nanos={} peak_rss_kb={:?}",
+         stream_setup={:?} serial={:?} peak_rss_kb={:?}",
         t.days_simulated,
         t.unique_checkpoints,
-        t.stream_setup_nanos,
-        t.serial_nanos,
+        result.timings.stream_setup,
+        result.timings.serial,
         peak_rss_kb()
     );
 }

@@ -11,7 +11,7 @@ use epismc::prelude::*;
 use epismc::sim::spec::{Compartment, FlowSpec, Infection, ModelSpec, Progression};
 use epismc::sim::state::SimState;
 use epismc::smc::persist::{format, RunSnapshot};
-use epismc::smc::sis::TrajectoryTelemetry;
+use epismc::smc::sis::WindowCounters;
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -52,7 +52,7 @@ fn series(start: u32, cases: &[u64], deaths: &[u64]) -> DailySeries {
 /// A hand-built snapshot exercising every corner of the format: pooled
 /// (shared) thetas and checkpoints, a trajectory chain with two branches
 /// off one root segment, an origin checkpoint, a dead particle
-/// (`-inf` log weight), and every telemetry word nonzero-or-pinned.
+/// (`-inf` log weight), and every counter nonzero.
 fn golden_snapshot() -> RunSnapshot {
     let root = SharedTrajectory::root(series(0, &[5, 8, 13], &[0, 1, 1]));
     let branch_a = root.append(series(3, &[21, 34], &[2, 3]));
@@ -97,37 +97,25 @@ fn golden_snapshot() -> RunSnapshot {
         ess: 31.5,
         log_marginal: -102.75,
         unique_ancestors: 17,
-        wall_nanos: 123_456_789,
         observed_fingerprint: 0x0B5E_4FD5_0BF1_4CED,
-        telemetry: TrajectoryTelemetry {
+        telemetry: WindowCounters {
             shared_bytes: 100,
             flat_bytes: 240,
             unique_segments: 3,
             segment_refs: 5,
-            pool_builds: 1,
             days_simulated: 28,
-            sim_nanos: 0,
-            workspaces_built: 3,
-            workspace_reuses: 9,
             unique_checkpoints: 3,
             checkpoint_refs: 5,
-            score_nanos: 0,
-            resample_nanos: 0,
-            grid_chunks: 4,
-            persist_nanos: 0,
             records_written: 1,
-            stream_setup_nanos: 314,
-            serial_nanos: 2_718,
             fused_scores: 96,
             batched_draws: 1_722,
-            encode_nanos: 0,
         },
         posterior: ParticleEnsemble::from_vec(particles),
     }
 }
 
 fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_record_v5.bin")
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_record_v6.bin")
 }
 
 #[test]
@@ -142,7 +130,7 @@ fn golden_record_bytes_are_pinned() {
         )
     });
     if bytes != want {
-        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("run_record_v5.actual.bin");
+        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("run_record_v6.actual.bin");
         std::fs::write(&out, &bytes).unwrap();
         panic!(
             "serialized record diverged from the golden fixture (got {} bytes, want {}); \
@@ -165,7 +153,6 @@ fn golden_record_decodes_with_sharing_intact() {
     assert_eq!(snap.window, TimeWindow::new(34, 47));
     assert_eq!(snap.ess.to_bits(), 31.5f64.to_bits());
     assert_eq!(snap.log_marginal.to_bits(), (-102.75f64).to_bits());
-    assert_eq!(snap.wall_nanos, 123_456_789);
     assert_eq!(snap.telemetry, golden_snapshot().telemetry);
 
     let p = snap.posterior.particles();
@@ -223,7 +210,7 @@ fn short_and_empty_records_are_corrupt_not_panics() {
 }
 
 #[test]
-#[ignore = "regenerates tests/golden/run_record_v5.bin; run only after an intentional format change (with a FORMAT_VERSION bump)"]
+#[ignore = "regenerates tests/golden/run_record_v6.bin; run only after an intentional format change (with a FORMAT_VERSION bump)"]
 fn regenerate_golden_fixture() {
     let path = golden_path();
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
@@ -278,9 +265,8 @@ fn arbitrary_snapshot(parts: Vec<(f64, f64, u64, f64, Vec<u64>)>) -> RunSnapshot
         ess: 1.5,
         log_marginal: -8.25,
         unique_ancestors: 2,
-        wall_nanos: 0,
         observed_fingerprint: 0xF00D,
-        telemetry: TrajectoryTelemetry::default(),
+        telemetry: WindowCounters::default(),
         posterior: ParticleEnsemble::from_vec(particles),
     }
 }

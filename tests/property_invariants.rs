@@ -312,3 +312,78 @@ proptest! {
         prop_assert_eq!(st.total_population(), total);
     }
 }
+
+/// Where a generated series starts, given its kind and the end day of the
+/// source it goes to (`None` for a source with no data yet), and how many
+/// days it holds.
+fn series_start(kind: u8, offset: u32, len: usize, end: Option<u32>) -> (u32, usize) {
+    match (kind, end) {
+        // Contiguous: the day after the source's end.
+        (0, Some(e)) => (e.saturating_add(1), len),
+        // Gapped: at least one day missing.
+        (1, Some(e)) => (e.saturating_add(2 + offset), len),
+        // Overlapping: starts on or before the source's end.
+        (2, Some(e)) => (e.saturating_sub(offset), len),
+        // Near the last representable day, so the series may end past it.
+        (3, _) => (u32::MAX - offset, len),
+        // Empty.
+        (4, e) => (e.map_or(1, |e| e.saturating_add(1)), 0),
+        // The first series of a source with no data yet.
+        _ => (1 + offset, len),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `StreamingCalibrator::ingest` against a model of each source's end
+    /// day: a series is taken exactly when its source exists, it holds at
+    /// least one day, its last day fits in a `u32`, and it starts the day
+    /// after the source's end (anywhere, on a source with no data yet).
+    /// Every refusal is a typed `SmcError::Observation`, never a panic.
+    #[test]
+    fn stream_ingestion_matches_an_end_day_model(
+        calls in proptest::collection::vec((0usize..3, 0u8..5, 0u32..4, 1usize..5), 1..12)
+    ) {
+        let sim = SeirSimulator::new(SeirParams::default()).unwrap();
+        let calibrator = SequentialCalibrator::new(
+            &sim,
+            CalibrationConfig::builder().threads(1).build(),
+            vec![JitterKernel::symmetric(0.05, 0.05, 0.95)],
+            JitterKernel::symmetric(0.05, 0.05, 1.0),
+        );
+        let store = MemStore::new();
+        let mut stream = StreamingCalibrator::open(
+            calibrator,
+            Priors::paper(),
+            ObservedData::cases_and_deaths(Vec::new(), Vec::new()),
+            &store,
+            CheckpointPolicy::every_window(),
+        )
+        .unwrap();
+        // The model: each source's end day. Source 2 does not exist.
+        let mut ends = [None::<u32>; 2];
+        for (source, kind, offset, len) in calls {
+            let end = ends.get(source).copied().flatten();
+            let (start_day, len) = series_start(kind, offset, len, end);
+            let series = ObservedSeries { start_day, values: vec![3.0; len] };
+            let last = u32::try_from(len)
+                .ok()
+                .and_then(|n| n.checked_sub(1))
+                .and_then(|n| start_day.checked_add(n));
+            let takes = source < ends.len()
+                && last.is_some()
+                && end.is_none_or(|e| e.checked_add(1) == Some(start_day));
+            match stream.ingest(source, &series) {
+                Ok(()) => {
+                    prop_assert!(takes, "source {source} took {series:?} after day {end:?}");
+                    ends[source] = last;
+                }
+                Err(e) => {
+                    prop_assert!(!takes, "source {source} refused {series:?} after day {end:?}: {e}");
+                    prop_assert!(matches!(e, SmcError::Observation(_)), "{e}");
+                }
+            }
+        }
+    }
+}

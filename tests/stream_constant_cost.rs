@@ -54,7 +54,7 @@ fn full_walk_reference(posterior: &ParticleEnsemble) -> [usize; 6] {
 }
 
 /// The same counters as a window reported them.
-fn footprint(t: &TrajectoryTelemetry) -> [usize; 6] {
+fn footprint(t: &WindowCounters) -> [usize; 6] {
     [
         t.segment_refs,
         t.unique_segments,

@@ -47,9 +47,9 @@ fn calibrator(
 }
 
 /// Bit-level equality of everything a window result determines (scalars,
-/// every particle field, deterministic telemetry). Wall-clock telemetry
-/// is excluded by design: streaming changes *when* windows are computed,
-/// never *what* is computed.
+/// every particle field, the counters). The timings are excluded by
+/// design: streaming changes *when* windows are computed, never *what*
+/// is computed.
 fn assert_windows_equal(got: &WindowResult, want: &WindowResult, ctx: &str) {
     assert_eq!(got.window, want.window, "{ctx}: window");
     assert_eq!(got.ess.to_bits(), want.ess.to_bits(), "{ctx}: ess");
@@ -80,57 +80,21 @@ fn assert_windows_equal(got: &WindowResult, want: &WindowResult, ctx: &str) {
             "{ctx}: particle {i} checkpoint"
         );
     }
-    let (gt, wt) = (&got.telemetry, &want.telemetry);
-    assert_eq!(gt.shared_bytes, wt.shared_bytes, "{ctx}: shared_bytes");
-    assert_eq!(gt.flat_bytes, wt.flat_bytes, "{ctx}: flat_bytes");
-    assert_eq!(
-        gt.days_simulated, wt.days_simulated,
-        "{ctx}: days_simulated"
-    );
-    assert_eq!(
-        gt.unique_checkpoints, wt.unique_checkpoints,
-        "{ctx}: unique_checkpoints"
-    );
+    assert_eq!(got.telemetry, want.telemetry, "{ctx}: counters");
 }
 
-/// Decoded-record equality on every run-reproducible field (record
-/// *bytes* differ only in wall-clock words).
+/// Byte equality of every stored record: a record is a pure function of
+/// its run, so a stream and a batch run write the same bytes. Each
+/// record also names the observed data it was scored against.
 fn assert_stores_equal(got: &dyn RunStore, want: &dyn RunStore, ctx: &str) {
     assert_eq!(got.list().unwrap(), want.list().unwrap(), "{ctx}: windows");
     for w in got.list().unwrap() {
-        let g = format::decode_record(&got.get(w).unwrap().unwrap()).unwrap();
-        let e = format::decode_record(&want.get(w).unwrap().unwrap()).unwrap();
-        assert_eq!(g.seed, e.seed, "{ctx}: window {w} seed");
-        assert_eq!(
-            g.fingerprint, e.fingerprint,
-            "{ctx}: window {w} fingerprint"
-        );
-        assert_eq!(g.window_index, e.window_index, "{ctx}: window {w} index");
-        assert_eq!(g.window, e.window, "{ctx}: window {w} span");
-        assert_eq!(
-            g.observed_fingerprint, e.observed_fingerprint,
-            "{ctx}: window {w} observed fingerprint"
-        );
+        let (g, e) = (got.get(w).unwrap().unwrap(), want.get(w).unwrap());
+        assert!(Some(&g) == e.as_ref(), "{ctx}: window {w} record bytes");
         assert_ne!(
-            g.observed_fingerprint, 0,
+            format::decode_record(&g).unwrap().observed_fingerprint,
+            0,
             "{ctx}: window {w} records the observed fingerprint"
-        );
-        assert_eq!(g.ess.to_bits(), e.ess.to_bits(), "{ctx}: window {w} ess");
-        assert_eq!(
-            g.log_marginal.to_bits(),
-            e.log_marginal.to_bits(),
-            "{ctx}: window {w} log_marginal"
-        );
-        let fp = |ens: &ParticleEnsemble| {
-            ens.particles()
-                .iter()
-                .map(|p| (p.theta[0].to_bits(), p.rho.to_bits(), p.seed))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            fp(&g.posterior),
-            fp(&e.posterior),
-            "{ctx}: window {w} persisted posterior"
         );
     }
 }

@@ -254,9 +254,6 @@ fn twenty_window_calibration_shares_trajectory_memory() {
             t.shared_bytes,
             t.flat_bytes
         );
-        // The calibrator builds its pool once per *run*, before the
-        // window loop — no window may report a pool build.
-        assert_eq!(t.pool_builds, 0, "window {i} rebuilt a thread pool");
     }
 
     let last = result.windows.last().unwrap().telemetry;
